@@ -1,76 +1,48 @@
-"""Small dense linear algebra over a finite field.
+"""Linear algebra over F_p on int64 arrays.
 
-Matrices are lists of rows of field elements; for prime fields they may
-also be (and internally stay) numpy int arrays taken mod p, which keeps
-repeated matrix powers and matrix-vector products cheap.
+Every F_q-linear map in the package, q = p^k, is handled as the F_p-linear
+map it also is. F_q is F_p[y]/(m(y)) (F_p itself is F_p[y]/(y), k = 1), and a
+vector of d elements of F_q is the flat vector of their d*k coordinates:
+index j*k + l holds the coefficient of y^l in slot j, i.e. the
+``FieldElement.coeffs`` tuples concatenated. ``lift`` turns an F_q matrix
+into the F_p matrix of the same map; ``rank_mod`` does the elimination.
+
+Entries are kept reduced mod p < 2^16, so a sum of fewer than 2^31 products
+of two entries stays below 2^63 and int64 never overflows.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from ._polys import _is_prime_field
+
+@lru_cache(maxsize=None)
+def mul_tensor(p: int, base_mod: tuple) -> np.ndarray:
+    """T[l, a, b] = coordinate l of y^a * y^b in F_p[y]/(base_mod), base_mod monic."""
+    k = len(base_mod) - 1
+    powers = [[1] + [0] * (k - 1)]  # coordinates of y^t, t < 2k - 1
+    for _ in range(2 * k - 2):
+        prev = powers[-1]
+        powers.append(
+            [(c - prev[-1] * m) % p for c, m in zip([0] + prev[:-1], base_mod)]
+        )
+    table = np.array(powers, dtype=np.int64)
+    return table[np.add.outer(np.arange(k), np.arange(k))].transpose(2, 0, 1)
 
 
-def _to_np(rows):
-    if isinstance(rows, np.ndarray):
-        return rows
-    return np.array([[c.coeffs[0] for c in row] for row in rows], dtype=np.int64)
+def lift(field, M) -> np.ndarray:
+    """F_p matrix (d*k x e*k) of the F_q-linear map with F_q matrix M.
 
-
-def identity(field, n: int):
-    if _is_prime_field(field):
-        return np.eye(n, dtype=np.int64)
-    zero, one = field.zero(), field.one()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def matmul(field, a, b):
-    if _is_prime_field(field):
-        return (_to_np(a) @ _to_np(b)) % field.p
-    zero = field.zero()
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        for l in range(k):
-            c = a[i][l]
-            if c == zero:
-                continue
-            row_b = b[l]
-            row_o = out[i]
-            for j in range(m):
-                row_o[j] = row_o[j] + c * row_b[j]
-    return out
-
-
-def matvec(field, a, v):
-    """Matrix times vector of field elements; always returns field elements."""
-    if _is_prime_field(field):
-        vec = np.array([c.coeffs[0] for c in v], dtype=np.int64)
-        out = (_to_np(a) @ vec) % field.p
-        return [field.element((int(x),)) for x in out]
-    return [row[0] for row in matmul(field, a, [[x] for x in v])]
-
-
-def matpow(field, a, e: int):
-    if _is_prime_field(field):
-        p = field.p
-        result = np.eye(len(a), dtype=np.int64)
-        base = _to_np(a)
-        while e > 0:
-            if e & 1:
-                result = (result @ base) % p
-            base = (base @ base) % p
-            e >>= 1
-        return result
-    result = identity(field, len(a))
-    base = a
-    while e > 0:
-        if e & 1:
-            result = matmul(field, result, base)
-        base = matmul(field, base, base)
-        e >>= 1
-    return result
+    ``M`` has shape (d, e, k): entry (i, j) of the F_q matrix by its k
+    coordinates. An entry c acts on each k-block through the k x k matrix of
+    multiplication by c, read off the multiplication tensor of F_q.
+    """
+    M = np.asarray(M, dtype=np.int64)
+    d, e, k = M.shape
+    T = mul_tensor(field.p, field.base_modulus or (0, 1))
+    return np.einsum("ija,lab->iljb", M, T).reshape(d * k, e * k) % field.p
 
 
 def rank_mod(rows: np.ndarray, p: int) -> int:
@@ -92,35 +64,5 @@ def rank_mod(rows: np.ndarray, p: int) -> int:
             m[r + 1:, col:] = (sub - np.outer(m[r + 1:, col], m[r, col:])) % p
         r += 1
         if r == m.shape[0]:
-            break
-    return r
-
-
-def rank(field, rows) -> int:
-    """Rank over the field by Gaussian elimination."""
-    if isinstance(rows, np.ndarray):
-        if rows.size == 0:
-            return 0
-    elif not rows:
-        return 0
-    if _is_prime_field(field):
-        return rank_mod(_to_np(rows), field.p)
-    zero = field.zero()
-    m = [list(row) for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    for col in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][col] != zero), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][col].inverse()
-        m[r] = [c * inv for c in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][col] != zero:
-                c = m[i][col]
-                m[i] = [a - c * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == n_rows:
             break
     return r

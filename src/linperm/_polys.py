@@ -4,8 +4,9 @@ Coefficient vectors are little-endian tuples of field elements with no
 trailing zeros (the zero polynomial is the empty tuple).  Functions are
 generic over any coefficient field exposing ``zero()``/``one()`` and whose
 elements support ``+ - * ==`` and ``.inverse()``; prime fields (``field.k
-== 1``) get numpy-backed fast paths for the operations that dominate
-irreducibility testing and factorization.
+== 1``) get numpy-backed fast paths for plain and cyclic products.
+Products modulo a fixed polynomial and the irreducibility test run on int64
+arrays over F_p for every F_q (see the kernels section below).
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from . import _linalg
 
 
 def _is_prime_field(field) -> bool:
@@ -44,17 +47,8 @@ def pone(field):
     return (field.one(),)
 
 
-def pX(field):
-    """The monomial x."""
-    return (field.zero(), field.one())
-
-
 def pdeg(coeffs) -> int:
     return len(coeffs) - 1
-
-
-def pconst(field, coeffs):
-    return coeffs[0] if coeffs else field.zero()
 
 
 def padd(field, a, b):
@@ -152,114 +146,97 @@ def pegcd(field, a, b):
     )
 
 
-@lru_cache(maxsize=256)
-def _reduction_matrix(p: int, mod_ints: tuple) -> np.ndarray:
-    """Matrix mapping coefficient vectors of degree < 2d-1 to their residue mod a monic degree-d polynomial (prime field)."""
-    d = len(mod_ints) - 1
-    width = max(2 * d - 1, d)
-    low = np.array(mod_ints[:-1], dtype=np.int64)
-    cols = np.zeros((d, width), dtype=np.int64)
-    for e in range(d):
-        cols[e, e] = 1
-    for e in range(d, width):
-        prev = cols[:, e - 1]
-        shifted = np.zeros(d, dtype=np.int64)
-        shifted[1:] = prev[:-1]
-        cols[:, e] = (shifted - prev[-1] * low) % p
-    return cols
+# --- F_q kernels on int64 arrays ----------------------------------------------
+#
+# F_q = F_p[y]/(m(y)), with F_p itself as F_p[y]/(y). A residue
+# c_0 + c_1 x + ... + c_{d-1} x^{d-1} modulo a monic f of degree d over F_q
+# packs into the int vector of length d*s, s = 2k - 1, with the k coordinates
+# of c_j at j*s and zeros after them. Convolving two packed vectors then
+# multiplies the polynomials with no overlap between slots (y-degrees stay
+# below s), and one matrix maps the convolution to the packed residue of the
+# product. For k = 1 a packed vector is the plain coefficient vector.
 
 
-def pmulmod(field, a, b, mod):
-    """a*b reduced modulo the monic polynomial mod."""
-    if not a or not b:
-        return ()
-    if _is_prime_field(field) and len(mod) >= 2:
-        p = field.p
-        d = len(mod) - 1
-        red = _reduction_matrix(p, tuple(int(c.coeffs[0]) for c in mod))
-        conv = np.convolve(_ints(a), _ints(b)) % p
-        padded = np.zeros(red.shape[1], dtype=np.int64)
-        padded[: len(conv)] = conv
-        return _elems(field, (red @ padded) % p)
-    return pmod(field, pmul(field, a, b), mod)
+def _to_ints(field, coeffs, stride: int) -> np.ndarray:
+    """Int vector with the coordinates of slot j at j*stride: packed for
+    stride 2k - 1, flat for stride k."""
+    pad = (0,) * (stride - field.k)
+    return np.array([v for c in coeffs for v in c.coeffs + pad], dtype=np.int64)
 
 
-def ppowmod(field, a, e: int, mod):
-    """a**e reduced modulo the monic polynomial mod."""
-    result = pmod(field, pone(field), mod)
-    base = pmod(field, a, mod)
+def _from_ints(field, arr: np.ndarray, stride: int) -> tuple:
+    """F_q elements from an int vector holding slot j at j*stride."""
+    rows = arr.reshape(-1, stride)[:, : field.k].tolist()
+    return tuple(field.element(c) for c in rows)
+
+
+@lru_cache(maxsize=16)  # most keys are candidates of an irreducibility search
+def _reduction_matrix(p: int, mod: tuple, base_mod: tuple) -> np.ndarray:
+    """Matrix taking np.convolve of two packed residues to the packed residue
+    of their product, modulo the monic ``mod`` over F_p[y]/(base_mod).
+
+    ``mod`` lists its coefficients by their coordinates. Column e*s + t holds
+    the packed residue of x^e y^t.
+    """
+    T = _linalg.mul_tensor(p, base_mod)
+    k = T.shape[0]
+    s, d = 2 * k - 1, len(mod) - 1
+    low = np.array(mod[:-1], dtype=np.int64).reshape(d, k)
+    # r[e] = x^e mod f: multiplying by x shifts the slots and folds the top
+    # one back in through x^d = -low(x)
+    r = np.zeros((2 * d, d, k), dtype=np.int64)
+    r[np.arange(d), np.arange(d), 0] = 1
+    for e in range(d, 2 * d):
+        r[e, 1:] = r[e - 1, :-1]
+        r[e] = (r[e] - np.einsum("lab,a,jb->jl", T, r[e - 1, -1], low)) % p
+    # y^t = y^a * y^(t-a) for t < s
+    y_pows = np.array([T[:, min(t, k - 1), t - min(t, k - 1)] for t in range(s)])
+    red = np.zeros((d, s, 2 * d, s), dtype=np.int64)
+    red[:, :k] = np.einsum("lab,eja,tb->jlet", T, r, y_pows) % p
+    return red.reshape(d * s, 2 * d * s)
+
+
+def preduction(field, mod) -> np.ndarray:
+    """_reduction_matrix for a monic ``mod`` with coefficients in ``field``."""
+    return _reduction_matrix(
+        field.p, tuple(c.coeffs for c in mod), field.base_modulus or (0, 1)
+    )
+
+
+def mulmod(p: int, red: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Packed product a*b reduced by ``red``: the one convolve-and-reduce kernel."""
+    conv = np.convolve(a, b) % p
+    padded = np.zeros(red.shape[1], dtype=np.int64)
+    padded[: len(conv)] = conv
+    return (red @ padded) % p
+
+
+def ppower_matrix(field, red: np.ndarray, start: np.ndarray, step: np.ndarray):
+    """F_p matrix (k*d square), on flat coordinates, of the F_q-linear map of
+    F_q[x]/(f) that sends x^j to start * step^j; ``red`` is f's reduction
+    matrix and ``start``, ``step`` are packed residues."""
+    p, k = field.p, field.k
+    s = 2 * k - 1
+    d = red.shape[0] // s
+    cols = [start]
+    for _ in range(d - 1):
+        cols.append(mulmod(p, red, cols[-1], step))
+    coords = np.array(cols).reshape(d, d, s)[:, :, :k].transpose(1, 0, 2)
+    return _linalg.lift(field, coords)
+
+
+def pfrobenius_matrix(field, mod) -> np.ndarray:
+    """F_p matrix of h -> h^q on F_q[x]/(mod): x^j goes to w^j, w = x^q."""
+    p, s = field.p, 2 * field.k - 1
+    red = preduction(field, mod)
+    one, sq = red[:, 0], red[:, s]  # the residues of 1 and x
+    w, e = one, field.q
     while e > 0:
         if e & 1:
-            result = pmulmod(field, result, base, mod)
-        base = pmulmod(field, base, base, mod)
+            w = mulmod(p, red, w, sq)
+        sq = mulmod(p, red, sq, sq)
         e >>= 1
-    return result
-
-
-def _itrim(a: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(a)[0]
-    return a[: nz[-1] + 1] if len(nz) else a[:0]
-
-
-def _imod(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Remainder of int-array polynomials mod p (b nonzero)."""
-    a = _itrim(a.copy())
-    b = _itrim(b)
-    db = len(b) - 1
-    binv = pow(int(b[-1]), -1, p)
-    while len(a) - 1 >= db:
-        c = (int(a[-1]) * binv) % p
-        if c:
-            a[len(a) - 1 - db :] = (a[len(a) - 1 - db :] - c * b) % p
-        a = _itrim(a[:-1])
-    return a
-
-
-def _igcd(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    while len(b):
-        a, b = b, _imod(p, a, b)
-    return a
-
-
-def _irreducible_prime(p: int, q: int, f_ints: tuple) -> bool:
-    """Berlekamp criterion: squarefree f is irreducible over F_q iff the
-    Frobenius map h -> h^q has a one-dimensional fixed space mod f."""
-    from . import _linalg
-
-    f = np.array(f_ints, dtype=np.int64)
-    d = len(f) - 1
-    deriv = _itrim((f[1:] * np.arange(1, d + 1)) % p)
-    if len(deriv) == 0 or len(_igcd(p, f, deriv)) - 1 != 0:
-        return False
-    red = _reduction_matrix(p, f_ints)
-    width = red.shape[1]
-
-    def mulmod(a, b):
-        conv = np.convolve(a, b) % p
-        padded = np.zeros(width, dtype=np.int64)
-        padded[: len(conv)] = conv
-        return (red @ padded) % p
-
-    w = np.zeros(d, dtype=np.int64)
-    w[0] = 1
-    x_poly = np.zeros(d, dtype=np.int64)
-    x_poly[1] = 1
-    e = q
-    base = x_poly
-    while e > 0:  # w = x^q mod f
-        if e & 1:
-            w = mulmod(w, base)
-        base = mulmod(base, base)
-        e >>= 1
-    frob = np.empty((d, d), dtype=np.int64)
-    col = np.zeros(d, dtype=np.int64)
-    col[0] = 1
-    for j in range(d):
-        frob[:, j] = col
-        col = mulmod(col, w)
-
-    fixed = (frob - np.eye(d, dtype=np.int64)) % p
-    return d - _linalg.rank_mod(fixed, p) == 1
+    return ppower_matrix(field, red, one, w)
 
 
 def _prime_factors(n: int):
@@ -276,47 +253,33 @@ def _prime_factors(n: int):
     return out
 
 
-def _coords(field, poly, length):
-    vec = list(poly) + [field.zero()] * (length - len(poly))
-    return vec[:length]
-
-
 def pis_irreducible(field, f) -> bool:
-    """Irreducibility test for a monic polynomial over a field with q elements.
+    """Irreducibility test for a monic polynomial over F_q, q = p^k.
 
-    Prime fields go through the array-based Berlekamp count; other fields
-    use a Rabin test on the q-power map (only ever needed at small degree).
+    With Q the F_p matrix of h -> h^q on F_q[x]/(f), of size k*d:
+    - squarefree check: x^(q^d) = x mod f iff f is squarefree and each of its
+      irreducible factors has degree dividing d (x^(q^d) - x is their product);
+    - Berlekamp's criterion: for squarefree f the fixed space of Q has one F_q
+      dimension per irreducible factor, so f is irreducible iff
+      k*d - rank(Q - I) == k.
     """
     d = pdeg(f)
     if d < 1:
         return False
     if d == 1:
         return True
-    if pconst(field, f) == field.zero():
+    if f[0] == field.zero():
         return False
-    if _is_prime_field(field):
-        return _irreducible_prime(field.p, field.q, tuple(c.coeffs[0] for c in f))
-    from . import _linalg
-
-    q = field.q
-    # Matrix of the q-power map h -> h^q mod f in the basis 1, x, ..., x^(d-1);
-    # column j holds x^(j*q) mod f.
-    w = ppowmod(field, pX(field), q, f)
-    cols = []
-    col = pone(field)
+    p, k = field.p, field.k
+    Q = pfrobenius_matrix(field, f)
+    x = np.zeros(k * d, dtype=np.int64)
+    x[k] = 1
+    v = x
     for _ in range(d):
-        cols.append(_coords(field, col, d))
-        col = pmulmod(field, col, w, f)
-    frob = [[cols[j][i] for j in range(d)] for i in range(d)]
-    x_vec = _coords(field, pX(field), d)
-    if _linalg.matvec(field, _linalg.matpow(field, frob, d), x_vec) != x_vec:
+        v = (Q @ v) % p
+    if not np.array_equal(v, x):
         return False
-    for r in _prime_factors(d):
-        v = _linalg.matvec(field, _linalg.matpow(field, frob, d // r), x_vec)
-        g = pgcd(field, psub(field, ptrim(field, v), pX(field)), f)
-        if pdeg(g) != 0:
-            return False
-    return True
+    return k * d - _linalg.rank_mod(Q - np.eye(k * d, dtype=np.int64), p) == k
 
 
 def pcyclic_mul(field, a, b, n: int):

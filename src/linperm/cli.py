@@ -14,10 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from .errors import LinpermError
-from .fields import ExtFieldSpec, FieldSpec, base_field, extension_field
+from .errors import BadInput, LinpermError
+from .fields import (
+    ExtFieldSpec,
+    FieldSpec,
+    _prime_power,
+    base_field,
+    extension_field,
+)
 from .idempotents import closed_form_pm, cor4_condition, primitive_idempotents
 from .linearized import (
     LinearizedPoly,
@@ -46,23 +51,6 @@ from .polyring import RingSpec, format_poly, ring_is_unit, ring_mul
 from .shifts import alpha_shift_power, cyclic_order, shift_class
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class JobConfig:
-    p: int
-    k: int
-    n: int
-    base_modulus: str | None
-    ext_modulus: str | None
-    seed: int
-    output: str  # "text" | "json"
-
-
-def _factor_q(q: int) -> tuple[int, int]:
-    from .fields import _prime_power
-
-    return _prime_power(q)
 
 
 def _specs(args) -> tuple[RingSpec, ExtFieldSpec]:
@@ -110,7 +98,12 @@ def _verdict_exit(checks: list[tuple[str, bool]]) -> int:
 def cmd_idempotents(args) -> int:
     ring, ext = _specs(args)
     if args.closed_form:
-        p, m = _factor_q(args.n)
+        try:
+            p, m = _prime_power(args.n)
+        except BadInput:
+            raise BadInput(
+                f"the closed form needs n = p^m; n = {args.n} is not a prime power"
+            ) from None
         cond = cor4_condition(p, m, args.q)
         if not cond:
             print(
@@ -265,7 +258,10 @@ def cmd_complete(args) -> int:
     ring, ext = _specs(args)
     F = parse_linearized(args.poly, ext)
     basis = primitive_idempotents(ring)
-    lams = [ext.base.from_int(int(v)) for v in args.lambda_set.split(",")]
+    lams = [
+        ext.base.from_int(_int_arg("--lambda-set", v))
+        for v in args.lambda_set.split(",")
+    ]
     lines = []
     all_ok = True
     for lam in lams:
@@ -293,8 +289,15 @@ def cmd_complete(args) -> int:
     return 0 if verdict else 1
 
 
+def _int_arg(option: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise BadInput(f"{option} expects integers, got {text!r}") from None
+
+
 def _parse_alpha(args, ext: ExtFieldSpec):
-    return ext.from_int(int(args.alpha))
+    return ext.from_int(_int_arg("--alpha", args.alpha))
 
 
 def cmd_shift(args) -> int:

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import sympy
 
-from . import _linalg, _polys
+from . import _polys
 from .errors import (
     BadInput,
     InternalError,
@@ -78,11 +78,11 @@ class FieldSpec:
         return self.q
 
     def element(self, coeffs) -> FieldElement:
-        coeffs = tuple(c % self.p for c in coeffs)
         if len(coeffs) > self.k:
             raise BadInput("too many coefficients for this field")
         if self.k == 1:
-            return _interned(self)[coeffs[0] if coeffs else 0]
+            return _interned(self)[coeffs[0] % self.p if coeffs else 0]
+        coeffs = tuple(c % self.p for c in coeffs)
         return FieldElement(self, coeffs + (0,) * (self.k - len(coeffs)))
 
     def zero(self) -> FieldElement:
@@ -285,23 +285,9 @@ class ExtFieldSpec:
 
 
 @lru_cache(maxsize=None)
-def _ext_mul_tails(spec: ExtFieldSpec):
-    """Coordinates of z^(n+i) mod ext_modulus, i = 0..n-2 (generic path)."""
-    base, n = spec.base, spec.n
-    low = [-c for c in spec.ext_modulus[:-1]]
-    tails = [low]
-    for _ in range(n - 2):
-        prev = tails[-1]
-        nxt = [base.zero()] + prev[:-1]
-        for j in range(n):
-            nxt[j] = nxt[j] + prev[-1] * low[j]
-        tails.append(nxt)
-    return tails
-
-
-@lru_cache(maxsize=None)
-def _ext_mod_ints(spec: ExtFieldSpec) -> tuple:
-    return tuple(c.coeffs[0] for c in spec.ext_modulus)
+def _ext_reduction(spec: ExtFieldSpec) -> np.ndarray:
+    """Reduction matrix of the product kernel ``_polys.mulmod`` for F_{q^n}."""
+    return _polys.preduction(spec.base, spec.ext_modulus)
 
 
 @dataclass(frozen=True)
@@ -355,37 +341,15 @@ class ExtElement:
     def __mul__(self, other):
         self._check(other)
         spec = self.spec
-        n = spec.n
-        if spec.base.k == 1:
-            p = spec.base.p
-            a = np.array([c.coeffs[0] for c in self.coeffs], dtype=np.int64)
-            b = np.array([c.coeffs[0] for c in other.coeffs], dtype=np.int64)
-            if n == 1:
-                return spec.element(((int(a[0]) * int(b[0])) % p,))
-            red = _polys._reduction_matrix(p, _ext_mod_ints(spec))
-            conv = np.convolve(a, b) % p
-            padded = np.zeros(red.shape[1], dtype=np.int64)
-            padded[: len(conv)] = conv
-            out = (red @ padded) % p
-            return ExtElement(
-                spec, tuple(spec.base.element((int(v),)) for v in out)
-            )
-        zero = spec.base.zero()
-        full = [zero] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                full[i + j] = full[i + j] + a * b
-        out = full[:n]
-        if n > 1:
-            tails = _ext_mul_tails(spec)
-            for i, c in enumerate(full[n:]):
-                if not c.is_zero():
-                    tail = tails[i]
-                    for j in range(n):
-                        out[j] = out[j] + c * tail[j]
-        return ExtElement(spec, tuple(out))
+        base = spec.base
+        s = 2 * base.k - 1
+        out = _polys.mulmod(
+            base.p,
+            _ext_reduction(spec),
+            _polys._to_ints(base, self.coeffs, s),
+            _polys._to_ints(base, other.coeffs, s),
+        )
+        return ExtElement(spec, _polys._from_ints(base, out, s))
 
     def inverse(self) -> ExtElement:
         if self.is_zero():
@@ -401,34 +365,16 @@ class ExtElement:
         if e < 0:
             return self.inverse() ** (-e)
         spec = self.spec
-        if spec.base.k == 1 and spec.n > 1:
-            p = spec.base.p
-            red = _polys._reduction_matrix(p, _ext_mod_ints(spec))
-            acc = np.zeros(spec.n, dtype=np.int64)
-            acc[0] = 1
-            sq = np.array([c.coeffs[0] for c in self.coeffs], dtype=np.int64)
-            width = red.shape[1]
-
-            def redmul(a, b):
-                conv = np.convolve(a, b) % p
-                padded = np.zeros(width, dtype=np.int64)
-                padded[: len(conv)] = conv
-                return (red @ padded) % p
-
-            while e > 0:
-                if e & 1:
-                    acc = redmul(acc, sq)
-                sq = redmul(sq, sq)
-                e >>= 1
-            return spec.element(tuple(int(v) for v in acc))
-        result = self.spec.one()
-        base = self
+        base = spec.base
+        s = 2 * base.k - 1
+        red = _ext_reduction(spec)
+        acc, sq = red[:, 0], _polys._to_ints(base, self.coeffs, s)
         while e > 0:
             if e & 1:
-                result = result * base
-            base = base * base
+                acc = _polys.mulmod(base.p, red, acc, sq)
+            sq = _polys.mulmod(base.p, red, sq, sq)
             e >>= 1
-        return result
+        return ExtElement(spec, _polys._from_ints(base, acc, s))
 
     def __str__(self):
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
@@ -440,48 +386,17 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-# --- spec-surface aliases for the elementwise operations ---------------------
-
-
-def field_add(a, b):
-    return a + b
-
-
-def field_mul(a, b):
-    return a * b
-
-
-def field_neg(a):
-    return -a
-
-
-def field_inv(a):
-    return a.inverse()
-
-
 # --- Frobenius and norm ------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _frobenius_matrix(spec: ExtFieldSpec):
-    """Matrix of a -> a^q on F_{q^n} in the power basis (columns are (z^j)^q)."""
-    base, n = spec.base, spec.n
-    w = _polys.ppowmod(base, _polys.pX(base), spec.q, spec.ext_modulus)
-    cols = []
-    col = _polys.pone(base)
-    for _ in range(n):
-        cols.append(_polys._coords(base, col, n))
-        col = _polys.pmulmod(base, col, w, spec.ext_modulus)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-@lru_cache(maxsize=None)
-def _frobenius_power(spec: ExtFieldSpec, i: int):
-    if i <= 1:
-        return _linalg.matpow(spec.base, _frobenius_matrix(spec), i)
-    return _linalg.matmul(
-        spec.base, _frobenius_power(spec, i - 1), _frobenius_power(spec, 1)
-    )
+def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
+    """F_p matrix of a -> a^(q^i) on the flat coordinates of F_{q^n}."""
+    if i == 0:
+        return np.eye(spec.base.k * spec.n, dtype=np.int64)
+    if i == 1:
+        return _polys.pfrobenius_matrix(spec.base, spec.ext_modulus)
+    return (_frobenius_power(spec, i - 1) @ _frobenius_power(spec, 1)) % spec.base.p
 
 
 def frobenius(a: ExtElement, i: int) -> ExtElement:
@@ -491,8 +406,10 @@ def frobenius(a: ExtElement, i: int) -> ExtElement:
         raise BadInput(f"frobenius exponent {i} outside [0, {spec.n})")
     if i == 0:
         return a
-    vec = _linalg.matvec(spec.base, _frobenius_power(spec, i), list(a.coeffs))
-    return ExtElement(spec, tuple(vec))
+    base = spec.base
+    flat = _polys._to_ints(base, a.coeffs, base.k)
+    out = (_frobenius_power(spec, i) @ flat) % base.p
+    return ExtElement(spec, _polys._from_ints(base, out, base.k))
 
 
 def norm(a: ExtElement) -> FieldElement:

@@ -18,7 +18,9 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import _linalg
+import numpy as np
+
+from . import _linalg, _polys
 from .errors import (
     BadInput,
     CoefficientsNotInBaseField,
@@ -29,7 +31,14 @@ from .errors import (
     ZeroCoefficient,
     ZeroNotInA,
 )
-from .fields import ExtElement, ExtFieldSpec, FieldElement, frobenius
+from .fields import (
+    ExtElement,
+    ExtFieldSpec,
+    FieldElement,
+    _ext_reduction,
+    _frobenius_power,
+    frobenius,
+)
 from .idempotents import ComponentVector, IdempotentBasis, project, reconstruct
 from .polyring import (
     RingElement,
@@ -189,51 +198,41 @@ def is_permutation_gcd(F: LinearizedPoly) -> bool:
 
 def is_permutation_rank(F: LinearizedPoly) -> bool:
     """Rank test for arbitrary coefficients: the induced F_q-linear map on
-    F_{q^n} must have full rank n."""
+    F_{q^n} must have full rank, k*n as an F_p-linear map (q = p^k).
+
+    The map is sum_i Mul(c_i) Frob^i on flat coordinates. A coefficient c in
+    F_q acts on every slot through the same k x k block, so its term costs no
+    full matrix product.
+    """
     spec = F.spec
-    n = spec.n
+    base = spec.base
+    p, k, n = base.p, base.k, spec.n
     support = [(i, c) for i, c in enumerate(F.coeffs) if not c.is_zero()]
     if not support:
         return False
-    if spec.base.k == 1:
-        # assemble the map's matrix directly: mul-by-c composed with Frob^i
-        import numpy as np
-
-        from .fields import _frobenius_power
-
-        p = spec.base.p
-        M = np.zeros((n, n), dtype=np.int64)
-        for i, c in support:
-            Fi = np.asarray(_frobenius_power(spec, i), dtype=np.int64)
-            if c.in_base_field():
-                M = (M + int(c.base_value().coeffs[0]) * Fi) % p
-            else:
-                M = (M + _mul_matrix(c) @ Fi) % p
-        return _linalg.rank_mod(M, p) == n
-    z = spec.gen()
-    rows = []
-    power = spec.one()
-    for _ in range(n):
-        image = spec.zero()
-        for i, c in support:
-            image = image + c * frobenius(power, i)
-        rows.append(list(image.coeffs))
-        power = power * z
-    return _linalg.rank(spec.base, rows) == n
+    M = np.zeros((k * n, k * n), dtype=np.int64)
+    for i, c in support:
+        Fi = _frobenius_power(spec, i)
+        if c.in_base_field():
+            # Mul(c) is block diagonal with c's k x k block, so row (j, l)
+            # of Mul(c) Frob^i is the sum over b of block[l, b] * row (j, b)
+            block = _linalg.lift(base, [[c.coeffs[0].coeffs]])
+            rows = Fi.reshape(n, k, k * n)
+            for b in range(k):
+                M += (block[:, b, None] * rows[:, None, b]).reshape(k * n, k * n)
+        else:
+            M += _mul_matrix(c) @ Fi
+        M %= p
+    return _linalg.rank_mod(M, p) == k * n
 
 
-def _mul_matrix(c: ExtElement):
-    """Matrix of a -> c*a in the power basis (prime base field), as int64."""
-    import numpy as np
-
-    spec = c.spec
-    z = spec.gen()
-    cols = []
-    col = c
-    for _ in range(spec.n):
-        cols.append([fe.coeffs[0] for fe in col.coeffs])
-        col = col * z
-    return np.array(cols, dtype=np.int64).T
+def _mul_matrix(c: ExtElement) -> np.ndarray:
+    """F_p matrix of a -> c*a on flat coordinates: z^j goes to c*z^j."""
+    base = c.spec.base
+    s = 2 * base.k - 1
+    red = _ext_reduction(c.spec)
+    c_ints = _polys._to_ints(base, c.coeffs, s)
+    return _polys.ppower_matrix(base, red, c_ints, red[:, s])
 
 
 def coefficient_sum_reject(F: LinearizedPoly) -> bool:
@@ -503,20 +502,34 @@ def parse_linearized(text: str, spec: ExtFieldSpec) -> LinearizedPoly:
     return LinearizedPoly(spec, tuple(coeffs))
 
 
+def _parse_ints(raw: str, text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise BadInput(f"cannot parse coefficient {raw!r}") from None
+
+
 def _parse_ext_coeff(raw: str, spec: ExtFieldSpec) -> ExtElement:
     base = spec.base
+    k = base.k
+    if raw.startswith("[") and raw.endswith("]"):
+        # all n*k coordinates of an element of F_{q^n}, as format_linearized prints it
+        parts = _parse_ints(raw, raw[1:-1])
+        if len(parts) != spec.n * k:
+            raise BadInput(
+                f"coefficient {raw!r} needs {spec.n * k} integers, got {len(parts)}"
+            )
+        slots = [parts[j : j + k] for j in range(0, len(parts), k)]
+        return spec.element([base.element(c) for c in slots])
     if "," in raw:
-        parts = [int(v) for v in raw.split(",")]
-        if len(parts) == base.k:
+        parts = _parse_ints(raw, raw)
+        if len(parts) == k:
             return spec.embed(base.element(parts))
         if len(parts) == spec.n:
             raise BadInput("full extension coefficients need bracket syntax")
         raise BadInput(f"coefficient {raw!r} has wrong length")
-    try:
-        v = int(raw)
-    except ValueError:
-        raise BadInput(f"cannot parse coefficient {raw!r}") from None
-    if base.k == 1:
+    (v,) = _parse_ints(raw, raw)
+    if k == 1:
         return spec.embed_int(v)
     # integers name F_q elements by base-p digits (3 over F_8 is y+1)
     if not 0 <= v < base.q:

@@ -95,10 +95,6 @@ class Poly:
     def monic(self) -> Poly:
         return Poly(self.spec, _polys.pmonic(self.spec, self.coeffs))
 
-    def derivative(self) -> Poly:
-        out = [self.spec.embed_int(i) * c for i, c in enumerate(self.coeffs)][1:]
-        return Poly(self.spec, tuple(out))
-
     def __str__(self):
         return format_poly(self.coeffs)
 
@@ -208,10 +204,6 @@ class RingElement:
         return format_poly(self.coeffs)
 
 
-def ring_add(a: RingElement, b: RingElement) -> RingElement:
-    return a + b
-
-
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     return a * b
 
@@ -300,34 +292,26 @@ def _linear_factor_product(field, roots):
     return prod
 
 
-def _linear_factor_product_prime(work: ExtFieldSpec, roots) -> "np.ndarray":
-    """Array form of _linear_factor_product for splitting fields over a prime F_q.
+def _linear_factor_product_packed(work: ExtFieldSpec, roots) -> "np.ndarray":
+    """Array form of _linear_factor_product over a splitting field F_{q^m}.
 
-    Rows are polynomial coefficients, each row a length-m coordinate vector.
+    Rows are polynomial coefficients, each a packed element of F_{q^m} (see
+    the kernels section of _polys).
     """
     import numpy as np
 
-    from .fields import _ext_mod_ints
+    from .fields import _ext_reduction
 
-    p = work.base.p
-    m = work.n
-    red = _polys._reduction_matrix(p, _ext_mod_ints(work))
-    width = red.shape[1]
-    root_arrays = [
-        np.array([c.coeffs[0] for c in r.coeffs], dtype=np.int64) for r in roots
-    ]
-    prod = np.zeros((1, m), dtype=np.int64)
+    base = work.base
+    red = _ext_reduction(work)
+    prod = np.zeros((1, red.shape[0]), dtype=np.int64)
     prod[0, 0] = 1
-    for r in root_arrays:
-        r_times = np.zeros_like(prod)
-        for i in range(prod.shape[0]):
-            conv = np.convolve(r, prod[i]) % p
-            padded = np.zeros(width, dtype=np.int64)
-            padded[: len(conv)] = conv
-            r_times[i] = (red @ padded) % p
-        nxt = np.zeros((prod.shape[0] + 1, m), dtype=np.int64)
+    for r in roots:
+        r_ints = _polys._to_ints(base, r.coeffs, 2 * base.k - 1)
+        r_times = np.array([_polys.mulmod(base.p, red, r_ints, row) for row in prod])
+        nxt = np.zeros((prod.shape[0] + 1, red.shape[0]), dtype=np.int64)
         nxt[1:] = prod
-        nxt[:-1] = (nxt[:-1] - r_times) % p
+        nxt[:-1] = (nxt[:-1] - r_times) % base.p
         prod = nxt
     return prod
 
@@ -352,21 +336,13 @@ def factor_xn_minus_1(spec: RingSpec) -> list[tuple[CyclotomicCoset, Poly]]:
         roots = [powers[j] for j in coset.members]
         if work is base:
             coeffs = tuple(_linear_factor_product(base, roots))
-        elif base.k == 1:
-            rows = _linear_factor_product_prime(work, roots)
-            if rows[:, 1:].any():
+        else:
+            rows = _linear_factor_product_packed(work, roots)
+            if rows[:, base.k :].any():
                 raise InternalError(
                     "factor coefficient escaped F_q; arithmetic is broken"
                 )
-            coeffs = tuple(base.element((int(v),)) for v in rows[:, 0])
-        else:
-            prod = _linear_factor_product(work, roots)
-            for c in prod:
-                if not c.in_base_field():
-                    raise InternalError(
-                        "factor coefficient escaped F_q; arithmetic is broken"
-                    )
-            coeffs = tuple(c.coeffs[0] for c in prod)
+            coeffs = tuple(base.element(c) for c in rows[:, : base.k].tolist())
         out.append((coset, Poly(base, coeffs)))
 
     product = Poly.one(base)

@@ -184,3 +184,41 @@ def test_json_stable_serialization(capsys):
     _, doc1 = run_json(capsys, ["idempotents", "--q", "3", "--n", "5"])
     _, doc2 = run_json(capsys, ["idempotents", "--q", "3", "--n", "5"])
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shift", "--q", "3", "--n", "5", "--poly", "x", "--alpha", "b"],
+        ["complete", "--q", "8", "--n", "11", "--poly", "x", "--lambda-set", "0,a"],
+        ["is-perm", "--q", "3", "--n", "5", "--poly", "[1,0,1,0]*x^[1]"],
+    ],
+)
+def test_bad_input_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert "BadInput" in err
+    assert "Traceback" not in err
+
+
+def test_shift_output_parses_back(capsys):
+    # alpha = 7 lies outside F_3, so the shift prints a bracket coefficient
+    code, doc = run_json(
+        capsys, ["shift", "--q", "3", "--n", "5", "--poly", "x", "--alpha", "7"]
+    )
+    assert code == 0
+    shifted = doc["outputs"]["shifted"]
+    assert shifted.startswith("[")
+    code2, doc2 = run_json(
+        capsys, ["is-perm", "--q", "3", "--n", "5", "--poly", shifted]
+    )
+    assert code2 == 0
+    assert doc2["outputs"]["permutation"] is True
+
+
+def test_closed_form_names_n(capsys):
+    code, out, err = run(
+        capsys, ["idempotents", "--q", "3", "--n", "10", "--closed-form"]
+    )
+    assert code == 2
+    assert "n = 10" in err

@@ -17,6 +17,7 @@ from linperm import (
     norm,
 )
 from linperm.errors import BadInput, NotCoprime, ZeroInverse, ZeroOrder
+from linperm._polys import pis_irreducible
 from linperm.fields import element_of_order
 
 
@@ -58,11 +59,13 @@ def test_f3_5_inverse_roundtrip(v):
     assert a * a.inverse() == E.one()
 
 
-@given(st.integers(0, 242), st.integers(0, 4))
+@given(st.integers(0, 10**6), st.integers(0, 4))
 def test_frobenius_is_qth_power(v, i):
-    E = extension_field(3, 5)
-    a = E.from_int(v)
-    assert frobenius(a, i) == a ** (3**i)
+    # F_8: its multiplication matrices are not symmetric, unlike F_4's
+    for q, n in ((3, 5), (4, 3), (8, 3)):
+        E = extension_field(q, n)
+        a = E.from_int(v % E.order)
+        assert frobenius(a, i % n) == a ** (q ** (i % n))
 
 
 @given(st.integers(0, 242), st.integers(0, 242))
@@ -143,3 +146,29 @@ def test_from_int_roundtrip():
     E = extension_field(2, 3)
     seen = {E.from_int(v) for v in range(8)}
     assert len(seen) == 8
+
+
+def _mobius(n: int) -> int:
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("q,max_degree", [(2, 4), (3, 4), (4, 4), (8, 3)])
+def test_irreducible_count_matches_gauss(q, max_degree):
+    # the number of monic irreducibles of degree d over F_q is
+    # (1/d) * sum over e | d of mu(e) q^(d/e)
+    base = base_field(q)
+    for d in range(1, max_degree + 1):
+        count = 0
+        for v in range(q**d):
+            low = [base.from_int((v // q**j) % q) for j in range(d)]
+            count += pis_irreducible(base, tuple(low) + (base.one(),))
+        gauss = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
+        assert count * d == gauss, (q, d)

@@ -21,7 +21,7 @@ from linperm import (
     reconstruct,
     ring_mul,
 )
-from linperm._linalg import rank
+from linperm._linalg import lift, rank_mod
 from linperm.errors import BadInput, ConditionNotMet, LengthMismatch, SpecMismatch
 
 ALL_SPECS = [(2, 3), (3, 2), (3, 5), (5, 2), (3, 25), (11, 9), (8, 11), (3, 125)]
@@ -59,9 +59,11 @@ def test_component_dimension(q, n):
         rows = []
         cur = comp.idempotent
         for _ in range(n):
-            rows.append(list(cur.coeffs))
+            rows.append([c.coeffs for c in cur.coeffs])
             cur = ring_mul(cur, spec.x())
-        assert rank(spec.base, rows) == comp.degree
+        # F_q rank = F_p rank of the lifted rows / k
+        k = spec.base.k
+        assert rank_mod(lift(spec.base, rows), spec.base.p) == k * comp.degree
 
 
 def test_r2_3_hand_values(F2):

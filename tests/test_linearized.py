@@ -20,7 +20,6 @@ from linperm import (
     evaluate,
     extension_field,
     format_linearized,
-    has_base_coeffs,
     identity,
     is_involution,
     is_permutation,
@@ -424,11 +423,19 @@ def test_format_zero():
     assert parse_linearized("0", E35) == Z
 
 
-@given(st.lists(st.integers(0, 242), min_size=5, max_size=5))
-def test_format_parse_roundtrip_ext(coeffs):
-    F = LinearizedPoly(E35, tuple(E35.from_int(v) for v in coeffs))
-    if has_base_coeffs(F):
-        assert parse_linearized(format_linearized(F), E35) == F
+def _ext_coeffs(E):
+    """Coefficients in F_q, or anywhere in F_{q^n} (printed in bracket form)."""
+    base_coeff = st.integers(0, E.q - 1).map(lambda v: E.embed(E.base.from_int(v)))
+    ext_coeff = st.integers(0, E.order - 1).map(E.from_int)
+    return st.lists(st.one_of(base_coeff, ext_coeff), min_size=E.n, max_size=E.n)
+
+
+@given(st.data())
+def test_format_parse_roundtrip_ext(data):
+    for q, n in ((3, 5), (4, 3)):
+        E = extension_field(q, n)
+        F = LinearizedPoly(E, tuple(data.draw(_ext_coeffs(E))))
+        assert parse_linearized(format_linearized(F), E) == F
 
 
 def test_parse_tolerates_compact_style():
@@ -442,3 +449,7 @@ def test_parse_rejects_garbage():
         parse_linearized("x^[99]", E35)
     with pytest.raises(BadInput):
         parse_linearized("y+1", E35)
+    # a bracket coefficient must hold exactly n*k = 5 integers
+    for bad in ("[1,2,0]*x", "[1,2,0,0,0,1]*x", "[1,a,0,0,0]*x", "[]*x"):
+        with pytest.raises(BadInput):
+            parse_linearized(bad, E35)

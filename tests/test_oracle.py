@@ -34,14 +34,27 @@ def test_bijection_vs_symbolic_exhaustive_f8():
 
 
 def test_bijection_vs_symbolic_sampled_f35():
+    from linperm import has_base_coeffs
+
     E = extension_field(3, 5)
     basis = primitive_idempotents(RingSpec(base_field(3), 5))
     rng = random.Random(2024)
     for _ in range(60):
         F = LinearizedPoly(E, tuple(E.from_int(rng.randrange(243)) for _ in range(5)))
         assert is_bijection_bruteforce(F) == is_permutation_rank(F)
-        from linperm import has_base_coeffs
-
+        if has_base_coeffs(F):
+            assert is_bijection_bruteforce(F) == is_permutation(F, basis)
+    # a non-prime base: the rank test runs on 6 x 6 matrices over F_2
+    E = extension_field(4, 3)
+    basis = primitive_idempotents(RingSpec(base_field(4), 3))
+    rng = random.Random(2025)
+    for j in range(120):
+        if j % 2:
+            coeffs = [E.embed(E.base.from_int(rng.randrange(4))) for _ in range(3)]
+        else:
+            coeffs = [E.from_int(rng.randrange(64)) for _ in range(3)]
+        F = LinearizedPoly(E, tuple(coeffs))
+        assert is_bijection_bruteforce(F) == is_permutation_rank(F)
         if has_base_coeffs(F):
             assert is_bijection_bruteforce(F) == is_permutation(F, basis)
 
