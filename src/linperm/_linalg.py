@@ -3,9 +3,10 @@
 Every F_q-linear map in the package, q = p^k, is handled as the F_p-linear
 map it also is. F_q is F_p[y]/(m(y)) (F_p itself is F_p[y]/(y), k = 1), and a
 vector of d elements of F_q is the flat vector of their d*k coordinates:
-index j*k + l holds the coefficient of y^l in slot j, i.e. the
-``FieldElement.coeffs`` tuples concatenated. ``lift`` turns an F_q matrix
-into the F_p matrix of the same map; ``rank_mod`` does the elimination.
+index j*k + l holds the coefficient of y^l in slot j. ``ExtElement.coords``
+stores an element of F_{q^n} this way (slot j is the coefficient of z^j), so
+these matrices act on it directly. ``lift`` turns an F_q matrix into the F_p
+matrix of the same map; ``rank_mod`` does the elimination.
 
 Entries are kept reduced mod p < 2^16, so a sum of fewer than 2^31 products
 of two entries stays below 2^63 and int64 never overflows.

@@ -39,10 +39,6 @@ def ptrim(field, coeffs):
     return coeffs[:end]
 
 
-def pzero(field):
-    return ()
-
-
 def pone(field):
     return (field.one(),)
 
@@ -129,8 +125,8 @@ def pgcd(field, a, b):
 def pegcd(field, a, b):
     """Extended gcd: returns (g, u, v) with u*a + v*b = g and g monic."""
     r0, r1 = a, b
-    u0, u1 = pone(field), pzero(field)
-    v0, v1 = pzero(field), pone(field)
+    u0, u1 = pone(field), ()
+    v0, v1 = (), pone(field)
     while r1:
         q, r = pdivmod(field, r0, r1)
         r0, r1 = r1, r
@@ -155,19 +151,21 @@ def pegcd(field, a, b):
 # multiplies the polynomials with no overlap between slots (y-degrees stay
 # below s), and one matrix maps the convolution to the packed residue of the
 # product. For k = 1 a packed vector is the plain coefficient vector.
+# Callers hold residues by their flat coordinates (slot j at j*k, as in
+# ``ExtElement.coords``); pmulmod, ppowmod and pmul_matrix pack and unpack
+# them, so the stride 2k - 1 never leaves this module.
 
 
-def _to_ints(field, coeffs, stride: int) -> np.ndarray:
-    """Int vector with the coordinates of slot j at j*stride: packed for
-    stride 2k - 1, flat for stride k."""
-    pad = (0,) * (stride - field.k)
-    return np.array([v for c in coeffs for v in c.coeffs + pad], dtype=np.int64)
+def _pack(k: int, flat) -> np.ndarray:
+    """Packed int vector of a residue given by its flat coordinates."""
+    out = np.zeros((len(flat) // k, 2 * k - 1), dtype=np.int64)
+    out[:, :k] = np.array(flat, dtype=np.int64).reshape(-1, k)
+    return out.ravel()
 
 
-def _from_ints(field, arr: np.ndarray, stride: int) -> tuple:
-    """F_q elements from an int vector holding slot j at j*stride."""
-    rows = arr.reshape(-1, stride)[:, : field.k].tolist()
-    return tuple(field.element(c) for c in rows)
+def _unpack(k: int, packed: np.ndarray) -> tuple:
+    """Flat coordinates, as a tuple of ints, of a packed residue."""
+    return tuple(packed.reshape(-1, 2 * k - 1)[:, :k].ravel().tolist())
 
 
 @lru_cache(maxsize=16)  # most keys are candidates of an irreducibility search
@@ -211,6 +209,29 @@ def mulmod(p: int, red: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (red @ padded) % p
 
 
+def _powmod(p: int, red: np.ndarray, a: np.ndarray, e: int) -> np.ndarray:
+    """Packed a^e (e >= 0) by square-and-multiply; red[:, 0] is the residue 1."""
+    acc = red[:, 0]
+    while e > 0:
+        if e & 1:
+            acc = mulmod(p, red, acc, a)
+        a = mulmod(p, red, a, a)
+        e >>= 1
+    return acc
+
+
+def pmulmod(field, red: np.ndarray, a, b) -> tuple:
+    """Flat coordinates of a*b mod f, a and b flat; ``red`` = preduction(f)."""
+    k = field.k
+    return _unpack(k, mulmod(field.p, red, _pack(k, a), _pack(k, b)))
+
+
+def ppowmod(field, red: np.ndarray, a, e: int) -> tuple:
+    """Flat coordinates of a^e modulo f (e >= 0), as ``pmulmod``."""
+    k = field.k
+    return _unpack(k, _powmod(field.p, red, _pack(k, a), e))
+
+
 def ppower_matrix(field, red: np.ndarray, start: np.ndarray, step: np.ndarray):
     """F_p matrix (k*d square), on flat coordinates, of the F_q-linear map of
     F_q[x]/(f) that sends x^j to start * step^j; ``red`` is f's reduction
@@ -225,18 +246,18 @@ def ppower_matrix(field, red: np.ndarray, start: np.ndarray, step: np.ndarray):
     return _linalg.lift(field, coords)
 
 
-def pfrobenius_matrix(field, mod) -> np.ndarray:
-    """F_p matrix of h -> h^q on F_q[x]/(mod): x^j goes to w^j, w = x^q."""
+def pmul_matrix(field, red: np.ndarray, c) -> np.ndarray:
+    """F_p matrix of h -> c*h on F_q[x]/(f), c flat: x^j goes to c*x^j."""
+    k = field.k
+    return ppower_matrix(field, red, _pack(k, c), red[:, 2 * k - 1])
+
+
+def pfrobenius_matrix(field, mod, i: int) -> np.ndarray:
+    """F_p matrix of h -> h^(q^i) on F_q[x]/(mod): x^j goes to w^j, w = x^(q^i)."""
     p, s = field.p, 2 * field.k - 1
     red = preduction(field, mod)
-    one, sq = red[:, 0], red[:, s]  # the residues of 1 and x
-    w, e = one, field.q
-    while e > 0:
-        if e & 1:
-            w = mulmod(p, red, w, sq)
-        sq = mulmod(p, red, sq, sq)
-        e >>= 1
-    return ppower_matrix(field, red, one, w)
+    one, x = red[:, 0], red[:, s]  # the residues of 1 and x
+    return ppower_matrix(field, red, one, _powmod(p, red, x, field.q**i))
 
 
 def _prime_factors(n: int):
@@ -271,7 +292,7 @@ def pis_irreducible(field, f) -> bool:
     if f[0] == field.zero():
         return False
     p, k = field.p, field.k
-    Q = pfrobenius_matrix(field, f)
+    Q = pfrobenius_matrix(field, f, 1)
     x = np.zeros(k * d, dtype=np.int64)
     x[k] = 1
     v = x

@@ -26,7 +26,7 @@ from .fields import (
 from .idempotents import closed_form_pm, cor4_condition, primitive_idempotents
 from .linearized import (
     LinearizedPoly,
-    a_complete_check,
+    a_complete_verdicts,
     coefficient_sum_reject,
     compose,
     compositional_inverse,
@@ -262,18 +262,12 @@ def cmd_complete(args) -> int:
         ext.base.from_int(_int_arg("--lambda-set", v))
         for v in args.lambda_set.split(",")
     ]
-    lines = []
-    all_ok = True
-    for lam in lams:
-        shifted = F + LinearizedPoly.monomial(ext, ext.embed(lam), 0)
-        ok = (
-            is_permutation(shifted, basis)
-            if has_base_coeffs(shifted)
-            else is_permutation_rank(shifted)
-        )
-        all_ok = all_ok and ok
-        lines.append(f"lambda={lam}: {'permutation' if ok else 'NOT a permutation'}")
-    verdict = all_ok and a_complete_check(F, [ext.embed(l) for l in lams], basis)
+    oks = list(a_complete_verdicts(F, lams, basis))
+    lines = [
+        f"lambda={lam}: {'permutation' if ok else 'NOT a permutation'}"
+        for lam, ok in zip(lams, oks)
+    ]
+    verdict = all(oks)
     lines.append(f"A-complete: {verdict}")
     _emit(
         args,

@@ -1,5 +1,9 @@
 """Exact arithmetic in F_p, F_q = F_p[y]/(m(y)) and F_{q^n} = F_q[z]/(g(z)).
 
+An F_q scalar is a ``FieldElement``; an element of F_{q^n} is an
+``ExtElement``, one flat tuple of k*n ints mod p in the layout of ``_linalg``,
+which the F_p kernels of ``_polys`` read directly.
+
 All values are immutable; operations are pure functions, so everything in
 this module is safe to share across threads.
 """
@@ -8,13 +12,15 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 import sympy
 
-from . import _polys
+from . import _linalg, _polys
 from .errors import (
     BadInput,
     InternalError,
@@ -97,11 +103,9 @@ class FieldSpec:
 
     def from_int(self, v: int) -> FieldElement:
         """Element with base-p digits of v as coordinates (0 <= v < q)."""
-        digits = []
-        for _ in range(self.k):
-            digits.append(v % self.p)
-            v //= self.p
-        return self.element(digits)
+        if not 0 <= v < self.q:
+            raise BadInput(f"{v} names no element of F_{self.q}")
+        return self.element([v // self.p**i % self.p for i in range(self.k)])
 
     def elements(self):
         for v in range(self.q):
@@ -109,18 +113,9 @@ class FieldSpec:
 
 
 @lru_cache(maxsize=None)
-def _base_mul_tails(spec: FieldSpec):
-    """Coordinates of y^(k+i) mod base_modulus, i = 0..k-2."""
-    p, k = spec.p, spec.k
-    low = [-c % p for c in spec.base_modulus[:-1]]
-    tails = [low]
-    for _ in range(k - 2):
-        prev = tails[-1]
-        nxt = [0] + prev[:-1]
-        for j in range(k):
-            nxt[j] = (nxt[j] + prev[-1] * low[j]) % p
-        tails.append(nxt)
-    return tails
+def _mul_table(spec: FieldSpec) -> list:
+    """T[a][b] = coordinates of y^a * y^b: ``_linalg.mul_tensor`` as lists."""
+    return _linalg.mul_tensor(spec.p, spec.base_modulus).transpose(1, 2, 0).tolist()
 
 
 @dataclass(frozen=True)
@@ -167,19 +162,14 @@ class FieldElement:
         p, k = spec.p, spec.k
         if k == 1:
             return _interned(spec)[(self.coeffs[0] * other.coeffs[0]) % p]
-        full = [0] * (2 * k - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * k
+        for a, row in zip(self.coeffs, _mul_table(spec)):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    full[i + j] = (full[i + j] + a * b) % p
-        tails = _base_mul_tails(spec)
-        out = full[:k]
-        for i, c in enumerate(full[k:]):
-            if c:
-                tail = tails[i]
-                for j in range(k):
-                    out[j] = (out[j] + c * tail[j]) % p
-        return FieldElement(spec, tuple(out))
+                for b, ys in zip(other.coeffs, row):
+                    if b:
+                        for l, t in enumerate(ys):
+                            out[l] += a * b * t
+        return FieldElement(spec, tuple(v % p for v in out))
 
     def inverse(self) -> FieldElement:
         if self.is_zero():
@@ -224,7 +214,7 @@ class ExtFieldSpec:
     def __post_init__(self):
         if self.n < 1:
             raise BadInput("extension degree n must be >= 1")
-        if type(self)._require_coprime and _gcd(self.n, self.base.p) != 1:
+        if type(self)._require_coprime and gcd(self.n, self.base.p) != 1:
             raise BadInput(f"gcd(n, p) must be 1; got n = {self.n}, p = {self.base.p}")
         mod = tuple(self.ext_modulus)
         object.__setattr__(self, "ext_modulus", mod)
@@ -234,6 +224,11 @@ class ExtFieldSpec:
             raise SpecMismatch("ext_modulus coefficients not in the base field")
         if not _polys.pis_irreducible(self.base, mod):
             raise BadInput("ext_modulus is reducible over F_q")
+        # every cached kernel lookup hashes the spec; hash the modulus once
+        object.__setattr__(self, "_hash", hash((self.base, self.n, mod)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def q(self) -> int:
@@ -244,15 +239,18 @@ class ExtFieldSpec:
         return self.base.q**self.n
 
     def element(self, coeffs) -> ExtElement:
-        coeffs = tuple(
-            c if isinstance(c, FieldElement) else self.base.embed_int(c) for c in coeffs
-        )
+        """Element sum c_j z^j from at most n coefficients (F_q elements or ints)."""
         if len(coeffs) > self.n:
             raise BadInput("too many coefficients for this extension")
+        coords = []
         for c in coeffs:
-            if c.spec != self.base:
+            if not isinstance(c, FieldElement):
+                c = self.base.embed_int(c)
+            elif c.spec != self.base:
                 raise SpecMismatch("coefficient from a different base field")
-        return ExtElement(self, coeffs + (self.base.zero(),) * (self.n - len(coeffs)))
+            coords.extend(c.coeffs)
+        pad = (0,) * (self.base.k * self.n - len(coords))
+        return ExtElement(self, tuple(coords) + pad)
 
     def zero(self) -> ExtElement:
         return self.element(())
@@ -273,130 +271,126 @@ class ExtFieldSpec:
         return self.element((c,))
 
     def from_int(self, v: int) -> ExtElement:
-        digits = []
-        for _ in range(self.n):
-            digits.append(self.base.from_int(v % self.base.q))
-            v //= self.base.q
-        return self.element(digits)
+        """Element whose coordinates are the base-p digits of v (0 <= v < q^n)."""
+        if not 0 <= v < self.order:
+            raise BadInput(f"{v} names no element of F_{{{self.q}^{self.n}}}")
+        p = self.base.p
+        return ExtElement(self, tuple(v // p**i % p for i in range(self.base.k * self.n)))
 
     def elements(self):
-        for combo in itertools.product(self.base.elements(), repeat=self.n):
-            yield self.element(tuple(reversed(combo)))
+        """All elements, in from_int order."""
+        dim = self.base.k * self.n
+        for digits in itertools.product(range(self.base.p), repeat=dim):
+            yield ExtElement(self, digits[::-1])
 
 
 @lru_cache(maxsize=None)
 def _ext_reduction(spec: ExtFieldSpec) -> np.ndarray:
-    """Reduction matrix of the product kernel ``_polys.mulmod`` for F_{q^n}."""
+    """Reduction matrix of the product kernels of ``_polys`` for F_{q^n}."""
     return _polys.preduction(spec.base, spec.ext_modulus)
 
 
 @dataclass(frozen=True)
 class ExtElement:
-    """Element of F_{q^n} as a length-n little-endian vector over F_q."""
+    """Element of F_{q^n}: ``coords[j*k + l]`` is the coefficient of y^l z^j.
+    The hash leaves out ``spec``, which equality still compares."""
 
-    spec: ExtFieldSpec
-    coeffs: tuple[FieldElement, ...]
+    spec: ExtFieldSpec = field(hash=False)
+    coords: tuple[int, ...]
 
     def _check(self, other):
         if not isinstance(other, ExtElement) or other.spec != self.spec:
             raise SpecMismatch(f"cannot combine {self!r} with {other!r}")
 
     def is_zero(self) -> bool:
-        for c in self.coeffs:
-            if any(c.coeffs):
-                return False
-        return True
+        return not any(self.coords)
 
     def in_base_field(self) -> bool:
-        for c in self.coeffs[1:]:
-            if any(c.coeffs):
-                return False
-        return True
+        return not any(self.coords[self.spec.base.k :])
 
     def base_value(self) -> FieldElement:
         if not self.in_base_field():
             raise InternalError(f"{self} does not lie in the base field")
-        return self.coeffs[0]
+        base = self.spec.base
+        return base.element(self.coords[: base.k])
 
     def __add__(self, other):
         self._check(other)
+        p = self.spec.base.p
         return ExtElement(
-            self.spec, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            self.spec, tuple((a + b) % p for a, b in zip(self.coords, other.coords))
         )
 
     def __sub__(self, other):
         self._check(other)
+        p = self.spec.base.p
         return ExtElement(
-            self.spec, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
+            self.spec, tuple((a - b) % p for a, b in zip(self.coords, other.coords))
         )
 
     def __neg__(self):
-        return ExtElement(self.spec, tuple(-c for c in self.coeffs))
+        p = self.spec.base.p
+        return ExtElement(self.spec, tuple(-a % p for a in self.coords))
 
     def scale(self, s: FieldElement) -> ExtElement:
-        if s.spec != self.spec.base:
+        """s*a for s in F_q: every slot times the k x k block of s."""
+        base = self.spec.base
+        if s.spec != base:
             raise SpecMismatch("scalar from a different base field")
-        return ExtElement(self.spec, tuple(c * s for c in self.coeffs))
+        block = _linalg.lift(base, [[s.coeffs]])
+        slots = np.reshape(self.coords, (-1, base.k))
+        return ExtElement(self.spec, tuple((slots @ block.T % base.p).ravel().tolist()))
 
     def __mul__(self, other):
         self._check(other)
         spec = self.spec
-        base = spec.base
-        s = 2 * base.k - 1
-        out = _polys.mulmod(
-            base.p,
-            _ext_reduction(spec),
-            _polys._to_ints(base, self.coeffs, s),
-            _polys._to_ints(base, other.coeffs, s),
+        return ExtElement(
+            spec,
+            _polys.pmulmod(spec.base, _ext_reduction(spec), self.coords, other.coords),
         )
-        return ExtElement(spec, _polys._from_ints(base, out, s))
 
     def inverse(self) -> ExtElement:
         if self.is_zero():
             raise ZeroInverse("0 has no multiplicative inverse")
-        base = self.spec.base
-        poly = _polys.ptrim(base, self.coeffs)
-        g, u, _ = _polys.pegcd(base, poly, self.spec.ext_modulus)
-        if _polys.pdeg(g) != 0:
-            raise InternalError("gcd with an irreducible modulus must be constant")
-        return self.spec.element(_polys.pscale(base, u, g[0].inverse()))
+        return self ** (self.spec.order - 2)
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
         spec = self.spec
-        base = spec.base
-        s = 2 * base.k - 1
-        red = _ext_reduction(spec)
-        acc, sq = red[:, 0], _polys._to_ints(base, self.coeffs, s)
-        while e > 0:
-            if e & 1:
-                acc = _polys.mulmod(base.p, red, acc, sq)
-            sq = _polys.mulmod(base.p, red, sq, sq)
-            e >>= 1
-        return ExtElement(spec, _polys._from_ints(base, acc, s))
+        return ExtElement(
+            spec, _polys.ppowmod(spec.base, _ext_reduction(spec), self.coords, e)
+        )
 
     def __str__(self):
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+        return "[" + ",".join(map(str, self.coords)) + "]"
 
 
 # --- Frobenius and norm ------------------------------------------------------
 
 
+# the Frobenius powers that _frobenius_power's cache still holds, by its key
+_frobenius_held = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=None)
 def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
-    """F_p matrix of a -> a^(q^i) on the flat coordinates of F_{q^n}."""
-    if i == 0:
-        return np.eye(spec.base.k * spec.n, dtype=np.int64)
-    if i == 1:
-        return _polys.pfrobenius_matrix(spec.base, spec.ext_modulus)
-    return (_frobenius_power(spec, i - 1) @ _frobenius_power(spec, 1)) % spec.base.p
+    """F_p matrix of a -> a^(q^i) on the flat coordinates of F_{q^n}.
+
+    Frob^i = Frob^j Frob^(i-j) is one product when both powers are cached;
+    otherwise it is built from x^(q^i) alone. Either way, asking for a power
+    caches that power only.
+    """
+    for j in range(1, i // 2 + 1):
+        a = _frobenius_held.get((spec, j))
+        b = _frobenius_held.get((spec, i - j))
+        if a is not None and b is not None:
+            out = a @ b % spec.base.p
+            break
+    else:
+        out = _polys.pfrobenius_matrix(spec.base, spec.ext_modulus, i)
+    _frobenius_held[spec, i] = out
+    return out
 
 
 def frobenius(a: ExtElement, i: int) -> ExtElement:
@@ -406,10 +400,8 @@ def frobenius(a: ExtElement, i: int) -> ExtElement:
         raise BadInput(f"frobenius exponent {i} outside [0, {spec.n})")
     if i == 0:
         return a
-    base = spec.base
-    flat = _polys._to_ints(base, a.coeffs, base.k)
-    out = (_frobenius_power(spec, i) @ flat) % base.p
-    return ExtElement(spec, _polys._from_ints(base, out, base.k))
+    out = _frobenius_power(spec, i) @ a.coords % spec.base.p
+    return ExtElement(spec, tuple(out.tolist()))
 
 
 def norm(a: ExtElement) -> FieldElement:
@@ -420,7 +412,7 @@ def norm(a: ExtElement) -> FieldElement:
     b = a ** ((spec.order - 1) // (spec.q - 1))
     if not b.in_base_field():
         raise InternalError("norm value escaped the base field")
-    return b.coeffs[0]
+    return b.base_value()
 
 
 # --- orders and primitive elements -------------------------------------------
@@ -428,7 +420,7 @@ def norm(a: ExtElement) -> FieldElement:
 
 def integer_order_mod(q: int, n: int) -> int:
     """Least m >= 1 with q^m = 1 (mod n)."""
-    if n < 1 or _gcd(q, n) != 1:
+    if n < 1 or gcd(q, n) != 1:
         raise NotCoprime(f"gcd({q}, {n}) != 1")
     if n == 1:
         return 1

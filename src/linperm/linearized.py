@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -67,6 +67,7 @@ __all__ = [
     "binomial_is_permutation",
     "pm_sufficient_conditions",
     "a_complete_check",
+    "a_complete_verdicts",
     "a_complete_sufficient_pm",
     "format_linearized",
     "parse_linearized",
@@ -77,7 +78,7 @@ __all__ = [
 class LinearizedPoly:
     """Reduced-degree linearized polynomial: slot i holds the x^{[i]} coefficient."""
 
-    spec: ExtFieldSpec
+    spec: ExtFieldSpec = field(hash=False)
     coeffs: tuple[ExtElement, ...]
 
     def __post_init__(self):
@@ -88,10 +89,6 @@ class LinearizedPoly:
         for c in self.coeffs:
             if c.spec != self.spec:
                 raise SpecMismatch("coefficient from a different field")
-
-    @classmethod
-    def from_coeffs(cls, spec: ExtFieldSpec, coeffs) -> "LinearizedPoly":
-        return cls(spec, tuple(coeffs))
 
     @classmethod
     def monomial(cls, spec: ExtFieldSpec, c: ExtElement, i: int) -> "LinearizedPoly":
@@ -216,23 +213,14 @@ def is_permutation_rank(F: LinearizedPoly) -> bool:
         if c.in_base_field():
             # Mul(c) is block diagonal with c's k x k block, so row (j, l)
             # of Mul(c) Frob^i is the sum over b of block[l, b] * row (j, b)
-            block = _linalg.lift(base, [[c.coeffs[0].coeffs]])
+            block = _linalg.lift(base, [[c.coords[:k]]])
             rows = Fi.reshape(n, k, k * n)
             for b in range(k):
                 M += (block[:, b, None] * rows[:, None, b]).reshape(k * n, k * n)
         else:
-            M += _mul_matrix(c) @ Fi
+            M += _polys.pmul_matrix(base, _ext_reduction(spec), c.coords) @ Fi
         M %= p
     return _linalg.rank_mod(M, p) == k * n
-
-
-def _mul_matrix(c: ExtElement) -> np.ndarray:
-    """F_p matrix of a -> c*a on flat coordinates: z^j goes to c*z^j."""
-    base = c.spec.base
-    s = 2 * base.k - 1
-    red = _ext_reduction(c.spec)
-    c_ints = _polys._to_ints(base, c.coeffs, s)
-    return _polys.ppower_matrix(base, red, c_ints, red[:, s])
 
 
 def coefficient_sum_reject(F: LinearizedPoly) -> bool:
@@ -384,24 +372,27 @@ def pm_sufficient_conditions(F: LinearizedPoly, p: int, m: int) -> bool:
 def a_complete_check(
     F: LinearizedPoly, A, basis: IdempotentBasis | None = None
 ) -> bool:
-    """Exact A-complete test: F + lambda*x must permute for every lambda in A.
+    """Exact A-complete test: F + lambda*x must permute for every lambda in A."""
+    return all(a_complete_verdicts(F, A, basis))
+
+
+def a_complete_verdicts(F: LinearizedPoly, A, basis: IdempotentBasis | None = None):
+    """Whether F + lambda*x permutes, for each lambda in A in turn.
 
     Uses the idempotent criterion when coefficients stay in F_q, otherwise
-    falls back to the rank test. A must contain 0 (so F itself is included).
+    falls back to the rank test. A must contain 0 (so F itself is included);
+    that is checked before the first verdict.
     """
-    A = list(A)
     spec = F.spec
-    if not any(_as_ext(spec, lam).is_zero() for lam in A):
+    A = [_as_ext(spec, lam) for lam in A]
+    if not any(lam.is_zero() for lam in A):
         raise ZeroNotInA("A must contain 0")
     for lam in A:
-        shifted = F + LinearizedPoly.monomial(spec, _as_ext(spec, lam), 0)
+        shifted = F + LinearizedPoly.monomial(spec, lam, 0)
         if basis is not None and has_base_coeffs(shifted):
-            ok = is_permutation(shifted, basis)
+            yield is_permutation(shifted, basis)
         else:
-            ok = is_permutation_rank(shifted)
-        if not ok:
-            return False
-    return True
+            yield is_permutation_rank(shifted)
 
 
 def _as_ext(spec: ExtFieldSpec, lam) -> ExtElement:
@@ -519,8 +510,7 @@ def _parse_ext_coeff(raw: str, spec: ExtFieldSpec) -> ExtElement:
             raise BadInput(
                 f"coefficient {raw!r} needs {spec.n * k} integers, got {len(parts)}"
             )
-        slots = [parts[j : j + k] for j in range(0, len(parts), k)]
-        return spec.element([base.element(c) for c in slots])
+        return ExtElement(spec, tuple(v % base.p for v in parts))
     if "," in raw:
         parts = _parse_ints(raw, raw)
         if len(parts) == k:
@@ -532,6 +522,4 @@ def _parse_ext_coeff(raw: str, spec: ExtFieldSpec) -> ExtElement:
     if k == 1:
         return spec.embed_int(v)
     # integers name F_q elements by base-p digits (3 over F_8 is y+1)
-    if not 0 <= v < base.q:
-        raise BadInput(f"coefficient {v} out of range for q = {base.q}")
     return spec.embed(base.from_int(v))

@@ -9,6 +9,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
+
+import numpy as np
 
 from . import _polys
 from .errors import (
@@ -22,7 +25,7 @@ from .fields import (
     ExtFieldSpec,
     FieldElement,
     FieldSpec,
-    _gcd,
+    _ext_reduction,
     element_of_order,
     find_irreducible,
     integer_order_mod,
@@ -125,7 +128,7 @@ class RingSpec:
     def __post_init__(self):
         if self.n < 1:
             raise BadInput("n must be >= 1")
-        if _gcd(self.n, self.base.p) != 1:
+        if gcd(self.n, self.base.p) != 1:
             raise BadInput(
                 f"gcd(n, q) must be 1; got n = {self.n}, q = {self.base.q}"
             )
@@ -292,27 +295,17 @@ def _linear_factor_product(field, roots):
     return prod
 
 
-def _linear_factor_product_packed(work: ExtFieldSpec, roots) -> "np.ndarray":
-    """Array form of _linear_factor_product over a splitting field F_{q^m}.
-
-    Rows are polynomial coefficients, each a packed element of F_{q^m} (see
-    the kernels section of _polys).
-    """
-    import numpy as np
-
-    from .fields import _ext_reduction
-
-    base = work.base
-    red = _ext_reduction(work)
-    prod = np.zeros((1, red.shape[0]), dtype=np.int64)
+def _linear_factor_rows(work: ExtFieldSpec, roots) -> np.ndarray:
+    """_linear_factor_product over a splitting field F_{q^m}, on an int array:
+    row i holds the flat coordinates of the coefficient of x^i."""
+    base, red = work.base, _ext_reduction(work)
+    prod = np.zeros((1, base.k * work.n), dtype=np.int64)
     prod[0, 0] = 1
     for r in roots:
-        r_ints = _polys._to_ints(base, r.coeffs, 2 * base.k - 1)
-        r_times = np.array([_polys.mulmod(base.p, red, r_ints, row) for row in prod])
-        nxt = np.zeros((prod.shape[0] + 1, red.shape[0]), dtype=np.int64)
+        nxt = np.zeros((len(prod) + 1, prod.shape[1]), dtype=np.int64)
         nxt[1:] = prod
-        nxt[:-1] = (nxt[:-1] - r_times) % base.p
-        prod = nxt
+        nxt[:-1] -= [_polys.pmulmod(base, red, r.coords, row) for row in prod]
+        prod = nxt % base.p
     return prod
 
 
@@ -337,7 +330,7 @@ def factor_xn_minus_1(spec: RingSpec) -> list[tuple[CyclotomicCoset, Poly]]:
         if work is base:
             coeffs = tuple(_linear_factor_product(base, roots))
         else:
-            rows = _linear_factor_product_packed(work, roots)
+            rows = _linear_factor_rows(work, roots)
             if rows[:, base.k :].any():
                 raise InternalError(
                     "factor coefficient escaped F_q; arithmetic is broken"

@@ -108,6 +108,19 @@ def test_complete(capsys):
     assert doc2["outputs"]["complete"] is False
 
 
+@pytest.mark.parametrize("lams", ["1,2", "1,5"])
+def test_complete_needs_zero_before_any_verdict(capsys, lams):
+    # 5 is the one lambda with 5x^[7] + lambda*x not a permutation; without 0
+    # in A both sets are rejected alike, before any verdict
+    code, out, err = run(
+        capsys,
+        ["complete", "--q", "8", "--n", "11", "--poly", "5x^[7]", "--lambda-set", lams],
+    )
+    assert code == 2
+    assert "ZeroNotInA" in err
+    assert out == ""
+
+
 def test_shift_and_order(capsys):
     code, doc = run_json(
         capsys,
@@ -192,6 +205,10 @@ def test_json_stable_serialization(capsys):
         ["shift", "--q", "3", "--n", "5", "--poly", "x", "--alpha", "b"],
         ["complete", "--q", "8", "--n", "11", "--poly", "x", "--lambda-set", "0,a"],
         ["is-perm", "--q", "3", "--n", "5", "--poly", "[1,0,1,0]*x^[1]"],
+        # integers outside [0, q^n) (resp. [0, q)) name no field element
+        ["shift", "--q", "3", "--n", "5", "--poly", "x", "--alpha", "300"],
+        ["shift", "--q", "3", "--n", "5", "--poly", "x", "--alpha", "-1"],
+        ["complete", "--q", "8", "--n", "11", "--poly", "5x^[7]", "--lambda-set", "0,9"],
     ],
 )
 def test_bad_input_exit_2(capsys, argv):

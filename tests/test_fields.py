@@ -18,7 +18,8 @@ from linperm import (
 )
 from linperm.errors import BadInput, NotCoprime, ZeroInverse, ZeroOrder
 from linperm._polys import pis_irreducible
-from linperm.fields import element_of_order
+from linperm.fields import _frobenius_power, element_of_order
+from linperm.linearized import parse_linearized
 
 
 def test_prime_field_basics(F3):
@@ -146,6 +147,60 @@ def test_from_int_roundtrip():
     E = extension_field(2, 3)
     seen = {E.from_int(v) for v in range(8)}
     assert len(seen) == 8
+
+
+def test_from_int_range():
+    F8, E = base_field(8), extension_field(3, 5)
+    assert F8.from_int(7).coeffs == (1, 1, 1)
+    assert E.from_int(242).coords == (2,) * 5
+    for spec, v in ((F8, 8), (F8, -1), (E, 243), (E, -1)):
+        with pytest.raises(BadInput):
+            spec.from_int(v)
+
+
+def test_frobenius_power_built_directly():
+    # power i comes from x^(q^i) alone, not from the powers below it
+    E = extension_field(3, 25)
+    _frobenius_power.cache_clear()
+    a = E.from_int(10**11)
+    assert frobenius(a, 24) == a ** (3**24)
+    assert _frobenius_power.cache_info().currsize <= 2
+
+
+FLAT_SPECS = ((3, 5), (4, 3), (8, 3))
+
+
+@given(st.integers(0, 10**6))
+def test_flat_coordinates(v):
+    for q, n in FLAT_SPECS:
+        E = extension_field(q, n)
+        p, v = E.base.p, v % E.order
+        a = E.from_int(v)
+        digits = [(v // p**i) % p for i in range(E.base.k * n)]
+        assert list(a.coords) == digits
+        assert str(a) == "[" + ",".join(map(str, digits)) + "]"
+        assert parse_linearized(f"{a}*x^[1]", E).coeffs[1] == a
+        b = (a + E.one()) - E.one()  # equal, built separately
+        assert b == a and hash(b) == hash(a)
+        # the same coordinates under another modulus are another element
+        other = extension_field(q, n, 1)
+        assert other != E
+        assert other.from_int(v) != a
+
+
+@given(st.integers(0, 10**6), st.integers(0, 7))
+def test_scale_is_product_with_embedded_scalar(v, c):
+    # F_8's multiplication matrices are not symmetric, so a transposed block fails
+    for q, n in FLAT_SPECS:
+        E = extension_field(q, n)
+        a, s = E.from_int(v % E.order), E.base.from_int(c % q)
+        assert a.scale(s) == a * E.embed(s)
+
+
+def test_elements_follow_from_int():
+    for q, n in FLAT_SPECS:
+        E = extension_field(q, n)
+        assert list(E.elements()) == [E.from_int(v) for v in range(E.order)]
 
 
 def _mobius(n: int) -> int:
