@@ -1,109 +1,130 @@
-"""Dense polynomial arithmetic over a finite field.
+"""Dense polynomial arithmetic over F_q = F_p[y]/(m(y)), on ints mod p.
 
-Coefficient vectors are little-endian tuples of field elements with no
-trailing zeros (the zero polynomial is the empty tuple).  Functions are
-generic over any coefficient field exposing ``zero()``/``one()`` and whose
-elements support ``+ - * ==`` and ``.inverse()``; prime fields (``field.k
-== 1``) get numpy-backed fast paths for plain and cyclic products.
-Products modulo a fixed polynomial and the irreducibility test run on int64
-arrays over F_p for every F_q (see the kernels section below).
+A polynomial c_0 + c_1 x + ... over F_q, q = p^k, is the flat tuple of its
+coefficients' coordinates: slot j (the coefficient of x^j) holds its k
+coordinates at j*k, the layout of ``ExtElement.coords`` and of ``_linalg``
+(F_p itself is F_p[y]/(y), k = 1). A polynomial has no trailing zero slot, so
+zero is the empty tuple; a residue mod x^n - 1 always has n slots. Every
+kernel has one path for every F_q: an F_q scalar acts on a vector of slots
+through its k x k block, as ``ExtElement.scale`` does, and every product is
+one packed convolution (see the kernels section below).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
 from . import _linalg
 
 
-def _is_prime_field(field) -> bool:
-    return getattr(field, "k", 0) == 1
-
-
-def _ints(coeffs):
-    return np.array([c.coeffs[0] for c in coeffs], dtype=np.int64)
-
-
-def _elems(field, arr):
-    return ptrim(field, tuple(field.element((int(v),)) for v in arr))
-
-
-def ptrim(field, coeffs):
-    coeffs = tuple(coeffs)
-    zero = field.zero()
-    end = len(coeffs)
-    while end > 0 and coeffs[end - 1] == zero:
+def ptrim(field, a) -> tuple:
+    """a without its trailing zero slots."""
+    end = len(a)
+    while end and not a[end - 1]:
         end -= 1
-    return coeffs[:end]
+    return tuple(a[: end + -end % field.k])
 
 
-def pone(field):
-    return (field.one(),)
+def pone(field) -> tuple:
+    return (1,) + (0,) * (field.k - 1)
 
 
-def pdeg(coeffs) -> int:
-    return len(coeffs) - 1
+def pdeg(field, a) -> int:
+    return len(a) // field.k - 1
 
 
 def padd(field, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return ptrim(field, out)
+    return ptrim(field, [(x + y) % field.p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def pneg(field, a):
-    return tuple(-c for c in a)
+    return tuple(-x % field.p for x in a)
 
 
 def psub(field, a, b):
-    return padd(field, a, pneg(field, b))
+    return ptrim(field, [(x - y) % field.p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+@lru_cache(maxsize=None)
+def _tables(field) -> tuple:
+    """(S, Y) for F_q: c @ S is the k x k block of the scalar c, flattened, and
+    row t of Y, (2k - 1) x k, holds the coordinates of y^t."""
+    T = _linalg.mul_tensor(field.p, field.base_modulus or (0, 1))
+    k = field.k
+    y_pows = [T[:, min(t, k - 1), t - min(t, k - 1)] for t in range(2 * k - 1)]
+    return T.transpose(2, 0, 1).reshape(k, k * k), np.array(y_pows)
+
+
+@lru_cache(maxsize=4096)
+def _block(field, c: tuple) -> np.ndarray:
+    """k x k F_p matrix of multiplication by the F_q scalar c (its coordinates)."""
+    block = np.array(c, dtype=np.int64) @ _tables(field)[0] % field.p
+    return block.reshape(field.k, field.k)
+
+
+@lru_cache(maxsize=4096)
+def _inverse(field, c: tuple) -> tuple:
+    """Coordinates of 1/c for a nonzero F_q scalar c: the first column of
+    c's block raised to q - 2."""
+    p = field.p
+    acc, sq, e = np.eye(field.k, dtype=np.int64), _block(field, c), field.q - 2
+    while e:
+        if e & 1:
+            acc = acc @ sq % p
+        sq = sq @ sq % p
+        e >>= 1
+    return tuple(acc[:, 0].tolist())
+
+
+def _slots(k: int, a) -> np.ndarray:
+    return np.array(a, dtype=np.int64).reshape(-1, k)
+
+
+def _flat(rows: np.ndarray) -> tuple:
+    return tuple(rows.ravel().tolist())
 
 
 def pscale(field, a, s):
-    if s == field.zero():
+    """s*a for an F_q scalar s, given by its coordinates."""
+    if not any(s):
         return ()
-    return ptrim(field, tuple(c * s for c in a))
+    return _flat(_slots(field.k, a) @ _block(field, tuple(s)).T % field.p)
 
 
 def pmul(field, a, b):
     if not a or not b:
         return ()
-    if _is_prime_field(field):
-        conv = np.convolve(_ints(a), _ints(b)) % field.p
-        return _elems(field, conv)
-    zero = field.zero()
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == zero:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return ptrim(field, out)
+    rows = (len(a) + len(b)) // field.k - 1
+    conv = _convolve(field, a, b)[: rows * (2 * field.k - 1)]
+    return _flat(conv.reshape(rows, -1) @ _tables(field)[1] % field.p)
 
 
 def pdivmod(field, a, b):
-    """Quotient and remainder of a by b (b nonzero)."""
+    """Quotient and remainder of a by b (b nonzero), by long division: each
+    step subtracts c times b/lead(b), c the top slot of the remainder, through
+    one (deg b + 1)k x k matrix that acts on c."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
-        return (), a
-    zero = field.zero()
-    lead_inv = b[-1].inverse()
-    rem = list(a)
-    quo = [zero] * (len(a) - len(b) + 1)
-    for shift in range(len(a) - len(b), -1, -1):
-        c = rem[shift + len(b) - 1] * lead_inv
-        if c == zero:
-            continue
-        quo[shift] = c
-        for i, bc in enumerate(b):
-            rem[shift + i] = rem[shift + i] - c * bc
-    return ptrim(field, quo), ptrim(field, rem)
+        return (), tuple(a)
+    p, k = field.p, field.k
+    lead_inv = _block(field, _inverse(field, tuple(b[-k:])))
+    monic = _slots(k, b) @ lead_inv.T % p
+    # row i*k + l, applied to c, is coordinate l of c * monic[i]; rem is
+    # reduced only at the end, each step adding k products of two residues
+    act = (monic @ _tables(field)[0] % p).reshape(-1, k)
+    width = len(b)
+    rem = np.array(a, dtype=np.int64)
+    quo = np.empty(len(a) - width + k, dtype=np.int64)
+    for at in range(len(quo) - k, -1, -k):
+        c = rem[at + width - k : at + width] % p
+        quo[at : at + k] = c
+        rem[at : at + width] -= act @ c
+    quo = (_slots(k, quo) @ lead_inv.T % p).ravel()
+    return ptrim(field, quo.tolist()), ptrim(field, (rem[: width - k] % p).tolist())
 
 
 def pmod(field, a, b):
@@ -113,7 +134,7 @@ def pmod(field, a, b):
 def pmonic(field, a):
     if not a:
         return ()
-    return pscale(field, a, a[-1].inverse())
+    return pscale(field, a, _inverse(field, tuple(a[-field.k :])))
 
 
 def pgcd(field, a, b):
@@ -134,7 +155,7 @@ def pegcd(field, a, b):
         v0, v1 = v1, psub(field, v0, pmul(field, q, v1))
     if not r0:
         return (), u0, v0
-    lead_inv = r0[-1].inverse()
+    lead_inv = _inverse(field, tuple(r0[-field.k :]))
     return (
         pscale(field, r0, lead_inv),
         pscale(field, u0, lead_inv),
@@ -142,18 +163,39 @@ def pegcd(field, a, b):
     )
 
 
-# --- F_q kernels on int64 arrays ----------------------------------------------
+def pfold(field, a, n: int) -> tuple:
+    """a mod x^n - 1 with exactly n slots: slot j gathers the slots j + i*n."""
+    width = n * field.k
+    if len(a) <= width:
+        return tuple(a) + (0,) * (width - len(a))
+    out = [0] * width
+    for i, v in enumerate(a):
+        out[i % width] += v
+    return tuple(v % field.p for v in out)
+
+
+def pcyclic_mul(field, a, b, n: int):
+    """Product of two residues modulo x^n - 1: the packed convolution with its
+    slots folded mod n; always n slots."""
+    conv = _convolve(field, a, b)
+    width = n * (2 * field.k - 1)
+    folded = np.zeros(-(-len(conv) // width) * width, dtype=np.int64)
+    folded[: len(conv)] = conv
+    slots = folded.reshape(-1, n, 2 * field.k - 1).sum(axis=0)
+    return _flat(slots @ _tables(field)[1] % field.p)
+
+
+# --- products on packed int64 vectors ----------------------------------------
 #
-# F_q = F_p[y]/(m(y)), with F_p itself as F_p[y]/(y). A residue
-# c_0 + c_1 x + ... + c_{d-1} x^{d-1} modulo a monic f of degree d over F_q
-# packs into the int vector of length d*s, s = 2k - 1, with the k coordinates
-# of c_j at j*s and zeros after them. Convolving two packed vectors then
+# A product over F_q runs on packed vectors: slot j's k coordinates sit at
+# j*s, s = 2k - 1, with zeros after them. Convolving two packed vectors then
 # multiplies the polynomials with no overlap between slots (y-degrees stay
-# below s), and one matrix maps the convolution to the packed residue of the
-# product. For k = 1 a packed vector is the plain coefficient vector.
-# Callers hold residues by their flat coordinates (slot j at j*k, as in
-# ``ExtElement.coords``); pmulmod, ppowmod and pmul_matrix pack and unpack
-# them, so the stride 2k - 1 never leaves this module.
+# below s), and the k x s matrix of the powers y^t (t < s) maps each slot
+# back to k coordinates. For a residue modulo a monic f of degree d, one
+# matrix instead maps the convolution to the packed residue of the product.
+# For k = 1 a packed vector is the plain coefficient vector. Callers hold
+# polynomials and residues by their flat coordinates; the kernels pack and
+# unpack them, so the stride 2k - 1 never leaves this module.
 
 
 def _pack(k: int, flat) -> np.ndarray:
@@ -168,18 +210,24 @@ def _unpack(k: int, packed: np.ndarray) -> tuple:
     return tuple(packed.reshape(-1, 2 * k - 1)[:, :k].ravel().tolist())
 
 
-@lru_cache(maxsize=16)  # most keys are candidates of an irreducibility search
-def _reduction_matrix(p: int, mod: tuple, base_mod: tuple) -> np.ndarray:
-    """Matrix taking np.convolve of two packed residues to the packed residue
-    of their product, modulo the monic ``mod`` over F_p[y]/(base_mod).
+def _convolve(field, a, b) -> np.ndarray:
+    """Packed convolution of a and b (flat, nonempty), mod p: slot j of a*b sits
+    at j*(2k - 1), its y-degrees not yet reduced (rows of ``_tables(field)[1]``)."""
+    k = field.k
+    return np.convolve(_pack(k, a), _pack(k, b)) % field.p
 
-    ``mod`` lists its coefficients by their coordinates. Column e*s + t holds
-    the packed residue of x^e y^t.
+
+@lru_cache(maxsize=16)  # most keys are candidates of an irreducibility search
+def _reduction_matrix(field, mod: tuple) -> np.ndarray:
+    """Matrix taking np.convolve of two packed residues to the packed residue
+    of their product, modulo the monic ``mod`` (flat, a tuple) over ``field``.
+
+    Column e*s + t holds the packed residue of x^e y^t.
     """
-    T = _linalg.mul_tensor(p, base_mod)
-    k = T.shape[0]
-    s, d = 2 * k - 1, len(mod) - 1
-    low = np.array(mod[:-1], dtype=np.int64).reshape(d, k)
+    p, k = field.p, field.k
+    T = _linalg.mul_tensor(p, field.base_modulus or (0, 1))
+    s, d = 2 * k - 1, len(mod) // k - 1
+    low = np.array(mod[:-k], dtype=np.int64).reshape(d, k)
     # r[e] = x^e mod f: multiplying by x shifts the slots and folds the top
     # one back in through x^d = -low(x)
     r = np.zeros((2 * d, d, k), dtype=np.int64)
@@ -187,18 +235,9 @@ def _reduction_matrix(p: int, mod: tuple, base_mod: tuple) -> np.ndarray:
     for e in range(d, 2 * d):
         r[e, 1:] = r[e - 1, :-1]
         r[e] = (r[e] - np.einsum("lab,a,jb->jl", T, r[e - 1, -1], low)) % p
-    # y^t = y^a * y^(t-a) for t < s
-    y_pows = np.array([T[:, min(t, k - 1), t - min(t, k - 1)] for t in range(s)])
     red = np.zeros((d, s, 2 * d, s), dtype=np.int64)
-    red[:, :k] = np.einsum("lab,eja,tb->jlet", T, r, y_pows) % p
+    red[:, :k] = np.einsum("lab,eja,tb->jlet", T, r, _tables(field)[1]) % p
     return red.reshape(d * s, 2 * d * s)
-
-
-def preduction(field, mod) -> np.ndarray:
-    """_reduction_matrix for a monic ``mod`` with coefficients in ``field``."""
-    return _reduction_matrix(
-        field.p, tuple(c.coeffs for c in mod), field.base_modulus or (0, 1)
-    )
 
 
 def mulmod(p: int, red: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -221,7 +260,7 @@ def _powmod(p: int, red: np.ndarray, a: np.ndarray, e: int) -> np.ndarray:
 
 
 def pmulmod(field, red: np.ndarray, a, b) -> tuple:
-    """Flat coordinates of a*b mod f, a and b flat; ``red`` = preduction(f)."""
+    """Flat coordinates of a*b mod f, a and b flat; ``red`` = _reduction_matrix(f)."""
     k = field.k
     return _unpack(k, mulmod(field.p, red, _pack(k, a), _pack(k, b)))
 
@@ -255,7 +294,7 @@ def pmul_matrix(field, red: np.ndarray, c) -> np.ndarray:
 def pfrobenius_matrix(field, mod, i: int) -> np.ndarray:
     """F_p matrix of h -> h^(q^i) on F_q[x]/(mod): x^j goes to w^j, w = x^(q^i)."""
     p, s = field.p, 2 * field.k - 1
-    red = preduction(field, mod)
+    red = _reduction_matrix(field, mod)
     one, x = red[:, 0], red[:, s]  # the residues of 1 and x
     return ppower_matrix(field, red, one, _powmod(p, red, x, field.q**i))
 
@@ -275,7 +314,7 @@ def _prime_factors(n: int):
 
 
 def pis_irreducible(field, f) -> bool:
-    """Irreducibility test for a monic polynomial over F_q, q = p^k.
+    """Irreducibility test for a monic polynomial over F_q, q = p^k, given flat.
 
     With Q the F_p matrix of h -> h^q on F_q[x]/(f), of size k*d:
     - squarefree check: x^(q^d) = x mod f iff f is squarefree and each of its
@@ -284,14 +323,14 @@ def pis_irreducible(field, f) -> bool:
       dimension per irreducible factor, so f is irreducible iff
       k*d - rank(Q - I) == k.
     """
-    d = pdeg(f)
+    p, k = field.p, field.k
+    d = pdeg(field, f)
     if d < 1:
         return False
     if d == 1:
         return True
-    if f[0] == field.zero():
+    if not any(f[:k]):
         return False
-    p, k = field.p, field.k
     Q = pfrobenius_matrix(field, f, 1)
     x = np.zeros(k * d, dtype=np.int64)
     x[k] = 1
@@ -301,23 +340,3 @@ def pis_irreducible(field, f) -> bool:
     if not np.array_equal(v, x):
         return False
     return k * d - _linalg.rank_mod(Q - np.eye(k * d, dtype=np.int64), p) == k
-
-
-def pcyclic_mul(field, a, b, n: int):
-    """Product of two length-n coefficient vectors modulo x^n - 1 (cyclic convolution)."""
-    if _is_prime_field(field):
-        conv = np.convolve(_ints(a), _ints(b))
-        out = np.zeros(n, dtype=np.int64)
-        for start in range(0, len(conv), n):
-            chunk = conv[start : start + n]
-            out[: len(chunk)] += chunk
-        out %= field.p
-        return tuple(field.element((int(v),)) for v in out)
-    zero = field.zero()
-    out = [zero] * n
-    for i, ca in enumerate(a):
-        if ca == zero:
-            continue
-        for j, cb in enumerate(b):
-            out[(i + j) % n] = out[(i + j) % n] + ca * cb
-    return tuple(out)

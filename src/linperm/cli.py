@@ -19,6 +19,7 @@ from .errors import BadInput, LinpermError
 from .fields import (
     ExtFieldSpec,
     FieldSpec,
+    _flat_coords,
     _prime_power,
     base_field,
     extension_field,
@@ -65,12 +66,10 @@ def _field_info(ext: ExtFieldSpec) -> dict:
         "k": base.k,
         "n": ext.n,
         "moduli": {
-            "base": format_poly(
-                [FieldSpec(base.p).element((c,)) for c in base.base_modulus]
-            )
-            if base.k > 1
+            "base": format_poly(FieldSpec(base.p), base.base_modulus)
+            if base.base_modulus
             else None,
-            "ext": format_poly(ext.ext_modulus),
+            "ext": format_poly(base, _flat_coords(ext.ext_modulus)),
         },
     }
 
@@ -122,7 +121,7 @@ def cmd_idempotents(args) -> int:
     lines = [note]
     out = []
     for i, comp in enumerate(basis.components):
-        txt = format_poly(comp.idempotent.coeffs)
+        txt = str(comp.idempotent)
         out.append(
             {
                 "index": i,
@@ -162,10 +161,9 @@ def cmd_is_perm(args) -> int:
         idem_ok = True
         for i, comp in enumerate(basis.components):
             prod = ring_mul(f, comp.idempotent)
-            txt = format_poly(prod.coeffs)
+            txt = str(prod)
             products.append(txt)
-            nonzero = any(not c.is_zero() for c in prod.coeffs)
-            idem_ok = idem_ok and nonzero
+            idem_ok = idem_ok and not prod.is_zero()
             lines.append(f"f*e_{i} = {txt}")
         checks.append(("idempotent_products", idem_ok))
         checks.append(("gcd_unit", ring_is_unit(f)))
@@ -357,7 +355,7 @@ def cmd_oracle(args) -> int:
     checks: list[tuple[str, bool]] = []
     if args.check == "sqrt1":
         roots = sqrt_unity_bruteforce(ring)
-        lines = [format_poly(f.coeffs) for f in roots]
+        lines = [str(f) for f in roots]
         outputs: dict = {"count": len(roots), "roots": lines}
     else:
         F = parse_linearized(args.poly, ext)
@@ -468,15 +466,12 @@ GOLDEN_TABLE3 = [
 
 def _reproduce_example1() -> list[tuple[str, bool]]:
     ring = RingSpec(FieldSpec(3), 125)
-    base = ring.base
     golden = {}
     for name, sums in GOLDEN_EXAMPLE1.items():
-        coeffs = [base.zero()] * 125
+        coeffs = [0] * 125
         for c, step, count in sums:
-            el = base.embed_int(c)
             for j in range(count):
-                idx = (j * step) % 125
-                coeffs[idx] = coeffs[idx] + el
+                coeffs[(j * step) % 125] += c
         golden[name] = ring.element(coeffs)
     closed = closed_form_pm(ring, 5, 3)
     crt = primitive_idempotents(ring)

@@ -70,9 +70,7 @@ class FieldSpec:
         if mod is None or len(mod) != self.k + 1 or mod[-1] % self.p != 1:
             raise BadInput(f"base_modulus must be monic of degree {self.k}")
         object.__setattr__(self, "base_modulus", tuple(c % self.p for c in mod))
-        prime = FieldSpec(self.p)
-        poly = tuple(prime.element((c,)) for c in self.base_modulus)
-        if not _polys.pis_irreducible(prime, poly):
+        if not _polys.pis_irreducible(FieldSpec(self.p), self.base_modulus):
             raise BadInput("base_modulus is reducible over F_p")
 
     @property
@@ -194,6 +192,11 @@ class FieldElement:
         return ",".join(str(c) for c in self.coeffs)
 
 
+def _flat_coords(coeffs) -> tuple:
+    """The F_p coordinates of a sequence of F_q scalars, one after another."""
+    return tuple(v for c in coeffs for v in c.coeffs)
+
+
 @lru_cache(maxsize=None)
 def _interned(spec: FieldSpec) -> tuple:
     """The p elements of a prime field, shared to avoid churn in hot loops."""
@@ -222,7 +225,7 @@ class ExtFieldSpec:
             raise BadInput(f"ext_modulus must be monic of degree {self.n}")
         if any(c.spec != self.base for c in mod):
             raise SpecMismatch("ext_modulus coefficients not in the base field")
-        if not _polys.pis_irreducible(self.base, mod):
+        if not _polys.pis_irreducible(self.base, _flat_coords(mod)):
             raise BadInput("ext_modulus is reducible over F_q")
         # every cached kernel lookup hashes the spec; hash the modulus once
         object.__setattr__(self, "_hash", hash((self.base, self.n, mod)))
@@ -287,7 +290,7 @@ class ExtFieldSpec:
 @lru_cache(maxsize=None)
 def _ext_reduction(spec: ExtFieldSpec) -> np.ndarray:
     """Reduction matrix of the product kernels of ``_polys`` for F_{q^n}."""
-    return _polys.preduction(spec.base, spec.ext_modulus)
+    return _polys._reduction_matrix(spec.base, _flat_coords(spec.ext_modulus))
 
 
 @dataclass(frozen=True)
@@ -388,7 +391,7 @@ def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
             out = a @ b % spec.base.p
             break
     else:
-        out = _polys.pfrobenius_matrix(spec.base, spec.ext_modulus, i)
+        out = _polys.pfrobenius_matrix(spec.base, _flat_coords(spec.ext_modulus), i)
     _frobenius_held[spec, i] = out
     return out
 
@@ -488,7 +491,7 @@ def find_irreducible(base: FieldSpec, degree: int, seed: int = 0):
     while True:
         coeffs = tuple(base.from_int(rng.randrange(base.q)) for _ in range(degree))
         candidate = coeffs + (one,)
-        if _polys.pis_irreducible(base, candidate):
+        if _polys.pis_irreducible(base, _flat_coords(candidate)):
             return candidate
 
 

@@ -95,16 +95,12 @@ def _check_basis_invariants(spec: RingSpec, components) -> None:
             raise InternalError(f"component {i}: e^2 != e")
         total = total + e
         for j in range(i):
-            if not _is_zero(ring_mul(es[j], e)):
+            if not ring_mul(es[j], e).is_zero():
                 raise InternalError(f"components {j},{i}: product not zero")
     if total != spec.one():
         raise InternalError("idempotents do not sum to 1")
     if len(components) != len(cyclotomic_cosets(spec)):
         raise InternalError("component count != number of cyclotomic cosets")
-
-
-def _is_zero(f: RingElement) -> bool:
-    return all(c.is_zero() for c in f.coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -118,10 +114,10 @@ def primitive_idempotents(spec: RingSpec) -> IdempotentBasis:
     components = []
     for coset, factor in factor_xn_minus_1(spec):
         cofactor = modulus // factor
+        # g is monic, so g = 1 and u is the inverse of the cofactor mod f_i
         g, u, _ = poly_egcd(cofactor % factor, factor)
         if g.degree != 0:
             raise InternalError("cofactor not invertible mod its factor")
-        u = u * Poly(spec.base, (g.coeffs[0].inverse(),))
         e = spec.from_poly(u * cofactor)
         components.append(Component(coset, factor, e))
     return IdempotentBasis(spec, tuple(components))
@@ -165,15 +161,14 @@ def closed_form_pm(spec: RingSpec, p: int, m: int) -> IdempotentBasis:
             f"closed form is not primitive for p={p}, m={m}, q={q}"
         )
     base = spec.base
-    n = spec.n
 
     def partial_sum(i: int) -> RingElement:
         scale = base.embed_int(pow(p, m - i, base.p)).inverse()
-        coeffs = [base.zero()] * n
-        step = p**i
-        for j in range(p ** (m - i)):
-            coeffs[(j * step) % n] = scale
-        return spec.element(coeffs)
+        step = p**i * base.k
+        coords = list(spec.zero().coords)
+        for j in range(p ** (m - i)):  # the exponents j p^i stay below n = p^m
+            coords[j * step : j * step + base.k] = scale.coeffs
+        return RingElement(spec, tuple(coords))
 
     sums = [partial_sum(i) for i in range(m + 1)]
     by_factor = {}

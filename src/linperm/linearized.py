@@ -43,6 +43,7 @@ from .idempotents import ComponentVector, IdempotentBasis, project, reconstruct
 from .polyring import (
     RingElement,
     RingSpec,
+    _parse_ints,
     poly_egcd,
     ring_inverse,
     ring_is_unit,
@@ -148,7 +149,9 @@ def conventional_associate(F: LinearizedPoly) -> RingElement:
 def linearized_associate(f: RingElement, spec: ExtFieldSpec) -> LinearizedPoly:
     if f.spec.base != spec.base or f.spec.n != spec.n:
         raise SpecMismatch("ring and field spec disagree")
-    return LinearizedPoly(spec, tuple(spec.embed(c) for c in f.coeffs))
+    k, pad = spec.base.k, (0,) * (spec.base.k * (spec.n - 1))
+    coeffs = (ExtElement(spec, f.coords[j : j + k] + pad) for j in range(0, k * spec.n, k))
+    return LinearizedPoly(spec, tuple(coeffs))
 
 
 def evaluate(F: LinearizedPoly, a: ExtElement) -> ExtElement:
@@ -248,12 +251,11 @@ def compositional_inverse(
     spec = basis.spec
     inv_entries = []
     for entry, comp in zip(v.entries, basis.components):
+        # g is monic, so g = 1 and u is the entry's inverse mod f_i
         g, u, _ = poly_egcd(entry.to_poly() % comp.factor, comp.factor)
         if g.degree != 0:
             raise InternalError("component entry not invertible mod its factor")
-        u = u % comp.factor
-        scale = g.coeffs[0].inverse()
-        inv_entries.append(spec.element([c * scale for c in u.coeffs]))
+        inv_entries.append(spec.from_poly(u % comp.factor))
     f_inv = reconstruct(ComponentVector(spec, tuple(inv_entries)), basis)
     if f_inv != ring_inverse(f):
         raise InternalError("component inverse disagrees with ring inverse")
@@ -297,19 +299,14 @@ def sign_vector_involutions(
         )
         return [identity(spec)]
     out = []
-    one = ring.base.one()
-    for signs in itertools.product((one, -one), repeat=basis.t):
+    for signs in itertools.product((1, -1), repeat=basis.t):
         f = ring.zero()
         for s, comp in zip(signs, basis.components):
-            f = f + _scale_ring(comp.idempotent, s)
+            f = f + comp.idempotent if s == 1 else f - comp.idempotent
         if ring_mul(f, f) != ring.one():
             raise InternalError("sign vector did not square to 1")
         out.append(linearized_associate(f, spec))
     return out
-
-
-def _scale_ring(f: RingElement, s: FieldElement) -> RingElement:
-    return f.spec.element([c * s for c in f.coeffs])
 
 
 def binomial_is_permutation(
@@ -493,13 +490,6 @@ def parse_linearized(text: str, spec: ExtFieldSpec) -> LinearizedPoly:
     return LinearizedPoly(spec, tuple(coeffs))
 
 
-def _parse_ints(raw: str, text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise BadInput(f"cannot parse coefficient {raw!r}") from None
-
-
 def _parse_ext_coeff(raw: str, spec: ExtFieldSpec) -> ExtElement:
     base = spec.base
     k = base.k
@@ -519,7 +509,5 @@ def _parse_ext_coeff(raw: str, spec: ExtFieldSpec) -> ExtElement:
             raise BadInput("full extension coefficients need bracket syntax")
         raise BadInput(f"coefficient {raw!r} has wrong length")
     (v,) = _parse_ints(raw, raw)
-    if k == 1:
-        return spec.embed_int(v)
     # integers name F_q elements by base-p digits (3 over F_8 is y+1)
     return spec.embed(base.from_int(v))

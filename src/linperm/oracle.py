@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .errors import NotPrimitive, TooLarge, ZeroInverse
-from .fields import ExtElement, ExtFieldSpec
+from .fields import ExtElement
 from .linearized import LinearizedPoly, evaluate
 from .polyring import RingElement, RingSpec, ring_mul
 
@@ -62,9 +62,10 @@ def sqrt_unity_bruteforce(spec: RingSpec, cap: int = ENUM_CAP) -> list[RingEleme
 
     _check_cap(spec.base.q ** spec.n, cap)
     one = spec.one()
+    slots = [c.coeffs for c in spec.base.elements()]
     out = []
-    for coeffs in itertools.product(list(spec.base.elements()), repeat=spec.n):
-        f = spec.element(list(coeffs))
+    for coeffs in itertools.product(slots, repeat=spec.n):
+        f = RingElement(spec, sum(coeffs, ()))
         if ring_mul(f, f) == one:
             out.append(f)
     return out

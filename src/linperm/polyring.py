@@ -1,7 +1,11 @@
 """Arithmetic in F_q[x] and in the quotient ring R_{q,n} = F_q[x]/(x^n - 1).
 
-Includes extended Euclid, unit testing/inversion, q-cyclotomic cosets and
-the factorization of x^n - 1 through an explicit n-th root of unity.
+``Poly`` and ``RingElement`` hold the flat F_p coordinates of their
+coefficients, as ``_polys`` and ``ExtElement.coords`` do, and each operation
+is one ``_polys`` kernel. Includes extended Euclid, unit testing/inversion,
+q-cyclotomic cosets and the factorization of x^n - 1 through an explicit
+n-th root of unity. F_q scalars are boxed only at the public boundary
+(``RingSpec.element``, the parser).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .fields import (
     FieldElement,
     FieldSpec,
     _ext_reduction,
+    _flat_coords,
     element_of_order,
     find_irreducible,
     integer_order_mod,
@@ -34,17 +39,14 @@ from .fields import (
 
 @dataclass(frozen=True)
 class Poly:
-    """Dense polynomial over F_q; little-endian coefficients, no trailing zeros."""
+    """Dense polynomial over F_q: ``coords`` holds the F_p coordinates of its
+    coefficients, those of x^j at j*k, with no trailing zero slot."""
 
     spec: FieldSpec
-    coeffs: tuple[FieldElement, ...]
+    coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _polys.ptrim(self.spec, self.coeffs))
-
-    @classmethod
-    def from_ints(cls, spec: FieldSpec, ints) -> Poly:
-        return cls(spec, tuple(spec.embed_int(c) for c in ints))
+        object.__setattr__(self, "coords", _polys.ptrim(self.spec, self.coords))
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> Poly:
@@ -52,18 +54,18 @@ class Poly:
 
     @classmethod
     def one(cls, spec: FieldSpec) -> Poly:
-        return cls(spec, (spec.one(),))
+        return cls(spec, _polys.pone(spec))
 
     @classmethod
     def x(cls, spec: FieldSpec) -> Poly:
-        return cls(spec, (spec.zero(), spec.one()))
+        return cls(spec, (0,) * spec.k + _polys.pone(spec))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return _polys.pdeg(self.spec, self.coords)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.coords
 
     def _check(self, other):
         if not isinstance(other, Poly) or other.spec != self.spec:
@@ -71,22 +73,22 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        return Poly(self.spec, _polys.padd(self.spec, self.coeffs, other.coeffs))
+        return Poly(self.spec, _polys.padd(self.spec, self.coords, other.coords))
 
     def __sub__(self, other):
         self._check(other)
-        return Poly(self.spec, _polys.psub(self.spec, self.coeffs, other.coeffs))
+        return Poly(self.spec, _polys.psub(self.spec, self.coords, other.coords))
 
     def __neg__(self):
-        return Poly(self.spec, _polys.pneg(self.spec, self.coeffs))
+        return Poly(self.spec, _polys.pneg(self.spec, self.coords))
 
     def __mul__(self, other):
         self._check(other)
-        return Poly(self.spec, _polys.pmul(self.spec, self.coeffs, other.coeffs))
+        return Poly(self.spec, _polys.pmul(self.spec, self.coords, other.coords))
 
     def __divmod__(self, other):
         self._check(other)
-        q, r = _polys.pdivmod(self.spec, self.coeffs, other.coeffs)
+        q, r = _polys.pdivmod(self.spec, self.coords, other.coords)
         return Poly(self.spec, q), Poly(self.spec, r)
 
     def __floordiv__(self, other):
@@ -95,18 +97,15 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def monic(self) -> Poly:
-        return Poly(self.spec, _polys.pmonic(self.spec, self.coeffs))
-
     def __str__(self):
-        return format_poly(self.coeffs)
+        return format_poly(self.spec, self.coords)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero() and b.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
     a._check(b)
-    return Poly(a.spec, _polys.pgcd(a.spec, a.coeffs, b.coeffs))
+    return Poly(a.spec, _polys.pgcd(a.spec, a.coords, b.coords))
 
 
 def poly_egcd(a: Poly, b: Poly):
@@ -114,7 +113,7 @@ def poly_egcd(a: Poly, b: Poly):
     if a.is_zero() and b.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
     a._check(b)
-    g, u, v = _polys.pegcd(a.spec, a.coeffs, b.coeffs)
+    g, u, v = _polys.pegcd(a.spec, a.coords, b.coords)
     return Poly(a.spec, g), Poly(a.spec, u), Poly(a.spec, v)
 
 
@@ -134,77 +133,81 @@ class RingSpec:
             )
 
     def element(self, coeffs) -> RingElement:
-        """Ring element from coefficients (ints or field elements), folded mod x^n - 1."""
-        out = [self.base.zero()] * self.n
+        """Ring element from coefficients (F_q scalars, or ints c naming c*1),
+        folded mod x^n - 1."""
+        slots = [self.base.zero()] * self.n
         for i, c in enumerate(coeffs):
             if not isinstance(c, FieldElement):
                 c = self.base.embed_int(c)
             elif c.spec != self.base:
                 raise SpecMismatch("coefficient from a different field")
-            out[i % self.n] = out[i % self.n] + c
-        return RingElement(self, tuple(out))
+            slots[i % self.n] = slots[i % self.n] + c
+        return RingElement(self, _flat_coords(slots))
 
     def from_poly(self, f: Poly) -> RingElement:
         if f.spec != self.base:
             raise SpecMismatch("polynomial over a different field")
-        return self.element(f.coeffs)
+        return RingElement(self, _polys.pfold(self.base, f.coords, self.n))
 
     def zero(self) -> RingElement:
-        return self.element(())
+        return self.from_poly(Poly.zero(self.base))
 
     def one(self) -> RingElement:
-        return self.element((1,))
+        return self.from_poly(Poly.one(self.base))
 
     def x(self) -> RingElement:
-        return self.element((0, 1))
+        return self.from_poly(Poly.x(self.base))
 
     def modulus(self) -> Poly:
         """x^n - 1 as a polynomial over F_q."""
-        coeffs = [-self.base.one()] + [self.base.zero()] * (self.n - 1) + [self.base.one()]
-        return Poly(self.base, tuple(coeffs))
+        one = _polys.pone(self.base)
+        return Poly(self.base, _polys.psub(self.base, (0,) * len(one) * self.n + one, one))
 
 
 @dataclass(frozen=True)
 class RingElement:
-    """Class of a polynomial of degree < n in R_{q,n}."""
+    """Class of a polynomial of degree < n in R_{q,n}: ``coords`` holds the
+    flat F_p coordinates of all n coefficients, as ``Poly.coords``."""
 
     spec: RingSpec
-    coeffs: tuple[FieldElement, ...]
+    coords: tuple[int, ...]
 
     def _check(self, other):
         if not isinstance(other, RingElement) or other.spec != self.spec:
             raise SpecMismatch("elements of different rings")
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.coords)
 
     def to_poly(self) -> Poly:
-        return Poly(self.spec.base, self.coeffs)
+        return Poly(self.spec.base, self.coords)
 
     def __add__(self, other):
         self._check(other)
+        p = self.spec.base.p
         return RingElement(
-            self.spec, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            self.spec, tuple((a + b) % p for a, b in zip(self.coords, other.coords))
         )
 
     def __sub__(self, other):
         self._check(other)
+        p = self.spec.base.p
         return RingElement(
-            self.spec, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
+            self.spec, tuple((a - b) % p for a, b in zip(self.coords, other.coords))
         )
 
     def __neg__(self):
-        return RingElement(self.spec, tuple(-c for c in self.coeffs))
+        return RingElement(self.spec, _polys.pneg(self.spec.base, self.coords))
 
     def __mul__(self, other):
         self._check(other)
         return RingElement(
             self.spec,
-            _polys.pcyclic_mul(self.spec.base, self.coeffs, other.coeffs, self.spec.n),
+            _polys.pcyclic_mul(self.spec.base, self.coords, other.coords, self.spec.n),
         )
 
     def __str__(self):
-        return format_poly(self.coeffs)
+        return format_poly(self.spec.base, self.coords)
 
 
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
@@ -233,9 +236,8 @@ def shift_mul_x(f: RingElement, t: int) -> RingElement:
     """x^t * f mod x^n - 1: cyclic rotation of the coefficients by t."""
     if t < 0:
         raise BadInput("shift exponent must be >= 0")
-    n = f.spec.n
-    t %= n
-    return RingElement(f.spec, f.coeffs[-t:] + f.coeffs[:-t] if t else f.coeffs)
+    cut = (t % f.spec.n) * f.spec.base.k
+    return RingElement(f.spec, f.coords[-cut:] + f.coords[:-cut] if cut else f.coords)
 
 
 # --- cyclotomic cosets and the factorization of x^n - 1 ----------------------
@@ -283,29 +285,18 @@ def splitting_field(spec: RingSpec) -> ExtFieldSpec | FieldSpec:
     return _SplittingFieldSpec(spec.base, m, find_irreducible(spec.base, m, seed=0))
 
 
-def _linear_factor_product(field, roots):
-    """Monic product of (x - r) over the given roots; coefficients in ``field``."""
-    prod = [field.one()]
-    for r in roots:
-        nxt = [field.zero()] * (len(prod) + 1)
-        for i, c in enumerate(prod):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - r * c
-        prod = nxt
-    return prod
-
-
-def _linear_factor_rows(work: ExtFieldSpec, roots) -> np.ndarray:
-    """_linear_factor_product over a splitting field F_{q^m}, on an int array:
-    row i holds the flat coordinates of the coefficient of x^i."""
-    base, red = work.base, _ext_reduction(work)
-    prod = np.zeros((1, base.k * work.n), dtype=np.int64)
-    prod[0, 0] = 1
-    for r in roots:
+def _linear_factor_rows(work, roots, p: int) -> np.ndarray:
+    """Monic product of (x - r) over roots given by their coordinates in the
+    splitting field ``work``: row i of the int array is the x^i coefficient.
+    When work = F_q every coset is one root, so no product is taken."""
+    first, *rest = roots
+    prod = np.array([np.negative(first) % p, np.eye(len(first), dtype=np.int64)[0]])
+    for r in rest:
+        red = _ext_reduction(work)
         nxt = np.zeros((len(prod) + 1, prod.shape[1]), dtype=np.int64)
         nxt[1:] = prod
-        nxt[:-1] -= [_polys.pmulmod(base, red, r.coords, row) for row in prod]
-        prod = nxt % base.p
+        nxt[:-1] -= [_polys.pmulmod(work.base, red, r, row) for row in prod]
+        prod = nxt % p
     return prod
 
 
@@ -323,20 +314,14 @@ def factor_xn_minus_1(spec: RingSpec) -> list[tuple[CyclotomicCoset, Poly]]:
     powers = [work.one()]
     for _ in range(n - 1):
         powers.append(powers[-1] * zeta)
+    flat = [r.coeffs if work is base else r.coords for r in powers]
 
     out = []
     for coset in cyclotomic_cosets(spec):
-        roots = [powers[j] for j in coset.members]
-        if work is base:
-            coeffs = tuple(_linear_factor_product(base, roots))
-        else:
-            rows = _linear_factor_rows(work, roots)
-            if rows[:, base.k :].any():
-                raise InternalError(
-                    "factor coefficient escaped F_q; arithmetic is broken"
-                )
-            coeffs = tuple(base.element(c) for c in rows[:, : base.k].tolist())
-        out.append((coset, Poly(base, coeffs)))
+        rows = _linear_factor_rows(work, [flat[j] for j in coset.members], base.p)
+        if rows[:, base.k :].any():
+            raise InternalError("factor coefficient escaped F_q; arithmetic is broken")
+        out.append((coset, Poly(base, tuple(rows[:, : base.k].ravel().tolist()))))
 
     product = Poly.one(base)
     for _, f in out:
@@ -353,26 +338,37 @@ _TERM_RE = re.compile(
 )
 
 
-def format_poly(coeffs) -> str:
-    """Canonical text form: 'c*x^e' terms joined by '+', descending exponents."""
+def format_poly(field: FieldSpec, coords) -> str:
+    """Canonical text form of the polynomial with flat coordinates ``coords``
+    over ``field``: 'c*x^e' terms joined by '+', descending exponents."""
+    k = field.k
+    one = _polys.pone(field)
     terms = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if c.is_zero():
+    for e in range(len(coords) // k - 1, -1, -1):
+        c = tuple(coords[e * k : e * k + k])
+        if not any(c):
             continue
-        c_str = str(c)
+        c_str = ",".join(map(str, c))
         if e == 0:
             terms.append(c_str)
         else:
             x_part = "x" if e == 1 else f"x^{e}"
-            terms.append(x_part if c == c.spec.one() else f"{c_str}*{x_part}")
+            terms.append(x_part if c == one else f"{c_str}*{x_part}")
     return "+".join(terms) if terms else "0"
 
 
+def _parse_ints(raw: str, text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise BadInput(f"cannot parse coefficient {raw!r}") from None
+
+
 def _parse_field_coeff(text: str, spec: FieldSpec) -> FieldElement:
-    parts = [int(v) for v in text.split(",")]
+    """A bare integer names the element with those base-p digits."""
+    parts = _parse_ints(text, text)
     if len(parts) == 1:
-        return spec.embed_int(parts[0])
+        return spec.from_int(parts[0])
     return spec.element(parts)
 
 
@@ -384,8 +380,8 @@ def parse_poly(text: str, spec: FieldSpec) -> Poly:
     if text == "0":
         return Poly.zero(spec)
     if text.startswith("[") and text.endswith("]"):
-        ints = [int(v) for v in text[1:-1].split(",")] if text != "[]" else []
-        return Poly.from_ints(spec, ints)
+        ints = _parse_ints(text, text[1:-1]) if text != "[]" else []
+        return Poly(spec, _flat_coords(spec.from_int(c) for c in ints))
     acc: dict[int, FieldElement] = {}
     for term in text.split("+"):
         m = _TERM_RE.match(term)
@@ -398,10 +394,7 @@ def parse_poly(text: str, spec: FieldSpec) -> Poly:
             raw = m.group("coeff")
             c = spec.one() if raw is None else _parse_field_coeff(raw, spec)
         acc[e] = acc.get(e, spec.zero()) + c
-    coeffs = [spec.zero()] * (max(acc) + 1)
-    for e, c in acc.items():
-        coeffs[e] = c
-    return Poly(spec, tuple(coeffs))
+    return Poly(spec, _flat_coords(acc.get(e, spec.zero()) for e in range(max(acc) + 1)))
 
 
 def parse_ring_element(text: str, spec: RingSpec) -> RingElement:

@@ -209,6 +209,8 @@ def test_json_stable_serialization(capsys):
         ["shift", "--q", "3", "--n", "5", "--poly", "x", "--alpha", "300"],
         ["shift", "--q", "3", "--n", "5", "--poly", "x", "--alpha", "-1"],
         ["complete", "--q", "8", "--n", "11", "--poly", "5x^[7]", "--lambda-set", "0,9"],
+        # a coefficient integer names an element of F_q by its base-p digits
+        ["is-perm", "--q", "3", "--n", "5", "--poly", "5x"],
     ],
 )
 def test_bad_input_exit_2(capsys, argv):

@@ -224,6 +224,7 @@ def test_irreducible_count_matches_gauss(q, max_degree):
         count = 0
         for v in range(q**d):
             low = [base.from_int((v // q**j) % q) for j in range(d)]
-            count += pis_irreducible(base, tuple(low) + (base.one(),))
+            flat = tuple(v for c in low + [base.one()] for v in c.coeffs)
+            count += pis_irreducible(base, flat)
         gauss = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
         assert count * d == gauss, (q, d)

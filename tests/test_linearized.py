@@ -164,10 +164,10 @@ def test_ordinary_divisibility_iff_symbolic():
     rng = random.Random(21)
     for _ in range(10):
         f = Poly(
-            R25.base, tuple(R25.base.embed_int(rng.randrange(3)) for _ in range(6))
+            R25.base, tuple(R25.base.embed_int(rng.randrange(3)).coeffs[0] for _ in range(6))
         )
         h = Poly(
-            R25.base, tuple(R25.base.embed_int(rng.randrange(3)) for _ in range(7))
+            R25.base, tuple(R25.base.embed_int(rng.randrange(3)).coeffs[0] for _ in range(7))
         )
         if f.is_zero() or h.is_zero():
             continue

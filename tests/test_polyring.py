@@ -10,8 +10,10 @@ from linperm import (
     RingSpec,
     base_field,
     cyclotomic_cosets,
+    extension_field,
     factor_xn_minus_1,
     format_poly,
+    parse_linearized,
     parse_poly,
     parse_ring_element,
     poly_egcd,
@@ -35,7 +37,7 @@ def poly_strategy(q, max_deg=6):
     base = base_field(q)
     return st.lists(
         st.integers(0, q - 1), min_size=0, max_size=max_deg + 1
-    ).map(lambda cs: Poly(base, tuple(base.from_int(c) for c in cs)))
+    ).map(lambda cs: Poly(base, tuple(v for c in cs for v in base.from_int(c).coeffs)))
 
 
 @given(poly_strategy(3), poly_strategy(3), poly_strategy(3))
@@ -78,7 +80,7 @@ def test_ring_spec_rejects_noncoprime(F3):
 def test_factorization_recomposes(q, n):
     spec = ring(q, n)
     factors = factor_xn_minus_1(spec)
-    prod = Poly(spec.base, (spec.base.one(),))
+    prod = Poly(spec.base, spec.base.one().coeffs)
     for _, f in factors:
         prod = prod * f
     assert prod == spec.modulus()
@@ -126,14 +128,14 @@ def test_known_ring_inverse_r3_25():
     spec = ring(3, 25)
     f0 = parse_ring_element("x^20+2*x^15+1", spec)
     inv = ring_inverse(f0)
-    assert format_poly(inv.coeffs) == "2*x^20+2*x^10+x^5+2"
+    assert format_poly(spec.base, inv.coords) == "2*x^20+2*x^10+x^5+2"
     assert ring_mul(f0, inv) == spec.one()
 
 
 def test_shift_mul_x_is_rotation():
     spec = ring(3, 25)
     f0 = parse_ring_element("x^20+2*x^15+1", spec)
-    assert format_poly(shift_mul_x(f0, 1).coeffs) == "x^21+2*x^16+x"
+    assert format_poly(spec.base, shift_mul_x(f0, 1).coords) == "x^21+2*x^16+x"
     assert shift_mul_x(f0, 25) == f0
 
 
@@ -150,8 +152,8 @@ def test_ring_mul_matches_poly_mod(coeffs):
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=7))
 def test_format_parse_roundtrip(coeffs):
     F5 = FieldSpec(5)
-    p = Poly(F5, tuple(F5.embed_int(c) for c in coeffs))
-    assert parse_poly(format_poly(p.coeffs), F5) == p
+    p = Poly(F5, tuple(v for c in coeffs for v in F5.embed_int(c).coeffs))
+    assert parse_poly(format_poly(F5, p.coords), F5) == p
 
 
 def test_parse_accepts_compact_style(F3):
@@ -159,5 +161,23 @@ def test_parse_accepts_compact_style(F3):
     assert parse_poly("[1,0,2]", F3) == parse_poly("2*x^2+1", F3)
 
 
+def test_parse_integer_coefficient_is_base_p_digits(F8):
+    # both parsers read a bare integer c as base.from_int(c): 3 is y + 1 over F_8
+    y_plus_1 = F8.from_int(3)
+    assert y_plus_1.coeffs == (1, 1, 0)
+    assert parse_poly("3x", F8) == Poly(F8, (0, 0, 0) + y_plus_1.coeffs)
+    assert parse_poly("[0,3]", F8) == parse_poly("3x", F8)
+    E = extension_field(8, 3)
+    assert parse_linearized("3x", E).coeffs[0] == E.embed(y_plus_1)
+    with pytest.raises(BadInput):
+        parse_poly("9x", F8)
+    with pytest.raises(BadInput):
+        parse_linearized("9x", E)
+    with pytest.raises(BadInput):
+        parse_poly("[1,9]", F8)
+    with pytest.raises(BadInput):
+        parse_poly("5x", FieldSpec(3))
+
+
 def test_format_zero(F3):
-    assert format_poly([F3.zero()]) == "0"
+    assert format_poly(F3, F3.zero().coeffs) == "0"
