@@ -8,8 +8,10 @@ stores an element of F_{q^n} this way (slot j is the coefficient of z^j), so
 these matrices act on it directly. ``lift`` turns an F_q matrix into the F_p
 matrix of the same map; ``rank_mod`` does the elimination.
 
-Entries are kept reduced mod p < 2^16, so a sum of fewer than 2^31 products
-of two entries stays below 2^63 and int64 never overflows.
+Reduction mod p is delayed: p < 2^16, so an int64 holds a sum of fewer than
+2^31 products of two reduced entries (each below p^2 < 2^32) without
+overflow, and the kernels reduce only what a decision reads. ``rank_mod``
+states its bound, p + s*p^2 after s elimination steps.
 """
 
 from __future__ import annotations
@@ -38,32 +40,43 @@ def lift(field, M) -> np.ndarray:
 
     ``M`` has shape (d, e, k): entry (i, j) of the F_q matrix by its k
     coordinates. An entry c acts on each k-block through the k x k matrix of
-    multiplication by c, read off the multiplication tensor of F_q.
+    multiplication by c, read off the multiplication tensor of F_q. The
+    result is C-contiguous, so its rows split into k-blocks without a copy.
     """
     M = np.asarray(M, dtype=np.int64)
     d, e, k = M.shape
     T = mul_tensor(field.p, field.base_modulus or (0, 1))
-    return np.einsum("ija,lab->iljb", M, T).reshape(d * k, e * k) % field.p
+    out = np.einsum("ija,lab->iljb", M, T).reshape(d * k, e * k) % field.p
+    return np.ascontiguousarray(out)
 
 
 def rank_mod(rows: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over F_p by Gaussian elimination."""
-    m = rows.copy() % p
-    if m.size == 0:
-        return 0
+    """Rank of an integer matrix over F_p by Gaussian elimination.
+
+    Columns are taken in order, and the pivot is the first row at or below
+    the current one whose entry in the column is nonzero mod p. Only the
+    pivot column and the pivot row are reduced mod p; the rows below that
+    have a nonzero entry in the pivot column lose a multiple of the pivot
+    row, and every other entry stays unreduced. One step moves an entry by
+    less than p^2, so after s steps |entry| < p + s*p^2: with p < 2^16 int64
+    never overflows for min(d, e) < 2^31. ``rows`` is not modified.
+    """
+    m = np.asarray(rows, dtype=np.int64) % p
+    d, e = m.shape
     r = 0
-    for col in range(m.shape[1]):
-        pivots = np.nonzero(m[r:, col])[0]
-        if len(pivots) == 0:
-            continue
-        piv = r + int(pivots[0])
-        m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, col]), -1, p)
-        m[r, col:] = (m[r, col:] * inv) % p
-        sub = m[r + 1:, col:]
-        if sub.size:
-            m[r + 1:, col:] = (sub - np.outer(m[r + 1:, col], m[r, col:])) % p
-        r += 1
-        if r == m.shape[0]:
+    for col in range(e):
+        if r == d:
             break
+        c = m[r:, col] % p
+        nz = np.flatnonzero(c)
+        if nz.size == 0:
+            continue
+        top = r + nz[0]
+        pivot = m[top, col:] % p * pow(int(c[nz[0]]), -1, p) % p
+        # row r takes the pivot row's place; when top > r it is zero in this
+        # column and needs no update
+        m[top] = m[r]
+        rest = nz[1:]
+        m[r + rest, col:] -= c[rest, None] * pivot
+        r += 1
     return r

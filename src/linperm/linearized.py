@@ -43,7 +43,9 @@ from .idempotents import ComponentVector, IdempotentBasis, project, reconstruct
 from .polyring import (
     RingElement,
     RingSpec,
+    _parse_digits,
     _parse_ints,
+    _signed_terms,
     poly_egcd,
     ring_inverse,
     ring_is_unit,
@@ -210,19 +212,21 @@ def is_permutation_rank(F: LinearizedPoly) -> bool:
     support = [(i, c) for i, c in enumerate(F.coeffs) if not c.is_zero()]
     if not support:
         return False
+    # A term adds to each entry a sum of products of two reduced entries, k
+    # of them for a coefficient in F_q and k*n otherwise. Over at most n
+    # terms entries stay below n*k*p^2 when every coefficient lies in F_q,
+    # and below n*k*n*p^2 in any case, far inside int64 (p < 2^16);
+    # rank_mod reduces M once.
     M = np.zeros((k * n, k * n), dtype=np.int64)
+    rows = M.reshape(n, k, k * n)
     for i, c in support:
         Fi = _frobenius_power(spec, i)
         if c.in_base_field():
-            # Mul(c) is block diagonal with c's k x k block, so row (j, l)
-            # of Mul(c) Frob^i is the sum over b of block[l, b] * row (j, b)
-            block = _linalg.lift(base, [[c.coords[:k]]])
-            rows = Fi.reshape(n, k, k * n)
-            for b in range(k):
-                M += (block[:, b, None] * rows[:, None, b]).reshape(k * n, k * n)
+            # Mul(c) is block diagonal with c's k x k block: slot j of the
+            # image is the block times slot j of Frob^i
+            rows += _polys._block(base, c.coords[:k]) @ Fi.reshape(n, k, k * n)
         else:
             M += _polys.pmul_matrix(base, _ext_reduction(spec), c.coords) @ Fi
-        M %= p
     return _linalg.rank_mod(M, p) == k * n
 
 
@@ -469,12 +473,13 @@ def format_linearized(F: LinearizedPoly) -> str:
 
 
 def parse_linearized(text: str, spec: ExtFieldSpec) -> LinearizedPoly:
-    """Parse "c*x^[i]" sums; tolerates compact style "2x^[21]" and LaTeX braces."""
+    """Parse "c*x^[i]" terms joined by "+" or "-" (the first may carry a minus);
+    tolerates compact style "2x^[21]" and LaTeX braces."""
     cleaned = text.replace("{", "").replace("}", "").replace(" ", "")
     if cleaned in ("0", ""):
         return LinearizedPoly(spec, tuple([spec.zero()] * spec.n))
     coeffs = [spec.zero()] * spec.n
-    for term in cleaned.split("+"):
+    for sign, term in _signed_terms(cleaned):
         m = _LIN_TERM_RE.match(term)
         if m is None:
             raise BadInput(f"cannot parse term {term!r}")
@@ -486,7 +491,7 @@ def parse_linearized(text: str, spec: ExtFieldSpec) -> LinearizedPoly:
             c = spec.one()
         else:
             c = _parse_ext_coeff(raw, spec)
-        coeffs[exp] = coeffs[exp] + c
+        coeffs[exp] = coeffs[exp] + (c if sign > 0 else -c)
     return LinearizedPoly(spec, tuple(coeffs))
 
 
@@ -495,14 +500,14 @@ def _parse_ext_coeff(raw: str, spec: ExtFieldSpec) -> ExtElement:
     k = base.k
     if raw.startswith("[") and raw.endswith("]"):
         # all n*k coordinates of an element of F_{q^n}, as format_linearized prints it
-        parts = _parse_ints(raw, raw[1:-1])
+        parts = _parse_digits(raw, raw[1:-1], base.p)
         if len(parts) != spec.n * k:
             raise BadInput(
                 f"coefficient {raw!r} needs {spec.n * k} integers, got {len(parts)}"
             )
-        return ExtElement(spec, tuple(v % base.p for v in parts))
+        return ExtElement(spec, tuple(parts))
     if "," in raw:
-        parts = _parse_ints(raw, raw)
+        parts = _parse_digits(raw, raw, base.p)
         if len(parts) == k:
             return spec.embed(base.element(parts))
         if len(parts) == spec.n:

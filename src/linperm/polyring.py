@@ -364,16 +364,34 @@ def _parse_ints(raw: str, text: str) -> list[int]:
         raise BadInput(f"cannot parse coefficient {raw!r}") from None
 
 
+def _parse_digits(raw: str, text: str, p: int) -> list[int]:
+    """Comma-separated coordinates over F_p, each in [0, p)."""
+    parts = _parse_ints(raw, text)
+    if not all(0 <= v < p for v in parts):
+        raise BadInput(f"coefficient {raw!r} has a coordinate outside [0, {p})")
+    return parts
+
+
+def _signed_terms(text: str) -> list[tuple[int, str]]:
+    """(sign, term) pairs of a sum "t1+t2-t3", which may open with a minus."""
+    first = -1 if text.startswith("-") else 1
+    tokens = re.split(r"([+-])", text[1:] if first < 0 else text)
+    signs = [first] + [1 if s == "+" else -1 for s in tokens[1::2]]
+    return list(zip(signs, tokens[::2]))
+
+
 def _parse_field_coeff(text: str, spec: FieldSpec) -> FieldElement:
-    """A bare integer names the element with those base-p digits."""
-    parts = _parse_ints(text, text)
-    if len(parts) == 1:
-        return spec.from_int(parts[0])
-    return spec.element(parts)
+    """A bare integer names the element with those base-p digits; a comma
+    vector lists its k coordinates."""
+    if "," in text:
+        return spec.element(_parse_digits(text, text, spec.p))
+    (v,) = _parse_ints(text, text)
+    return spec.from_int(v)
 
 
 def parse_poly(text: str, spec: FieldSpec) -> Poly:
-    """Parse the term format (also accepts the dense '[c0,c1,...]' form)."""
+    """Parse the term format, terms joined by '+' or '-' with an optional
+    leading minus (also accepts the dense '[c0,c1,...]' form)."""
     text = text.replace(" ", "")
     if not text:
         raise BadInput("empty polynomial string")
@@ -383,7 +401,7 @@ def parse_poly(text: str, spec: FieldSpec) -> Poly:
         ints = _parse_ints(text, text[1:-1]) if text != "[]" else []
         return Poly(spec, _flat_coords(spec.from_int(c) for c in ints))
     acc: dict[int, FieldElement] = {}
-    for term in text.split("+"):
+    for sign, term in _signed_terms(text):
         m = _TERM_RE.match(term)
         if not m:
             raise BadInput(f"cannot parse polynomial term {term!r}")
@@ -393,7 +411,7 @@ def parse_poly(text: str, spec: FieldSpec) -> Poly:
             e = int(m.group("exp")) if m.group("exp") else 1
             raw = m.group("coeff")
             c = spec.one() if raw is None else _parse_field_coeff(raw, spec)
-        acc[e] = acc.get(e, spec.zero()) + c
+        acc[e] = acc.get(e, spec.zero()) + (c if sign > 0 else -c)
     return Poly(spec, _flat_coords(acc.get(e, spec.zero()) for e in range(max(acc) + 1)))
 
 

@@ -211,6 +211,11 @@ def test_json_stable_serialization(capsys):
         ["complete", "--q", "8", "--n", "11", "--poly", "5x^[7]", "--lambda-set", "0,9"],
         # a coefficient integer names an element of F_q by its base-p digits
         ["is-perm", "--q", "3", "--n", "5", "--poly", "5x"],
+        # every coordinate of a comma or bracket coefficient lies in [0, p)
+        ["is-perm", "--q", "8", "--n", "3", "--poly", "5,0,0*x"],
+        ["is-perm", "--q", "3", "--n", "2", "--poly", "[4,0]*x^[1]+x"],
+        ["invert", "--q", "8", "--n", "3", "--poly", "5,0,0*x"],
+        ["invert", "--q", "3", "--n", "2", "--poly", "[4,0]*x^[1]+x"],
     ],
 )
 def test_bad_input_exit_2(capsys, argv):

@@ -453,3 +453,21 @@ def test_parse_rejects_garbage():
     for bad in ("[1,2,0]*x", "[1,2,0,0,0,1]*x", "[1,a,0,0,0]*x", "[]*x"):
         with pytest.raises(BadInput):
             parse_linearized(bad, E35)
+    # every coordinate lies in [0, p), in the bracket and the comma form
+    for bad in ("[1,3,0,0,0]*x", "[1,-1,0,0,0]*x", "3,0*x"):
+        with pytest.raises(BadInput):
+            parse_linearized(bad, E35 if bad[0] == "[" else extension_field(9, 2))
+    with pytest.raises(BadInput):
+        parse_linearized("5,0,0*x", extension_field(8, 3))
+    # a sign needs a term on each side
+    for bad in ("x--x", "x+-x", "x-", "-", "+x"):
+        with pytest.raises(BadInput):
+            parse_linearized(bad, E35)
+
+
+@pytest.mark.parametrize("q, n", [(3, 5), (4, 3)])
+def test_parse_subtraction(q, n):
+    E = extension_field(q, n)
+    assert parse_linearized("x^[1]-x", E) == parse_linearized("x^[1]", E) - parse_linearized("x", E)
+    assert parse_linearized("-x", E) == -parse_linearized("x", E)
+    assert parse_linearized("-2x^[2]+x-x", E) == -parse_linearized("2x^[2]", E)

@@ -177,6 +177,22 @@ def test_parse_integer_coefficient_is_base_p_digits(F8):
         parse_poly("[1,9]", F8)
     with pytest.raises(BadInput):
         parse_poly("5x", FieldSpec(3))
+    # the comma form lists coordinates, each in [0, p)
+    with pytest.raises(BadInput):
+        parse_poly("5,0,0*x", F8)
+    with pytest.raises(BadInput):
+        parse_poly("1,-1,0", F8)
+
+
+def test_parse_subtraction(F3, F8):
+    assert parse_poly("x^2-x", F3) == parse_poly("x^2+2x", F3)
+    assert parse_poly("-x+1", F3) == parse_poly("2x+1", F3)
+    assert parse_poly("x-x", F3) == Poly.zero(F3)
+    # over F_8, -1 = 1
+    assert parse_poly("-x^2-1,1,0*x", F8) == parse_poly("x^2+1,1,0*x", F8)
+    for bad in ("x--1", "x+-1", "x-", "-"):
+        with pytest.raises(BadInput):
+            parse_poly(bad, F3)
 
 
 def test_format_zero(F3):
