@@ -43,6 +43,7 @@ from .linearized import (
     compositional_inverse,
     conventional_associate,
     evaluate,
+    evaluate_many,
     format_linearized,
     has_base_coeffs,
     identity,

@@ -265,6 +265,33 @@ def pmulmod(field, red: np.ndarray, a, b) -> tuple:
     return _unpack(k, mulmod(field.p, red, _pack(k, a), _pack(k, b)))
 
 
+def mulmod_rows(field, red: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row r of the result is A[r]*B[r] mod f: (N, k*d) int arrays of flat
+    coordinates in [0, p), as ``pmulmod`` row by row.
+
+    The packed convolutions of all rows are built together by one shifted
+    multiply-add for each coordinate that is nonzero in some row of B (put
+    the sparser operand second), so nothing larger than (N, 2*d*(2k - 1)) is
+    allocated; then one product by ``red`` reduces them. A convolution entry
+    is a sum of at most k*d products of two reduced entries, below k*d*p^2,
+    and after one reduction mod p the product by ``red`` sums 2*d*(2k - 1)
+    products below p^2. With p < 2^16 int64 is safe for k*d < 2^29.
+    """
+    p, k = field.p, field.k
+    s = 2 * k - 1
+    rows, width = A.shape
+    d = width // k
+    Ap = np.zeros((rows, d, s), dtype=np.int64)
+    Ap[:, :, :k] = A.reshape(rows, d, k)
+    Ap = Ap.reshape(rows, d * s)
+    conv = np.zeros((rows, red.shape[1]), dtype=np.int64)
+    for c in np.flatnonzero(B.any(axis=0)).tolist():
+        at = c // k * s + c % k
+        conv[:, at : at + d * s] += B[:, c, None] * Ap
+    out = (conv % p) @ red.T % p
+    return out.reshape(rows, d, s)[:, :, :k].reshape(rows, width)
+
+
 def ppowmod(field, red: np.ndarray, a, e: int) -> tuple:
     """Flat coordinates of a^e modulo f (e >= 0), as ``pmulmod``."""
     k = field.k

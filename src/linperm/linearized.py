@@ -59,6 +59,7 @@ __all__ = [
     "conventional_associate",
     "linearized_associate",
     "evaluate",
+    "evaluate_many",
     "compose",
     "is_permutation",
     "is_permutation_gcd",
@@ -135,11 +136,15 @@ def has_base_coeffs(F: LinearizedPoly) -> bool:
 
 
 def _base_coeffs(F: LinearizedPoly) -> list[FieldElement]:
-    if not has_base_coeffs(F):
-        raise CoefficientsNotInBaseField(
-            "operation requires coefficients in the base field"
-        )
-    return [c.base_value() for c in F.coeffs]
+    base = F.spec.base
+    out = []
+    for c in F.coeffs:
+        if any(c.coords[base.k :]):
+            raise CoefficientsNotInBaseField(
+                "operation requires coefficients in the base field"
+            )
+        out.append(base.element(c.coords[: base.k]))
+    return out
 
 
 def conventional_associate(F: LinearizedPoly) -> RingElement:
@@ -154,16 +159,6 @@ def linearized_associate(f: RingElement, spec: ExtFieldSpec) -> LinearizedPoly:
     k, pad = spec.base.k, (0,) * (spec.base.k * (spec.n - 1))
     coeffs = (ExtElement(spec, f.coords[j : j + k] + pad) for j in range(0, k * spec.n, k))
     return LinearizedPoly(spec, tuple(coeffs))
-
-
-def evaluate(F: LinearizedPoly, a: ExtElement) -> ExtElement:
-    if a.spec != F.spec:
-        raise SpecMismatch("argument from a different field")
-    out = F.spec.zero()
-    for i, c in enumerate(F.coeffs):
-        if not c.is_zero():
-            out = out + c * frobenius(a, i)
-    return out
 
 
 def compose(F: LinearizedPoly, G: LinearizedPoly) -> LinearizedPoly:
@@ -442,6 +437,77 @@ def a_complete_sufficient_pm(F: LinearizedPoly, A, p: int, m: int) -> bool:
             if values[i] == -(inv_small - inv_big) * lam:
                 return False
     return True
+
+
+# --- batched evaluation ------------------------------------------------------
+#
+# The brute-force oracle evaluates through this section alone. It shares the
+# product kernel (``_polys.mulmod_rows``, ``_ext_reduction``) with the rest of
+# the package but builds its own Frobenius powers, so a wrong table in the
+# rank test cannot fool the oracle as well.
+
+_powers_held: dict = {}
+
+
+def _power_table(spec: ExtFieldSpec, top: int) -> np.ndarray:
+    """(t, k*n, k*n) array, t > top: row j of slice i holds the flat
+    coordinates of u_j^(q^i), u_j the j-th unit vector, so a^(q^i) is
+    a @ slice i.
+
+    Slice i + 1 is slice i raised to the q-th power row by row; the table
+    grows only to the highest power asked for and is kept per field.
+    """
+    held = _powers_held.get(spec)
+    if held is None or len(held) <= top:
+        base, red = spec.base, _ext_reduction(spec)
+        width = base.k * spec.n
+        slices = list(held) if held is not None else [np.eye(width, dtype=np.int64)]
+        while len(slices) <= top:
+            rows = acc = slices[-1]
+            for bit in bin(base.q)[3:]:
+                acc = _polys.mulmod_rows(base, red, acc, acc)
+                if bit == "1":
+                    acc = _polys.mulmod_rows(base, red, acc, rows)
+            slices.append(acc)
+        held = _powers_held[spec] = np.array(slices)
+    return held
+
+
+def evaluate_many(F: LinearizedPoly, A) -> np.ndarray:
+    """F at every row of A, an (N, k*n) int array of flat coordinates in
+    [0, p): row r of the result holds the flat coordinates of F(A[r]).
+
+    F(a) = sum_i c_i * a^(q^i), the powers read from ``_power_table`` and all
+    the products with the coefficients done in one stacked ``mulmod_rows``
+    call. F is F_p-linear, so with at least as many rows as coordinates F is
+    evaluated at the k*n unit vectors instead, and F(A) is A times those
+    images.
+    """
+    spec = F.spec
+    p, width = spec.base.p, spec.base.k * spec.n
+    A = np.asarray(A, dtype=np.int64).reshape(-1, width)
+    support = [i for i, c in enumerate(F.coeffs) if not c.is_zero()]
+    if not support:
+        return np.zeros(A.shape, dtype=np.int64)
+    points = A if len(A) < width else np.eye(width, dtype=np.int64)
+    powers = points @ _power_table(spec, support[-1])[support] % p  # (terms, N, k*n)
+    coeffs = np.array([F.coeffs[i].coords for i in support], dtype=np.int64)
+    prod = _polys.mulmod_rows(
+        spec.base,
+        _ext_reduction(spec),
+        powers.reshape(-1, width),
+        np.repeat(coeffs, len(points), axis=0),
+    )
+    # below n*p before the reduction, and below k*n*n*p^2 after the product
+    images = prod.reshape(powers.shape).sum(axis=0)
+    return (images if points is A else A @ images) % p
+
+
+def evaluate(F: LinearizedPoly, a: ExtElement) -> ExtElement:
+    if a.spec != F.spec:
+        raise SpecMismatch("argument from a different field")
+    (image,) = evaluate_many(F, [a.coords]).tolist()
+    return ExtElement(F.spec, tuple(image))
 
 
 # --- text format -------------------------------------------------------------

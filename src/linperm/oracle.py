@@ -2,6 +2,12 @@
 
 Everything here works by plain enumeration or seeded sampling and deliberately
 shares no code with the idempotent, gcd or rank criteria it is used to verify.
+Points are evaluated in batches by ``linearized.evaluate_many``, which shares
+with the rest of the package only the product kernel (``_polys.mulmod_rows``
+and the reduction matrix of ``_polys._reduction_matrix``). It builds its own
+Frobenius powers by q-th powering and must not read ``fields._frobenius_power``,
+``_linalg`` or ``_polys.pmul_matrix``, the pieces of the rank test, so a wrong
+Frobenius matrix cannot fool both.
 Enumeration caps are hard errors, never silent downgrades to sampling.
 """
 
@@ -9,9 +15,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .errors import NotPrimitive, TooLarge, ZeroInverse
-from .fields import ExtElement
-from .linearized import LinearizedPoly, evaluate
+from .fields import ExtElement, ExtFieldSpec
+from .linearized import LinearizedPoly, evaluate_many
 from .polyring import RingElement, RingSpec, ring_mul
 
 __all__ = [
@@ -25,6 +33,8 @@ __all__ = [
 ]
 
 ENUM_CAP = 10**6
+# points evaluated per batch
+CHUNK = 4096
 
 
 def _check_cap(size: int, cap: int) -> None:
@@ -32,28 +42,59 @@ def _check_cap(size: int, cap: int) -> None:
         raise TooLarge(f"enumeration over {size} elements exceeds cap {cap}")
 
 
+def _places(spec: ExtFieldSpec) -> np.ndarray:
+    """p^j for each flat coordinate j: a row's dot product with them is its
+    from_int index. Indices past int64 are kept as Python ints."""
+    p, width = spec.base.p, spec.base.k * spec.n
+    dtype = np.int64 if spec.order < 2**62 else object
+    return np.array([p**j for j in range(width)], dtype=dtype)
+
+
+def _rows(spec: ExtFieldSpec, indices) -> np.ndarray:
+    """Flat coordinates of ``from_int(v)`` for each v in indices, one row each."""
+    places = _places(spec)
+    values = np.array(indices, dtype=places.dtype).reshape(-1, 1)
+    return (values // places % spec.base.p).astype(np.int64)
+
+
+def _enumerate(spec: ExtFieldSpec):
+    """Flat coordinates of every element, CHUNK rows at a time in from_int order."""
+    for start in range(0, spec.order, CHUNK):
+        yield _rows(spec, np.arange(start, min(start + CHUNK, spec.order)))
+
+
 def is_bijection_bruteforce(F: LinearizedPoly, cap: int = ENUM_CAP) -> bool:
+    """Whether the images of all elements are distinct; false at the first
+    batch whose images repeat one seen before or within it."""
     spec = F.spec
     _check_cap(spec.order, cap)
-    seen = set()
-    for a in spec.elements():
-        image = evaluate(F, a)
-        if image in seen:
+    seen = np.zeros(spec.order, dtype=bool)
+    places = _places(spec)
+    for rows in _enumerate(spec):
+        codes = evaluate_many(F, rows) @ places
+        if seen[codes].any() or len(np.unique(codes)) < len(codes):
             return False
-        seen.add(image)
+        seen[codes] = True
     return True
 
 
-def kernel(F: LinearizedPoly, cap: int = ENUM_CAP) -> list[ExtElement]:
+def _select(F: LinearizedPoly, cap: int, keep) -> list[ExtElement]:
+    """The elements a, in from_int order, for which keep(a, F(a)) holds row-wise."""
     spec = F.spec
     _check_cap(spec.order, cap)
-    return [a for a in spec.elements() if evaluate(F, a).is_zero()]
+    out = []
+    for rows in _enumerate(spec):
+        hits = rows[keep(rows, evaluate_many(F, rows))]
+        out.extend(ExtElement(spec, tuple(r)) for r in hits.tolist())
+    return out
+
+
+def kernel(F: LinearizedPoly, cap: int = ENUM_CAP) -> list[ExtElement]:
+    return _select(F, cap, lambda rows, images: ~images.any(axis=1))
 
 
 def fixed_points(F: LinearizedPoly, cap: int = ENUM_CAP) -> list[ExtElement]:
-    spec = F.spec
-    _check_cap(spec.order, cap)
-    return [a for a in spec.elements() if evaluate(F, a) == a]
+    return _select(F, cap, lambda rows, images: (images == rows).all(axis=1))
 
 
 def sqrt_unity_bruteforce(spec: RingSpec, cap: int = ENUM_CAP) -> list[RingElement]:
@@ -93,12 +134,15 @@ def discrete_log(a: ExtElement, beta: ExtElement, cap: int = ENUM_CAP) -> int:
 def involution_check_pointwise(
     F: LinearizedPoly, samples: int, seed: int
 ) -> bool:
-    """Seeded spot-check of F(F(a)) = a; false at the first failing sample."""
+    """Seeded spot-check of F(F(a)) = a; false at the first batch with a
+    failing sample. The samples are ``from_int`` of successive
+    ``randrange(q^n)`` draws, CHUNK at a time."""
     spec = F.spec
     rng = random.Random(seed)
     order = spec.order
-    for _ in range(samples):
-        a = spec.from_int(rng.randrange(order))
-        if evaluate(F, evaluate(F, a)) != a:
+    for start in range(0, samples, CHUNK):
+        draws = [rng.randrange(order) for _ in range(min(CHUNK, samples - start))]
+        A = _rows(spec, draws)
+        if not (evaluate_many(F, evaluate_many(F, A)) == A).all():
             return False
     return True

@@ -148,3 +148,124 @@ def test_too_large_caps():
         is_bijection_bruteforce(identity(E))
     with pytest.raises(TooLarge):
         sqrt_unity_bruteforce(RingSpec(base_field(3), 125))
+
+
+# --- independence from the rank test ------------------------------------------
+
+# answers recorded from the oracles that evaluated one point at a time: bijection,
+# kernel and fixed points as from_int indices, and F at from_int(order // 3)
+ORACLE_ANSWERS = [
+    ((3, 5), "x^[3]+x^[1]+x", False, [0, 1, 2], [0], 136),
+    ((3, 5), "2x^[3]+x^[1]+x", True, [0], [0, 1, 2], 181),
+    ((3, 5), "x^[4]+2x^[2]", False, [0, 1, 2], [0], 114),
+    ((4, 3), "[0,1,0,0,0,0]*x^[1]+x", False, [0, 27, 45, 54], [0], 43),
+    ((4, 3), "[0,1,0,0,0,0]*x^[2]+[1,1,0,0,0,0]*x", False, [0, 27, 45, 54], [0, 1, 2, 3], 41),
+    ((4, 3), "2x^[2]+x", False, [0, 20, 40, 60], [0], 3),
+    ((2, 3), "x^[2]+x^[1]+x", False, [0, 2, 4, 6], [0, 1], 0),
+    ((2, 3), "x^[1]", True, [0], [0, 1], 4),
+    ((5, 2), "4x^[1]+x", False, [0, 1, 2, 3, 4], [0], 13),
+    ((5, 2), "[1,3]*x^[1]+2x", False, [0, 8, 11, 19, 22], [0], 0),
+]
+# (poly over F_{11^9}, involution_check_pointwise(F, 200, 1), F at from_int(123456789))
+POINTWISE_ANSWERS = [
+    ("8x^[6]+8x^[3]+7x", True, 472445572),
+    ("2x", False, 30620754),
+    ("3x^[8]+x^[7]+2x^[6]+8x^[5]+x^[4]+x^[3]+x^[2]+4x^[1]+5x", False, 981628287),
+]
+
+
+def _index(a):
+    return sum(c * a.spec.base.p**j for j, c in enumerate(a.coords))
+
+
+def _replace_frobenius(monkeypatch, fake):
+    """Swap in fake Frobenius tables and empty the oracle's own, which is
+    then rebuilt under the fake."""
+    from linperm import fields, linearized
+
+    monkeypatch.setattr(fields, "_frobenius_power", fake)
+    monkeypatch.setattr(linearized, "_frobenius_power", fake)
+    monkeypatch.setattr(linearized, "_powers_held", {})
+
+
+def test_oracles_need_nothing_from_the_rank_test(monkeypatch):
+    from linperm import _linalg, _polys, evaluate
+
+    fields_ = {qn: extension_field(*qn) for qn, *_ in ORACLE_ANSWERS}
+    E9 = extension_field(11, 9)
+
+    def fake(*args):
+        raise AssertionError("the oracle read the rank test")
+
+    _replace_frobenius(monkeypatch, fake)
+    monkeypatch.setattr(_linalg, "rank_mod", fake)
+    monkeypatch.setattr(_polys, "pmul_matrix", fake)
+    for qn, text, bijective, ker, fixed, image in ORACLE_ANSWERS:
+        E = fields_[qn]
+        F = parse_linearized(text, E)
+        assert is_bijection_bruteforce(F) == bijective
+        assert [_index(a) for a in kernel(F)] == ker
+        assert [_index(a) for a in fixed_points(F)] == fixed
+        assert _index(evaluate(F, E.from_int(E.order // 3))) == image
+    for text, involution, image in POINTWISE_ANSWERS:
+        F = parse_linearized(text, E9)
+        assert involution_check_pointwise(F, samples=200, seed=1) == involution
+        assert _index(evaluate(F, E9.from_int(123456789))) == image
+
+
+def test_wrong_frobenius_fools_the_rank_test_alone(monkeypatch):
+    from linperm import fields
+
+    E = extension_field(3, 5)
+    rng = random.Random(7)
+    polys = [
+        LinearizedPoly(E, tuple(E.from_int(rng.randrange(243)) for _ in range(5)))
+        for _ in range(40)
+    ]
+    honest = [is_permutation_rank(F) for F in polys]
+    real, swap = fields._frobenius_power, {1: 2, 2: 1}
+    _replace_frobenius(monkeypatch, lambda spec, i: real(spec, swap.get(i, i)))
+    assert [is_bijection_bruteforce(F) for F in polys] == honest
+    assert [is_permutation_rank(F) for F in polys] != honest
+
+
+def test_bijection_in_chunks_on_531441_points():
+    # F_{27^4} has 3^12 elements, 130 chunks
+    E = extension_field(27, 4)
+    unit, non_unit = parse_linearized("5x^[1]+x", E), parse_linearized("x^[1]+2x", E)
+    assert is_permutation_rank(unit) and is_bijection_bruteforce(unit)
+    assert not is_permutation_rank(non_unit) and not is_bijection_bruteforce(non_unit)
+
+
+def test_chunk_boundaries_do_not_change_answers(monkeypatch):
+    from linperm import oracle
+
+    E = extension_field(3, 5)
+    rng = random.Random(31)
+    polys = [
+        LinearizedPoly(E, tuple(E.from_int(rng.randrange(243)) for _ in range(5)))
+        for _ in range(12)
+    ] + [identity(E), parse_linearized("2x^[3]+x^[1]+x", E)]
+
+    def answers():
+        return [
+            (
+                is_bijection_bruteforce(F),
+                kernel(F),
+                fixed_points(F),
+                involution_check_pointwise(F, samples=30, seed=3),
+            )
+            for F in polys
+        ]
+
+    whole = answers()
+    monkeypatch.setattr(oracle, "CHUNK", 7)  # 243 = 34 * 7 + 5
+    assert answers() == whole
+
+
+def test_pointwise_on_a_field_past_int64():
+    # 3^125 > 2^63: the draws are split into coordinates as Python ints
+    E = extension_field(3, 125)
+    assert involution_check_pointwise(identity(E), samples=5, seed=1)
+    assert involution_check_pointwise(parse_linearized("2x", E), samples=5, seed=1)
+    assert not involution_check_pointwise(parse_linearized("x^[1]", E), samples=5, seed=1)
