@@ -285,7 +285,7 @@ def mulmod_rows(field, red: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndar
     Ap[:, :, :k] = A.reshape(rows, d, k)
     Ap = Ap.reshape(rows, d * s)
     conv = np.zeros((rows, red.shape[1]), dtype=np.int64)
-    for c in np.flatnonzero(B.any(axis=0)).tolist():
+    for c in B.any(axis=0).nonzero()[0].tolist():
         at = c // k * s + c % k
         conv[:, at : at + d * s] += B[:, c, None] * Ap
     out = (conv % p) @ red.T % p

@@ -293,6 +293,42 @@ def _ext_reduction(spec: ExtFieldSpec) -> np.ndarray:
     return _polys._reduction_matrix(spec.base, _flat_coords(spec.ext_modulus))
 
 
+# Row-wise products through the product tensor cost rows*w^3 multiply-adds in
+# three array operations; the convolution loop of ``mulmod_rows`` costs fewer
+# multiply-adds but a few array operations per nonzero column. At or below
+# this many multiply-adds the tensor is the faster of the two.
+_TENSOR_BUDGET = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def _ext_tensor(spec: ExtFieldSpec) -> np.ndarray:
+    """(w, w*w) F_p array, w = k*n: entries a*w to a*w + w - 1 of row b hold
+    the flat coordinates of u_a * u_b, u the unit vectors."""
+    w = spec.base.k * spec.n
+    eye = np.eye(w, dtype=np.int64)
+    units = _polys.mulmod_rows(
+        spec.base, _ext_reduction(spec), np.tile(eye, (w, 1)), np.repeat(eye, w, axis=0)
+    )
+    return units.reshape(w, w * w)
+
+
+def _mul_rows(spec: ExtFieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row r of the result is A[r]*B[r] in F_{q^n}: (N, k*n) int arrays of
+    flat coordinates in [0, p), as ``_polys.mulmod_rows`` (put the sparser
+    operand second).
+
+    Small batches go through ``_ext_tensor``: B @ T holds, for each row, the
+    products of B[r] with every unit vector, and A[r] combines them. Its
+    entries are below w*p^2 and the combination's below w^2*p^3, inside int64
+    for p < 2^16 since the budget keeps w^3 <= 2^16.
+    """
+    rows, w = A.shape
+    if max(rows, 1) * w**3 > _TENSOR_BUDGET:
+        return _polys.mulmod_rows(spec.base, _ext_reduction(spec), A, B)
+    by_unit = (B @ _ext_tensor(spec)).reshape(rows, w, w)
+    return np.einsum("rao,ra->ro", by_unit, A) % spec.base.p
+
+
 @dataclass(frozen=True)
 class ExtElement:
     """Element of F_{q^n}: ``coords[j*k + l]`` is the coefficient of y^l z^j.

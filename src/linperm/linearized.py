@@ -8,6 +8,12 @@ composition of maps matches ring multiplication of associates. That bridge
 turns permutation testing into a unit test in the ring (equivalently: f is
 coprime to x^n - 1, equivalently no product with a primitive idempotent
 vanishes) and compositional inversion into componentwise inversion.
+
+A ``LinearizedPoly`` is stored as ``coords``, one (n, k*n) int array of the
+slots' flat coordinates mod p; its ``ExtElement`` constructor and ``coeffs``
+are conversions. Every function here reads the array: the support is
+``coords.any(axis=1)``, a slot lies in F_q when it is zero past column k, and
+``compose`` and the evaluator skip zero slots.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,7 +43,7 @@ from .fields import (
     FieldElement,
     _ext_reduction,
     _frobenius_power,
-    frobenius,
+    _mul_rows,
 )
 from .idempotents import ComponentVector, IdempotentBasis, project, reconstruct
 from .polyring import (
@@ -78,49 +84,75 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class LinearizedPoly:
-    """Reduced-degree linearized polynomial: slot i holds the x^{[i]} coefficient."""
+    """Reduced-degree linearized polynomial F = sum_i f_i x^{[i]}, 0 <= i < n.
 
-    spec: ExtFieldSpec = field(hash=False)
-    coeffs: tuple[ExtElement, ...]
+    ``coords`` is the stored form: a read-only (n, k*n) int64 array whose row
+    i holds the flat coordinates of f_i mod p, in the layout of
+    ``ExtElement.coords``. ``LinearizedPoly(spec, coeffs)``, from n
+    ``ExtElement``s, and the ``coeffs`` property are conversions.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.spec.n:
-            raise BadInput(
-                f"expected {self.spec.n} coefficients, got {len(self.coeffs)}"
-            )
-        for c in self.coeffs:
-            if c.spec != self.spec:
-                raise SpecMismatch("coefficient from a different field")
+    spec: ExtFieldSpec
+    coords: np.ndarray
+
+    def __init__(self, spec: ExtFieldSpec, coeffs):
+        if len(coeffs) != spec.n:
+            raise BadInput(f"expected {spec.n} coefficients, got {len(coeffs)}")
+        if any(c.spec != spec for c in coeffs):
+            raise SpecMismatch("coefficient from a different field")
+        self._set(spec, np.array([c.coords for c in coeffs], dtype=np.int64))
+
+    @classmethod
+    def _of(cls, spec: ExtFieldSpec, coords: np.ndarray) -> "LinearizedPoly":
+        """Wraps coords, an (n, k*n) int64 array with entries in [0, p), as is."""
+        F = object.__new__(cls)
+        F._set(spec, coords)
+        return F
+
+    def _set(self, spec, coords):
+        coords.flags.writeable = False
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "coords", coords)
+
+    @property
+    def coeffs(self) -> tuple[ExtElement, ...]:
+        return tuple(ExtElement(self.spec, tuple(row)) for row in self.coords.tolist())
 
     @classmethod
     def monomial(cls, spec: ExtFieldSpec, c: ExtElement, i: int) -> "LinearizedPoly":
         if not 0 <= i < spec.n:
             raise BadInput(f"exponent {i} out of range")
-        coeffs = [spec.zero()] * spec.n
-        coeffs[i] = c
-        return cls(spec, tuple(coeffs))
+        if c.spec != spec:
+            raise SpecMismatch("coefficient from a different field")
+        coords = np.zeros((spec.n, len(c.coords)), dtype=np.int64)
+        coords[i] = c.coords
+        return cls._of(spec, coords)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.coords.any()
+
+    def __eq__(self, other):
+        if not isinstance(other, LinearizedPoly):
+            return NotImplemented
+        return self.spec == other.spec and self.coords.tobytes() == other.coords.tobytes()
+
+    def __hash__(self):
+        return hash(self.coords.tobytes())
 
     def __add__(self, other):
         if self.spec != other.spec:
             raise SpecMismatch("operands from different fields")
-        return LinearizedPoly(
-            self.spec, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return LinearizedPoly._of(self.spec, (self.coords + other.coords) % self.spec.base.p)
 
     def __sub__(self, other):
         if self.spec != other.spec:
             raise SpecMismatch("operands from different fields")
-        return LinearizedPoly(
-            self.spec, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return LinearizedPoly._of(self.spec, (self.coords - other.coords) % self.spec.base.p)
 
     def __neg__(self):
-        return LinearizedPoly(self.spec, tuple(-c for c in self.coeffs))
+        return LinearizedPoly._of(self.spec, -self.coords % self.spec.base.p)
 
     def __str__(self):
         return format_linearized(self)
@@ -132,19 +164,16 @@ def identity(spec: ExtFieldSpec) -> LinearizedPoly:
 
 
 def has_base_coeffs(F: LinearizedPoly) -> bool:
-    return all(c.in_base_field() for c in F.coeffs)
+    return not F.coords[:, F.spec.base.k :].any()
 
 
 def _base_coeffs(F: LinearizedPoly) -> list[FieldElement]:
     base = F.spec.base
-    out = []
-    for c in F.coeffs:
-        if any(c.coords[base.k :]):
-            raise CoefficientsNotInBaseField(
-                "operation requires coefficients in the base field"
-            )
-        out.append(base.element(c.coords[: base.k]))
-    return out
+    if not has_base_coeffs(F):
+        raise CoefficientsNotInBaseField(
+            "operation requires coefficients in the base field"
+        )
+    return [base.element(c) for c in F.coords[:, : base.k].tolist()]
 
 
 def conventional_associate(F: LinearizedPoly) -> RingElement:
@@ -156,27 +185,34 @@ def conventional_associate(F: LinearizedPoly) -> RingElement:
 def linearized_associate(f: RingElement, spec: ExtFieldSpec) -> LinearizedPoly:
     if f.spec.base != spec.base or f.spec.n != spec.n:
         raise SpecMismatch("ring and field spec disagree")
-    k, pad = spec.base.k, (0,) * (spec.base.k * (spec.n - 1))
-    coeffs = (ExtElement(spec, f.coords[j : j + k] + pad) for j in range(0, k * spec.n, k))
-    return LinearizedPoly(spec, tuple(coeffs))
+    k, n = spec.base.k, spec.n
+    coords = np.zeros((n, k * n), dtype=np.int64)
+    coords[:, :k] = np.reshape(f.coords, (n, k))
+    return LinearizedPoly._of(spec, coords)
 
 
 def compose(F: LinearizedPoly, G: LinearizedPoly) -> LinearizedPoly:
-    """Symbolic product F(G(x)); slot k collects f_i * g_j^{q^i} over i+j = k mod n."""
+    """Symbolic product F(G(x)); slot k collects f_i * g_j^{q^i} over i+j = k mod n.
+
+    For each nonzero slot i of F, the nonzero rows of G go through Frob^i and
+    are multiplied by f_i in one row-wise product (``fields._mul_rows``).
+    """
     if F.spec != G.spec:
         raise SpecMismatch("operands from different fields")
     spec = F.spec
-    n = spec.n
-    out = [spec.zero()] * n
-    for i, fi in enumerate(F.coeffs):
-        if fi.is_zero():
-            continue
-        for j, gj in enumerate(G.coeffs):
-            if gj.is_zero():
-                continue
-            k = (i + j) % n
-            out[k] = out[k] + fi * frobenius(gj, i)
-    return LinearizedPoly(spec, tuple(out))
+    p, n = spec.base.p, spec.n
+    out = np.zeros_like(F.coords)
+    g_support = G.coords.any(axis=1).nonzero()[0]
+    for i in F.coords.any(axis=1).nonzero()[0].tolist():
+        twisted = G.coords[g_support] @ _frobenius_power(spec, i).T % p
+        prod = _mul_rows(
+            spec,
+            twisted,
+            np.broadcast_to(F.coords[i], twisted.shape),
+        )
+        out[(g_support + i) % n] += prod
+    # each slot gathers at most n products in [0, p)
+    return LinearizedPoly._of(spec, out % p)
 
 
 def is_permutation(F: LinearizedPoly, basis: IdempotentBasis) -> bool:
@@ -204,7 +240,7 @@ def is_permutation_rank(F: LinearizedPoly) -> bool:
     spec = F.spec
     base = spec.base
     p, k, n = base.p, base.k, spec.n
-    support = [(i, c) for i, c in enumerate(F.coeffs) if not c.is_zero()]
+    support = F.coords.any(axis=1).nonzero()[0].tolist()
     if not support:
         return False
     # A term adds to each entry a sum of products of two reduced entries, k
@@ -214,14 +250,16 @@ def is_permutation_rank(F: LinearizedPoly) -> bool:
     # rank_mod reduces M once.
     M = np.zeros((k * n, k * n), dtype=np.int64)
     rows = M.reshape(n, k, k * n)
-    for i, c in support:
+    outside = F.coords[:, k:].any(axis=1)
+    for i in support:
         Fi = _frobenius_power(spec, i)
-        if c.in_base_field():
+        c = F.coords[i]
+        if outside[i]:
+            M += _polys.pmul_matrix(base, _ext_reduction(spec), c) @ Fi
+        else:
             # Mul(c) is block diagonal with c's k x k block: slot j of the
             # image is the block times slot j of Frob^i
-            rows += _polys._block(base, c.coords[:k]) @ Fi.reshape(n, k, k * n)
-        else:
-            M += _polys.pmul_matrix(base, _ext_reduction(spec), c.coords) @ Fi
+            rows += _polys._block(base, tuple(c[:k].tolist())) @ Fi.reshape(n, k, k * n)
     return _linalg.rank_mod(M, p) == k * n
 
 
@@ -442,9 +480,10 @@ def a_complete_sufficient_pm(F: LinearizedPoly, A, p: int, m: int) -> bool:
 # --- batched evaluation ------------------------------------------------------
 #
 # The brute-force oracle evaluates through this section alone. It shares the
-# product kernel (``_polys.mulmod_rows``, ``_ext_reduction``) with the rest of
-# the package but builds its own Frobenius powers, so a wrong table in the
-# rank test cannot fool the oracle as well.
+# row-wise product (``fields._mul_rows``: ``_polys.mulmod_rows`` or the
+# product tensor built by it) with the rest of the package but builds its own
+# Frobenius powers, so a wrong table in the rank test cannot fool the oracle
+# as well.
 
 _powers_held: dict = {}
 
@@ -454,22 +493,28 @@ def _power_table(spec: ExtFieldSpec, top: int) -> np.ndarray:
     coordinates of u_j^(q^i), u_j the j-th unit vector, so a^(q^i) is
     a @ slice i.
 
-    Slice i + 1 is slice i raised to the q-th power row by row; the table
-    grows only to the highest power asked for and is kept per field.
+    Slice 1 raises the unit vectors to the q-th power through
+    ``_mul_rows``, and slice i + 1 is slice i @ slice 1, since
+    a^(q^(i+1)) = (a @ slice i)^q; each entry of that product is below
+    k*n*p^2 before its reduction. The table grows only to the highest power
+    asked for and is kept per field.
     """
     held = _powers_held.get(spec)
     if held is None or len(held) <= top:
-        base, red = spec.base, _ext_reduction(spec)
+        base = spec.base
         width = base.k * spec.n
-        slices = list(held) if held is not None else [np.eye(width, dtype=np.int64)]
-        while len(slices) <= top:
-            rows = acc = slices[-1]
+        if held is None:
+            rows = acc = np.eye(width, dtype=np.int64)
             for bit in bin(base.q)[3:]:
-                acc = _polys.mulmod_rows(base, red, acc, acc)
+                acc = _mul_rows(spec, acc, acc)
                 if bit == "1":
-                    acc = _polys.mulmod_rows(base, red, acc, rows)
-            slices.append(acc)
-        held = _powers_held[spec] = np.array(slices)
+                    acc = _mul_rows(spec, acc, rows)
+            held = (rows, acc)
+        table = np.empty((max(top + 1, 2), width, width), dtype=np.int64)
+        table[: len(held)] = held
+        for i in range(len(held), top + 1):
+            table[i] = table[i - 1] @ table[1] % base.p
+        held = _powers_held[spec] = table
     return held
 
 
@@ -478,7 +523,7 @@ def evaluate_many(F: LinearizedPoly, A) -> np.ndarray:
     [0, p): row r of the result holds the flat coordinates of F(A[r]).
 
     F(a) = sum_i c_i * a^(q^i), the powers read from ``_power_table`` and all
-    the products with the coefficients done in one stacked ``mulmod_rows``
+    the products with the coefficients done in one stacked ``_mul_rows``
     call. F is F_p-linear, so with at least as many rows as coordinates F is
     evaluated at the k*n unit vectors instead, and F(A) is A times those
     images.
@@ -486,17 +531,15 @@ def evaluate_many(F: LinearizedPoly, A) -> np.ndarray:
     spec = F.spec
     p, width = spec.base.p, spec.base.k * spec.n
     A = np.asarray(A, dtype=np.int64).reshape(-1, width)
-    support = [i for i, c in enumerate(F.coeffs) if not c.is_zero()]
-    if not support:
+    support = F.coords.any(axis=1).nonzero()[0]
+    if not len(support):
         return np.zeros(A.shape, dtype=np.int64)
     points = A if len(A) < width else np.eye(width, dtype=np.int64)
     powers = points @ _power_table(spec, support[-1])[support] % p  # (terms, N, k*n)
-    coeffs = np.array([F.coeffs[i].coords for i in support], dtype=np.int64)
-    prod = _polys.mulmod_rows(
-        spec.base,
-        _ext_reduction(spec),
+    prod = _mul_rows(
+        spec,
         powers.reshape(-1, width),
-        np.repeat(coeffs, len(points), axis=0),
+        np.repeat(F.coords[support], len(points), axis=0),
     )
     # below n*p before the reduction, and below k*n*n*p^2 after the product
     images = prod.reshape(powers.shape).sum(axis=0)
@@ -523,18 +566,18 @@ def format_linearized(F: LinearizedPoly) -> str:
     Unit coefficients are dropped ("x^[6]", "x"); the zero map prints "0".
     Coefficients outside F_q render in the bracketed coordinate form.
     """
+    k = F.spec.base.k
+    outside = F.coords[:, k:].any(axis=1)
     terms = []
-    for i in range(F.spec.n - 1, -1, -1):
-        c = F.coeffs[i]
-        if c.is_zero():
-            continue
+    for i in F.coords.any(axis=1).nonzero()[0][::-1].tolist():
+        c = F.coords[i].tolist()
         var = f"x^[{i}]" if i else "x"
-        if c == F.spec.one():
+        if outside[i]:
+            terms.append(f"[{','.join(map(str, c))}]*{var}")
+        elif c[0] == 1 and not any(c[1:]):
             terms.append(var)
-        elif c.in_base_field():
-            terms.append(f"{c.base_value()}*{var}")
         else:
-            terms.append(f"{c}*{var}")
+            terms.append(f"{','.join(map(str, c[:k]))}*{var}")
     return " + ".join(terms) if terms else "0"
 
 
@@ -542,9 +585,11 @@ def parse_linearized(text: str, spec: ExtFieldSpec) -> LinearizedPoly:
     """Parse "c*x^[i]" terms joined by "+" or "-" (the first may carry a minus);
     tolerates compact style "2x^[21]" and LaTeX braces."""
     cleaned = text.replace("{", "").replace("}", "").replace(" ", "")
+    width = spec.base.k * spec.n
+    coords = np.zeros((spec.n, width), dtype=np.int64)
     if cleaned in ("0", ""):
-        return LinearizedPoly(spec, tuple([spec.zero()] * spec.n))
-    coeffs = [spec.zero()] * spec.n
+        return LinearizedPoly._of(spec, coords)
+    rows = {}  # exponent -> its coordinates, summed over the terms
     for sign, term in _signed_terms(cleaned):
         m = _LIN_TERM_RE.match(term)
         if m is None:
@@ -553,15 +598,16 @@ def parse_linearized(text: str, spec: ExtFieldSpec) -> LinearizedPoly:
         if not 0 <= exp < spec.n:
             raise BadInput(f"exponent {exp} out of range for n = {spec.n}")
         raw = m.group("coeff")
-        if raw is None:
-            c = spec.one()
-        else:
-            c = _parse_ext_coeff(raw, spec)
-        coeffs[exp] = coeffs[exp] + (c if sign > 0 else -c)
-    return LinearizedPoly(spec, tuple(coeffs))
+        c = (1,) if raw is None else _parse_ext_coeff(raw, spec)
+        row = rows.setdefault(exp, [0] * width)
+        for j, v in enumerate(c):
+            row[j] += sign * v
+    coords[list(rows)] = list(rows.values())
+    return LinearizedPoly._of(spec, coords % spec.base.p)
 
 
-def _parse_ext_coeff(raw: str, spec: ExtFieldSpec) -> ExtElement:
+def _parse_ext_coeff(raw: str, spec: ExtFieldSpec) -> list[int]:
+    """The leading flat coordinates of a coefficient, the rest being zero."""
     base = spec.base
     k = base.k
     if raw.startswith("[") and raw.endswith("]"):
@@ -571,14 +617,14 @@ def _parse_ext_coeff(raw: str, spec: ExtFieldSpec) -> ExtElement:
             raise BadInput(
                 f"coefficient {raw!r} needs {spec.n * k} integers, got {len(parts)}"
             )
-        return ExtElement(spec, tuple(parts))
+        return parts
     if "," in raw:
         parts = _parse_digits(raw, raw, base.p)
         if len(parts) == k:
-            return spec.embed(base.element(parts))
+            return parts
         if len(parts) == spec.n:
             raise BadInput("full extension coefficients need bracket syntax")
         raise BadInput(f"coefficient {raw!r} has wrong length")
     (v,) = _parse_ints(raw, raw)
     # integers name F_q elements by base-p digits (3 over F_8 is y+1)
-    return spec.embed(base.from_int(v))
+    return list(base.from_int(v).coeffs)

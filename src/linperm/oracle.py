@@ -3,11 +3,12 @@
 Everything here works by plain enumeration or seeded sampling and deliberately
 shares no code with the idempotent, gcd or rank criteria it is used to verify.
 Points are evaluated in batches by ``linearized.evaluate_many``, which shares
-with the rest of the package only the product kernel (``_polys.mulmod_rows``
-and the reduction matrix of ``_polys._reduction_matrix``). It builds its own
-Frobenius powers by q-th powering and must not read ``fields._frobenius_power``,
-``_linalg`` or ``_polys.pmul_matrix``, the pieces of the rank test, so a wrong
-Frobenius matrix cannot fool both.
+with the rest of the package only the row-wise product ``fields._mul_rows``
+(``_polys.mulmod_rows`` with the reduction matrix of
+``_polys._reduction_matrix``, or the product tensor that kernel builds). It
+builds its own Frobenius powers from a q-th powering and must not read
+``fields._frobenius_power``, ``_linalg`` or ``_polys.pmul_matrix``, the pieces
+of the rank test, so a wrong Frobenius matrix cannot fool both.
 Enumeration caps are hard errors, never silent downgrades to sampling.
 """
 

@@ -5,11 +5,21 @@ slot while twisting by Frobenius powers of alpha. Applying it n times scales
 every coefficient by the norm N(alpha), so orbit lengths are n times the
 multiplicative order of the norm in F_q^*. Closed orbits of permutations,
 shifted inverses and half-order involutions all fall out of that arithmetic.
+
+A shift works on ``LinearizedPoly.coords``: the nonzero rows are multiplied
+by the matching twist rows alpha^{[i]}, cached per alpha, in one row-wise
+product (``fields._mul_rows``) and move down one slot; zero rows cost
+nothing. The orbit order comes from ``norm``, which powers alpha and never
+reads the twist rows, so ``shift_class``'s closure check compares two
+derivations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import (
     BadInput,
@@ -19,7 +29,14 @@ from .errors import (
     OddOrder,
     ZeroAlpha,
 )
-from .fields import ExtElement, element_order, frobenius, norm
+from .fields import (
+    ExtElement,
+    ExtFieldSpec,
+    _frobenius_power,
+    _mul_rows,
+    element_order,
+    norm,
+)
 from .linearized import LinearizedPoly, is_involution, is_permutation_rank
 
 __all__ = [
@@ -53,16 +70,31 @@ def _check_alpha(F: LinearizedPoly, alpha: ExtElement) -> None:
         raise BadInput("alpha from a different field")
 
 
+@lru_cache(maxsize=64)
+def _twist_rows(spec: ExtFieldSpec, alpha: tuple) -> np.ndarray:
+    """(n, k*n) array whose row i holds the flat coordinates of alpha^{[i]},
+    alpha given by its flat coordinates: each row is Frob^1 of the last."""
+    frob, p = _frobenius_power(spec, 1), spec.base.p
+    rows = [np.array(alpha, dtype=np.int64)]
+    for _ in range(spec.n - 1):
+        rows.append(frob @ rows[-1] % p)
+    return np.array(rows)
+
+
 def alpha_shift(F: LinearizedPoly, alpha: ExtElement) -> LinearizedPoly:
     """One shift: slot i+1 (mod n) of the result is alpha^{[i]} * f_i."""
     _check_alpha(F, alpha)
     spec = F.spec
-    n = spec.n
-    out = [spec.zero()] * n
-    for i, c in enumerate(F.coeffs):
-        if not c.is_zero():
-            out[(i + 1) % n] = frobenius(alpha, i) * c
-    return LinearizedPoly(spec, tuple(out))
+    support = F.coords.any(axis=1).nonzero()[0]
+    prod = _mul_rows(
+        spec,
+        _twist_rows(spec, alpha.coords)[support],
+        F.coords[support],
+    )
+    out = np.zeros_like(F.coords)
+    # row i moves to row i + 1 - n, a negative index except for i = n - 1
+    out[support + 1 - spec.n] = prod
+    return LinearizedPoly._of(spec, out)
 
 
 def alpha_shift_power(F: LinearizedPoly, alpha: ExtElement, t: int) -> LinearizedPoly:

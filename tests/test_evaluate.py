@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linperm import LinearizedPoly, evaluate, evaluate_many, extension_field
-from linperm import _polys
+from linperm import _polys, fields
 from linperm.fields import ExtElement, _ext_reduction
 
 FIELDS = [(3, 5), (4, 3), (8, 3), (11, 9)]
@@ -95,3 +95,42 @@ def test_mulmod_rows_matches_pmulmod(case):
     assert got.shape == A.shape
     for a, b, row in zip(A.tolist(), B.tolist(), got.tolist()):
         assert tuple(row) == _polys.pmulmod(E.base, red, a, b)
+
+
+def test_mul_rows_takes_either_path_with_the_same_result(monkeypatch):
+    # below the budget the product tensor is used, above it mulmod_rows
+    for q, n in FIELDS + [(3, 25), (8, 11)]:
+        E = extension_field(q, n)
+        p, width = E.base.p, E.base.k * E.n
+        edge = fields._TENSOR_BUDGET // width**3
+        rng = np.random.default_rng(q * n)
+        for N in sorted({0, 1, edge, edge + 1}):
+            A = rng.integers(0, p, (N, width))
+            B = rng.integers(0, p, (N, width))
+            for B in (B, B * (np.arange(width) < E.base.k)):
+                want = _polys.mulmod_rows(E.base, _ext_reduction(E), A, B)
+                assert np.array_equal(fields._mul_rows(E, A, B), want)
+
+    # a field too wide for the tensor never builds one, even for no rows
+    E = extension_field(3, 125)
+    monkeypatch.setattr(fields, "_ext_tensor", None)
+    for N in (0, 1):
+        A = np.ones((N, 125), dtype=np.int64)
+        assert np.array_equal(fields._mul_rows(E, A, A), _polys.mulmod_rows(E.base, _ext_reduction(E), A, A))
+
+
+def test_power_table_chain_matches_qth_powering(monkeypatch):
+    from linperm import linearized
+
+    monkeypatch.setattr(linearized, "_powers_held", {})
+    for q, n in [(3, 25), (8, 11)]:
+        E = extension_field(q, n)
+        red = _ext_reduction(E)
+        for top in (0, 3, n - 1):  # grown in steps, as evaluations ask
+            table = linearized._power_table(E, top)
+        assert table.shape == (n, E.base.k * n, E.base.k * n)
+        # slice i + 1 is slice i raised to the q-th power row by row
+        acc = np.eye(E.base.k * n, dtype=np.int64)
+        for i in range(n):
+            assert np.array_equal(table[i], acc), i
+            acc = np.array([_polys.ppowmod(E.base, red, row, q) for row in acc.tolist()])

@@ -179,13 +179,16 @@ def _index(a):
 
 
 def _replace_frobenius(monkeypatch, fake):
-    """Swap in fake Frobenius tables and empty the oracle's own, which is
-    then rebuilt under the fake."""
+    """Swap in fake Frobenius tables and empty the oracle's own table and the
+    product tensors, which are then rebuilt under the fake."""
+    from functools import lru_cache
+
     from linperm import fields, linearized
 
     monkeypatch.setattr(fields, "_frobenius_power", fake)
     monkeypatch.setattr(linearized, "_frobenius_power", fake)
     monkeypatch.setattr(linearized, "_powers_held", {})
+    monkeypatch.setattr(fields, "_ext_tensor", lru_cache(fields._ext_tensor.__wrapped__))
 
 
 def test_oracles_need_nothing_from_the_rank_test(monkeypatch):

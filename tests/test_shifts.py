@@ -215,3 +215,51 @@ def test_base_scalar_shift_is_central():
         E35, tuple(E35.embed_int(rng.randrange(3)) for _ in range(5))
     )
     assert compose(F, A) == compose(A, F)
+
+
+def test_alpha_shift_makes_no_boxed_products(monkeypatch):
+    from functools import lru_cache
+
+    from linperm import fields, shifts
+
+    rng = random.Random(5)
+    cases = []
+    for q, n in [(3, 5), (4, 3), (11, 9)]:
+        E = extension_field(q, n)
+        alpha = E.from_int(rng.randrange(1, E.order))
+        F = LinearizedPoly(E, tuple(E.from_int(rng.randrange(E.order)) for _ in range(n)))
+        want = [alpha_shift_power(F, alpha, t) for t in (1, 2 * n + 1)]
+        cases.append((F, alpha, want))
+    calls = []
+    real_mul, real_frobenius = fields.ExtElement.__mul__, fields.frobenius
+    monkeypatch.setattr(
+        fields.ExtElement, "__mul__", lambda a, b: calls.append("mul") or real_mul(a, b)
+    )
+    monkeypatch.setattr(
+        fields, "frobenius", lambda a, i: calls.append("frobenius") or real_frobenius(a, i)
+    )
+    # cold twist rows, so building them is counted too
+    monkeypatch.setattr(shifts, "_twist_rows", lru_cache(shifts._twist_rows.__wrapped__))
+    for F, alpha, want in cases:
+        assert [alpha_shift_power(F, alpha, t) for t in (1, 2 * F.spec.n + 1)] == want
+    assert calls == []
+
+
+def test_shift_class_catches_wrong_twist_rows(monkeypatch):
+    from linperm import shifts
+    from linperm.errors import InternalError
+
+    basis = primitive_idempotents(R35)
+    F = rand_perm(random.Random(31), E35, basis)
+    two = base_field(3).embed_int(2)
+    # norm(2a) = 2^5 norm(a) = 2 norm(a) in F_3: the wrong rows change the orbit length
+    alphas = [E35.from_int(v) for v in range(1, 243)]
+    by_norm = {norm(a): a for a in alphas}
+    real = shifts._twist_rows
+    for alpha in by_norm.values():
+        assert shift_class(F, alpha).order == cyclic_order(F, alpha)
+        wrong = alpha.scale(two)
+        monkeypatch.setattr(shifts, "_twist_rows", lambda spec, a: real(spec, wrong.coords))
+        with pytest.raises(InternalError):
+            shift_class(F, alpha)
+        monkeypatch.setattr(shifts, "_twist_rows", real)
