@@ -19,7 +19,6 @@ from .errors import BadInput, LinpermError
 from .fields import (
     ExtFieldSpec,
     FieldSpec,
-    _flat_coords,
     _prime_power,
     base_field,
     extension_field,
@@ -69,7 +68,7 @@ def _field_info(ext: ExtFieldSpec) -> dict:
             "base": format_poly(FieldSpec(base.p), base.base_modulus)
             if base.base_modulus
             else None,
-            "ext": format_poly(base, _flat_coords(ext.ext_modulus)),
+            "ext": format_poly(base, ext.ext_modulus),
         },
     }
 
@@ -567,26 +566,12 @@ def cmd_reproduce(args) -> int:
         "f8n11": _reproduce_f8n11,
     }
     checks = handlers[args.target]()
-    lines = [f"target {args.target}"]
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "operation": "reproduce",
-                    "inputs": {"target": args.target},
-                    "outputs": {},
-                    "checks": [{"name": n, "passed": p} for n, p in checks],
-                    "seed": 0,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        for line in lines:
-            print(line)
-        for name, passed in checks:
-            print(f"check {name}: {'ok' if passed else 'FAIL'}")
+    _emit(
+        args,
+        {"operation": "reproduce", "inputs": {"target": args.target}, "outputs": {}},
+        checks,
+        [f"target {args.target}"],
+    )
     return _verdict_exit(checks)
 
 

@@ -20,7 +20,7 @@ from math import gcd
 import numpy as np
 import sympy
 
-from . import _linalg, _polys
+from . import _polys
 from .errors import (
     BadInput,
     InternalError,
@@ -36,6 +36,11 @@ _MAX_PRIME = 1 << 16
 CANONICAL_BASE_MODULI = {
     (2, 3): (1, 1, 0, 1),  # y^3 + y + 1
 }
+
+
+def _digits(v: int, p: int, count: int) -> tuple[int, ...]:
+    """The lowest ``count`` base-p digits of v, lowest first."""
+    return tuple(v // p**i % p for i in range(count))
 
 
 def _is_prime(p: int) -> bool:
@@ -103,17 +108,11 @@ class FieldSpec:
         """Element with base-p digits of v as coordinates (0 <= v < q)."""
         if not 0 <= v < self.q:
             raise BadInput(f"{v} names no element of F_{self.q}")
-        return self.element([v // self.p**i % self.p for i in range(self.k)])
+        return self.element(_digits(v, self.p, self.k))
 
     def elements(self):
         for v in range(self.q):
             yield self.from_int(v)
-
-
-@lru_cache(maxsize=None)
-def _mul_table(spec: FieldSpec) -> list:
-    """T[a][b] = coordinates of y^a * y^b: ``_linalg.mul_tensor`` as lists."""
-    return _linalg.mul_tensor(spec.p, spec.base_modulus).transpose(1, 2, 0).tolist()
 
 
 @dataclass(frozen=True)
@@ -160,14 +159,8 @@ class FieldElement:
         p, k = spec.p, spec.k
         if k == 1:
             return _interned(spec)[(self.coeffs[0] * other.coeffs[0]) % p]
-        out = [0] * k
-        for a, row in zip(self.coeffs, _mul_table(spec)):
-            if a:
-                for b, ys in zip(other.coeffs, row):
-                    if b:
-                        for l, t in enumerate(ys):
-                            out[l] += a * b * t
-        return FieldElement(spec, tuple(v % p for v in out))
+        out = _polys._block(spec, self.coeffs) @ other.coeffs % p
+        return FieldElement(spec, tuple(out.tolist()))
 
     def inverse(self) -> FieldElement:
         if self.is_zero():
@@ -187,14 +180,7 @@ class FieldElement:
         return result
 
     def __str__(self):
-        if self.spec.k == 1:
-            return str(self.coeffs[0])
         return ",".join(str(c) for c in self.coeffs)
-
-
-def _flat_coords(coeffs) -> tuple:
-    """The F_p coordinates of a sequence of F_q scalars, one after another."""
-    return tuple(v for c in coeffs for v in c.coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -205,30 +191,34 @@ def _interned(spec: FieldSpec) -> tuple:
 
 @dataclass(frozen=True)
 class ExtFieldSpec:
-    """Description of F_{q^n} = F_q[z]/(g(z)) over a base FieldSpec."""
+    """Description of F_{q^n} = F_q[z]/(g(z)) over a base FieldSpec.
+
+    ``ext_modulus`` is g by the flat coordinates of its n + 1 coefficients,
+    the k of z^j at j*k: the layout of ``FieldSpec.base_modulus`` (k = 1) and
+    of the ``_polys`` kernels.
+    """
 
     base: FieldSpec
     n: int
-    ext_modulus: tuple[FieldElement, ...]
+    ext_modulus: tuple[int, ...]
 
     # Splitting fields built internally for factoring x^n - 1 relax this.
     _require_coprime = True
 
     def __post_init__(self):
+        base = self.base
         if self.n < 1:
             raise BadInput("extension degree n must be >= 1")
-        if type(self)._require_coprime and gcd(self.n, self.base.p) != 1:
-            raise BadInput(f"gcd(n, p) must be 1; got n = {self.n}, p = {self.base.p}")
-        mod = tuple(self.ext_modulus)
-        object.__setattr__(self, "ext_modulus", mod)
-        if len(mod) != self.n + 1 or mod[-1] != self.base.one():
+        if type(self)._require_coprime and gcd(self.n, base.p) != 1:
+            raise BadInput(f"gcd(n, p) must be 1; got n = {self.n}, p = {base.p}")
+        mod = tuple(c % base.p for c in self.ext_modulus)
+        if len(mod) != base.k * (self.n + 1) or mod[-base.k :] != _polys.pone(base):
             raise BadInput(f"ext_modulus must be monic of degree {self.n}")
-        if any(c.spec != self.base for c in mod):
-            raise SpecMismatch("ext_modulus coefficients not in the base field")
-        if not _polys.pis_irreducible(self.base, _flat_coords(mod)):
+        object.__setattr__(self, "ext_modulus", mod)
+        if not _polys.pis_irreducible(base, mod):
             raise BadInput("ext_modulus is reducible over F_q")
         # every cached kernel lookup hashes the spec; hash the modulus once
-        object.__setattr__(self, "_hash", hash((self.base, self.n, mod)))
+        object.__setattr__(self, "_hash", hash((base, self.n, mod)))
 
     def __hash__(self):
         return self._hash
@@ -277,8 +267,7 @@ class ExtFieldSpec:
         """Element whose coordinates are the base-p digits of v (0 <= v < q^n)."""
         if not 0 <= v < self.order:
             raise BadInput(f"{v} names no element of F_{{{self.q}^{self.n}}}")
-        p = self.base.p
-        return ExtElement(self, tuple(v // p**i % p for i in range(self.base.k * self.n)))
+        return ExtElement(self, _digits(v, self.base.p, self.base.k * self.n))
 
     def elements(self):
         """All elements, in from_int order."""
@@ -290,7 +279,7 @@ class ExtFieldSpec:
 @lru_cache(maxsize=None)
 def _ext_reduction(spec: ExtFieldSpec) -> np.ndarray:
     """Reduction matrix of the product kernels of ``_polys`` for F_{q^n}."""
-    return _polys._reduction_matrix(spec.base, _flat_coords(spec.ext_modulus))
+    return _polys._reduction_matrix(spec.base, spec.ext_modulus)
 
 
 # Row-wise products through the product tensor cost rows*w^3 multiply-adds in
@@ -376,7 +365,7 @@ class ExtElement:
         base = self.spec.base
         if s.spec != base:
             raise SpecMismatch("scalar from a different base field")
-        block = _linalg.lift(base, [[s.coeffs]])
+        block = _polys._block(base, s.coeffs)
         slots = np.reshape(self.coords, (-1, base.k))
         return ExtElement(self.spec, tuple((slots @ block.T % base.p).ravel().tolist()))
 
@@ -427,7 +416,7 @@ def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
             out = a @ b % spec.base.p
             break
     else:
-        out = _polys.pfrobenius_matrix(spec.base, _flat_coords(spec.ext_modulus), i)
+        out = _polys.pfrobenius_matrix(spec.base, spec.ext_modulus, i)
     _frobenius_held[spec, i] = out
     return out
 
@@ -518,16 +507,21 @@ def element_of_order(spec, n: int):
 # --- irreducible polynomials and default specs -------------------------------
 
 
-def find_irreducible(base: FieldSpec, degree: int, seed: int = 0):
-    """Deterministic seeded search for a monic irreducible of exact degree."""
+def find_irreducible(base: FieldSpec, degree: int, seed: int = 0) -> tuple[int, ...]:
+    """Deterministic seeded search for a monic irreducible of exact degree,
+    returned by its flat coordinates (as ``ExtFieldSpec.ext_modulus``).
+
+    Each lower coefficient is ``base.from_int`` of one draw in [0, q).
+    """
     if degree < 1:
         raise BadInput("degree must be >= 1")
     rng = random.Random(f"{seed}:{base.p}:{base.k}:{degree}")
-    one = base.one()
+    p, k = base.p, base.k
     while True:
-        coeffs = tuple(base.from_int(rng.randrange(base.q)) for _ in range(degree))
-        candidate = coeffs + (one,)
-        if _polys.pis_irreducible(base, _flat_coords(candidate)):
+        candidate = tuple(
+            d for _ in range(degree) for d in _digits(rng.randrange(base.q), p, k)
+        ) + _polys.pone(base)
+        if _polys.pis_irreducible(base, candidate):
             return candidate
 
 
@@ -552,8 +546,7 @@ def base_field(q: int) -> FieldSpec:
         return FieldSpec(p)
     mod = CANONICAL_BASE_MODULI.get((p, k))
     if mod is None:
-        prime = FieldSpec(p)
-        mod = tuple(c.coeffs[0] for c in find_irreducible(prime, k, seed=0))
+        mod = find_irreducible(FieldSpec(p), k, seed=0)
     return FieldSpec(p, k, mod)
 
 
@@ -564,7 +557,5 @@ def extension_field(q: int, n: int, seed: int = 0) -> ExtFieldSpec:
     if base.k == 1 and seed == 0:
         canned = CANONICAL_BASE_MODULI.get((base.p, n))
         if canned is not None:
-            return ExtFieldSpec(
-                base, n, tuple(base.element((c,)) for c in canned)
-            )
+            return ExtFieldSpec(base, n, canned)
     return ExtFieldSpec(base, n, find_irreducible(base, n, seed))

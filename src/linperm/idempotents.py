@@ -163,11 +163,10 @@ def closed_form_pm(spec: RingSpec, p: int, m: int) -> IdempotentBasis:
     base = spec.base
 
     def partial_sum(i: int) -> RingElement:
-        scale = base.embed_int(pow(p, m - i, base.p)).inverse()
-        step = p**i * base.k
-        coords = list(spec.zero().coords)
-        for j in range(p ** (m - i)):  # the exponents j p^i stay below n = p^m
-            coords[j * step : j * step + base.k] = scale.coeffs
+        # 1/p^{m-i} lies in the prime field: its first coordinate alone; the
+        # exponents j p^i, j < p^{m-i}, are the slots of stride p^i below n
+        coords = [0] * (spec.n * base.k)
+        coords[:: p**i * base.k] = [pow(p ** (m - i), -1, base.p)] * p ** (m - i)
         return RingElement(spec, tuple(coords))
 
     sums = [partial_sum(i) for i in range(m + 1)]

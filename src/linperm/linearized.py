@@ -50,7 +50,7 @@ from .polyring import (
     RingElement,
     RingSpec,
     _parse_digits,
-    _parse_ints,
+    _parse_field_coeff,
     _signed_terms,
     poly_egcd,
     ring_inverse,
@@ -167,19 +167,20 @@ def has_base_coeffs(F: LinearizedPoly) -> bool:
     return not F.coords[:, F.spec.base.k :].any()
 
 
-def _base_coeffs(F: LinearizedPoly) -> list[FieldElement]:
-    base = F.spec.base
+def _base_coords(F: LinearizedPoly) -> np.ndarray:
+    """(n, k) int array: row i holds the coordinates of f_i in F_q."""
     if not has_base_coeffs(F):
         raise CoefficientsNotInBaseField(
             "operation requires coefficients in the base field"
         )
-    return [base.element(c) for c in F.coords[:, : base.k].tolist()]
+    return F.coords[:, : F.spec.base.k]
 
 
 def conventional_associate(F: LinearizedPoly) -> RingElement:
     """f(x) = sum f_i x^i in F_q[x]/(x^n - 1); same coefficient vector."""
-    ring = RingSpec(F.spec.base, F.spec.n)
-    return ring.element(_base_coeffs(F))
+    base = F.spec.base
+    ring = RingSpec(base, F.spec.n)
+    return ring.element([base.element(c) for c in _base_coords(F).tolist()])
 
 
 def linearized_associate(f: RingElement, spec: ExtFieldSpec) -> LinearizedPoly:
@@ -265,11 +266,7 @@ def is_permutation_rank(F: LinearizedPoly) -> bool:
 
 def coefficient_sum_reject(F: LinearizedPoly) -> bool:
     """True (reject) when the coefficients sum to zero in F_q; such F never permutes."""
-    coeffs = _base_coeffs(F)
-    total = F.spec.base.zero()
-    for c in coeffs:
-        total = total + c
-    return total.is_zero()
+    return not (_base_coords(F).sum(axis=0) % F.spec.base.p).any()
 
 
 def compositional_inverse(
@@ -357,32 +354,34 @@ def binomial_is_permutation(
     return not (fi + fj).is_zero()
 
 
-def _pm_condition_values(
-    coeffs: list[FieldElement], p: int, m: int
-) -> list[FieldElement]:
-    """The m+1 left-hand sides of the p^m permutation conditions.
+def _pm_weights(p: int, m: int, char: int) -> list[tuple[int, int]]:
+    """(1/p^{m-i} - 1/p^{m-i+1}, -1/p^{m-i+1}) mod char for i = 1, ..., m:
+    prime-field weights, so plain ints (p is prime to the characteristic)."""
+    out = []
+    for i in range(1, m + 1):
+        inv_big = pow(p ** (m - i + 1), -1, char)
+        inv_small = pow(p ** (m - i), -1, char)
+        out.append(((inv_small - inv_big) % char, -inv_big % char))
+    return out
+
+
+def _pm_condition_values(C: np.ndarray, p: int, m: int, char: int) -> np.ndarray:
+    """The m+1 left-hand sides of the p^m permutation conditions, as the rows
+    of an (m+1, k) int array mod char; row i of C holds f_i in F_q.
 
     Value 0 is the plain coefficient sum; value i (1 <= i <= m) is the
     constant term of f * e_i up to the stated weights: the sum over
     j < p^{m-i+1} of w_j f_{p^m - j p^{i-1}} with w_j = 1/p^{m-i} - 1/p^{m-i+1}
-    when p | j and w_j = -1/p^{m-i+1} otherwise, subscripts mod p^m.
+    when p | j and w_j = -1/p^{m-i+1} otherwise, subscripts mod p^m. Each
+    value sums at most p^m products below char^2 before its reduction.
     """
-    base = coeffs[0].spec
     n = p**m
-    values = [sum(coeffs[1:], coeffs[0])]
-    for i in range(1, m + 1):
-        inv_big = base.embed_int(pow(p, m - i + 1, base.p)).inverse()
-        inv_small = base.embed_int(pow(p, m - i, base.p)).inverse()
-        w_div = inv_small - inv_big
-        w_nondiv = -inv_big
-        acc = base.zero()
-        step = p ** (i - 1)
-        for j in range(p ** (m - i + 1)):
-            idx = (n - j * step) % n
-            w = w_div if j % p == 0 else w_nondiv
-            acc = acc + w * coeffs[idx]
-        values.append(acc)
-    return values
+    values = [C.sum(axis=0)]
+    for i, (w_div, w_nondiv) in enumerate(_pm_weights(p, m, char), 1):
+        j = np.arange(p ** (m - i + 1))
+        w = np.where(j % p == 0, w_div, w_nondiv)
+        values.append(w @ C[(n - j * p ** (i - 1)) % n])
+    return np.array(values) % char
 
 
 def pm_sufficient_conditions(F: LinearizedPoly, p: int, m: int) -> bool:
@@ -395,12 +394,13 @@ def pm_sufficient_conditions(F: LinearizedPoly, p: int, m: int) -> bool:
 
     if F.spec.n != p**m:
         raise BadInput(f"n = {F.spec.n} is not {p}^{m}")
-    coeffs = _base_coeffs(F)
-    if not cor4_condition(p, m, F.spec.base.q):
+    C = _base_coords(F)
+    base = F.spec.base
+    if not cor4_condition(p, m, base.q):
         raise ConditionNotMet(
             "closed-form idempotents are not primitive for these parameters"
         )
-    return all(not v.is_zero() for v in _pm_condition_values(coeffs, p, m))
+    return bool(_pm_condition_values(C, p, m, base.p).any(axis=1).all())
 
 
 def a_complete_check(
@@ -451,30 +451,26 @@ def a_complete_sufficient_pm(F: LinearizedPoly, A, p: int, m: int) -> bool:
 
     if F.spec.n != p**m:
         raise BadInput(f"n = {F.spec.n} is not {p}^{m}")
-    coeffs = _base_coeffs(F)
+    C = _base_coords(F)
     base = F.spec.base
     lams = []
     for lam in A:
         e = _as_ext(F.spec, lam)
         if not e.in_base_field():
             raise BadInput("the sufficient conditions need A inside F_q")
-        lams.append(e.base_value())
-    if not any(lam.is_zero() for lam in lams):
+        lams.append(e.coords[: base.k])
+    if all(any(lam) for lam in lams):
         raise ZeroNotInA("A must contain 0")
     if not cor4_condition(p, m, base.q):
         raise ConditionNotMet(
             "closed-form idempotents are not primitive for these parameters"
         )
-    values = _pm_condition_values(coeffs, p, m)
-    for lam in lams:
-        if values[0] == -lam:
-            return False
-        for i in range(1, m + 1):
-            inv_big = base.embed_int(pow(p, m - i + 1, base.p)).inverse()
-            inv_small = base.embed_int(pow(p, m - i, base.p)).inverse()
-            if values[i] == -(inv_small - inv_big) * lam:
-                return False
-    return True
+    values = _pm_condition_values(C, p, m, base.p)
+    # value i must avoid -r_i * lambda: r_0 = 1, r_i = 1/p^{m-i} - 1/p^{m-i+1}
+    rhs = [1] + [w_div for w_div, _ in _pm_weights(p, m, base.p)]
+    return all(
+        ((values + np.outer(rhs, lam)) % base.p).any(axis=1).all() for lam in lams
+    )
 
 
 # --- batched evaluation ------------------------------------------------------
@@ -609,22 +605,12 @@ def parse_linearized(text: str, spec: ExtFieldSpec) -> LinearizedPoly:
 def _parse_ext_coeff(raw: str, spec: ExtFieldSpec) -> list[int]:
     """The leading flat coordinates of a coefficient, the rest being zero."""
     base = spec.base
-    k = base.k
     if raw.startswith("[") and raw.endswith("]"):
         # all n*k coordinates of an element of F_{q^n}, as format_linearized prints it
         parts = _parse_digits(raw, raw[1:-1], base.p)
-        if len(parts) != spec.n * k:
-            raise BadInput(
-                f"coefficient {raw!r} needs {spec.n * k} integers, got {len(parts)}"
-            )
+        width = spec.n * base.k
+        if len(parts) != width:
+            raise BadInput(f"coefficient {raw!r} needs {width} integers, got {len(parts)}")
         return parts
-    if "," in raw:
-        parts = _parse_digits(raw, raw, base.p)
-        if len(parts) == k:
-            return parts
-        if len(parts) == spec.n:
-            raise BadInput("full extension coefficients need bracket syntax")
-        raise BadInput(f"coefficient {raw!r} has wrong length")
-    (v,) = _parse_ints(raw, raw)
     # integers name F_q elements by base-p digits (3 over F_8 is y+1)
-    return list(base.from_int(v).coeffs)
+    return _parse_field_coeff(raw, base)

@@ -5,7 +5,7 @@ coefficients, as ``_polys`` and ``ExtElement.coords`` do, and each operation
 is one ``_polys`` kernel. Includes extended Euclid, unit testing/inversion,
 q-cyclotomic cosets and the factorization of x^n - 1 through an explicit
 n-th root of unity. F_q scalars are boxed only at the public boundary
-(``RingSpec.element``, the parser).
+(``RingSpec.element``); the parser sums the ints of its terms.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .fields import (
     FieldElement,
     FieldSpec,
     _ext_reduction,
-    _flat_coords,
     element_of_order,
     find_irreducible,
     integer_order_mod,
@@ -142,7 +141,7 @@ class RingSpec:
             elif c.spec != self.base:
                 raise SpecMismatch("coefficient from a different field")
             slots[i % self.n] = slots[i % self.n] + c
-        return RingElement(self, _flat_coords(slots))
+        return RingElement(self, tuple(v for c in slots for v in c.coeffs))
 
     def from_poly(self, f: Poly) -> RingElement:
         if f.spec != self.base:
@@ -380,13 +379,19 @@ def _signed_terms(text: str) -> list[tuple[int, str]]:
     return list(zip(signs, tokens[::2]))
 
 
-def _parse_field_coeff(text: str, spec: FieldSpec) -> FieldElement:
-    """A bare integer names the element with those base-p digits; a comma
-    vector lists its k coordinates."""
-    if "," in text:
-        return spec.element(_parse_digits(text, text, spec.p))
-    (v,) = _parse_ints(text, text)
-    return spec.from_int(v)
+def _parse_field_coeff(raw: str, field: FieldSpec) -> list[int]:
+    """The k coordinates of an F_q coefficient: a bare integer names the
+    element with those base-p digits, a comma vector lists its k coordinates."""
+    if "," not in raw:
+        (v,) = _parse_ints(raw, raw)
+        return list(field.from_int(v).coeffs)
+    parts = _parse_digits(raw, raw, field.p)
+    if len(parts) != field.k:
+        raise BadInput(
+            f"coefficient {raw!r} has wrong length: a comma vector lists "
+            f"the {field.k} coordinates of an element of F_{field.q}"
+        )
+    return parts
 
 
 def parse_poly(text: str, spec: FieldSpec) -> Poly:
@@ -399,20 +404,23 @@ def parse_poly(text: str, spec: FieldSpec) -> Poly:
         return Poly.zero(spec)
     if text.startswith("[") and text.endswith("]"):
         ints = _parse_ints(text, text[1:-1]) if text != "[]" else []
-        return Poly(spec, _flat_coords(spec.from_int(c) for c in ints))
-    acc: dict[int, FieldElement] = {}
+        return Poly(spec, tuple(v for c in ints for v in spec.from_int(c).coeffs))
+    k = spec.k
+    coords = []  # slot e at e*k, summed over the terms
     for sign, term in _signed_terms(text):
         m = _TERM_RE.match(term)
         if not m:
             raise BadInput(f"cannot parse polynomial term {term!r}")
         if m.group("const") is not None:
-            e, c = 0, _parse_field_coeff(m.group("const"), spec)
+            e, raw = 0, m.group("const")
         else:
             e = int(m.group("exp")) if m.group("exp") else 1
             raw = m.group("coeff")
-            c = spec.one() if raw is None else _parse_field_coeff(raw, spec)
-        acc[e] = acc.get(e, spec.zero()) + (c if sign > 0 else -c)
-    return Poly(spec, _flat_coords(acc.get(e, spec.zero()) for e in range(max(acc) + 1)))
+        c = _polys.pone(spec) if raw is None else _parse_field_coeff(raw, spec)
+        coords.extend([0] * (e * k + k - len(coords)))
+        for j, v in enumerate(c):
+            coords[e * k + j] += sign * v
+    return Poly(spec, tuple(v % spec.p for v in coords))
 
 
 def parse_ring_element(text: str, spec: RingSpec) -> RingElement:

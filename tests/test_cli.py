@@ -177,6 +177,17 @@ def test_reproduce_targets(capsys, target):
     assert all(c["passed"] for c in doc["checks"])
 
 
+def test_reproduce_text_output(capsys):
+    code, out, err = run(capsys, ["reproduce", "--target", "table3"])
+    assert code == 0
+    assert out == (
+        "target table3\n"
+        "check involutions_set: ok\n"
+        "check count_8: ok\n"
+        "check all_involutions: ok\n"
+    )
+
+
 def test_text_output(capsys):
     code, out, err = run(capsys, ["is-perm", "--q", "3", "--n", "5", "--poly", "x"])
     assert code == 0
@@ -246,3 +257,39 @@ def test_closed_form_names_n(capsys):
     )
     assert code == 2
     assert "n = 10" in err
+
+
+# (q, n, seed) -> the "moduli" of the JSON "field" object; every base modulus
+# but F_8's canonical one comes from the irreducible search
+MODULI = {
+    (2, 3, 0): (None, "x^3+x+1"),
+    (3, 5, 0): (None, "x^5+x^4+x^3+2*x^2+x+2"),
+    (3, 5, 1): (None, "x^5+2*x^4+2*x^3+2"),
+    (4, 3, 0): ("x^2+x+1", "x^3+x^2+1,1*x+0,1"),
+    (8, 3, 0): ("x^3+x+1", "x^3+1,1,0*x^2+x+0,0,1"),
+    (8, 11, 0): (
+        "x^3+x+1",
+        "x^11+1,1,1*x^10+x^7+0,1,1*x^6+1,1,1*x^5+1,1,1*x^3+1,1,1*x^2+1,0,1",
+    ),
+    (11, 9, 0): (None, "x^9+9*x^8+6*x^7+3*x^6+5*x^5+2*x^4+7*x^3+8*x^2+2*x+6"),
+    (3, 25, 0): (
+        None,
+        "x^25+x^24+x^23+x^22+x^18+2*x^17+x^16+2*x^15+2*x^14+x^12+x^10+2*x^8"
+        "+x^6+2*x^5+x^4+x^2+2*x+2",
+    ),
+    (9, 2, 0): ("x^2+2*x+2", "x^2+1,2"),
+    (16, 3, 0): ("x^4+x+1", "x^3+0,0,1,1*x^2+0,0,1,1*x+1,0,0,1"),
+    (25, 2, 0): ("x^2+3*x+3", "x^2+4,0*x+1,3"),
+    (27, 2, 0): ("x^3+2*x^2+1", "x^2+0,1,2*x+2,1,0"),
+}
+
+
+@pytest.mark.parametrize("q,n,seed", sorted(MODULI))
+def test_moduli_are_pinned(capsys, q, n, seed):
+    code, doc = run_json(
+        capsys,
+        ["is-perm", "--q", str(q), "--n", str(n), "--seed", str(seed), "--poly", "x"],
+    )
+    assert code == 0
+    base, ext = MODULI[q, n, seed]
+    assert doc["field"]["moduli"] == {"base": base, "ext": ext}

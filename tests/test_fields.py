@@ -228,3 +228,43 @@ def test_irreducible_count_matches_gauss(q, max_degree):
             count += pis_irreducible(base, flat)
         gauss = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
         assert count * d == gauss, (q, d)
+
+
+def _naive_scalar_product(field, a, b):
+    """a*b in F_p[y]/(m(y)): schoolbook product, then y^t -> y^t - y^(t-k) m(y)
+    from the top down."""
+    p, k, m = field.p, field.k, field.base_modulus
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for t in range(2 * k - 2, k - 1, -1):
+        c = prod[t]
+        for l, ml in enumerate(m):
+            prod[t - k + l] -= c * ml
+    return tuple(v % p for v in prod[:k])
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 27])
+def test_scalar_product_is_naive_product(q):
+    # every pair; F_8's multiplication matrices are not symmetric
+    F = base_field(q)
+    for a in F.elements():
+        for b in F.elements():
+            assert (a * b).coeffs == _naive_scalar_product(F, a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("q,n,seed", [(3, 5, 0), (4, 3, 1), (8, 11, 0), (9, 2, 0)])
+def test_ext_modulus_is_flat(q, n, seed):
+    E = extension_field(q, n, seed)
+    k, p = E.base.k, E.base.p
+    mod = E.ext_modulus
+    assert len(mod) == k * (n + 1) and all(type(c) is int for c in mod)
+    assert mod[-k:] == (1,) + (0,) * (k - 1)
+    assert find_irreducible(E.base, n, seed) == mod
+    # entries are stored reduced mod p
+    assert ExtFieldSpec(E.base, n, tuple(c + p for c in mod)) == E
+    not_monic = mod[:-k] + (2,) + (0,) * (k - 1)
+    for bad in (mod[:-1], mod + (0,) * k, not_monic, (0,) * k * n + mod[-k:]):
+        with pytest.raises(BadInput):
+            ExtFieldSpec(E.base, n, bad)

@@ -13,6 +13,7 @@ from linperm import (
     a_complete_sufficient_pm,
     base_field,
     binomial_is_permutation,
+    closed_form_pm,
     coefficient_sum_reject,
     compose,
     compositional_inverse,
@@ -377,6 +378,35 @@ def test_pm_conditions_guard():
         pm_sufficient_conditions(F, 3, 2)
     with pytest.raises(BadInput):
         pm_sufficient_conditions(identity(E35), 5, 3)
+
+
+# (q, p, m): n = p^m with primitive closed-form idempotents; over F_8, F_9
+# and F_27 the conditions read k > 1 coordinates
+PM_FIELDS = [(3, 5, 2), (11, 2, 2), (8, 3, 1), (9, 2, 1), (27, 2, 2)]
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(PM_FIELDS), st.data())
+def test_pm_conditions_are_constant_terms(field, data):
+    q, p, m = field
+    E = extension_field(q, p**m)
+    base, k = E.base, E.base.k
+    values = data.draw(st.lists(st.integers(0, q - 1), min_size=E.n, max_size=E.n))
+    F = LinearizedPoly(E, tuple(E.embed(base.from_int(v)) for v in values))
+    # condition i is the constant term of f * e_i (condition 0 that of
+    # p^m f * e_0, the coefficient sum F(1))
+    f = conventional_associate(F)
+    consts = [ring_mul(f, e).coords[:k] for e in closed_form_pm(f.spec, p, m).idempotents]
+    assert pm_sufficient_conditions(F, p, m) == all(any(c) for c in consts)
+    assert coefficient_sum_reject(F) == evaluate(F, E.one()).is_zero()
+    # A-complete: the conditions hold for F + lambda*x, every lambda in A
+    holds = {}
+    for lam in base.elements():
+        G = F + LinearizedPoly.monomial(E, E.embed(lam), 0)
+        holds[lam] = pm_sufficient_conditions(G, p, m)
+        want = holds[base.zero()] and holds[lam]
+        assert a_complete_sufficient_pm(F, [base.zero(), lam], p, m) == want
+    assert a_complete_sufficient_pm(F, list(holds), p, m) == all(holds.values())
 
 
 # --- A-complete --------------------------------------------------------------

@@ -182,6 +182,12 @@ def test_parse_integer_coefficient_is_base_p_digits(F8):
         parse_poly("5,0,0*x", F8)
     with pytest.raises(BadInput):
         parse_poly("1,-1,0", F8)
+    # a comma vector lists exactly k coordinates, in both parsers
+    for bad in ("1,1*x", "1,1,0,0*x"):
+        with pytest.raises(BadInput):
+            parse_poly(bad, F8)
+        with pytest.raises(BadInput):
+            parse_linearized(bad, E)
 
 
 def test_parse_subtraction(F3, F8):

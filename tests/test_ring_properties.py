@@ -111,12 +111,17 @@ def test_egcd_is_a_monic_common_divisor(data):
 
 
 @settings(max_examples=60)
-@given(ring_elements(2))
-def test_cyclic_product_is_folded_naive_product(data):
+@given(ring_elements(2), st.data())
+def test_cyclic_product_is_folded_naive_product(data, extra):
     ring, (f, g) = data
     want = naive_mul(ring.base, f.coords, g.coords, ring.n)
     assert _polys.pcyclic_mul(ring.base, f.coords, g.coords, ring.n) == want
     assert ring_mul(f, g).coords == want
+    # a polynomial of degree up to 3n folds to its remainder mod x^n - 1
+    q, n = ring.base.q, ring.n
+    values = extra.draw(st.lists(st.integers(0, q - 1), max_size=3 * n + 1))
+    h = Poly(ring.base, _flat(ring.base, [ring.base.from_int(v) for v in values]))
+    assert ring.from_poly(h) == ring.from_poly(h % ring.modulus())
 
 
 @settings(max_examples=40)
