@@ -1,12 +1,23 @@
 """Command-line surface for the library.
 
-Every subcommand speaks either plain text or JSON (--json). The reproduce
-targets regenerate published example values from embedded goldens and exit
-nonzero on any mismatch, so they double as an end-to-end smoke test.
+Every subcommand prints its result as plain text, or as one JSON document
+with --json. Output follows one contract:
 
-Exit codes: 0 success, 1 a mathematical verdict came back negative (not a
-permutation, reproduction diff, inverse cross-check failure), 2 usage or
-input errors.
+- a result, or a negative mathematical verdict, goes to stdout: the text
+  lines end with one ``check NAME: ok|FAIL`` line per check, and the JSON
+  document carries ``operation``, ``field`` (except for ``reproduce``),
+  ``inputs``, ``outputs``, ``checks``, ``schema_version`` and ``seed``;
+- a refusal prints ``error: ...`` to stderr and nothing to stdout.
+
+Exit codes: 0 when every check passes; 1 when a check fails (not a
+permutation, a reproduction mismatch, an inverse cross-check failure) and
+for the one exit-1 refusal, ``invert`` on a non-permutation; 2 for every
+other refusal (usage or input errors, unmet hypotheses).
+
+Each handler ``cmd_*`` takes ``(args, ring, ext)`` and returns ``(inputs,
+outputs, checks, lines)``; ``main`` builds the field, prints and picks the
+exit code. The reproduce targets regenerate published example values from
+embedded goldens, so they double as an end-to-end smoke test.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from .fields import (
     base_field,
     extension_field,
 )
-from .idempotents import closed_form_pm, cor4_condition, primitive_idempotents
+from .idempotents import closed_form_pm, primitive_idempotents
 from .linearized import (
     LinearizedPoly,
     a_complete_verdicts,
@@ -53,9 +64,12 @@ from .shifts import alpha_shift_power, cyclic_order, shift_class
 SCHEMA_VERSION = 1
 
 
-def _specs(args) -> tuple[RingSpec, ExtFieldSpec]:
-    ext = extension_field(args.q, args.n, getattr(args, "seed", 0))
-    return RingSpec(ext.base, args.n), ext
+class _Refusal(Exception):
+    """A refusal printed as ``error: MESSAGE`` alone, with its own exit code."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
 
 
 def _field_info(ext: ExtFieldSpec) -> dict:
@@ -73,28 +87,17 @@ def _field_info(ext: ExtFieldSpec) -> dict:
     }
 
 
-def _emit(args, payload: dict, checks: list[tuple[str, bool]], text_lines) -> None:
-    if args.json:
-        payload["schema_version"] = SCHEMA_VERSION
-        payload["checks"] = [{"name": n, "passed": p} for n, p in checks]
-        payload["seed"] = getattr(args, "seed", 0)
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-        for name, passed in checks:
-            print(f"check {name}: {'ok' if passed else 'FAIL'}")
-
-
-def _verdict_exit(checks: list[tuple[str, bool]]) -> int:
-    return 0 if all(p for _, p in checks) else 1
+def _int_arg(option: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise BadInput(f"{option} expects integers, got {text!r}") from None
 
 
 # --- subcommand handlers -----------------------------------------------------
 
 
-def cmd_idempotents(args) -> int:
-    ring, ext = _specs(args)
+def cmd_idempotents(args, ring, ext):
     if args.closed_form:
         try:
             p, m = _prime_power(args.n)
@@ -102,22 +105,14 @@ def cmd_idempotents(args) -> int:
             raise BadInput(
                 f"the closed form needs n = p^m; n = {args.n} is not a prime power"
             ) from None
-        cond = cor4_condition(p, m, args.q)
-        if not cond:
-            print(
-                f"error: ConditionNotMet: closed form not primitive for "
-                f"p={p}, m={m}, q={args.q}",
-                file=sys.stderr,
-            )
-            return 2
+        # raises ConditionNotMet unless the order condition holds
         basis = closed_form_pm(ring, p, m)
-        note = f"closed form, n = {p}^{m}, order condition: holds"
+        lines = [f"closed form, n = {p}^{m}, order condition: holds"]
         checks = [("closed_form_matches_crt", basis == primitive_idempotents(ring))]
     else:
         basis = primitive_idempotents(ring)
-        note = "CRT construction"
+        lines = ["CRT construction"]
         checks = [("basis_axioms", True)]
-    lines = [note]
     out = []
     for i, comp in enumerate(basis.components):
         txt = str(comp.idempotent)
@@ -130,22 +125,10 @@ def cmd_idempotents(args) -> int:
             }
         )
         lines.append(f"e_{i} (coset {comp.coset.representative}): {txt}")
-    _emit(
-        args,
-        {
-            "operation": "idempotents",
-            "field": _field_info(ext),
-            "inputs": {"closed_form": bool(args.closed_form)},
-            "outputs": {"idempotents": out},
-        },
-        checks,
-        lines,
-    )
-    return _verdict_exit(checks)
+    return {"closed_form": bool(args.closed_form)}, {"idempotents": out}, checks, lines
 
 
-def cmd_is_perm(args) -> int:
-    ring, ext = _specs(args)
+def cmd_is_perm(args, ring, ext):
     F = parse_linearized(args.poly, ext)
     checks = []
     lines = []
@@ -169,90 +152,38 @@ def cmd_is_perm(args) -> int:
     checks.append(("rank", is_permutation_rank(F)))
     verdict = all(p for _, p in checks)
     lines.append("permutation" if verdict else "not a permutation")
-    _emit(
-        args,
-        {
-            "operation": "is-perm",
-            "field": _field_info(ext),
-            "inputs": {"poly": args.poly},
-            "outputs": {"permutation": verdict, "products": products},
-        },
-        checks,
-        lines,
-    )
-    return 0 if verdict else 1
+    outputs = {"permutation": verdict, "products": products}
+    return {"poly": args.poly}, outputs, checks, lines
 
 
-def cmd_invert(args) -> int:
-    ring, ext = _specs(args)
+def cmd_invert(args, ring, ext):
     F = parse_linearized(args.poly, ext)
     basis = primitive_idempotents(ring)
     if not is_permutation(F, basis):
-        print("error: not a permutation, no inverse", file=sys.stderr)
-        return 1
+        raise _Refusal("not a permutation, no inverse", 1)
     # compositional_inverse raises InternalError if the component path ever
     # disagrees with the direct ring inverse
     Finv = compositional_inverse(F, basis)
     ok = compose(F, Finv) == linearized_associate(ring.one(), ext)
     txt = format_linearized(Finv)
-    _emit(
-        args,
-        {
-            "operation": "invert",
-            "field": _field_info(ext),
-            "inputs": {"poly": args.poly},
-            "outputs": {"inverse": txt},
-        },
-        [("compose_identity", ok)],
-        [txt],
-    )
-    return 0 if ok else 1
+    return {"poly": args.poly}, {"inverse": txt}, [("compose_identity", ok)], [txt]
 
 
-def cmd_compose(args) -> int:
-    if len(args.poly) != 2:
-        print("error: compose needs exactly two --poly", file=sys.stderr)
-        return 2
-    _, ext = _specs(args)
-    F = parse_linearized(args.poly[0], ext)
-    G = parse_linearized(args.poly[1], ext)
+def cmd_compose(args, ring, ext):
+    F, G = (parse_linearized(txt, ext) for txt in args.poly)
     txt = format_linearized(compose(F, G))
-    _emit(
-        args,
-        {
-            "operation": "compose",
-            "field": _field_info(ext),
-            "inputs": {"poly": args.poly},
-            "outputs": {"composition": txt},
-        },
-        [],
-        [txt],
-    )
-    return 0
+    return {"poly": args.poly}, {"composition": txt}, [], [txt]
 
 
-def cmd_involutions(args) -> int:
-    ring, ext = _specs(args)
+def cmd_involutions(args, ring, ext):
     basis = primitive_idempotents(ring)
     invs = sign_vector_involutions(basis, ext)
     lines = [format_linearized(F) for F in invs]
     checks = [("all_involutions", all(is_involution(F) for F in invs))]
-    _emit(
-        args,
-        {
-            "operation": "involutions",
-            "field": _field_info(ext),
-            "inputs": {},
-            "outputs": {"involutions": lines},
-        },
-        checks,
-        lines,
-    )
-    return _verdict_exit(checks)
+    return {}, {"involutions": lines}, checks, lines
 
 
-def cmd_complete(args) -> int:
-    ring, ext = _specs(args)
+def cmd_complete(args, ring, ext):
     F = parse_linearized(args.poly, ext)
     basis = primitive_idempotents(ring)
     lams = [
@@ -266,96 +197,40 @@ def cmd_complete(args) -> int:
     ]
     verdict = all(oks)
     lines.append(f"A-complete: {verdict}")
-    _emit(
-        args,
-        {
-            "operation": "complete",
-            "field": _field_info(ext),
-            "inputs": {"poly": args.poly, "lambda_set": args.lambda_set},
-            "outputs": {"complete": verdict},
-        },
-        [("a_complete", verdict)],
-        lines,
-    )
-    return 0 if verdict else 1
+    inputs = {"poly": args.poly, "lambda_set": args.lambda_set}
+    return inputs, {"complete": verdict}, [("a_complete", verdict)], lines
 
 
-def _int_arg(option: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise BadInput(f"{option} expects integers, got {text!r}") from None
-
-
-def _parse_alpha(args, ext: ExtFieldSpec):
-    return ext.from_int(_int_arg("--alpha", args.alpha))
-
-
-def cmd_shift(args) -> int:
-    _, ext = _specs(args)
+def cmd_shift(args, ring, ext):
     F = parse_linearized(args.poly, ext)
-    alpha = _parse_alpha(args, ext)
+    alpha = ext.from_int(_int_arg("--alpha", args.alpha))
     txt = format_linearized(alpha_shift_power(F, alpha, args.t))
-    _emit(
-        args,
-        {
-            "operation": "shift",
-            "field": _field_info(ext),
-            "inputs": {"poly": args.poly, "alpha": args.alpha, "t": args.t},
-            "outputs": {"shifted": txt},
-        },
-        [],
-        [txt],
-    )
-    return 0
+    inputs = {"poly": args.poly, "alpha": args.alpha, "t": args.t}
+    return inputs, {"shifted": txt}, [], [txt]
 
 
-def cmd_order(args) -> int:
-    _, ext = _specs(args)
+def cmd_order(args, ring, ext):
     F = parse_linearized(args.poly, ext)
-    alpha = _parse_alpha(args, ext)
+    alpha = ext.from_int(_int_arg("--alpha", args.alpha))
     order = cyclic_order(F, alpha)
-    _emit(
-        args,
-        {
-            "operation": "order",
-            "field": _field_info(ext),
-            "inputs": {"poly": args.poly, "alpha": args.alpha},
-            "outputs": {"order": order},
-        },
-        [],
-        [str(order)],
-    )
-    return 0
+    return {"poly": args.poly, "alpha": args.alpha}, {"order": order}, [], [str(order)]
 
 
-def cmd_class(args) -> int:
-    _, ext = _specs(args)
+def cmd_class(args, ring, ext):
     F = parse_linearized(args.poly, ext)
-    alpha = _parse_alpha(args, ext)
+    alpha = ext.from_int(_int_arg("--alpha", args.alpha))
     sc = shift_class(F, alpha)
     lines = [format_linearized(m) for m in sc.members]
-    _emit(
-        args,
-        {
-            "operation": "class",
-            "field": _field_info(ext),
-            "inputs": {"poly": args.poly, "alpha": args.alpha},
-            "outputs": {"order": sc.order, "members": lines},
-        },
-        [],
-        [f"order {sc.order}"] + lines,
-    )
-    return 0
+    inputs = {"poly": args.poly, "alpha": args.alpha}
+    return inputs, {"order": sc.order, "members": lines}, [], [f"order {sc.order}"] + lines
 
 
-def cmd_oracle(args) -> int:
-    ring, ext = _specs(args)
-    checks: list[tuple[str, bool]] = []
+def cmd_oracle(args, ring, ext):
+    checks = []
     if args.check == "sqrt1":
         roots = sqrt_unity_bruteforce(ring)
         lines = [str(f) for f in roots]
-        outputs: dict = {"count": len(roots), "roots": lines}
+        outputs = {"count": len(roots), "roots": lines}
     else:
         F = parse_linearized(args.poly, ext)
         if args.check == "bijection":
@@ -371,18 +246,7 @@ def cmd_oracle(args) -> int:
             fp = fixed_points(F)
             lines = [str(a) for a in fp]
             outputs = {"size": len(fp), "fixed_points": lines}
-    _emit(
-        args,
-        {
-            "operation": "oracle",
-            "field": _field_info(ext),
-            "inputs": {"check": args.check, "poly": getattr(args, "poly", None)},
-            "outputs": outputs,
-        },
-        checks,
-        lines,
-    )
-    return _verdict_exit(checks)
+    return {"check": args.check, "poly": args.poly}, outputs, checks, lines
 
 
 # --- reproduce targets -------------------------------------------------------
@@ -557,7 +421,7 @@ def _reproduce_f8n11() -> list[tuple[str, bool]]:
     return checks
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args, ring, ext):
     handlers = {
         "example1": _reproduce_example1,
         "table1": _reproduce_table1,
@@ -566,13 +430,7 @@ def cmd_reproduce(args) -> int:
         "f8n11": _reproduce_f8n11,
     }
     checks = handlers[args.target]()
-    _emit(
-        args,
-        {"operation": "reproduce", "inputs": {"target": args.target}, "outputs": {}},
-        checks,
-        [f"target {args.target}"],
-    )
-    return _verdict_exit(checks)
+    return {"target": args.target}, {}, checks, [f"target {args.target}"]
 
 
 # --- argument plumbing -------------------------------------------------------
@@ -663,19 +521,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_poly_count(args) -> None:
+    """The --poly counts argparse cannot express, refused before any field is
+    built so that a bad --q does not mask them."""
+    if args.command == "compose" and len(args.poly) != 2:
+        raise _Refusal("compose needs exactly two --poly", 2)
+    if args.command == "oracle" and args.check != "sqrt1" and not args.poly:
+        raise _Refusal("--poly required for this oracle check", 2)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "check", None) in ("bijection", "kernel", "fixed") and not getattr(
-        args, "poly", None
-    ):
-        print("error: --poly required for this oracle check", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
+    ring = ext = None
     try:
-        return args.func(args)
+        _check_poly_count(args)
+        if hasattr(args, "q"):  # every subcommand but reproduce
+            ext = extension_field(args.q, args.n, args.seed)
+            ring = RingSpec(ext.base, args.n)
+        inputs, outputs, checks, lines = args.func(args, ring, ext)
+    except _Refusal as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
     except LinpermError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        doc = {
+            "operation": args.command,
+            "inputs": inputs,
+            "outputs": outputs,
+            "schema_version": SCHEMA_VERSION,
+            "checks": [{"name": n, "passed": p} for n, p in checks],
+            "seed": getattr(args, "seed", 0),
+        }
+        if ext is not None:
+            doc["field"] = _field_info(ext)
+        print(json.dumps(doc, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+        for name, passed in checks:
+            print(f"check {name}: {'ok' if passed else 'FAIL'}")
+    return 0 if all(p for _, p in checks) else 1
 
 
 if __name__ == "__main__":

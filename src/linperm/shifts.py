@@ -3,7 +3,8 @@
 Composing on the right with alpha x^{[1]} rotates the coefficient vector one
 slot while twisting by Frobenius powers of alpha. Applying it n times scales
 every coefficient by the norm N(alpha), so orbit lengths are n times the
-multiplicative order of the norm in F_q^*. Closed orbits of permutations,
+multiplicative order of the norm in F_q^*, and ``alpha_shift_power`` needs
+at most n - 1 single shifts whatever t is. Closed orbits of permutations,
 shifted inverses and half-order involutions all fall out of that arithmetic.
 
 A shift works on ``LinearizedPoly.coords``: the nonzero rows are multiplied
@@ -21,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._polys import _block
 from .errors import (
     BadInput,
     HypothesisViolated,
@@ -98,9 +100,18 @@ def alpha_shift(F: LinearizedPoly, alpha: ExtElement) -> LinearizedPoly:
 
 
 def alpha_shift_power(F: LinearizedPoly, alpha: ExtElement, t: int) -> LinearizedPoly:
+    """S_alpha^t(F): every coefficient times N(alpha)^(t // n), since
+    S_alpha^n = N(alpha)*id, then t mod n single shifts."""
     if t < 0:
         raise BadInput("shift count must be nonnegative")
-    for _ in range(t):
+    spec = F.spec
+    if t >= spec.n:
+        _check_alpha(F, alpha)
+        base = spec.base
+        block = _block(base, (norm(alpha) ** (t // spec.n)).coeffs)
+        slots = F.coords.reshape(-1, base.k) @ block.T % base.p
+        F = LinearizedPoly._of(spec, slots.reshape(F.coords.shape))
+    for _ in range(t % spec.n):
         F = alpha_shift(F, alpha)
     return F
 

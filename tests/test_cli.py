@@ -1,5 +1,6 @@
 """Command line interface: subcommands, JSON schema, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -122,13 +123,15 @@ def test_complete_needs_zero_before_any_verdict(capsys, lams):
 
 
 def test_shift_and_order(capsys):
-    code, doc = run_json(
-        capsys,
-        ["shift", "--q", "3", "--n", "5", "--poly", "x", "--alpha", "2", "--t", "10"],
-    )
-    assert code == 0
-    # alpha = 2 in F_3, norm 2^5 = 2 has order 2, so order = 5 * 2 = 10
-    assert doc["outputs"]["shifted"] == "x"
+    # alpha = 2 in F_3, norm 2^5 = 2 has order 2, so order = 5 * 2 = 10; the
+    # norm law makes t = 10^9 as quick as t = 10
+    for t in ("10", "1000000000"):
+        code, doc = run_json(
+            capsys,
+            ["shift", "--q", "3", "--n", "5", "--poly", "x", "--alpha", "2", "--t", t],
+        )
+        assert code == 0
+        assert doc["outputs"]["shifted"] == "x"
     code2, doc2 = run_json(
         capsys, ["order", "--q", "3", "--n", "5", "--poly", "x", "--alpha", "2"]
     )
@@ -291,5 +294,99 @@ def test_moduli_are_pinned(capsys, q, n, seed):
         ["is-perm", "--q", str(q), "--n", str(n), "--seed", str(seed), "--poly", "x"],
     )
     assert code == 0
+    assert doc["seed"] == seed
     base, ext = MODULI[q, n, seed]
     assert doc["field"]["moduli"] == {"base": base, "ext": ext}
+
+
+# argv -> (exit code, sha256 of stdout in text, sha256 of stdout with --json);
+# every README example, every refusal path and the oracle `fixed` branch
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+PINNED = [
+    (
+        "idempotents --q 3 --n 125 --closed-form", 0,
+        "1e6cc8b24465d4e7ea33235915d98e0b220c9acc7f8ce98dfbbda0d1c472d0ae",
+        "54571f337b470e419cdae00a8872308611a7c932c9781c0e6da8d15adc6b07c2",
+    ),
+    (
+        "is-perm --q 3 --n 5 --poly 2x^[3]+x^[1]+x", 0,
+        "14d6e50ddd67ed40b12b9d136a78fa25e7e73053d30a7d63cd46f7194ae32527",
+        "e21b34659881b462b3827fd82e75dd6452b7a5031fde6fa4a227ffb1c266966b",
+    ),
+    (
+        "invert --q 3 --n 5 --poly 2x^[3]+x^[1]+x", 0,
+        "b3ea80ba2d58cf24b43ce987e8957f8b4bce0d0ffde4d538f3f834ab5d3bbc41",
+        "e73414e03980a55489aec6d1375cca4cde7974d0ed45ed46303e853f35ece09e",
+    ),
+    (
+        "compose --q 3 --n 5 --poly x^[1] --poly 2x", 0,
+        "04d22ed90178f182b30a8d49f657d5a57ff07c53baa7e8d7c580f59bd7de164e",
+        "637a061319eec93eb2e993bd1e09bd6405415d77774532f2f560daf1392d089e",
+    ),
+    (
+        "involutions --q 11 --n 9", 0,
+        "b963a84a08ea8b37aaa38b2615c2675794889bee7fe4d3e7575a9f2e270a3826",
+        "bf3a68bdd7f7a8441da65c6b11062f15c1a9251abe6834df6dcf9396462e1838",
+    ),
+    (
+        "complete --q 8 --n 11 --poly 5x^[7] --lambda-set 0,1,2,3,4,6,7", 0,
+        "489237fa4178db44f58a7b11768766a50da3d81c842c20d6c614adbb7c5ea026",
+        "2ac21d5fb24913dc4f00c4331dce9fc274f7c53abfd554c8f06606db0e947799",
+    ),
+    (
+        "shift --q 3 --n 5 --poly x --alpha 2 --t 3", 0,
+        "0dc6fa9dff6958717b4e27e1bfccb3559236413aa6c9c614a80187a28ffb79ea",
+        "a5ba54d568a5c7ab37eca734d101201464c7583e179b76ebc93fc098a3073f84",
+    ),
+    (
+        "order --q 3 --n 5 --poly x --alpha 2", 0,
+        "917df3320d778ddbaa5c5c7742bc4046bf803c36ed2b050f30844ed206783469",
+        "2befc6de6be9c7d2065230b5e944ada8945347e133a7eaaf4d4a5a68e6dce734",
+    ),
+    (
+        "class --q 3 --n 5 --poly x --alpha 2", 0,
+        "09a9896169503025fdd7f016b2ababa8a9baeec3aaa6f9c0c0fcaa94564424b7",
+        "5db876ffcd3cbdbdb398771f96ac2a204b7bb2b89bc04a67c779e5ee140ff5c1",
+    ),
+    (
+        "oracle --q 2 --n 3 --check bijection --poly x^[1]", 0,
+        "f0de0c2e4f4ce6ea2379627ef3fb063c339bdd3722a5d263ab5cc0b335b5eac8",
+        "b59010fb844aea250a79878167f39307fa9aa03777bb9a0a7fe42093165f1b62",
+    ),
+    (
+        "reproduce --target table2", 0,
+        "c20349354ebff4757df6a564aead869a12bc9aa72fa3a99564c9d379b05867ea",
+        "da9566338530109a8e9f3c85a13ebba0fdf8de463085846956109e5b3153192a",
+    ),
+    # a negative verdict with one passing check still exits 1
+    (
+        "is-perm --q 3 --n 4 --poly x^[2]+x", 1,
+        "f43eb0b75efdaa7adf2de443ff7d04906b08ef04b79fd316e841ec792ffae99a",
+        "c5116207c4ee32acc3398bfa66f72ac6f29b63bb7c60b9c3f63b5231bd7c106c",
+    ),
+    ("invert --q 3 --n 5 --poly x^[1]+2x", 1, EMPTY, EMPTY),
+    ("compose --q 3 --n 5 --poly x", 2, EMPTY, EMPTY),
+    ("oracle --q 2 --n 3 --check kernel", 2, EMPTY, EMPTY),
+    ("idempotents --q 7 --n 9 --closed-form", 2, EMPTY, EMPTY),
+    ("idempotents --q 3 --n 10 --closed-form", 2, EMPTY, EMPTY),
+    ("is-perm --q 3 --n 5 --poly 5x", 2, EMPTY, EMPTY),
+    (
+        "oracle --q 2 --n 3 --check fixed --poly x^[1]", 0,
+        "1d3384534cbe5858d435953dc74abd1f1b6d958cf2db3c021f5fd75cc53a9caf",
+        "2701d04ebf6669b06220f2bb92ab5c5022e336f5e7c7444b7767e483048a8275",
+    ),
+]
+
+
+@pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("cmd,code,text_sha,json_sha", PINNED, ids=[c[0] for c in PINNED])
+def test_cli_output_is_pinned(capsys, cmd, code, text_sha, json_sha, json_out):
+    argv = cmd.split() + (["--json"] if json_out else [])
+    got, out, err = run(capsys, argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == (json_sha if json_out else text_sha)
+    if code == 0 or out:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and "Traceback" not in err
+

@@ -43,14 +43,18 @@ def test_f9_inverse():
     assert two.inverse() == two  # 2*2 = 4 = 1+3 -> 1 mod 3
 
 
-@given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
-def test_f9_ring_axioms(a, b, c):
-    F9 = base_field(9)
-    x, y, z = F9.from_int(a), F9.from_int(b), F9.from_int(c)
-    assert x + y == y + x
-    assert (x + y) + z == x + (y + z)
-    assert x * (y + z) == x * y + x * z
-    assert x * y == y * x
+@given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_base_field_ring_axioms(a, b, c):
+    # prime fields take the interned k = 1 paths, F_4, F_8 and F_9 the k > 1 ones
+    for q in (2, 3, 11, 4, 8, 9):
+        F = base_field(q)
+        x, y, z = F.from_int(a % q), F.from_int(b % q), F.from_int(c % q)
+        assert x + y == y + x
+        assert (x + y) + z == x + (y + z)
+        assert x * (y + z) == x * y + x * z
+        assert x * y == y * x
+        assert x - y == x + (-y)
+        assert x + (-x) == F.zero()
 
 
 @given(st.integers(1, 242))
@@ -69,11 +73,15 @@ def test_frobenius_is_qth_power(v, i):
         assert frobenius(a, i % n) == a ** (q ** (i % n))
 
 
-@given(st.integers(0, 242), st.integers(0, 242))
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
 def test_frobenius_additive(u, v):
-    E = extension_field(3, 5)
-    a, b = E.from_int(u), E.from_int(v)
-    assert frobenius(a + b, 1) == frobenius(a, 1) + frobenius(b, 1)
+    for q, n in ((3, 5), (11, 3), (4, 3), (8, 3), (9, 2)):
+        E = extension_field(q, n)
+        a, b = E.from_int(u % E.order), E.from_int(v % E.order)
+        assert frobenius(a + b, 1) == frobenius(a, 1) + frobenius(b, 1)
+        assert frobenius(a - b, 1) == frobenius(a, 1) - frobenius(b, 1)
+        assert a - b == a + (-b)
+        assert a + (-a) == E.zero()
 
 
 def test_norm_lands_in_base():

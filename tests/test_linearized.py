@@ -22,6 +22,7 @@ from linperm import (
     extension_field,
     format_linearized,
     identity,
+    is_bijection_bruteforce,
     is_involution,
     is_permutation,
     is_permutation_gcd,
@@ -41,6 +42,7 @@ from linperm.errors import (
     ZeroCoefficient,
     ZeroNotInA,
 )
+from linperm.linearized import a_complete_verdicts
 
 E35 = extension_field(3, 5)
 R35 = RingSpec(base_field(3), 5)
@@ -420,6 +422,23 @@ def test_a_complete_monomial_f8():
     A = [lam for lam in base_field(8).elements() if lam != ft]
     assert a_complete_check(F, A, basis)
     assert not a_complete_check(F, list(base_field(8).elements()), basis)
+    # the idempotent criterion and the rank fallback (no basis) agree
+    everything = list(base_field(8).elements())
+    want = [True] * 5 + [False] + [True] * 2
+    assert [lam == ft for lam in everything] == [not ok for ok in want]
+    assert list(a_complete_verdicts(F, everything, basis)) == want
+    assert list(a_complete_verdicts(F, everything)) == want
+
+
+def test_a_complete_rank_fallback_outside_base_field():
+    # lambda = 3, 5 lie in F_8 \ F_2, so F + lambda*x leaves F_2: rank test
+    E = extension_field(2, 3)
+    basis = primitive_idempotents(RingSpec(base_field(2), 3))
+    F = parse_linearized("x^[1]", E)
+    lams = [E.from_int(v) for v in (0, 3, 5)]
+    want = [is_bijection_bruteforce(F + LinearizedPoly.monomial(E, lam, 0)) for lam in lams]
+    assert want == [True, False, False]
+    assert list(a_complete_verdicts(F, lams, basis)) == want
 
 
 def test_a_complete_requires_zero():

@@ -40,11 +40,18 @@ def poly_strategy(q, max_deg=6):
     ).map(lambda cs: Poly(base, tuple(v for c in cs for v in base.from_int(c).coeffs)))
 
 
-@given(poly_strategy(3), poly_strategy(3), poly_strategy(3))
-def test_poly_ring_axioms(a, b, c):
+@given(
+    st.sampled_from([3, 11, 4, 8, 9]).flatmap(
+        lambda q: st.tuples(poly_strategy(q), poly_strategy(q), poly_strategy(q))
+    )
+)
+def test_poly_ring_axioms(polys):
+    a, b, c = polys
     assert a + b == b + a
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
+    assert a - b == a + (-b)
+    assert (a + (-a)).is_zero()
 
 
 @given(poly_strategy(3), poly_strategy(3))

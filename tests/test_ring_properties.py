@@ -1,8 +1,8 @@
 """Algebraic identities of the ring layer (F_q[x] and F_q[x]/(x^n - 1)).
 
 The kernels work on flat ints mod p; the reference here is a naive product
-over boxed F_q scalars, so it shares no code with them. F_4 and F_8 run the
-k x k block path of every kernel, F_3 and F_11 the 1 x 1 one.
+over boxed F_q scalars, so it shares no code with them. F_4, F_8 and F_9 run
+the k x k block path of every kernel, F_3 and F_11 the 1 x 1 one.
 """
 
 from hypothesis import given, settings
@@ -28,7 +28,9 @@ from linperm import (
 from linperm import _polys
 
 # (q, n) with gcd(n, q) = 1; the base fields cover k = 1 and k > 1
-RINGS = [(3, 4), (3, 5), (11, 3), (11, 5), (4, 3), (4, 5), (8, 3), (8, 5)]
+RINGS = [
+    (3, 4), (3, 5), (11, 3), (11, 5), (4, 3), (4, 5), (8, 3), (8, 5), (9, 2), (9, 4)
+]
 
 
 def _scalars(field, coords):
@@ -117,6 +119,8 @@ def test_cyclic_product_is_folded_naive_product(data, extra):
     want = naive_mul(ring.base, f.coords, g.coords, ring.n)
     assert _polys.pcyclic_mul(ring.base, f.coords, g.coords, ring.n) == want
     assert ring_mul(f, g).coords == want
+    assert f - g == f + (-g)
+    assert (f + (-f)).is_zero()
     # a polynomial of degree up to 3n folds to its remainder mod x^n - 1
     q, n = ring.base.q, ring.n
     values = extra.draw(st.lists(st.integers(0, q - 1), max_size=3 * n + 1))

@@ -1,6 +1,7 @@
 """Cyclic shift maps on linearized permutations and their order structure."""
 
 import random
+import time
 
 import pytest
 
@@ -75,7 +76,36 @@ def test_shift_power_n_scales_by_norm():
         F = LinearizedPoly(E, tuple(E.from_int(rng.randrange(E.order)) for _ in range(n)))
         na = norm(alpha)
         want = LinearizedPoly(E, tuple(c.scale(na) for c in F.coeffs))
+        chained = F
+        for _ in range(n):
+            chained = alpha_shift(chained, alpha)
+        assert chained == want
         assert alpha_shift_power(F, alpha, n) == want
+
+
+def test_shift_power_large_t_uses_norm_law():
+    # S_alpha^t is N(alpha)^(t // n) * S_alpha^(t mod n), for a non-permutation
+    # too; t = 10^9 single shifts would take hours
+    t = 10**9
+    rng = random.Random(11)
+    cases = [(parse_linearized("x^[1]+2x", E35), E35.from_int(7))]
+    # F_8's multiplication matrices are not symmetric, so a transposed block fails
+    for q, n in [(3, 5), (4, 3), (8, 3), (11, 9)]:
+        E = extension_field(q, n)
+        alpha = E.from_int(rng.randrange(1, E.order))
+        F = LinearizedPoly(E, tuple(E.from_int(rng.randrange(E.order)) for _ in range(n)))
+        cases.append((F, alpha))
+    assert not is_permutation_rank(cases[0][0])
+    for F, alpha in cases:
+        E, n = F.spec, F.spec.n
+        start = time.perf_counter()
+        got = alpha_shift_power(F, alpha, t)
+        assert time.perf_counter() - start < 1.0
+        want = F
+        for _ in range(t % n):
+            want = alpha_shift(want, alpha)
+        s = norm(alpha) ** (t // n)
+        assert got == LinearizedPoly(E, tuple(c.scale(s) for c in want.coeffs))
 
 
 def test_cyclic_order_matches_orbit():
