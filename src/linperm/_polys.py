@@ -217,7 +217,23 @@ def _convolve(field, a, b) -> np.ndarray:
     return np.convolve(_pack(k, a), _pack(k, b)) % field.p
 
 
-@lru_cache(maxsize=16)  # most keys are candidates of an irreducibility search
+def _times_x_powers(field, f, first, count: int) -> np.ndarray:
+    """(count, d, k) int array: row t holds first * x^t mod f, ``first`` a
+    (d, k) residue and f monic of degree d (flat). Each step shifts the slots
+    and folds the top one back in through x^d = -low(x)."""
+    p, k = field.p, field.k
+    T = _linalg.mul_tensor(p, field.base_modulus or (0, 1))
+    d = len(f) // k - 1
+    low = np.array(f[:-k], dtype=np.int64).reshape(d, k)
+    r = np.zeros((count, d, k), dtype=np.int64)
+    r[0] = first
+    for t in range(1, count):
+        r[t, 1:] = r[t - 1, :-1]
+        r[t] = (r[t] - np.einsum("lab,a,jb->jl", T, r[t - 1, -1], low)) % p
+    return r
+
+
+@lru_cache(maxsize=16)  # keys are field moduli, and candidates of degree <= q
 def _reduction_matrix(field, mod: tuple) -> np.ndarray:
     """Matrix taking np.convolve of two packed residues to the packed residue
     of their product, modulo the monic ``mod`` (flat, a tuple) over ``field``.
@@ -227,14 +243,10 @@ def _reduction_matrix(field, mod: tuple) -> np.ndarray:
     p, k = field.p, field.k
     T = _linalg.mul_tensor(p, field.base_modulus or (0, 1))
     s, d = 2 * k - 1, len(mod) // k - 1
-    low = np.array(mod[:-k], dtype=np.int64).reshape(d, k)
-    # r[e] = x^e mod f: multiplying by x shifts the slots and folds the top
-    # one back in through x^d = -low(x)
+    # r[e] = x^e mod f: the unit residues, then x^d = -low(x) times x^t
     r = np.zeros((2 * d, d, k), dtype=np.int64)
     r[np.arange(d), np.arange(d), 0] = 1
-    for e in range(d, 2 * d):
-        r[e, 1:] = r[e - 1, :-1]
-        r[e] = (r[e] - np.einsum("lab,a,jb->jl", T, r[e - 1, -1], low)) % p
+    r[d:] = _times_x_powers(field, mod, -np.array(mod[:-k]).reshape(d, k) % p, d)
     red = np.zeros((d, s, 2 * d, s), dtype=np.int64)
     red[:, :k] = np.einsum("lab,eja,tb->jlet", T, r, _tables(field)[1]) % p
     return red.reshape(d * s, 2 * d * s)
@@ -340,17 +352,50 @@ def _prime_factors(n: int):
     return out
 
 
+def _frobenius_q(field, f) -> np.ndarray:
+    """F_p matrix (k*d square), on flat coordinates, of h -> h^q on F_q[x]/(f),
+    f monic of degree d (flat): ``pfrobenius_matrix(field, f, 1)``.
+
+    Its column j, in F_q terms, is x^(qj) mod f. For q < d that is x^q times
+    column j - 1: slot i moves to slot i + q, and the top q slots come back
+    through the residues x^(d + t) mod f, t < q. So a column costs one
+    product by a (k*d x k*q) matrix, and no reduction matrix is built.
+    """
+    p, k, q = field.p, field.k, field.q
+    d = pdeg(field, f)
+    if q >= d:
+        return pfrobenius_matrix(field, f, 1)
+    R = _times_x_powers(field, f, -np.array(f[:-k]).reshape(d, k) % p, q)
+    T = _linalg.mul_tensor(p, field.base_modulus or (0, 1))
+    act = np.einsum("lab,tjb->jlta", T, R).reshape(d * k, q * k) % p
+    cols = np.zeros((d, d * k), dtype=np.int64)
+    cols[0, 0] = 1
+    for j in range(1, d):
+        cols[j, q * k :] = cols[j - 1, : (d - q) * k]
+        cols[j] = (cols[j] + act @ cols[j - 1, (d - q) * k :]) % p
+    return _linalg.lift(field, cols.reshape(d, d, k).transpose(1, 0, 2))
+
+
 def pis_irreducible(field, f) -> bool:
     """Irreducibility test for a monic polynomial over F_q, q = p^k, given flat.
 
-    With Q the F_p matrix of h -> h^q on F_q[x]/(f), of size k*d:
-    - squarefree check: x^(q^d) = x mod f iff f is squarefree and each of its
-      irreducible factors has degree dividing d (x^(q^d) - x is their product);
-    - Berlekamp's criterion: for squarefree f the fixed space of Q has one F_q
-      dimension per irreducible factor, so f is irreducible iff
-      k*d - rank(Q - I) == k.
+    A polynomial of degree d >= 2 with f(0) = 0 has the factor x. Otherwise:
+    - stage 1, cheap rejects: for each i <= d/2 with m = q^i < d, the gcd of
+      f with x^m - x, the product of the monic irreducibles of degree
+      dividing i, is gcd(x^m - x, f mod (x^m - x)), and f mod (x^m - x) is a
+      fold of f's slots (x^e -> x^(1 + (e - 1) mod (m - 1)) for e >= 1). A
+      nontrivial gcd means an irreducible factor of degree at most
+      i <= d/2 < d, so f is reducible. Most random candidates have one.
+    - stage 2, Rabin's test on the survivors: f is irreducible iff
+      x^(q^d) = x mod f and gcd(x^(q^(d/r)) - x, f) = 1 for each prime r | d.
+      x^(q^d) - x is the product of the monic irreducibles of degree dividing
+      d, so the first condition leaves a squarefree f whose factors have such
+      degrees, and the gcds rule out every degree below d. The powers
+      x^(q^j) are a chain of products by the F_p matrix of h -> h^q; the
+      gcds run only if the chain ends at x, and not at a j that stage 1
+      already checked.
     """
-    p, k = field.p, field.k
+    p, k, q = field.p, field.k, field.q
     d = pdeg(field, f)
     if d < 1:
         return False
@@ -358,12 +403,28 @@ def pis_irreducible(field, f) -> bool:
         return True
     if not any(f[:k]):
         return False
-    Q = pfrobenius_matrix(field, f, 1)
-    x = np.zeros(k * d, dtype=np.int64)
+    i, m = 1, q
+    while 2 * i <= d and m < d:
+        folded = ptrim(field, tuple(f[:k]) + pfold(field, f[k:], m - 1))
+        x_m_minus_x = psub(field, (0,) * (k * m) + pone(field), (0,) * k + pone(field))
+        if pdeg(field, pgcd(field, x_m_minus_x, folded)) > 0:
+            return False
+        i, m = i + 1, m * q
+    gcd_at = {d // r for r in _prime_factors(d)} - set(range(i))
+    # float64 products by BLAS are exact: an entry of Q @ w sums k*d products
+    # below p^2 < 2^32, so it stays below 2^53 for any k*d < 2^21
+    Q = _frobenius_q(field, f).astype(np.float64)
+    x = np.zeros(k * d)
     x[k] = 1
-    v = x
-    for _ in range(d):
-        v = (Q @ v) % p
-    if not np.array_equal(v, x):
+    w, kept = x, []
+    for j in range(1, d + 1):
+        w = np.fmod(Q @ w, p)
+        if j in gcd_at:
+            kept.append(w)
+    if not np.array_equal(w, x):
         return False
-    return k * d - _linalg.rank_mod(Q - np.eye(k * d, dtype=np.int64), p) == k
+    for v in kept:
+        v_minus_x = ptrim(field, ((v - x) % p).astype(np.int64).tolist())
+        if pdeg(field, pgcd(field, f, v_minus_x)) > 0:
+            return False
+    return True

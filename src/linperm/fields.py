@@ -518,9 +518,10 @@ def find_irreducible(base: FieldSpec, degree: int, seed: int = 0) -> tuple[int, 
     rng = random.Random(f"{seed}:{base.p}:{base.k}:{degree}")
     p, k = base.p, base.k
     while True:
-        candidate = tuple(
-            d for _ in range(degree) for d in _digits(rng.randrange(base.q), p, k)
-        ) + _polys.pone(base)
+        draws = [rng.randrange(base.q) for _ in range(degree)]
+        # coordinate l of a coefficient is base-p digit l of its draw
+        digits = zip(*([v // p**l % p for v in draws] for l in range(k)))
+        candidate = tuple(itertools.chain.from_iterable(digits)) + _polys.pone(base)
         if _polys.pis_irreducible(base, candidate):
             return candidate
 

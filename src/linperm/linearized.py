@@ -22,7 +22,6 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from .fields import (
     _ext_reduction,
     _frobenius_power,
     _mul_rows,
+    extension_field,
 )
 from .idempotents import ComponentVector, IdempotentBasis, project, reconstruct
 from .polyring import (
@@ -304,13 +304,6 @@ def is_involution(F: LinearizedPoly) -> bool:
     return compose(F, F) == identity(F.spec)
 
 
-@lru_cache(maxsize=None)
-def _ext_for_ring(spec: RingSpec) -> ExtFieldSpec:
-    from .fields import find_irreducible
-
-    return ExtFieldSpec(spec.base, spec.n, find_irreducible(spec.base, spec.n, 0))
-
-
 def sign_vector_involutions(
     basis: IdempotentBasis, spec: ExtFieldSpec | None = None
 ) -> list[LinearizedPoly]:
@@ -319,11 +312,13 @@ def sign_vector_involutions(
     In odd characteristic the 2^t sign assignments give 2^t distinct
     involutions and exhaust the square roots of unity in the ring. In
     characteristic 2 the signs coincide and the construction collapses to
-    the identity alone.
+    the identity alone. ``spec`` defaults to ``extension_field(q, n, 0)``,
+    whose base is ``base_field(q)``; a ring over another model of F_q needs
+    its own.
     """
     ring = basis.spec
     if spec is None:
-        spec = _ext_for_ring(ring)
+        spec = extension_field(ring.base.q, ring.n, 0)
     if spec.base != ring.base or spec.n != ring.n:
         raise SpecMismatch("field spec does not match the basis ring")
     if ring.base.p == 2:
@@ -552,7 +547,7 @@ def evaluate(F: LinearizedPoly, a: ExtElement) -> ExtElement:
 # --- text format -------------------------------------------------------------
 
 _LIN_TERM_RE = re.compile(
-    r"^(?:(?P<coeff>[^*x]+)\*?)?x(?:\^\[(?P<exp>\d+)\])?$"
+    r"^(?:(?P<coeff>[^*x]+)\*?)?x(?:\^\[(?P<exp>-?\d+)\])?$"
 )
 
 

@@ -372,9 +372,11 @@ def _parse_digits(raw: str, text: str, p: int) -> list[int]:
 
 
 def _signed_terms(text: str) -> list[tuple[int, str]]:
-    """(sign, term) pairs of a sum "t1+t2-t3", which may open with a minus."""
+    """(sign, term) pairs of a sum "t1+t2-t3", which may open with a minus; a
+    sign inside brackets (one that a "]" follows before any "[") stays in its
+    term, so "x^[-1]" is one term."""
     first = -1 if text.startswith("-") else 1
-    tokens = re.split(r"([+-])", text[1:] if first < 0 else text)
+    tokens = re.split(r"([+-])(?![^\[]*\])", text[1:] if first < 0 else text)
     signs = [first] + [1 if s == "+" else -1 for s in tokens[1::2]]
     return list(zip(signs, tokens[::2]))
 

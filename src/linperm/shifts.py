@@ -104,9 +104,9 @@ def alpha_shift_power(F: LinearizedPoly, alpha: ExtElement, t: int) -> Linearize
     S_alpha^n = N(alpha)*id, then t mod n single shifts."""
     if t < 0:
         raise BadInput("shift count must be nonnegative")
+    _check_alpha(F, alpha)
     spec = F.spec
     if t >= spec.n:
-        _check_alpha(F, alpha)
         base = spec.base
         block = _block(base, (norm(alpha) ** (t // spec.n)).coeffs)
         slots = F.coords.reshape(-1, base.k) @ block.T % base.p

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from linperm import base_field, find_irreducible
 from linperm.cli import main
 
 
@@ -239,6 +240,29 @@ def test_bad_input_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_negative_exponent_is_named(capsys):
+    # a sign inside brackets belongs to its term: the exponent or the
+    # coordinate is named, not a fragment of the split text
+    code, out, err = run(capsys, ["is-perm", "--q", "3", "--n", "5", "--poly", "x^[-1]"])
+    assert code == 2
+    assert "exponent -1 out of range for n = 5" in err
+    code, out, err = run(
+        capsys, ["is-perm", "--q", "3", "--n", "2", "--poly", "[-1,0]*x^[1]+x"]
+    )
+    assert code == 2
+    assert "coefficient '[-1,0]' has a coordinate outside [0, 3)" in err
+
+
+@pytest.mark.parametrize("t", ["0", "1", "7"])
+def test_shift_refuses_zero_alpha_at_every_t(capsys, t):
+    code, out, err = run(
+        capsys, ["shift", "--q", "3", "--n", "5", "--poly", "x", "--alpha", "0", "--t", t]
+    )
+    assert code == 2
+    assert "ZeroAlpha" in err
+    assert out == ""
+
+
 def test_shift_output_parses_back(capsys):
     # alpha = 7 lies outside F_3, so the shift prints a bracket coefficient
     code, doc = run_json(
@@ -297,6 +321,26 @@ def test_moduli_are_pinned(capsys, q, n, seed):
     assert doc["seed"] == seed
     base, ext = MODULI[q, n, seed]
     assert doc["field"]["moduli"] == {"base": base, "ext": ext}
+
+
+# (q, degree, seed) -> sha256 of the comma-joined flat tuple that
+# find_irreducible returns: the moduli of F_{3^125}, F_{2^255} and F_{5^311},
+# and those of the splitting fields of x^125 - 1 and x^25 - 1 over F_3, of
+# degrees ord_125(3) = 100 and ord_25(3) = 20
+SEARCHED_MODULI = {
+    (2, 255, 0): "2c7686a0d1f698f773a8416fe6b1390376be2c96ea655bf2fa040740a8995b19",
+    (3, 20, 0): "fdd41bfc7ee87add88a873ff89329d497e06a1f28279713316e656e9c7ad1dfe",
+    (3, 100, 0): "c4d01c2f79016af64600a5d0abf94b7267c2df90d321291a41677436eba6c7a8",
+    (3, 125, 0): "56b1ee5e014899284f887cba8f7dbb49430844011276ebe1101f2408f459ac8e",
+    (5, 311, 0): "288ee53b8d7111db8f9922ebeb0a0bab319972e643a364b9694fc7aaec17121b",
+}
+
+
+@pytest.mark.parametrize("q,degree,seed", sorted(SEARCHED_MODULI))
+def test_searched_moduli_are_pinned(q, degree, seed):
+    mod = find_irreducible(base_field(q), degree, seed)
+    digest = hashlib.sha256(",".join(map(str, mod)).encode()).hexdigest()
+    assert digest == SEARCHED_MODULI[q, degree, seed]
 
 
 # argv -> (exit code, sha256 of stdout in text, sha256 of stdout with --json);

@@ -1,7 +1,11 @@
 """Field construction and arithmetic, checked against axioms and hand values."""
 
+import itertools
+import random
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linperm import (
@@ -17,7 +21,7 @@ from linperm import (
     norm,
 )
 from linperm.errors import BadInput, NotCoprime, ZeroInverse, ZeroOrder
-from linperm._polys import pis_irreducible
+from linperm._polys import _frobenius_q, pfrobenius_matrix, pis_irreducible, pmul, pone
 from linperm.fields import _frobenius_power, element_of_order
 from linperm.linearized import parse_linearized
 
@@ -223,10 +227,14 @@ def _mobius(n: int) -> int:
     return -out if n > 1 else out
 
 
-@pytest.mark.parametrize("q,max_degree", [(2, 4), (3, 4), (4, 4), (8, 3)])
+@pytest.mark.parametrize(
+    "q,max_degree", [(2, 4), (3, 4), (4, 4), (8, 3), (2, 12), (3, 6), (4, 5)]
+)
 def test_irreducible_count_matches_gauss(q, max_degree):
     # the number of monic irreducibles of degree d over F_q is
-    # (1/d) * sum over e | d of mu(e) q^(d/e)
+    # (1/d) * sum over e | d of mu(e) q^(d/e); at composite d the gcds of
+    # Rabin's test tell the irreducibles from products of factors whose
+    # degrees divide d
     base = base_field(q)
     for d in range(1, max_degree + 1):
         count = 0
@@ -236,6 +244,45 @@ def test_irreducible_count_matches_gauss(q, max_degree):
             count += pis_irreducible(base, flat)
         gauss = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
         assert count * d == gauss, (q, d)
+
+
+@settings(max_examples=30)
+@given(
+    q=st.sampled_from([2, 3, 4, 5, 8, 9]),
+    extra=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    seeds=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+)
+def test_pis_irreducible_rejects_reducibles(q, extra, seeds):
+    base = base_field(q)
+    # factor degrees a, b with q^min(a, b) >= a + b: stage 1 takes gcds with
+    # x^(q^i) - x only while q^i < a + b, so no factor has a degree it checks
+    # and the verdict on f*g and f^2 is stage 2's
+    low = next(a for a in itertools.count(1) if q**a >= 2 * (a + 3))
+    a, b = low + extra[0], low + extra[1]
+    assert q ** min(a, b) >= a + b
+    f = find_irreducible(base, a, seeds[0])
+    g = find_irreducible(base, b, seeds[1])
+    assert pis_irreducible(base, f) and pis_irreducible(base, g)
+    assert not pis_irreducible(base, pmul(base, f, g))
+    # not squarefree
+    assert not pis_irreducible(base, pmul(base, f, f))
+    # constant term 0
+    assert not pis_irreducible(base, (0,) * base.k + f)
+
+
+@given(
+    q=st.sampled_from([2, 3, 4, 5, 8, 9, 27, 49]),
+    degree=st.integers(2, 40),
+    seed=st.integers(0, 10**6),
+)
+def test_frobenius_q_matches_powering(q, degree, seed):
+    # for q < d, the slot-shifting build of h -> h^q against the Frobenius
+    # matrices of F_{q^n} (x^q by square-and-multiply, then its powers), which
+    # _frobenius_q returns itself for q >= d
+    base = base_field(q)
+    rng = random.Random(seed)
+    f = tuple(rng.randrange(base.p) for _ in range(base.k * degree)) + pone(base)
+    assert np.array_equal(_frobenius_q(base, f), pfrobenius_matrix(base, f, 1))
 
 
 def _naive_scalar_product(field, a, b):

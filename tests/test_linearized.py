@@ -293,6 +293,17 @@ def test_sign_vector_involutions_tiny_rings():
         assert {conventional_associate(F) for F in invs} == ring_roots
 
 
+def test_sign_vector_involutions_default_spec():
+    # without a spec the involutions live in the cached extension_field(q, n, 0)
+    for q, n in [(3, 2), (5, 2), (3, 5)]:
+        basis = primitive_idempotents(RingSpec(base_field(q), n))
+        invs = sign_vector_involutions(basis)
+        assert all(F.spec is extension_field(q, n, 0) for F in invs)
+    with pytest.warns(UserWarning):
+        (I,) = sign_vector_involutions(primitive_idempotents(RingSpec(base_field(2), 3)))
+    assert I.spec is extension_field(2, 3, 0)
+
+
 def test_char2_collapse():
     basis = primitive_idempotents(RingSpec(base_field(2), 3))
     with pytest.warns(UserWarning):

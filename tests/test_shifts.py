@@ -29,7 +29,13 @@ from linperm import (
     shifted_inverse,
     sign_vector_involutions,
 )
-from linperm.errors import HypothesisViolated, NotAPermutation, OddOrder
+from linperm.errors import (
+    BadInput,
+    HypothesisViolated,
+    NotAPermutation,
+    OddOrder,
+    ZeroAlpha,
+)
 
 E35 = extension_field(3, 5)
 R35 = RingSpec(base_field(3), 5)
@@ -81,6 +87,17 @@ def test_shift_power_n_scales_by_norm():
             chained = alpha_shift(chained, alpha)
         assert chained == want
         assert alpha_shift_power(F, alpha, n) == want
+
+
+@pytest.mark.parametrize("t", [0, 1, 5, 11])
+def test_shift_power_checks_alpha_at_every_t(t):
+    # S_0 is no shift map, for t = 0 as for t >= 1
+    F = identity(E35)
+    with pytest.raises(ZeroAlpha):
+        alpha_shift_power(F, E35.zero(), t)
+    with pytest.raises(BadInput):
+        alpha_shift_power(F, extension_field(3, 7).one(), t)
+    assert alpha_shift_power(F, E35.one(), 0) == F
 
 
 def test_shift_power_large_t_uses_norm_law():
