@@ -17,7 +17,6 @@ from .fields import (
     element_order,
     extension_field,
     find_irreducible,
-    find_primitive_element,
     frobenius,
     integer_order_mod,
     norm,

@@ -174,6 +174,12 @@ def pfold(field, a, n: int) -> tuple:
     return tuple(v % field.p for v in out)
 
 
+def _x_derivative(field, a) -> tuple:
+    """x times the formal derivative of a: slot j times the integer j."""
+    k, p = field.k, field.p
+    return ptrim(field, [v * (i // k) % p for i, v in enumerate(a)])
+
+
 def pcyclic_mul(field, a, b, n: int):
     """Product of two residues modulo x^n - 1: the packed convolution with its
     slots folded mod n; always n slots."""
@@ -310,34 +316,6 @@ def ppowmod(field, red: np.ndarray, a, e: int) -> tuple:
     return _unpack(k, _powmod(field.p, red, _pack(k, a), e))
 
 
-def ppower_matrix(field, red: np.ndarray, start: np.ndarray, step: np.ndarray):
-    """F_p matrix (k*d square), on flat coordinates, of the F_q-linear map of
-    F_q[x]/(f) that sends x^j to start * step^j; ``red`` is f's reduction
-    matrix and ``start``, ``step`` are packed residues."""
-    p, k = field.p, field.k
-    s = 2 * k - 1
-    d = red.shape[0] // s
-    cols = [start]
-    for _ in range(d - 1):
-        cols.append(mulmod(p, red, cols[-1], step))
-    coords = np.array(cols).reshape(d, d, s)[:, :, :k].transpose(1, 0, 2)
-    return _linalg.lift(field, coords)
-
-
-def pmul_matrix(field, red: np.ndarray, c) -> np.ndarray:
-    """F_p matrix of h -> c*h on F_q[x]/(f), c flat: x^j goes to c*x^j."""
-    k = field.k
-    return ppower_matrix(field, red, _pack(k, c), red[:, 2 * k - 1])
-
-
-def pfrobenius_matrix(field, mod, i: int) -> np.ndarray:
-    """F_p matrix of h -> h^(q^i) on F_q[x]/(mod): x^j goes to w^j, w = x^(q^i)."""
-    p, s = field.p, 2 * field.k - 1
-    red = _reduction_matrix(field, mod)
-    one, x = red[:, 0], red[:, s]  # the residues of 1 and x
-    return ppower_matrix(field, red, one, _powmod(p, red, x, field.q**i))
-
-
 def _prime_factors(n: int):
     out = []
     d = 2
@@ -354,25 +332,32 @@ def _prime_factors(n: int):
 
 def _frobenius_q(field, f) -> np.ndarray:
     """F_p matrix (k*d square), on flat coordinates, of h -> h^q on F_q[x]/(f),
-    f monic of degree d (flat): ``pfrobenius_matrix(field, f, 1)``.
+    f monic of degree d (flat).
 
-    Its column j, in F_q terms, is x^(qj) mod f. For q < d that is x^q times
-    column j - 1: slot i moves to slot i + q, and the top q slots come back
-    through the residues x^(d + t) mod f, t < q. So a column costs one
-    product by a (k*d x k*q) matrix, and no reduction matrix is built.
+    Its column j, in F_q terms, is x^(qj) mod f, which is x^q times column
+    j - 1: slot i moves to slot i + q while i + q < d, and the other slots
+    come back through the residues x^(max(q, d) + t) mod f, t < min(q, d).
+    Those start at x^d = -low(f) for q < d and at x^q mod f, by
+    square-and-multiply, for q >= d. So a column costs one product by a
+    (k*d x k*min(q, d)) matrix.
     """
     p, k, q = field.p, field.k, field.q
     d = pdeg(field, f)
-    if q >= d:
-        return pfrobenius_matrix(field, f, 1)
-    R = _times_x_powers(field, f, -np.array(f[:-k]).reshape(d, k) % p, q)
+    wrap = min(q, d)  # the top slots, d - wrap and up, go through the table
+    if q < d:
+        first = -np.array(f[:-k]).reshape(d, k) % p
+    else:
+        red = _reduction_matrix(field, tuple(f))
+        x_q = _powmod(p, red, red[:, 2 * k - 1], q)  # red[:, 2k - 1] is x
+        first = x_q.reshape(d, 2 * k - 1)[:, :k]
+    R = _times_x_powers(field, f, first, wrap)
     T = _linalg.mul_tensor(p, field.base_modulus or (0, 1))
-    act = np.einsum("lab,tjb->jlta", T, R).reshape(d * k, q * k) % p
+    act = np.einsum("lab,tjb->jlta", T, R).reshape(d * k, wrap * k) % p
     cols = np.zeros((d, d * k), dtype=np.int64)
     cols[0, 0] = 1
     for j in range(1, d):
-        cols[j, q * k :] = cols[j - 1, : (d - q) * k]
-        cols[j] = (cols[j] + act @ cols[j - 1, (d - q) * k :]) % p
+        cols[j, q * k :] = cols[j - 1, : (d - wrap) * k]
+        cols[j] = (cols[j] + act @ cols[j - 1, (d - wrap) * k :]) % p
     return _linalg.lift(field, cols.reshape(d, d, k).transpose(1, 0, 2))
 
 

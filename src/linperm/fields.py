@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
@@ -397,28 +396,29 @@ class ExtElement:
 # --- Frobenius and norm ------------------------------------------------------
 
 
-# the Frobenius powers that _frobenius_power's cache still holds, by its key
-_frobenius_held = weakref.WeakValueDictionary()
-
-
 @lru_cache(maxsize=None)
 def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
     """F_p matrix of a -> a^(q^i) on the flat coordinates of F_{q^n}.
 
-    Frob^i = Frob^j Frob^(i-j) is one product when both powers are cached;
-    otherwise it is built from x^(q^i) alone. Either way, asking for a power
-    caches that power only.
+    Frob^1 is ``_polys._frobenius_q`` of the modulus; Frob^i is Frob^1 raised
+    to i by square-and-multiply. Asking for a power caches that power and
+    Frob^1 only.
     """
-    for j in range(1, i // 2 + 1):
-        a = _frobenius_held.get((spec, j))
-        b = _frobenius_held.get((spec, i - j))
-        if a is not None and b is not None:
-            out = a @ b % spec.base.p
-            break
-    else:
-        out = _polys.pfrobenius_matrix(spec.base, spec.ext_modulus, i)
-    _frobenius_held[spec, i] = out
-    return out
+    base = spec.base
+    if i == 0:
+        return np.eye(base.k * spec.n, dtype=np.int64)
+    if i == 1:
+        return _polys._frobenius_q(base, spec.ext_modulus)
+    # float64 products by BLAS are exact: an entry sums k*n products below
+    # p^2 < 2^32, so it stays below 2^53 for any k*n < 2^21
+    sq, out = _frobenius_power(spec, 1).astype(np.float64), None
+    while i:
+        if i & 1:
+            out = sq if out is None else np.fmod(out @ sq, base.p)
+        i >>= 1
+        if i:
+            sq = np.fmod(sq @ sq, base.p)
+    return out.astype(np.int64)
 
 
 def frobenius(a: ExtElement, i: int) -> ExtElement:
@@ -470,16 +470,6 @@ def element_order(a) -> int:
         while o % prime == 0 and a ** (o // prime) == one:
             o //= prime
     return o
-
-
-def find_primitive_element(spec):
-    """First element of multiplicative order q-1 (resp. q^n-1) in a deterministic scan."""
-    group = spec.order - 1
-    for v in range(1, spec.order):
-        a = spec.from_int(v)
-        if element_order(a) == group:
-            return a
-    raise InternalError("no primitive element found")  # pragma: no cover
 
 
 def element_of_order(spec, n: int):
@@ -552,11 +542,23 @@ def base_field(q: int) -> FieldSpec:
 
 
 @lru_cache(maxsize=None)
-def extension_field(q: int, n: int, seed: int = 0) -> ExtFieldSpec:
-    """F_{q^n} over base_field(q) with a seeded deterministic modulus."""
+def _extension_field(q: int, n: int, seed: int) -> ExtFieldSpec:
     base = base_field(q)
     if base.k == 1 and seed == 0:
         canned = CANONICAL_BASE_MODULI.get((base.p, n))
         if canned is not None:
             return ExtFieldSpec(base, n, canned)
     return ExtFieldSpec(base, n, find_irreducible(base, n, seed))
+
+
+def extension_field(q: int, n: int, seed: int = 0) -> ExtFieldSpec:
+    """F_{q^n} over base_field(q) with a seeded deterministic modulus.
+
+    The seed is passed on by position, so every spelling of the same
+    (q, n, seed) is one entry of ``_extension_field``'s cache.
+    """
+    return _extension_field(q, n, seed)
+
+
+# the cache's counters stay reachable through the public name
+extension_field.__wrapped__ = _extension_field

@@ -3,10 +3,10 @@
 Because gcd(n, q) = 1 the quotient ring is semisimple: x^n - 1 splits into
 distinct irreducible factors f_i and the ring decomposes as a direct product
 of fields F_q[x]/(f_i). Each factor carries a unique primitive idempotent
-e_i, computed here via the cofactor construction e_i = (h_i^{-1} mod f_i) h_i
-with h_i = (x^n - 1)/f_i. A closed-form route exists for n = p^m when the
-order of q mod p^m is large enough; both routes are exposed and cross-check
-each other.
+e_i, computed here by the derivative formula e_i = n^{-1} x f_i' h_i mod
+(x^n - 1) with h_i = (x^n - 1)/f_i (MacWilliams-Sloane, ch. 8). A closed-form
+route exists for n = p^m when the order of q mod p^m is large enough; both
+routes are exposed and cross-check each other.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import _polys
 from .errors import (
     BadInput,
     ConditionNotMet,
@@ -29,7 +30,6 @@ from .polyring import (
     RingSpec,
     cyclotomic_cosets,
     factor_xn_minus_1,
-    poly_egcd,
     ring_mul,
 )
 
@@ -86,17 +86,22 @@ class ComponentVector:
 
 
 def _check_basis_invariants(spec: RingSpec, components) -> None:
-    """Orthogonality, sum-to-one, idempotency; raised as InternalError since
-    a violation means the construction itself is broken."""
-    es = [c.idempotent for c in components]
+    """e_i^2 = e_i, e_i f_i = 0, sum e_i = 1 and one component per coset;
+    raised as InternalError since a violation means the construction itself
+    is broken.
+
+    These imply e_i e_j = 0 for i != j: e_i f_i = 0 means h_i = (x^n - 1)/f_i
+    divides e_i, and lcm(h_i, h_j) = x^n - 1, since x^n - 1 is squarefree
+    and ``factor_xn_minus_1`` checks that the product of the f_i is x^n - 1.
+    """
     total = spec.zero()
-    for i, e in enumerate(es):
+    for i, c in enumerate(components):
+        e = c.idempotent
         if ring_mul(e, e) != e:
             raise InternalError(f"component {i}: e^2 != e")
+        if not ring_mul(e, spec.from_poly(c.factor)).is_zero():
+            raise InternalError(f"component {i}: e * f != 0")
         total = total + e
-        for j in range(i):
-            if not ring_mul(es[j], e).is_zero():
-                raise InternalError(f"components {j},{i}: product not zero")
     if total != spec.one():
         raise InternalError("idempotents do not sum to 1")
     if len(components) != len(cyclotomic_cosets(spec)):
@@ -105,20 +110,22 @@ def _check_basis_invariants(spec: RingSpec, components) -> None:
 
 @lru_cache(maxsize=None)
 def primitive_idempotents(spec: RingSpec) -> IdempotentBasis:
-    """CRT construction: e_i = (h_i^{-1} mod f_i) * h_i with h_i the cofactor.
+    """Derivative formula: e_i = n^{-1} x f_i' h_i mod (x^n - 1), with h_i =
+    (x^n - 1)/f_i the cofactor.
 
-    Components come back ordered by cyclotomic coset representative, so the
-    all-ones component (coset of 0, factor x - 1) is always index 0.
+    Differentiating x^n - 1 = prod_j f_j gives n x^(n-1) = sum_j f_j' h_j.
+    Every h_j with j != i has the factor f_i, so x f_i' h_i = n x^n = n mod
+    f_i, while h_i has every other factor; so e_i is 1 mod f_i and 0 mod the
+    rest. Components come back ordered by cyclotomic coset representative, so
+    the all-ones component (coset of 0, factor x - 1) is always index 0.
     """
-    modulus = spec.modulus()
+    base, modulus = spec.base, spec.modulus()
+    n_inv = pow(spec.n, -1, base.p)
     components = []
     for coset, factor in factor_xn_minus_1(spec):
-        cofactor = modulus // factor
-        # g is monic, so g = 1 and u is the inverse of the cofactor mod f_i
-        g, u, _ = poly_egcd(cofactor % factor, factor)
-        if g.degree != 0:
-            raise InternalError("cofactor not invertible mod its factor")
-        e = spec.from_poly(u * cofactor)
+        x_deriv = _polys._x_derivative(base, factor.coords)
+        scaled = Poly(base, tuple(v * n_inv % base.p for v in x_deriv))
+        e = spec.from_poly(scaled * (modulus // factor))
         components.append(Component(coset, factor, e))
     return IdempotentBasis(spec, tuple(components))
 
@@ -151,7 +158,7 @@ def closed_form_pm(spec: RingSpec, p: int, m: int) -> IdempotentBasis:
 
     Component i >= 1 is attached to the coset of p^{m-i} and the factor
     Phi_{p^i}(x^{p^{i-1}})-style cyclotomic polynomial sum_{j<p} x^{j p^{i-1}},
-    which matches the ordering of the CRT construction.
+    which matches the ordering of ``primitive_idempotents``.
     """
     if spec.n != p**m:
         raise BadInput(f"n = {spec.n} is not {p}^{m}")

@@ -40,7 +40,6 @@ from .fields import (
     ExtElement,
     ExtFieldSpec,
     FieldElement,
-    _ext_reduction,
     _frobenius_power,
     _mul_rows,
     extension_field,
@@ -230,6 +229,13 @@ def is_permutation_gcd(F: LinearizedPoly) -> bool:
     return ring_is_unit(conventional_associate(F))
 
 
+def _mul_matrix(spec: ExtFieldSpec, c: np.ndarray) -> np.ndarray:
+    """F_p matrix of a -> c*a on flat coordinates, c flat: row j of the
+    row-wise product of the identity by c is the image of unit vector j."""
+    eye = np.eye(spec.base.k * spec.n, dtype=np.int64)
+    return _mul_rows(spec, eye, np.broadcast_to(c, eye.shape)).T
+
+
 def is_permutation_rank(F: LinearizedPoly) -> bool:
     """Rank test for arbitrary coefficients: the induced F_q-linear map on
     F_{q^n} must have full rank, k*n as an F_p-linear map (q = p^k).
@@ -256,7 +262,7 @@ def is_permutation_rank(F: LinearizedPoly) -> bool:
         Fi = _frobenius_power(spec, i)
         c = F.coords[i]
         if outside[i]:
-            M += _polys.pmul_matrix(base, _ext_reduction(spec), c) @ Fi
+            M += _mul_matrix(spec, c) @ Fi
         else:
             # Mul(c) is block diagonal with c's k x k block: slot j of the
             # image is the block times slot j of Frob^i

@@ -7,7 +7,7 @@ with the rest of the package only the row-wise product ``fields._mul_rows``
 (``_polys.mulmod_rows`` with the reduction matrix of
 ``_polys._reduction_matrix``, or the product tensor that kernel builds). It
 builds its own Frobenius powers from a q-th powering and must not read
-``fields._frobenius_power``, ``_linalg`` or ``_polys.pmul_matrix``, the pieces
+``fields._frobenius_power``, ``_linalg`` or ``linearized._mul_matrix``, the pieces
 of the rank test, so a wrong Frobenius matrix cannot fool both.
 Enumeration caps are hard errors, never silent downgrades to sampling.
 """

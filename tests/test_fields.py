@@ -15,13 +15,13 @@ from linperm import (
     element_order,
     extension_field,
     find_irreducible,
-    find_primitive_element,
     frobenius,
     integer_order_mod,
     norm,
 )
 from linperm.errors import BadInput, NotCoprime, ZeroInverse, ZeroOrder
-from linperm._polys import _frobenius_q, pfrobenius_matrix, pis_irreducible, pmul, pone
+from linperm._linalg import lift
+from linperm._polys import _frobenius_q, pis_irreducible, pmod, pmul, pone
 from linperm.fields import _frobenius_power, element_of_order
 from linperm.linearized import parse_linearized
 
@@ -113,8 +113,11 @@ def test_integer_orders():
 
 def test_element_order_and_primitive():
     E = extension_field(3, 2)
-    beta = find_primitive_element(E)
+    nonzero = [a for a in E.elements() if not a.is_zero()]
+    beta = next(a for a in nonzero if element_order(a) == 8)
     assert element_order(beta) == 8
+    # the cyclic group of order 8 has phi(8) = 4 generators
+    assert sum(element_order(a) == 8 for a in nonzero) == 4
     with pytest.raises(ZeroOrder):
         element_order(E.zero())
 
@@ -171,7 +174,8 @@ def test_from_int_range():
 
 
 def test_frobenius_power_built_directly():
-    # power i comes from x^(q^i) alone, not from the powers below it
+    # power i is Frob^1 raised to i: the cache holds power i and Frob^1, not
+    # the powers in between
     E = extension_field(3, 25)
     _frobenius_power.cache_clear()
     a = E.from_int(10**11)
@@ -276,13 +280,26 @@ def test_pis_irreducible_rejects_reducibles(q, extra, seeds):
     seed=st.integers(0, 10**6),
 )
 def test_frobenius_q_matches_powering(q, degree, seed):
-    # for q < d, the slot-shifting build of h -> h^q against the Frobenius
-    # matrices of F_{q^n} (x^q by square-and-multiply, then its powers), which
-    # _frobenius_q returns itself for q >= d
+    # the slot-shifting build of h -> h^q, on both sides of q = d, against
+    # its columns x^(qj) mod f by long division of the monomials
     base = base_field(q)
+    k = base.k
     rng = random.Random(seed)
-    f = tuple(rng.randrange(base.p) for _ in range(base.k * degree)) + pone(base)
-    assert np.array_equal(_frobenius_q(base, f), pfrobenius_matrix(base, f, 1))
+    f = tuple(rng.randrange(base.p) for _ in range(k * degree)) + pone(base)
+    cols = []
+    for j in range(degree):
+        r = pmod(base, (0,) * (k * q * j) + pone(base), f)
+        cols.append(list(r) + [0] * (k * degree - len(r)))
+    expected = lift(base, np.array(cols).reshape(degree, degree, k).transpose(1, 0, 2))
+    assert np.array_equal(_frobenius_q(base, f), expected)
+
+
+def test_extension_field_seed_is_one_cache_key():
+    cached = extension_field.__wrapped__
+    cached.cache_clear()
+    specs = [extension_field(3, 125), extension_field(3, 125, 0), extension_field(3, 125, seed=0)]
+    assert specs[0] is specs[1] is specs[2]
+    assert cached.cache_info().misses == 1
 
 
 def _naive_scalar_product(field, a, b):

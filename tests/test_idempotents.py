@@ -1,6 +1,7 @@
 """Primitive idempotent construction, projections and the closed p^m form."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from linperm import (
     ComponentVector,
     FieldSpec,
+    IdempotentBasis,
     RingSpec,
     base_field,
     closed_form_pm,
@@ -16,13 +18,20 @@ from linperm import (
     factor_xn_minus_1,
     is_idempotent,
     is_primitive_idempotent,
+    poly_egcd,
     primitive_idempotents,
     project,
     reconstruct,
     ring_mul,
 )
 from linperm._linalg import lift, rank_mod
-from linperm.errors import BadInput, ConditionNotMet, LengthMismatch, SpecMismatch
+from linperm.errors import (
+    BadInput,
+    ConditionNotMet,
+    InternalError,
+    LengthMismatch,
+    SpecMismatch,
+)
 
 ALL_SPECS = [(2, 3), (3, 2), (3, 5), (5, 2), (3, 25), (11, 9), (8, 11), (3, 125)]
 PM_SPECS = {(3, 5): (5, 1), (3, 25): (5, 2), (11, 9): (3, 2), (3, 125): (5, 3)}
@@ -46,6 +55,44 @@ def test_basis_invariants(q, n):
             assert ring_mul(es[j], e) == zero
     assert total == one
     assert basis.t == len(factor_xn_minus_1(spec))
+
+
+def _cofactor_idempotents(spec):
+    """e_i = (h_i^{-1} mod f_i) h_i with h_i = (x^n - 1)/f_i, one egcd per
+    factor: the CRT construction, an oracle for the derivative formula."""
+    modulus = spec.modulus()
+    out = []
+    for _, factor in factor_xn_minus_1(spec):
+        cofactor = modulus // factor
+        g, u, _ = poly_egcd(cofactor % factor, factor)
+        assert g.degree == 0
+        out.append(spec.from_poly(u * cofactor))
+    return out
+
+
+# prime bases, F_4, F_8 and F_9
+@pytest.mark.parametrize(
+    "q,n", [(2, 3), (3, 5), (11, 9), (2, 255), (4, 3), (4, 15), (8, 11), (9, 4), (9, 5)]
+)
+def test_derivative_formula_matches_cofactor_construction(q, n):
+    spec = ring(q, n)
+    assert list(primitive_idempotents(spec).idempotents) == _cofactor_idempotents(spec)
+
+
+@pytest.mark.parametrize("corrupt", ["swap", "merge"])
+def test_wrong_basis_is_an_internal_error(corrupt):
+    # swapping two idempotents keeps e^2 = e, e_i e_j = 0 and sum = 1; only
+    # e_i f_i = 0 ties each idempotent to its own factor
+    spec = ring(11, 9)
+    comps = list(primitive_idempotents(spec).components)
+    a, b = comps[0], comps[1]
+    if corrupt == "swap":
+        comps[0] = replace(a, idempotent=b.idempotent)
+        comps[1] = replace(b, idempotent=a.idempotent)
+    else:
+        comps[0] = replace(a, idempotent=a.idempotent + b.idempotent)
+    with pytest.raises(InternalError):
+        IdempotentBasis(spec, tuple(comps))
 
 
 @pytest.mark.parametrize("q,n", ALL_SPECS)

@@ -192,7 +192,7 @@ def _replace_frobenius(monkeypatch, fake):
 
 
 def test_oracles_need_nothing_from_the_rank_test(monkeypatch):
-    from linperm import _linalg, _polys, evaluate
+    from linperm import _linalg, evaluate, linearized
 
     fields_ = {qn: extension_field(*qn) for qn, *_ in ORACLE_ANSWERS}
     E9 = extension_field(11, 9)
@@ -202,7 +202,7 @@ def test_oracles_need_nothing_from_the_rank_test(monkeypatch):
 
     _replace_frobenius(monkeypatch, fake)
     monkeypatch.setattr(_linalg, "rank_mod", fake)
-    monkeypatch.setattr(_polys, "pmul_matrix", fake)
+    monkeypatch.setattr(linearized, "_mul_matrix", fake)
     for qn, text, bijective, ker, fixed, image in ORACLE_ANSWERS:
         E = fields_[qn]
         F = parse_linearized(text, E)
