@@ -316,15 +316,25 @@ def ppowmod(field, red: np.ndarray, a, e: int) -> tuple:
     return _unpack(k, _powmod(field.p, red, _pack(k, a), e))
 
 
-def _prime_factors(n: int):
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending.
+
+    Trial division by d < 2^16 stops once d^2 exceeds what is left, so a
+    cofactor left below 2^32 is 1 or a prime. A cofactor of 2^32 or more goes
+    to ``sympy.factorint``, which is imported for that case alone.
+    """
     out = []
     d = 2
-    while d * d <= n:
+    while d < 1 << 16 and d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1
+    if n >= 1 << 32:
+        import sympy
+
+        return out + sorted(sympy.factorint(n))
     if n > 1:
         out.append(n)
     return out

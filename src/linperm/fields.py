@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
 import numpy as np
-import sympy
 
 from . import _polys
 from .errors import (
@@ -40,6 +40,14 @@ CANONICAL_BASE_MODULI = {
 def _digits(v: int, p: int, count: int) -> tuple[int, ...]:
     """The lowest ``count`` base-p digits of v, lowest first."""
     return tuple(v // p**i % p for i in range(count))
+
+
+def _check_degree(p: int, n: int, coprime: bool = True) -> None:
+    """Refuse an extension degree n over a base of characteristic p."""
+    if n < 1:
+        raise BadInput("extension degree n must be >= 1")
+    if coprime and gcd(n, p) != 1:
+        raise BadInput(f"gcd(n, p) must be 1; got n = {n}, p = {p}")
 
 
 def _is_prime(p: int) -> bool:
@@ -206,10 +214,7 @@ class ExtFieldSpec:
 
     def __post_init__(self):
         base = self.base
-        if self.n < 1:
-            raise BadInput("extension degree n must be >= 1")
-        if type(self)._require_coprime and gcd(self.n, base.p) != 1:
-            raise BadInput(f"gcd(n, p) must be 1; got n = {self.n}, p = {base.p}")
+        _check_degree(base.p, self.n, type(self)._require_coprime)
         mod = tuple(c % base.p for c in self.ext_modulus)
         if len(mod) != base.k * (self.n + 1) or mod[-base.k :] != _polys.pone(base):
             raise BadInput(f"ext_modulus must be monic of degree {self.n}")
@@ -396,29 +401,46 @@ class ExtElement:
 # --- Frobenius and norm ------------------------------------------------------
 
 
+# the Frobenius powers that _frobenius_power's cache still holds, by (spec, i)
+_frobenius_held = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=None)
 def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
     """F_p matrix of a -> a^(q^i) on the flat coordinates of F_{q^n}.
 
-    Frob^1 is ``_polys._frobenius_q`` of the modulus; Frob^i is Frob^1 raised
-    to i by square-and-multiply. Asking for a power caches that power and
-    Frob^1 only.
+    Frob^1 is ``_polys._frobenius_q`` of the modulus. For i >= 2, Frob^i is
+    Frob^j Frob^(i-j), j the highest power below i that the cache still holds
+    (Frob^1 at least); the gap power Frob^(i-j) is Frob^1 raised to i - j by
+    square-and-multiply and is not cached. So an ascending walk over the
+    powers costs one product each, and a lone power one square-and-multiply.
+    Asking for a power caches that power and Frob^1 only.
     """
     base = spec.base
     if i == 0:
         return np.eye(base.k * spec.n, dtype=np.int64)
     if i == 1:
-        return _polys._frobenius_q(base, spec.ext_modulus)
-    # float64 products by BLAS are exact: an entry sums k*n products below
-    # p^2 < 2^32, so it stays below 2^53 for any k*n < 2^21
-    sq, out = _frobenius_power(spec, 1).astype(np.float64), None
-    while i:
-        if i & 1:
-            out = sq if out is None else np.fmod(out @ sq, base.p)
-        i >>= 1
-        if i:
-            sq = np.fmod(sq @ sq, base.p)
-    return out.astype(np.int64)
+        out = _polys._frobenius_q(base, spec.ext_modulus)
+    else:
+        frob = _frobenius_power(spec, 1)
+        j, below = 1, frob
+        for h in range(i - 1, 1, -1):
+            held = _frobenius_held.get((spec, h))
+            if held is not None:
+                j, below = h, held
+                break
+        # float64 products by BLAS are exact: an entry sums k*n products
+        # below p^2 < 2^32, so it stays below 2^53 for any k*n < 2^21
+        sq, gap, e = frob.astype(np.float64), None, i - j
+        while e:
+            if e & 1:
+                gap = sq if gap is None else np.fmod(gap @ sq, base.p)
+            e >>= 1
+            if e:
+                sq = np.fmod(sq @ sq, base.p)
+        out = np.fmod(below @ gap, base.p).astype(np.int64)
+    _frobenius_held[spec, i] = out
+    return out
 
 
 def frobenius(a: ExtElement, i: int) -> ExtElement:
@@ -460,13 +482,17 @@ def integer_order_mod(q: int, n: int) -> int:
 
 
 def element_order(a) -> int:
-    """Multiplicative order of a nonzero field element."""
+    """Multiplicative order of a nonzero field element.
+
+    Each prime of the group order, from ``_polys._prime_factors``, is divided
+    out of it while the power stays 1.
+    """
     if a.is_zero():
         raise ZeroOrder("0 has no multiplicative order")
     group = a.spec.order - 1
     one = a.spec.one()
     o = group
-    for prime in sympy.factorint(group):
+    for prime in _polys._prime_factors(group):
         while o % prime == 0 and a ** (o // prime) == one:
             o //= prime
     return o
@@ -544,6 +570,8 @@ def base_field(q: int) -> FieldSpec:
 @lru_cache(maxsize=None)
 def _extension_field(q: int, n: int, seed: int) -> ExtFieldSpec:
     base = base_field(q)
+    # refuse the degree before searching for a modulus of it
+    _check_degree(base.p, n)
     if base.k == 1 and seed == 0:
         canned = CANONICAL_BASE_MODULI.get((base.p, n))
         if canned is not None:

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -206,6 +209,34 @@ def test_bad_field_args(capsys):
 def test_gcd_violation(capsys):
     code, out, err = run(capsys, ["idempotents", "--q", "3", "--n", "6"])
     assert code == 2
+
+
+def test_degree_refused_before_the_modulus_search(capsys, monkeypatch):
+    from linperm import fields
+
+    def search(*args):
+        raise AssertionError("searched for a modulus of a refused degree")
+
+    monkeypatch.setattr(fields, "find_irreducible", search)
+    code, out, err = run(capsys, ["is-perm", "--q", "2", "--n", "1024", "--poly", "x"])
+    assert code == 2
+    assert out == ""
+    assert "gcd(n, p) must be 1" in err
+
+
+def test_import_and_query_leave_sympy_unloaded():
+    # sympy only splits group-order cofactors of 2^32 or more
+    import linperm
+
+    code = (
+        "import sys, linperm, linperm.cli\n"
+        "linperm.cli.main(['is-perm', '--q', '3', '--n', '5', '--poly', 'x^[1]+x'])\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(linperm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_json_stable_serialization(capsys):

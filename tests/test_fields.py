@@ -1,5 +1,6 @@
 """Field construction and arithmetic, checked against axioms and hand values."""
 
+import gc
 import itertools
 import random
 
@@ -21,7 +22,8 @@ from linperm import (
 )
 from linperm.errors import BadInput, NotCoprime, ZeroInverse, ZeroOrder
 from linperm._linalg import lift
-from linperm._polys import _frobenius_q, pis_irreducible, pmod, pmul, pone
+from linperm import fields
+from linperm._polys import _frobenius_q, _prime_factors, pis_irreducible, pmod, pmul, pone
 from linperm.fields import _frobenius_power, element_of_order
 from linperm.linearized import parse_linearized
 
@@ -174,13 +176,105 @@ def test_from_int_range():
 
 
 def test_frobenius_power_built_directly():
-    # power i is Frob^1 raised to i: the cache holds power i and Frob^1, not
-    # the powers in between
+    # a lone power i is Frob^1 times Frob^(i-1), the gap built from Frob^1 by
+    # square-and-multiply and not cached: the cache holds power i and Frob^1,
+    # not the powers in between
     E = extension_field(3, 25)
     _frobenius_power.cache_clear()
     a = E.from_int(10**11)
     assert frobenius(a, 24) == a ** (3**24)
     assert _frobenius_power.cache_info().currsize <= 2
+
+
+def _frobenius_by_products(E):
+    """Frob^0 .. Frob^(n-1) by repeated int64 products of ``_frobenius_q``."""
+    p = E.base.p
+    frob = _frobenius_q(E.base, E.ext_modulus)
+    powers = [np.eye(E.base.k * E.n, dtype=np.int64)]
+    for _ in range(E.n - 1):
+        powers.append(powers[-1] @ frob % p)
+    return powers
+
+
+@pytest.mark.parametrize("q, n", [(3, 25), (4, 15), (8, 11), (49, 3)])
+def test_frobenius_walks_match_repeated_products(q, n):
+    # one product per power from the highest held power, on both sides of
+    # q = d; the cache keeps the powers asked for and Frob^1, nothing else
+    E = extension_field(q, n)
+    expected = _frobenius_by_products(E)
+    _frobenius_power.cache_clear()
+    for i in range(1, n):
+        assert np.array_equal(_frobenius_power(E, i), expected[i])
+    assert _frobenius_power.cache_info().currsize == n - 1
+    _frobenius_power.cache_clear()
+    sparse = list(range(2, n, 3))
+    for i in sparse:
+        assert np.array_equal(_frobenius_power(E, i), expected[i])
+    assert _frobenius_power.cache_info().currsize == len(set(sparse) | {1})
+    for i in range(1, n):
+        assert np.array_equal(_frobenius_power(E, i), expected[i])
+    assert _frobenius_power.cache_info().currsize == n - 1
+    # the held-power lookup keeps nothing alive that the cache dropped
+    _frobenius_power.cache_clear()
+    gc.collect()
+    assert len(fields._frobenius_held) == 0
+
+
+def _order_by_factorint(a):
+    """Multiplicative order with the group order split by sympy.factorint."""
+    from sympy import factorint
+
+    group = a.spec.order - 1
+    one, o = a.spec.one(), group
+    for prime in factorint(group):
+        while o % prime == 0 and a ** (o // prime) == one:
+            o //= prime
+    return o
+
+
+def _two_primes():
+    from sympy import nextprime
+
+    prime = st.integers(1 << 15, 1 << 40).map(nextprime)
+    return st.tuples(prime, prime).map(lambda pq: pq[0] * pq[1])
+
+
+@given(st.one_of(st.integers(1, (1 << 64) - 1), _two_primes()))
+def test_prime_factors_match_factorint(n):
+    # trial division below 2^16, and sympy for a cofactor of 2^32 or more:
+    # a product of two primes from 2^15 to 2^40 lands on either side
+    from sympy import factorint
+
+    assert _prime_factors(n) == sorted(factorint(n))
+
+
+@pytest.mark.parametrize(
+    "q, n", [(2, 63), (3, 40), (7, 25), (11, 9), (2, 127), (3, 61), (5, 31)]
+)
+def test_element_order_matches_factorint(monkeypatch, q, n):
+    import sympy
+
+    E = extension_field(q, n)
+    expected = _order_by_factorint(E.gen())
+    calls = []
+    factorint = sympy.factorint
+    monkeypatch.setattr(sympy, "factorint", lambda m: calls.append(m) or factorint(m))
+    assert element_order(E.gen()) == expected
+    if (q, n) == (11, 9):
+        assert calls == []  # 11^9 - 1 < 2^32 stays on trial division
+    if (q, n) == (2, 63):
+        assert calls == [92737 * 649657]  # 2^63 - 1 past its factors below 2^16
+
+
+def test_degree_is_checked_before_the_modulus_search(monkeypatch):
+    def search(*args):
+        raise AssertionError("searched for a modulus of a refused degree")
+
+    monkeypatch.setattr(fields, "find_irreducible", search)
+    with pytest.raises(BadInput, match=r"gcd\(n, p\) must be 1"):
+        extension_field(2, 1024)
+    with pytest.raises(BadInput, match="extension degree n must be >= 1"):
+        extension_field(3, -4)
 
 
 FLAT_SPECS = ((3, 5), (4, 3), (8, 3))
