@@ -65,18 +65,23 @@ def _block(field, c: tuple) -> np.ndarray:
     return block.reshape(field.k, field.k)
 
 
-@lru_cache(maxsize=4096)
-def _inverse(field, c: tuple) -> tuple:
-    """Coordinates of 1/c for a nonzero F_q scalar c: the first column of
-    c's block raised to q - 2."""
+def _power(field, c: tuple, e: int) -> tuple:
+    """Coordinates of c^e for an F_q scalar c and e >= 0 (0^0 = 1): the first
+    column of c's block raised to e by square-and-multiply."""
     p = field.p
-    acc, sq, e = np.eye(field.k, dtype=np.int64), _block(field, c), field.q - 2
+    acc, sq = np.eye(field.k, dtype=np.int64), _block(field, c)
     while e:
         if e & 1:
             acc = acc @ sq % p
         sq = sq @ sq % p
         e >>= 1
     return tuple(acc[:, 0].tolist())
+
+
+@lru_cache(maxsize=4096)
+def _inverse(field, c: tuple) -> tuple:
+    """Coordinates of 1/c for a nonzero F_q scalar c: c^(q - 2)."""
+    return _power(field, c, field.q - 2)
 
 
 def _slots(k: int, a) -> np.ndarray:

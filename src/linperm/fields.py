@@ -42,23 +42,13 @@ def _digits(v: int, p: int, count: int) -> tuple[int, ...]:
     return tuple(v // p**i % p for i in range(count))
 
 
-def _check_degree(p: int, n: int, coprime: bool = True) -> None:
-    """Refuse an extension degree n over a base of characteristic p."""
+def _check_degree(n: int) -> None:
     if n < 1:
         raise BadInput("extension degree n must be >= 1")
-    if coprime and gcd(n, p) != 1:
-        raise BadInput(f"gcd(n, p) must be 1; got n = {n}, p = {p}")
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return _polys._prime_factors(p) == [p]
 
 
 @dataclass(frozen=True)
@@ -70,7 +60,7 @@ class FieldSpec:
     base_modulus: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not _is_prime(self.p) or self.p >= _MAX_PRIME:
+        if self.p >= _MAX_PRIME or not _is_prime(self.p):
             raise BadInput(f"p = {self.p} must be a prime below 2^16")
         if self.k < 1:
             raise BadInput("extension degree k must be >= 1")
@@ -148,43 +138,29 @@ class FieldElement:
     def __sub__(self, other):
         self._check(other)
         p = self.spec.p
-        if self.spec.k == 1:
-            return _interned(self.spec)[(self.coeffs[0] - other.coeffs[0]) % p]
         return FieldElement(
             self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __neg__(self):
         p = self.spec.p
-        if self.spec.k == 1:
-            return _interned(self.spec)[-self.coeffs[0] % p]
         return FieldElement(self.spec, tuple(-c % p for c in self.coeffs))
 
     def __mul__(self, other):
         self._check(other)
         spec = self.spec
-        p, k = spec.p, spec.k
-        if k == 1:
-            return _interned(spec)[(self.coeffs[0] * other.coeffs[0]) % p]
-        out = _polys._block(spec, self.coeffs) @ other.coeffs % p
+        out = _polys._block(spec, self.coeffs) @ other.coeffs % spec.p
         return FieldElement(spec, tuple(out.tolist()))
 
     def inverse(self) -> FieldElement:
         if self.is_zero():
             raise ZeroInverse("0 has no multiplicative inverse")
-        return self ** (self.spec.q - 2)
+        return FieldElement(self.spec, _polys._inverse(self.spec, self.coeffs))
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.spec.one()
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FieldElement(self.spec, _polys._power(self.spec, self.coeffs, e))
 
     def __str__(self):
         return ",".join(str(c) for c in self.coeffs)
@@ -192,7 +168,8 @@ class FieldElement:
 
 @lru_cache(maxsize=None)
 def _interned(spec: FieldSpec) -> tuple:
-    """The p elements of a prime field, shared to avoid churn in hot loops."""
+    """The p elements of a prime field, shared by ``element`` and ``__add__``
+    for the boxed fold behind ``conventional_associate``."""
     return tuple(FieldElement(spec, (v,)) for v in range(spec.p))
 
 
@@ -209,12 +186,9 @@ class ExtFieldSpec:
     n: int
     ext_modulus: tuple[int, ...]
 
-    # Splitting fields built internally for factoring x^n - 1 relax this.
-    _require_coprime = True
-
     def __post_init__(self):
         base = self.base
-        _check_degree(base.p, self.n, type(self)._require_coprime)
+        _check_degree(self.n)
         mod = tuple(c % base.p for c in self.ext_modulus)
         if len(mod) != base.k * (self.n + 1) or mod[-base.k :] != _polys.pone(base):
             raise BadInput(f"ext_modulus must be monic of degree {self.n}")
@@ -543,16 +517,18 @@ def find_irreducible(base: FieldSpec, degree: int, seed: int = 0) -> tuple[int, 
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            while q % p == 0:
-                q //= p
-                k += 1
-            if q != 1:
-                raise BadInput("q must be a prime power")
-            return p, k
-    raise BadInput("q must be >= 2")
+    """(p, k) with q = p^k. Only divisors below 2^16 are tried: a q >= 2 with
+    none comes back as (q, 1), for ``FieldSpec`` to refuse as too large."""
+    if q < 2:
+        raise BadInput("q must be >= 2")
+    p = next((d for d in range(2, min(q, _MAX_PRIME)) if q % d == 0), q)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    if q != 1:
+        raise BadInput("q must be a prime power")
+    return p, k
 
 
 @lru_cache(maxsize=None)
@@ -570,8 +546,11 @@ def base_field(q: int) -> FieldSpec:
 @lru_cache(maxsize=None)
 def _extension_field(q: int, n: int, seed: int) -> ExtFieldSpec:
     base = base_field(q)
-    # refuse the degree before searching for a modulus of it
-    _check_degree(base.p, n)
+    # refuse the degree before searching for a modulus of it; the ring
+    # F_q[x]/(x^n - 1) that this field serves needs gcd(n, p) = 1
+    _check_degree(n)
+    if gcd(n, base.p) != 1:
+        raise BadInput(f"gcd(n, p) must be 1; got n = {n}, p = {base.p}")
     if base.k == 1 and seed == 0:
         canned = CANONICAL_BASE_MODULI.get((base.p, n))
         if canned is not None:

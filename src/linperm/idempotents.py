@@ -22,7 +22,7 @@ from .errors import (
     LengthMismatch,
     SpecMismatch,
 )
-from .fields import integer_order_mod
+from .fields import _is_prime, integer_order_mod
 from .polyring import (
     CyclotomicCoset,
     Poly,
@@ -136,7 +136,7 @@ def cor4_condition(p: int, m: int, q: int) -> bool:
     Holds when p = 2 with m = 1 (q odd) or m = 2 (q = 3 mod 4), or when p is
     odd and q generates the full unit group mod p^m.
     """
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not _is_prime(p):
         raise BadInput(f"p = {p} is not prime")
     if m < 1:
         raise BadInput("m must be positive")

@@ -44,7 +44,13 @@ from .fields import (
     _mul_rows,
     extension_field,
 )
-from .idempotents import ComponentVector, IdempotentBasis, project, reconstruct
+from .idempotents import (
+    ComponentVector,
+    IdempotentBasis,
+    cor4_condition,
+    project,
+    reconstruct,
+)
 from .polyring import (
     RingElement,
     RingSpec,
@@ -291,11 +297,12 @@ def compositional_inverse(
     spec = basis.spec
     inv_entries = []
     for entry, comp in zip(v.entries, basis.components):
-        # g is monic, so g = 1 and u is the entry's inverse mod f_i
-        g, u, _ = poly_egcd(entry.to_poly() % comp.factor, comp.factor)
+        # the entry is a remainder mod f_i and g is monic, so g = 1 and u,
+        # of degree below f_i, is the entry's inverse mod f_i
+        g, u, _ = poly_egcd(entry.to_poly(), comp.factor)
         if g.degree != 0:
             raise InternalError("component entry not invertible mod its factor")
-        inv_entries.append(spec.from_poly(u % comp.factor))
+        inv_entries.append(spec.from_poly(u))
     f_inv = reconstruct(ComponentVector(spec, tuple(inv_entries)), basis)
     if f_inv != ring_inverse(f):
         raise InternalError("component inverse disagrees with ring inverse")
@@ -386,22 +393,13 @@ def _pm_condition_values(C: np.ndarray, p: int, m: int, char: int) -> np.ndarray
 
 
 def pm_sufficient_conditions(F: LinearizedPoly, p: int, m: int) -> bool:
-    """Sufficient permutation test for n = p^m via constant terms of f*e_i.
+    """Sufficient permutation test for n = p^m via constant terms of f*e_i:
+    the A-complete conditions of ``a_complete_sufficient_pm`` with A = {0}.
 
     True guarantees F is a permutation; False is inconclusive (the conditions
     only force the constant term of each product to be nonzero).
     """
-    from .idempotents import cor4_condition
-
-    if F.spec.n != p**m:
-        raise BadInput(f"n = {F.spec.n} is not {p}^{m}")
-    C = _base_coords(F)
-    base = F.spec.base
-    if not cor4_condition(p, m, base.q):
-        raise ConditionNotMet(
-            "closed-form idempotents are not primitive for these parameters"
-        )
-    return bool(_pm_condition_values(C, p, m, base.p).any(axis=1).all())
+    return a_complete_sufficient_pm(F, [0], p, m)
 
 
 def a_complete_check(
@@ -448,8 +446,6 @@ def a_complete_sufficient_pm(F: LinearizedPoly, A, p: int, m: int) -> bool:
     weighted sum must avoid -(1/p^{m-i} - 1/p^{m-i+1}) lambda. True
     guarantees A-completeness; False is inconclusive.
     """
-    from .idempotents import cor4_condition
-
     if F.spec.n != p**m:
         raise BadInput(f"n = {F.spec.n} is not {p}^{m}")
     C = _base_coords(F)

@@ -269,25 +269,19 @@ def cyclotomic_cosets(spec: RingSpec) -> list[CyclotomicCoset]:
     return cosets
 
 
-class _SplittingFieldSpec(ExtFieldSpec):
-    """F_{q^m} used only to host the n-th roots of unity; m need not be coprime to p."""
-
-    _require_coprime = False
-
-
 @lru_cache(maxsize=None)
-def splitting_field(spec: RingSpec) -> ExtFieldSpec | FieldSpec:
-    """Smallest field F_{q^m} containing the n-th roots of unity (F_q itself if m = 1)."""
+def splitting_field(spec: RingSpec) -> ExtFieldSpec:
+    """Smallest field F_{q^m} containing the n-th roots of unity, m the order
+    of q mod n; an extension of degree 1 when m = 1. Unlike ``extension_field``
+    it does not need gcd(m, p) = 1."""
     m = integer_order_mod(spec.base.q, spec.n)
-    if m == 1:
-        return spec.base
-    return _SplittingFieldSpec(spec.base, m, find_irreducible(spec.base, m, seed=0))
+    return ExtFieldSpec(spec.base, m, find_irreducible(spec.base, m, seed=0))
 
 
 def _linear_factor_rows(work, roots, p: int) -> np.ndarray:
     """Monic product of (x - r) over roots given by their coordinates in the
     splitting field ``work``: row i of the int array is the x^i coefficient.
-    When work = F_q every coset is one root, so no product is taken."""
+    When m = 1 every coset is one root, so no product is taken."""
     first, *rest = roots
     prod = np.array([np.negative(first) % p, np.eye(len(first), dtype=np.int64)[0]])
     for r in rest:
@@ -313,7 +307,7 @@ def factor_xn_minus_1(spec: RingSpec) -> list[tuple[CyclotomicCoset, Poly]]:
     powers = [work.one()]
     for _ in range(n - 1):
         powers.append(powers[-1] * zeta)
-    flat = [r.coeffs if work is base else r.coords for r in powers]
+    flat = [r.coords for r in powers]
 
     out = []
     for coset in cyclotomic_cosets(spec):

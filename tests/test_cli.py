@@ -239,6 +239,27 @@ def test_import_and_query_leave_sympy_unloaded():
     assert done.returncode == 0, done.stderr.decode()
 
 
+def test_huge_prime_q_is_refused_quickly():
+    # the prime-power split tries divisors below 2^16 only and FieldSpec
+    # checks that bound before primality; trying every divisor up to q
+    # takes minutes
+    import linperm
+
+    src = os.path.dirname(os.path.dirname(linperm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["is-perm", "--q", "2147483647", "--n", "3", "--poly", "x"]
+    done = subprocess.run(
+        [sys.executable, "-m", "linperm.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "p = 2147483647 must be a prime below 2^16" in done.stderr
+
+
 def test_json_stable_serialization(capsys):
     _, doc1 = run_json(capsys, ["idempotents", "--q", "3", "--n", "5"])
     _, doc2 = run_json(capsys, ["idempotents", "--q", "3", "--n", "5"])

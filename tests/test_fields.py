@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from linperm import (
     ExtFieldSpec,
     FieldSpec,
+    RingSpec,
     base_field,
     element_order,
     extension_field,
@@ -34,6 +35,29 @@ def test_prime_field_basics(F3):
     assert two * two == F3.one()
     assert (-two) == F3.one()
     assert two.inverse() == two
+
+
+@given(
+    st.sampled_from([3, 8, 9, 49]).flatmap(
+        lambda q: st.tuples(st.integers(0, q - 1).map(base_field(q).from_int), st.integers(-12, 12))
+    )
+)
+def test_scalar_power_matches_products(case):
+    a, e = case
+    one = a.spec.one()
+    assert a**0 == one  # 0^0 = 1 as well
+    if e < 0 and a.is_zero():
+        with pytest.raises(ZeroInverse):
+            a**e
+        return
+    b = a if e >= 0 else a.inverse()
+    want = one
+    for _ in range(abs(e)):
+        want = want * b
+    assert a**e == want
+    if not a.is_zero():
+        assert a * a.inverse() == one
+        assert a ** (a.spec.q - 2) == a.inverse()
 
 
 def test_f8_canonical_modulus(F8):
@@ -158,6 +182,17 @@ def test_ext_requires_coprime_degree(F3):
     # gcd(n, p) must be 1 for the ring machinery this spec feeds
     with pytest.raises(BadInput):
         extension_field(3, 6)
+
+
+def test_ext_spec_allows_any_degree(F3):
+    # gcd(n, p) = 1 is the ring's rule, not the field's: the splitting field
+    # of x^13 - 1 over F_3 has degree 3
+    cubic = (1, 2, 0, 1)  # z^3 + 2z + 1
+    assert ExtFieldSpec(F3, 3, cubic).order == 27
+    with pytest.raises(BadInput, match=r"gcd\(n, p\) must be 1"):
+        extension_field(3, 3)
+    with pytest.raises(BadInput, match=r"gcd\(n, q\) must be 1"):
+        RingSpec(F3, 3)
 
 
 def test_from_int_roundtrip():

@@ -1,5 +1,6 @@
 """Primitive idempotent construction, projections and the closed p^m form."""
 
+import hashlib
 import itertools
 from dataclasses import replace
 
@@ -277,3 +278,30 @@ def test_is_primitive_idempotent():
     assert not is_primitive_idempotent(spec.one(), basis)
     for comp in basis.components:
         assert is_primitive_idempotent(comp.idempotent, basis)
+
+
+# (p, k, base modulus or None for base_field(p^k), n) -> sha256 over (coset
+# members, factor coords, idempotent coords) of each component: rings split
+# over F_q (m = 1), splitting fields of degree m with gcd(m, p) != 1, and
+# bases with non-canonical moduli
+DECOMPOSITIONS = {
+    (3, 1, None, 2): "3ab0758210c8478b991d444fd2b4976227d15a78e5cbc2d075536618805d1fe4",
+    (2, 2, None, 3): "f4e53b345203fb1ce9c05a8b9ce6fa7074ae4b9fc7083838094e4f5e4928fc5f",
+    (7, 2, None, 3): "714a8f8ae180ecfe99debb79ccc3f1a55e756eb12032829a4ca3a9bf601ab602",
+    (2, 1, None, 3): "53b77a59be269fc67cf7a6a70dfc3c257e5e67915332ac1a9b3798ed346762a8",
+    (3, 1, None, 13): "47fbe0f3d742d1b89f1de2a1a78c11dbb76caa9350b643071a5e2a229c389b42",
+    (5, 1, None, 11): "3e32dca76e67f53905b81f4b825c024e6f6b8825cd35e3617f2cdc3110770566",
+    (2, 3, (1, 0, 1, 1), 7): "e070e81138a68068a0837b6a45c12fec2cbbbcdb93cdb8ed9d1315863ec3f884",
+    (2, 3, (1, 0, 1, 1), 9): "9e9c9bb650dbe75e3ad9c35995ee49dbaff8266057b70efb611e1ad4d2bd921a",
+    (3, 2, (2, 2, 1), 5): "547c3b69b18eba1c8d8dbee7841fe8e9709ca8345c0bf8d042fa777db38c9a3a",
+    (3, 2, (2, 2, 1), 8): "665dc49bb05d18feb668191c5d3329594a09c9a1ddfd64c1c09ac89f5211b0c7",
+}
+
+
+@pytest.mark.parametrize("p,k,base_modulus,n", sorted(DECOMPOSITIONS, key=str))
+def test_decomposition_is_pinned(p, k, base_modulus, n):
+    base = base_field(p**k) if base_modulus is None else FieldSpec(p, k, base_modulus)
+    h = hashlib.sha256()
+    for c in primitive_idempotents(RingSpec(base, n)).components:
+        h.update(repr((c.coset.members, c.factor.coords, c.idempotent.coords)).encode())
+    assert h.hexdigest() == DECOMPOSITIONS[p, k, base_modulus, n]
