@@ -26,6 +26,8 @@ from linperm import (
     ring_mul,
 )
 from linperm._linalg import lift, rank_mod
+from linperm.fields import element_of_order
+from linperm.polyring import splitting_field
 from linperm.errors import (
     BadInput,
     ConditionNotMet,
@@ -295,13 +297,44 @@ DECOMPOSITIONS = {
     (2, 3, (1, 0, 1, 1), 9): "9e9c9bb650dbe75e3ad9c35995ee49dbaff8266057b70efb611e1ad4d2bd921a",
     (3, 2, (2, 2, 1), 5): "547c3b69b18eba1c8d8dbee7841fe8e9709ca8345c0bf8d042fa777db38c9a3a",
     (3, 2, (2, 2, 1), 8): "665dc49bb05d18feb668191c5d3329594a09c9a1ddfd64c1c09ac89f5211b0c7",
+    (3, 1, None, 125): "76a13f634b0bc8941b24ce55051f62d8ab2892d051cd92e14129e12e2632b445",
+    (2, 1, None, 255): "fa5f172b4c625a0a848f6a07d217e32b77182f0762289bf014df15ec370a681d",
+    (2, 3, None, 11): "332272a5cf7a03ff76b05e0332628cc3a04aa3e69be53f0c6693d2a5f6a1812d",
+    (5, 1, None, 311): "cc665aa4c7c6e9775a8553f96c1736823818041fefe32f021fb09fb06f07a914",
 }
+
+
+def _base(p, k, base_modulus):
+    return base_field(p**k) if base_modulus is None else FieldSpec(p, k, base_modulus)
 
 
 @pytest.mark.parametrize("p,k,base_modulus,n", sorted(DECOMPOSITIONS, key=str))
 def test_decomposition_is_pinned(p, k, base_modulus, n):
-    base = base_field(p**k) if base_modulus is None else FieldSpec(p, k, base_modulus)
+    base = _base(p, k, base_modulus)
     h = hashlib.sha256()
     for c in primitive_idempotents(RingSpec(base, n)).components:
         h.update(repr((c.coset.members, c.factor.coords, c.idempotent.coords)).encode())
     assert h.hexdigest() == DECOMPOSITIONS[p, k, base_modulus, n]
+
+
+@pytest.mark.parametrize("p,k,base_modulus,n", sorted(DECOMPOSITIONS, key=str))
+def test_factor_vanishes_on_its_coset(p, k, base_modulus, n):
+    """The factor of coset C_s is zero at zeta^j for every j in C_s, zeta the
+    root of unity that labels the cosets. Evaluated by Horner in the
+    splitting field's ExtElement arithmetic, so this oracle shares no linear
+    algebra with the construction of the factors."""
+    spec = RingSpec(_base(p, k, base_modulus), n)
+    work = splitting_field(spec)
+    zeta = element_of_order(work, n)
+    for coset, factor in factor_xn_minus_1(spec):
+        coords = factor.coords
+        coeffs = [
+            work.element((spec.base.element(coords[i : i + k]),))
+            for i in range(0, len(coords), k)
+        ]
+        assert len(coeffs) == len(coset.members) + 1
+        for j in coset.members:
+            root, acc = zeta**j, work.zero()
+            for c in reversed(coeffs):
+                acc = acc * root + c
+            assert acc.is_zero(), (coset.representative, j)
