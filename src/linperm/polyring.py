@@ -3,9 +3,10 @@
 ``Poly`` and ``RingElement`` hold the flat F_p coordinates of their
 coefficients, as ``_polys`` and ``ExtElement.coords`` do, and each operation
 is one ``_polys`` kernel. Includes extended Euclid, unit testing/inversion,
-q-cyclotomic cosets and the factorization of x^n - 1 through an explicit
-n-th root of unity. F_q scalars are boxed only at the public boundary
-(``RingSpec.element``); the parser sums the ints of its terms.
+q-cyclotomic cosets and the factorization of x^n - 1 into minimal
+polynomials of powers of an explicit n-th root of unity. F_q scalars are
+boxed only at the public boundary (``RingSpec.element``); the parser sums the
+ints of its terms.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import gcd
 
 import numpy as np
 
-from . import _polys
+from . import _linalg, _polys
 from .errors import (
     BadInput,
     BothZero,
@@ -29,7 +30,6 @@ from .fields import (
     ExtFieldSpec,
     FieldElement,
     FieldSpec,
-    _ext_reduction,
     element_of_order,
     find_irreducible,
     integer_order_mod,
@@ -278,28 +278,19 @@ def splitting_field(spec: RingSpec) -> ExtFieldSpec:
     return ExtFieldSpec(spec.base, m, find_irreducible(spec.base, m, seed=0))
 
 
-def _linear_factor_rows(work, roots, p: int) -> np.ndarray:
-    """Monic product of (x - r) over roots given by their coordinates in the
-    splitting field ``work``: row i of the int array is the x^i coefficient.
-    When m = 1 every coset is one root, so no product is taken."""
-    first, *rest = roots
-    prod = np.array([np.negative(first) % p, np.eye(len(first), dtype=np.int64)[0]])
-    for r in rest:
-        red = _ext_reduction(work)
-        nxt = np.zeros((len(prod) + 1, prod.shape[1]), dtype=np.int64)
-        nxt[1:] = prod
-        nxt[:-1] -= [_polys.pmulmod(work.base, red, r, row) for row in prod]
-        prod = nxt % p
-    return prod
-
-
 @lru_cache(maxsize=None)
 def factor_xn_minus_1(spec: RingSpec) -> list[tuple[CyclotomicCoset, Poly]]:
     """Irreducible factors of x^n - 1 over F_q, one per cyclotomic coset.
 
-    The factor attached to coset C_s is the product of (x - zeta^j) over
-    j in C_s, computed in the splitting field F_{q^m} with zeta a fixed
-    n-th root of unity, then projected back into F_q.
+    The factor attached to coset C_s is the minimal polynomial over F_q of
+    beta = zeta^s, zeta a fixed n-th root of unity in the splitting field
+    F_{q^m} (Lidl-Niederreiter, Thm 2.47), so its roots are the zeta^j for j
+    in C_s; zeta fixes which factor each coset labels. With d = |C_s| and
+    beta^j = zeta^(s*j mod n), the coefficients a_0, ..., a_{d-1} of
+    x^d + ... + a_0 solve sum_j a_j beta^j = -beta^d: one F_p system, the
+    F_q matrix of columns beta^0, ..., beta^(d-1) lifted by ``_linalg.lift``.
+    A system without a solution, or factors whose product is not x^n - 1,
+    raise ``InternalError``.
     """
     base, n = spec.base, spec.n
     work = splitting_field(spec)
@@ -307,20 +298,26 @@ def factor_xn_minus_1(spec: RingSpec) -> list[tuple[CyclotomicCoset, Poly]]:
     powers = [work.one()]
     for _ in range(n - 1):
         powers.append(powers[-1] * zeta)
-    flat = [r.coords for r in powers]
+    # zeta_pows[j, i] holds the F_q coordinates of slot i of zeta^j
+    zeta_pows = np.array([r.coords for r in powers], dtype=np.int64).reshape(n, -1, base.k)
 
     out = []
     for coset in cyclotomic_cosets(spec):
-        rows = _linear_factor_rows(work, [flat[j] for j in coset.members], base.p)
-        if rows[:, base.k :].any():
-            raise InternalError("factor coefficient escaped F_q; arithmetic is broken")
-        out.append((coset, Poly(base, tuple(rows[:, : base.k].ravel().tolist()))))
+        s, d = coset.representative, len(coset.members)
+        beta = zeta_pows[[s * j % n for j in range(d + 1)]]  # beta^0, ..., beta^d
+        A = _linalg.lift(base, beta[:d].transpose(1, 0, 2))
+        low = _linalg.solve_mod(A, -beta[d].ravel(), base.p)
+        if low is None:
+            raise InternalError(
+                f"polyring: zeta^{s} has no minimal polynomial of degree {d} over F_q"
+            )
+        out.append((coset, Poly(base, tuple(low.tolist()) + _polys.pone(base))))
 
     product = Poly.one(base)
     for _, f in out:
         product = product * f
     if product != spec.modulus():
-        raise InternalError("product of coset factors is not x^n - 1")
+        raise InternalError("polyring: product of coset factors is not x^n - 1")
     return out
 
 

@@ -23,7 +23,7 @@ from linperm import (
     ring_mul,
     shift_mul_x,
 )
-from linperm.errors import BadInput, BothZero, NotAUnit
+from linperm.errors import BadInput, BothZero, InternalError, NotAUnit
 from linperm.polyring import splitting_field
 
 ALL_SPECS = [(2, 3), (3, 2), (3, 5), (5, 2), (3, 25), (11, 9), (8, 11), (3, 125)]
@@ -113,6 +113,23 @@ def test_known_factor_degrees():
     assert [f.degree for _, f in factor_xn_minus_1(ring(8, 11))] == [1, 10]
     assert [f.degree for _, f in factor_xn_minus_1(ring(11, 9))] == [1, 6, 2]
     assert [str(f) for _, f in factor_xn_minus_1(ring(2, 3))] == ["x+1", "x^2+x+1"]
+
+
+@pytest.mark.parametrize("corrupt", ["no solution", "wrong solution"])
+def test_broken_minimal_polynomial_is_an_internal_error(monkeypatch, corrupt):
+    """A system without a solution, or a solution that is not the minimal
+    polynomial, stops the build with an error naming its layer."""
+    from linperm import _linalg
+
+    solve = _linalg.solve_mod
+
+    def broken(A, b, p):
+        x = solve(A, b, p)
+        return None if corrupt == "no solution" else (x + 1) % p
+
+    monkeypatch.setattr(_linalg, "solve_mod", broken)
+    with pytest.raises(InternalError, match="^polyring: "):
+        factor_xn_minus_1.__wrapped__(ring(11, 9))
 
 
 def test_splitting_field_degree():
