@@ -76,19 +76,15 @@ def _eliminate(m: np.ndarray, p: int) -> list[int]:
         nz = np.flatnonzero(c)
         if nz.size == 0:
             continue
-        top = nz[0]
-        pivot = m[r + top, col:] % p * pow(int(c[top]), -1, p) % p
-        if top:
-            # row r moves to the pivot row's place; its entry c[0] is 0
-            m[r + top], c[top] = m[r], 0
+        t = int(nz[0])
+        pivot = m[r + t, col:] % p * pow(int(c[t]), -1, p) % p
+        if t:
+            # row r takes the pivot row's place; it is zero in this column
+            # and needs no update
+            m[r + t] = m[r]
         m[r, col:] = pivot
-        if len(c) * (e - col) <= 4096:
-            # a small block costs its numpy calls, not its entries: update
-            # every row below, those with c = 0 by nothing
-            m[r + 1 :, col:] -= c[1:, None] * pivot
-        else:
-            rest = nz[1:]
-            m[r + rest, col:] -= c[rest, None] * pivot
+        rest = nz[1:]
+        m[r + rest, col:] -= c[rest, None] * pivot
         pivots.append(col)
     return pivots
 

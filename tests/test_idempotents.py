@@ -320,10 +320,14 @@ def test_decomposition_is_pinned(p, k, base_modulus, n):
 
 @pytest.mark.parametrize("p,k,base_modulus,n", list(DECOMPOSITIONS))
 def test_factor_vanishes_on_its_coset(p, k, base_modulus, n):
-    """The factor of coset C_s is zero at zeta^j for every j in C_s, zeta the
-    root of unity that labels the cosets. Evaluated by Horner in the
-    splitting field's ExtElement arithmetic, so this oracle shares no linear
-    algebra with the construction of the factors."""
+    """The factor of coset C_s is the minimal polynomial of zeta^s over F_q,
+    zeta the root of unity that labels the cosets: it is monic of degree
+    |C_s| and zero at zeta^s. That pins it, since the minimal polynomial has
+    degree |C_s| and divides it; and a polynomial over F_q zero at zeta^s is
+    zero at every zeta^(s*q^i), as f(zeta^(s*q^i)) = f(zeta^s)^(q^i), so one
+    root per coset covers all of C_s. Evaluated by Horner in the splitting
+    field's ExtElement arithmetic, so this oracle shares no linear algebra
+    with the construction of the factors."""
     spec = RingSpec(_base(p, k, base_modulus), n)
     work = splitting_field(spec)
     zeta = element_of_order(work, n)
@@ -334,8 +338,8 @@ def test_factor_vanishes_on_its_coset(p, k, base_modulus, n):
             for i in range(0, len(coords), k)
         ]
         assert len(coeffs) == len(coset.members) + 1
-        for j in coset.members:
-            root, acc = zeta**j, work.zero()
-            for c in reversed(coeffs):
-                acc = acc * root + c
-            assert acc.is_zero(), (coset.representative, j)
+        assert coeffs[-1] == work.one()
+        root, acc = zeta**coset.representative, work.zero()
+        for c in reversed(coeffs):
+            acc = acc * root + c
+        assert acc.is_zero(), coset.representative
