@@ -381,7 +381,8 @@ _frobenius_held = weakref.WeakValueDictionary()
 
 @lru_cache(maxsize=None)
 def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
-    """F_p matrix of a -> a^(q^i) on the flat coordinates of F_{q^n}.
+    """F_p matrix of a -> a^(q^i) on the flat coordinates of F_{q^n}, as a
+    read-only uint16 array shared by every caller.
 
     Frob^1 is ``_polys._frobenius_q`` of the modulus. For i >= 2, Frob^i is
     Frob^j Frob^(i-j), j the highest power below i that the cache still holds
@@ -389,11 +390,15 @@ def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
     square-and-multiply and is not cached. So an ascending walk over the
     powers costs one product each, and a lone power one square-and-multiply.
     Asking for a power caches that power and Frob^1 only.
+
+    Entries are below p < 2^16, so each power is stored as uint16, 2*(k*n)^2
+    bytes. A reader must multiply it by an int64 array, never by a bare
+    Python int, which leaves the product in uint16 where it wraps.
     """
     base = spec.base
     if i == 0:
-        return np.eye(base.k * spec.n, dtype=np.int64)
-    if i == 1:
+        out = np.eye(base.k * spec.n)
+    elif i == 1:
         out = _polys._frobenius_q(base, spec.ext_modulus)
     else:
         frob = _frobenius_power(spec, 1)
@@ -412,7 +417,9 @@ def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
             e >>= 1
             if e:
                 sq = np.fmod(sq @ sq, base.p)
-        out = np.fmod(below @ gap, base.p).astype(np.int64)
+        out = np.fmod(below @ gap, base.p)
+    out = out.astype(np.uint16)
+    out.flags.writeable = False
     _frobenius_held[spec, i] = out
     return out
 

@@ -260,7 +260,8 @@ def is_permutation_rank(F: LinearizedPoly) -> bool:
     # of them for a coefficient in F_q and k*n otherwise. Over at most n
     # terms entries stay below n*k*p^2 when every coefficient lies in F_q,
     # and below n*k*n*p^2 in any case, far inside int64 (p < 2^16);
-    # rank_mod reduces M once.
+    # rank_mod reduces M once. Frob^i is stored as uint16, so each product
+    # takes an int64 operand (Mul(c) or c's block), which makes it int64.
     M = np.zeros((k * n, k * n), dtype=np.int64)
     rows = M.reshape(n, k, k * n)
     outside = F.coords[:, k:].any(axis=1)
@@ -271,8 +272,11 @@ def is_permutation_rank(F: LinearizedPoly) -> bool:
             M += _mul_matrix(spec, c) @ Fi
         else:
             # Mul(c) is block diagonal with c's k x k block: slot j of the
-            # image is the block times slot j of Frob^i
-            rows += _polys._block(base, tuple(c[:k].tolist())) @ Fi.reshape(n, k, k * n)
+            # image is the block times slot j of Frob^i, built by
+            # broadcasting one column of the block at a time over the table
+            block, Fi = _polys._block(base, tuple(c[:k].tolist())), Fi.reshape(n, k, k * n)
+            for m in range(k):
+                rows += block[:, m, None] * Fi[:, None, m, :]
     return _linalg.rank_mod(M, p) == k * n
 
 

@@ -234,13 +234,22 @@ def _frobenius_by_products(E):
 @pytest.mark.parametrize("q, n", [(3, 25), (4, 15), (8, 11), (49, 3)])
 def test_frobenius_walks_match_repeated_products(q, n):
     # one product per power from the highest held power, on both sides of
-    # q = d; the cache keeps the powers asked for and Frob^1, nothing else
+    # q = d; the cache keeps the powers asked for and Frob^1, nothing else,
+    # each a read-only uint16 array of 2*(k*n)^2 bytes
     E = extension_field(q, n)
     expected = _frobenius_by_products(E)
     _frobenius_power.cache_clear()
     for i in range(1, n):
         assert np.array_equal(_frobenius_power(E, i), expected[i])
     assert _frobenius_power.cache_info().currsize == n - 1
+    held = [t for (spec, _), t in fields._frobenius_held.items() if spec == E]
+    assert sum(t.nbytes for t in held) == (n - 1) * (E.base.k * n) ** 2 * 2
+    assert np.array_equal(_frobenius_power(E, 0), expected[0])
+    for i in range(n):
+        table = _frobenius_power(E, i)
+        assert table.dtype == np.uint16
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
     _frobenius_power.cache_clear()
     sparse = list(range(2, n, 3))
     for i in sparse:

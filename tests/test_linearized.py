@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from linperm import (
     compositional_inverse,
     conventional_associate,
     evaluate,
+    evaluate_many,
     extension_field,
     format_linearized,
     identity,
@@ -42,6 +44,7 @@ from linperm.errors import (
     ZeroCoefficient,
     ZeroNotInA,
 )
+from linperm._linalg import rank_mod
 from linperm.linearized import a_complete_verdicts
 
 E35 = extension_field(3, 5)
@@ -206,6 +209,47 @@ def test_frobenius_plus_identity_not_permutation():
     F = parse_linearized("x^[1]+x", E)
     assert not is_permutation_rank(F)
     assert coefficient_sum_reject(F)
+
+
+def test_rank_test_at_p_65521():
+    # the Frobenius tables are uint16, so at p = 65521 any product of a table
+    # entry left in uint16 would wrap; both paths of the rank matrix run here
+    E = extension_field(65521, 3)
+    p, width = E.base.p, E.base.k * E.n
+    rng = random.Random(65521)
+    top = [p - 1, p - 2, p // 2 + 1]
+
+    def base_poly(c):
+        return LinearizedPoly(E, tuple(E.embed_int(x) for x in c))
+
+    for i, c in enumerate(top):
+        monomial = base_poly([0] * i + [c] + [0] * (2 - i))
+        assert is_permutation_rank(monomial) and is_permutation_gcd(monomial)
+    accepted = 0
+    for _ in range(20):
+        c = [rng.choice(top + [rng.randrange(1, p)]) for _ in range(2)]
+        zero_sum = base_poly(c + [-sum(c) % p])
+        assert not is_permutation_rank(zero_sum) and not is_permutation_gcd(zero_sum)
+        F = base_poly(c + [rng.choice(top)])
+        verdict = is_permutation_gcd(F)
+        assert is_permutation_rank(F) == verdict
+        accepted += verdict
+    assert accepted > 0
+
+    def by_images(F):
+        images = evaluate_many(F, np.eye(width, dtype=np.int64))
+        return rank_mod(images, p) == width
+
+    # outside F_q every slot of c_0 x + c_1 x^[1] + c_2 x^[2] holds a random
+    # element, and c_0 = -(c_1 a^q + c_2 a^(q^2)) / a makes it vanish at a
+    verdicts = []
+    for _ in range(12):
+        a, c1, c2 = (E.from_int(rng.randrange(1, E.order)) for _ in range(3))
+        c0 = -(c1 * a**p + c2 * a ** (p * p)) * a.inverse()
+        for F in (LinearizedPoly(E, (c0, c1, c2)), LinearizedPoly(E, (a, c1, c2))):
+            verdicts.append(is_permutation_rank(F))
+            assert verdicts[-1] == by_images(F)
+    assert True in verdicts and False in verdicts
 
 
 def test_coefficient_sum_reject_implies_not_permutation():
