@@ -8,6 +8,12 @@ zero is the empty tuple; a residue mod x^n - 1 always has n slots. Every
 kernel has one path for every F_q: an F_q scalar acts on a vector of slots
 through its k x k block, as ``ExtElement.scale`` does, and every product is
 one packed convolution (see the kernels section below).
+
+Euclid (``pgcd``, ``pegcd``) is one loop on int64 (slots, k) arrays: the
+last two remainders, with their cofactors for ``pegcd``, are divided in
+place, one slice update per quotient coordinate through k x k blocks built
+once per step, and reduced mod p once per step; ``_euclid`` states the int64
+bound. No quotient or tuple is built per step.
 """
 
 from __future__ import annotations
@@ -92,13 +98,6 @@ def _flat(rows: np.ndarray) -> tuple:
     return tuple(rows.ravel().tolist())
 
 
-def pscale(field, a, s):
-    """s*a for an F_q scalar s, given by its coordinates."""
-    if not any(s):
-        return ()
-    return _flat(_slots(field.k, a) @ _block(field, tuple(s)).T % field.p)
-
-
 def pmul(field, a, b):
     if not a or not b:
         return ()
@@ -136,36 +135,80 @@ def pmod(field, a, b):
     return pdivmod(field, a, b)[1]
 
 
-def pmonic(field, a):
-    if not a:
-        return ()
-    return pscale(field, a, _inverse(field, tuple(a[-field.k :])))
+def _euclid(field, a, b, cofactors: bool) -> tuple:
+    """Euclid's algorithm on a and b (flat, trimmed), in place: (g,) with g
+    the monic gcd, or with ``cofactors`` (g, u, v) with u*a + v*b = g. For
+    a = b = 0 it gives g = 0 with u = 1 and v = 0.
+
+    Row 0 of M0 and of M1 holds a remainder and rows 1 and 2 its cofactors u
+    and v, each as (slots, k) int64 coordinates: M0 and M1 are the last two
+    triples of the remainder sequence. A step divides M0 by M1 in place.
+    ``act[m]`` is all of M1 times y^m / lead, lead the top slot of M1's
+    remainder, built once per step from k x k blocks. Then, from the top
+    slot down, the top slot c of M0's remainder, read mod p, is the next
+    quotient coefficient, and each nonzero coordinate c_m of c subtracts
+    c_m * act[m] at that slot. That leaves M0 - Q*M1 for the quotient Q by
+    M1's remainder made monic: the next triple. The lengths n0 and n1 of the
+    remainders are tracked by index; c0 and c1 bound those of the cofactors.
+    """
+    p, k = field.p, field.k
+    rows = 3 if cofactors else 1
+    n0, n1 = len(a) // k, len(b) // k
+    size = 2 * (n0 + n1) + 1  # the cofactors never pass n0 + n1 + 1 slots
+    buf = np.zeros((2, rows, size * k), dtype=np.int64)
+    buf[0, 0, : len(a)] = a
+    buf[1, 0, : len(b)] = b
+    if cofactors:
+        buf[0, 1, 0] = buf[1, 2, 0] = 1
+    M0, M1 = buf.reshape(2, rows, size, k)
+    c0 = c1 = 1 if cofactors else 0
+    while n1:
+        e1 = max(n1, c1)
+        act = M1[:, :e1] @ _monic_action(field, tuple(M1[0, n1 - 1].tolist()))
+        # M1 is reduced, so act < k*p^2, and an entry of M0 takes at most
+        # k*min(n0 - n1 + 1, e1) products c_m * act[m] before M0 is reduced
+        # at the end of the step: it stays below p + k^2*p^3*min(...), which
+        # int64 holds for p < 2^16 while k^2*min(...) < 2^15. Past that, act
+        # is reduced first, and the bound is p + k*p^2*min(...).
+        if k * k * p**3 * min(n0 - n1 + 1, e1) >= 1 << 63:
+            act %= p
+        for at in range(n0 - n1, -1, -1):
+            for m, c in enumerate(M0[0, at + n1 - 1].tolist()):
+                c %= p
+                if c:
+                    M0[:, at : at + e1] -= act[m] * c
+        c0 = max(c0, n0 - n1 + c1)
+        M0[:, : max(n0, c0)] %= p
+        n0 = min(n0, n1 - 1)
+        while n0 and not any(M0[0, n0 - 1].tolist()):
+            n0 -= 1
+        M0, M1, n0, n1, c0, c1 = M1, M0, n1, n0, c1, c0
+    if n0:
+        to_monic = _monic_action(field, tuple(M0[0, n0 - 1].tolist()))[0, 0]
+        M0 = M0[:, : max(n0, c0)] @ to_monic % p
+    g = tuple(M0[0, :n0].ravel().tolist())
+    return (g,) + tuple(ptrim(field, M0[r, :c0].ravel().tolist()) for r in range(1, rows))
+
+
+@lru_cache(maxsize=4096)
+def _monic_action(field, lead: tuple) -> np.ndarray:
+    """(k, 1, k, k) int array A for a nonzero F_q scalar ``lead``: for a slot
+    s (a row vector), s @ A[m, 0] mod p is the slot s * y^m / lead."""
+    k = field.k
+    L = _block(field, _inverse(field, lead))
+    return (_tables(field)[0].reshape(k, k, k) @ L % field.p).transpose(2, 0, 1)[:, None]
 
 
 def pgcd(field, a, b):
-    while b:
-        a, b = b, pmod(field, a, b)
-    return pmonic(field, a)
+    """Monic gcd of a and b (flat, trimmed); () when both are zero. One
+    in-place Euclid loop (``_euclid``) on int64 slot arrays."""
+    return _euclid(field, a, b, cofactors=False)[0]
 
 
 def pegcd(field, a, b):
-    """Extended gcd: returns (g, u, v) with u*a + v*b = g and g monic."""
-    r0, r1 = a, b
-    u0, u1 = pone(field), ()
-    v0, v1 = (), pone(field)
-    while r1:
-        q, r = pdivmod(field, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, psub(field, u0, pmul(field, q, u1))
-        v0, v1 = v1, psub(field, v0, pmul(field, q, v1))
-    if not r0:
-        return (), u0, v0
-    lead_inv = _inverse(field, tuple(r0[-field.k :]))
-    return (
-        pscale(field, r0, lead_inv),
-        pscale(field, u0, lead_inv),
-        pscale(field, v0, lead_inv),
-    )
+    """Extended gcd: returns (g, u, v) with u*a + v*b = g and g monic, by the
+    same in-place loop as ``pgcd``, with u and v carried as two more rows."""
+    return _euclid(field, a, b, cofactors=True)
 
 
 def pfold(field, a, n: int) -> tuple:
@@ -324,13 +367,14 @@ def ppowmod(field, red: np.ndarray, a, e: int) -> tuple:
 def _prime_factors(n: int) -> list[int]:
     """The distinct primes dividing n >= 1, ascending.
 
-    Trial division by d < 2^16 stops once d^2 exceeds what is left, so a
-    cofactor left below 2^32 is 1 or a prime. A cofactor of 2^32 or more goes
-    to ``sympy.factorint``, which is imported for that case alone.
+    Trial division goes on up to sqrt(n) while what is left of n is below
+    2^32 (so d < 2^16), which leaves 1 or a prime. A cofactor of 2^32 or more
+    left after the divisors below 2^10 goes to ``sympy.factorint``, which is
+    imported for that case alone.
     """
     out = []
     d = 2
-    while d < 1 << 16 and d * d <= n:
+    while d * d <= n and (d < 1 << 10 or n < 1 << 32):
         if n % d == 0:
             out.append(d)
             while n % d == 0:

@@ -285,8 +285,9 @@ def _two_primes():
 
 @given(st.one_of(st.integers(1, (1 << 64) - 1), _two_primes()))
 def test_prime_factors_match_factorint(n):
-    # trial division below 2^16, and sympy for a cofactor of 2^32 or more:
-    # a product of two primes from 2^15 to 2^40 lands on either side
+    # trial division below 2^16 for a cofactor below 2^32, and sympy for one
+    # of 2^32 or more: a product of two primes from 2^15 to 2^40 lands on
+    # either side
     from sympy import factorint
 
     assert _prime_factors(n) == sorted(factorint(n))
@@ -307,7 +308,7 @@ def test_element_order_matches_factorint(monkeypatch, q, n):
     if (q, n) == (11, 9):
         assert calls == []  # 11^9 - 1 < 2^32 stays on trial division
     if (q, n) == (2, 63):
-        assert calls == [92737 * 649657]  # 2^63 - 1 past its factors below 2^16
+        assert calls == [92737 * 649657]  # 2^63 - 1 past its factors below 2^10
 
 
 def test_degree_is_checked_before_the_modulus_search(monkeypatch):
