@@ -25,8 +25,10 @@ import numpy as np
 
 
 @lru_cache(maxsize=None)
-def mul_tensor(p: int, base_mod: tuple) -> np.ndarray:
-    """T[l, a, b] = coordinate l of y^a * y^b in F_p[y]/(base_mod), base_mod monic."""
+def mul_tensor(field) -> np.ndarray:
+    """T[l, a, b] = coordinate l of y^a * y^b in F_q = F_p[y]/(m(y)), m the
+    monic ``field.base_modulus`` (y for F_p itself)."""
+    p, base_mod = field.p, field.base_modulus or (0, 1)
     k = len(base_mod) - 1
     powers = [[1] + [0] * (k - 1)]  # coordinates of y^t, t < 2k - 1
     for _ in range(2 * k - 2):
@@ -48,7 +50,7 @@ def lift(field, M) -> np.ndarray:
     """
     M = np.asarray(M, dtype=np.int64)
     d, e, k = M.shape
-    T = mul_tensor(field.p, field.base_modulus or (0, 1))
+    T = mul_tensor(field)
     out = np.einsum("ija,lab->iljb", M, T).reshape(d * k, e * k) % field.p
     return np.ascontiguousarray(out)
 

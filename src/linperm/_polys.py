@@ -58,7 +58,7 @@ def psub(field, a, b):
 def _tables(field) -> tuple:
     """(S, Y) for F_q: c @ S is the k x k block of the scalar c, flattened, and
     row t of Y, (2k - 1) x k, holds the coordinates of y^t."""
-    T = _linalg.mul_tensor(field.p, field.base_modulus or (0, 1))
+    T = _linalg.mul_tensor(field)
     k = field.k
     y_pows = [T[:, min(t, k - 1), t - min(t, k - 1)] for t in range(2 * k - 1)]
     return T.transpose(2, 0, 1).reshape(k, k * k), np.array(y_pows)
@@ -276,7 +276,7 @@ def _times_x_powers(field, f, first, count: int) -> np.ndarray:
     (d, k) residue and f monic of degree d (flat). Each step shifts the slots
     and folds the top one back in through x^d = -low(x)."""
     p, k = field.p, field.k
-    T = _linalg.mul_tensor(p, field.base_modulus or (0, 1))
+    T = _linalg.mul_tensor(field)
     d = len(f) // k - 1
     low = np.array(f[:-k], dtype=np.int64).reshape(d, k)
     r = np.zeros((count, d, k), dtype=np.int64)
@@ -295,7 +295,7 @@ def _reduction_matrix(field, mod: tuple) -> np.ndarray:
     Column e*s + t holds the packed residue of x^e y^t.
     """
     p, k = field.p, field.k
-    T = _linalg.mul_tensor(p, field.base_modulus or (0, 1))
+    T = _linalg.mul_tensor(field)
     s, d = 2 * k - 1, len(mod) // k - 1
     # r[e] = x^e mod f: the unit residues, then x^d = -low(x) times x^t
     r = np.zeros((2 * d, d, k), dtype=np.int64)
@@ -410,7 +410,7 @@ def _frobenius_q(field, f) -> np.ndarray:
         x_q = _powmod(p, red, red[:, 2 * k - 1], q)  # red[:, 2k - 1] is x
         first = x_q.reshape(d, 2 * k - 1)[:, :k]
     R = _times_x_powers(field, f, first, wrap)
-    T = _linalg.mul_tensor(p, field.base_modulus or (0, 1))
+    T = _linalg.mul_tensor(field)
     act = np.einsum("lab,tjb->jlta", T, R).reshape(d * k, wrap * k) % p
     cols = np.zeros((d, d * k), dtype=np.int64)
     cols[0, 0] = 1

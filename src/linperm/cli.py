@@ -37,6 +37,7 @@ from .fields import (
 from .idempotents import closed_form_pm, primitive_idempotents
 from .linearized import (
     LinearizedPoly,
+    _idempotent_products,
     a_complete_verdicts,
     coefficient_sum_reject,
     compose,
@@ -58,7 +59,7 @@ from .oracle import (
     kernel,
     sqrt_unity_bruteforce,
 )
-from .polyring import RingSpec, format_poly, ring_is_unit, ring_mul
+from .polyring import RingSpec, format_poly, ring_is_unit
 from .shifts import alpha_shift_power, cyclic_order, shift_class
 
 SCHEMA_VERSION = 1
@@ -138,16 +139,11 @@ def cmd_is_perm(args, ring, ext):
         if reject:
             lines.append("coefficient sum is 0: not a permutation")
         checks.append(("coefficient_sum", not reject))
-        basis = primitive_idempotents(ring)
         f = conventional_associate(F)
-        idem_ok = True
-        for i, comp in enumerate(basis.components):
-            prod = ring_mul(f, comp.idempotent)
-            txt = str(prod)
-            products.append(txt)
-            idem_ok = idem_ok and not prod.is_zero()
-            lines.append(f"f*e_{i} = {txt}")
-        checks.append(("idempotent_products", idem_ok))
+        prods = list(_idempotent_products(f, primitive_idempotents(ring)))
+        products = [str(prod) for prod in prods]
+        lines.extend(f"f*e_{i} = {txt}" for i, txt in enumerate(products))
+        checks.append(("idempotent_products", not any(prod.is_zero() for prod in prods)))
         checks.append(("gcd_unit", ring_is_unit(f)))
     checks.append(("rank", is_permutation_rank(F)))
     verdict = all(p for _, p in checks)

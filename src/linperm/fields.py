@@ -38,7 +38,8 @@ CANONICAL_BASE_MODULI = {
 
 
 def _digits(v: int, p: int, count: int) -> tuple[int, ...]:
-    """The lowest ``count`` base-p digits of v, lowest first."""
+    """The lowest ``count`` base-p digits of v, lowest first; elementwise
+    for an int array v."""
     return tuple(v // p**i % p for i in range(count))
 
 
@@ -513,12 +514,12 @@ def find_irreducible(base: FieldSpec, degree: int, seed: int = 0) -> tuple[int, 
     if degree < 1:
         raise BadInput("degree must be >= 1")
     rng = random.Random(f"{seed}:{base.p}:{base.k}:{degree}")
-    p, k = base.p, base.k
+    dtype = np.int64 if base.q < 2**63 else object
     while True:
-        draws = [rng.randrange(base.q) for _ in range(degree)]
+        draws = np.array([rng.randrange(base.q) for _ in range(degree)], dtype=dtype)
         # coordinate l of a coefficient is base-p digit l of its draw
-        digits = zip(*([v // p**l % p for v in draws] for l in range(k)))
-        candidate = tuple(itertools.chain.from_iterable(digits)) + _polys.pone(base)
+        digits = np.stack(_digits(draws, base.p, base.k), axis=1)
+        candidate = tuple(digits.ravel().tolist()) + _polys.pone(base)
         if _polys.pis_irreducible(base, candidate):
             return candidate
 

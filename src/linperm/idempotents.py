@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import _polys
 from .errors import (
     BadInput,
@@ -148,13 +150,23 @@ def cor4_condition(p: int, m: int, q: int) -> bool:
     return integer_order_mod(q, p**m) == totient
 
 
+def _closed_form_rows(p: int, m: int, char: int) -> np.ndarray:
+    """(m+1, p^m) int array of the closed-form coefficients, all in the prime
+    field F_char: row 0 is C_0 and row i is C_i - C_{i-1}, where C_i is the
+    partial sum (1/p^{m-i}) sum_{j < p^{m-i}} x^{j p^i}."""
+    sums = np.zeros((m + 1, p**m), dtype=np.int64)
+    for i in range(m + 1):
+        sums[i, :: p**i] = pow(p ** (m - i), -1, char)
+    return np.diff(sums, axis=0, prepend=0) % char
+
+
 def closed_form_pm(spec: RingSpec, p: int, m: int) -> IdempotentBasis:
     """Closed-form idempotents of F_q[x]/(x^{p^m} - 1).
 
     With C_i the partial sum (1/p^{m-i}) sum_{j < p^{m-i}} x^{j p^i}, the
-    basis is e_0 = C_0 and e_i = C_i - C_{i-1} for 1 <= i <= m. Primitive
-    only under cor4_condition; otherwise the sums are merely orthogonal and
-    we refuse rather than mislabel them.
+    basis is e_0 = C_0 and e_i = C_i - C_{i-1} for 1 <= i <= m, the rows of
+    ``_closed_form_rows``. Primitive only under cor4_condition; otherwise the
+    sums are merely orthogonal and we refuse rather than mislabel them.
 
     Component i >= 1 is attached to the coset of p^{m-i} and the factor
     Phi_{p^i}(x^{p^{i-1}})-style cyclotomic polynomial sum_{j<p} x^{j p^{i-1}},
@@ -167,24 +179,17 @@ def closed_form_pm(spec: RingSpec, p: int, m: int) -> IdempotentBasis:
         raise ConditionNotMet(
             f"closed form is not primitive for p={p}, m={m}, q={q}"
         )
-    base = spec.base
-
-    def partial_sum(i: int) -> RingElement:
-        # 1/p^{m-i} lies in the prime field: its first coordinate alone; the
-        # exponents j p^i, j < p^{m-i}, are the slots of stride p^i below n
-        coords = [0] * (spec.n * base.k)
-        coords[:: p**i * base.k] = [pow(p ** (m - i), -1, base.p)] * p ** (m - i)
-        return RingElement(spec, tuple(coords))
-
-    sums = [partial_sum(i) for i in range(m + 1)]
-    by_factor = {}
-    for coset, factor in factor_xn_minus_1(spec):
-        by_factor[coset.representative] = (coset, factor)
-    components = [Component(*by_factor[0], idempotent=sums[0])]
-    for i in range(1, m + 1):
-        rep = p ** (m - i)
-        coset, factor = by_factor[rep]
-        components.append(Component(coset, factor, sums[i] - sums[i - 1]))
+    by_factor = {c.representative: (c, f) for c, f in factor_xn_minus_1(spec)}
+    # each coefficient lies in the prime field: the first coordinate of its slot
+    coords = np.zeros((m + 1, spec.n, spec.base.k), dtype=np.int64)
+    coords[:, :, 0] = _closed_form_rows(p, m, spec.base.p)
+    components = [
+        Component(
+            *by_factor[p ** (m - i) if i else 0],
+            idempotent=RingElement(spec, tuple(row.ravel().tolist())),
+        )
+        for i, row in enumerate(coords)
+    ]
     components.sort(key=lambda c: c.coset.representative)
     return IdempotentBasis(spec, tuple(components))
 

@@ -47,6 +47,7 @@ from .fields import (
 from .idempotents import (
     ComponentVector,
     IdempotentBasis,
+    _closed_form_rows,
     cor4_condition,
     project,
     reconstruct,
@@ -221,13 +222,19 @@ def compose(F: LinearizedPoly, G: LinearizedPoly) -> LinearizedPoly:
     return LinearizedPoly._of(spec, out % p)
 
 
-def is_permutation(F: LinearizedPoly, basis: IdempotentBasis) -> bool:
-    """Idempotent criterion: F permutes F_{q^n} iff no product f*e_i vanishes."""
-    f = conventional_associate(F)
+def _idempotent_products(f: RingElement, basis: IdempotentBasis):
+    """The products f*e_i of an associate f with the basis, in basis order.
+    The rings are compared at once; the products are made as they are read,
+    so a reader that stops at the first zero pays for no more."""
     if f.spec != basis.spec:
         raise SpecMismatch("basis from a different ring")
-    zero = basis.spec.zero()
-    return all(ring_mul(f, c.idempotent) != zero for c in basis.components)
+    return (ring_mul(f, c.idempotent) for c in basis.components)
+
+
+def is_permutation(F: LinearizedPoly, basis: IdempotentBasis) -> bool:
+    """Idempotent criterion: F permutes F_{q^n} iff no product f*e_i vanishes."""
+    products = _idempotent_products(conventional_associate(F), basis)
+    return not any(prod.is_zero() for prod in products)
 
 
 def is_permutation_gcd(F: LinearizedPoly) -> bool:
@@ -292,15 +299,16 @@ def compositional_inverse(
 
     Project f onto the simple components, invert each entry modulo its factor
     and reconstruct; the result is cross-checked against the direct ring
-    inverse before converting back to linearized form.
+    inverse before converting back to linearized form. A zero entry, f_i
+    dividing f, is exactly a vanishing f*e_i: F does not permute.
     """
-    if not is_permutation(F, basis):
-        raise NotAPermutation("polynomial is not a linear permutation")
     f = conventional_associate(F)
     v = project(f, basis)
     spec = basis.spec
     inv_entries = []
     for entry, comp in zip(v.entries, basis.components):
+        if entry.is_zero():
+            raise NotAPermutation("polynomial is not a linear permutation")
         # the entry is a remainder mod f_i and g is monic, so g = 1 and u,
         # of degree below f_i, is the entry's inverse mod f_i
         g, u, _ = poly_egcd(entry.to_poly(), comp.factor)
@@ -366,36 +374,6 @@ def binomial_is_permutation(
     return not (fi + fj).is_zero()
 
 
-def _pm_weights(p: int, m: int, char: int) -> list[tuple[int, int]]:
-    """(1/p^{m-i} - 1/p^{m-i+1}, -1/p^{m-i+1}) mod char for i = 1, ..., m:
-    prime-field weights, so plain ints (p is prime to the characteristic)."""
-    out = []
-    for i in range(1, m + 1):
-        inv_big = pow(p ** (m - i + 1), -1, char)
-        inv_small = pow(p ** (m - i), -1, char)
-        out.append(((inv_small - inv_big) % char, -inv_big % char))
-    return out
-
-
-def _pm_condition_values(C: np.ndarray, p: int, m: int, char: int) -> np.ndarray:
-    """The m+1 left-hand sides of the p^m permutation conditions, as the rows
-    of an (m+1, k) int array mod char; row i of C holds f_i in F_q.
-
-    Value 0 is the plain coefficient sum; value i (1 <= i <= m) is the
-    constant term of f * e_i up to the stated weights: the sum over
-    j < p^{m-i+1} of w_j f_{p^m - j p^{i-1}} with w_j = 1/p^{m-i} - 1/p^{m-i+1}
-    when p | j and w_j = -1/p^{m-i+1} otherwise, subscripts mod p^m. Each
-    value sums at most p^m products below char^2 before its reduction.
-    """
-    n = p**m
-    values = [C.sum(axis=0)]
-    for i, (w_div, w_nondiv) in enumerate(_pm_weights(p, m, char), 1):
-        j = np.arange(p ** (m - i + 1))
-        w = np.where(j % p == 0, w_div, w_nondiv)
-        values.append(w @ C[(n - j * p ** (i - 1)) % n])
-    return np.array(values) % char
-
-
 def pm_sufficient_conditions(F: LinearizedPoly, p: int, m: int) -> bool:
     """Sufficient permutation test for n = p^m via constant terms of f*e_i:
     the A-complete conditions of ``a_complete_sufficient_pm`` with A = {0}.
@@ -445,10 +423,10 @@ def _as_ext(spec: ExtFieldSpec, lam) -> ExtElement:
 def a_complete_sufficient_pm(F: LinearizedPoly, A, p: int, m: int) -> bool:
     """Sufficient A-complete test for n = p^m, A a subset of F_q containing 0.
 
-    Mirrors the p^m permutation conditions with shifted right-hand sides:
-    for every lambda in A, the coefficient sum must avoid -lambda and each
-    weighted sum must avoid -(1/p^{m-i} - 1/p^{m-i+1}) lambda. True
-    guarantees A-completeness; False is inconclusive.
+    Condition i asks the constant term of (f + lambda)*e_i to be nonzero for
+    every lambda in A, e_i the closed-form idempotent of ``closed_form_pm``:
+    condition 0 is the coefficient sum plus lambda, times the unit 1/p^m.
+    True guarantees A-completeness; False is inconclusive.
     """
     if F.spec.n != p**m:
         raise BadInput(f"n = {F.spec.n} is not {p}^{m}")
@@ -466,11 +444,12 @@ def a_complete_sufficient_pm(F: LinearizedPoly, A, p: int, m: int) -> bool:
         raise ConditionNotMet(
             "closed-form idempotents are not primitive for these parameters"
         )
-    values = _pm_condition_values(C, p, m, base.p)
-    # value i must avoid -r_i * lambda: r_0 = 1, r_i = 1/p^{m-i} - 1/p^{m-i+1}
-    rhs = [1] + [w_div for w_div, _ in _pm_weights(p, m, base.p)]
+    E = _closed_form_rows(p, m, base.p)
+    # row i: the constant term of f*e_i, a sum of p^m products below p^2;
+    # lambda*x moves it by lambda*E[i, 0]
+    consts = E @ C[-np.arange(p**m) % p**m]
     return all(
-        ((values + np.outer(rhs, lam)) % base.p).any(axis=1).all() for lam in lams
+        ((consts + np.outer(E[:, 0], lam)) % base.p).any(axis=1).all() for lam in lams
     )
 
 
@@ -580,11 +559,14 @@ def format_linearized(F: LinearizedPoly) -> str:
 
 def parse_linearized(text: str, spec: ExtFieldSpec) -> LinearizedPoly:
     """Parse "c*x^[i]" terms joined by "+" or "-" (the first may carry a minus);
-    tolerates compact style "2x^[21]" and LaTeX braces."""
+    tolerates compact style "2x^[21]" and LaTeX braces. "0" is the zero map;
+    blank text is refused."""
     cleaned = text.replace("{", "").replace("}", "").replace(" ", "")
+    if not cleaned:
+        raise BadInput("empty polynomial string")
     width = spec.base.k * spec.n
     coords = np.zeros((spec.n, width), dtype=np.int64)
-    if cleaned in ("0", ""):
+    if cleaned == "0":
         return LinearizedPoly._of(spec, coords)
     rows = {}  # exponent -> its coordinates, summed over the terms
     for sign, term in _signed_terms(cleaned):

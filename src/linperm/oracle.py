@@ -38,9 +38,9 @@ ENUM_CAP = 10**6
 CHUNK = 4096
 
 
-def _check_cap(size: int, cap: int) -> None:
-    if size > cap:
-        raise TooLarge(f"enumeration over {size} elements exceeds cap {cap}")
+def _check_cap(size: int) -> None:
+    if size > ENUM_CAP:
+        raise TooLarge(f"enumeration over {size} elements exceeds cap {ENUM_CAP}")
 
 
 def _places(spec: ExtFieldSpec) -> np.ndarray:
@@ -64,11 +64,11 @@ def _enumerate(spec: ExtFieldSpec):
         yield _rows(spec, np.arange(start, min(start + CHUNK, spec.order)))
 
 
-def is_bijection_bruteforce(F: LinearizedPoly, cap: int = ENUM_CAP) -> bool:
+def is_bijection_bruteforce(F: LinearizedPoly) -> bool:
     """Whether the images of all elements are distinct; false at the first
     batch whose images repeat one seen before or within it."""
     spec = F.spec
-    _check_cap(spec.order, cap)
+    _check_cap(spec.order)
     seen = np.zeros(spec.order, dtype=bool)
     places = _places(spec)
     for rows in _enumerate(spec):
@@ -79,10 +79,10 @@ def is_bijection_bruteforce(F: LinearizedPoly, cap: int = ENUM_CAP) -> bool:
     return True
 
 
-def _select(F: LinearizedPoly, cap: int, keep) -> list[ExtElement]:
+def _select(F: LinearizedPoly, keep) -> list[ExtElement]:
     """The elements a, in from_int order, for which keep(a, F(a)) holds row-wise."""
     spec = F.spec
-    _check_cap(spec.order, cap)
+    _check_cap(spec.order)
     out = []
     for rows in _enumerate(spec):
         hits = rows[keep(rows, evaluate_many(F, rows))]
@@ -90,19 +90,19 @@ def _select(F: LinearizedPoly, cap: int, keep) -> list[ExtElement]:
     return out
 
 
-def kernel(F: LinearizedPoly, cap: int = ENUM_CAP) -> list[ExtElement]:
-    return _select(F, cap, lambda rows, images: ~images.any(axis=1))
+def kernel(F: LinearizedPoly) -> list[ExtElement]:
+    return _select(F, lambda rows, images: ~images.any(axis=1))
 
 
-def fixed_points(F: LinearizedPoly, cap: int = ENUM_CAP) -> list[ExtElement]:
-    return _select(F, cap, lambda rows, images: (images == rows).all(axis=1))
+def fixed_points(F: LinearizedPoly) -> list[ExtElement]:
+    return _select(F, lambda rows, images: (images == rows).all(axis=1))
 
 
-def sqrt_unity_bruteforce(spec: RingSpec, cap: int = ENUM_CAP) -> list[RingElement]:
+def sqrt_unity_bruteforce(spec: RingSpec) -> list[RingElement]:
     """All f in F_q[x]/(x^n - 1) with f^2 = 1, by full ring enumeration."""
     import itertools
 
-    _check_cap(spec.base.q ** spec.n, cap)
+    _check_cap(spec.base.q ** spec.n)
     one = spec.one()
     slots = [c.coeffs for c in spec.base.elements()]
     out = []
@@ -113,11 +113,11 @@ def sqrt_unity_bruteforce(spec: RingSpec, cap: int = ENUM_CAP) -> list[RingEleme
     return out
 
 
-def discrete_log(a: ExtElement, beta: ExtElement, cap: int = ENUM_CAP) -> int:
+def discrete_log(a: ExtElement, beta: ExtElement) -> int:
     """Least l >= 0 with beta^l = a, by stepping through the powers of beta."""
     spec = a.spec
     group = spec.order - 1
-    _check_cap(group, cap)
+    _check_cap(group)
     if a.is_zero():
         raise ZeroInverse("0 is not in the multiplicative group")
     from .fields import element_order

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -65,10 +66,10 @@ class ShiftClass:
     members: tuple[LinearizedPoly, ...]
 
 
-def _check_alpha(F: LinearizedPoly, alpha: ExtElement) -> None:
+def _check_alpha(spec: ExtFieldSpec, alpha: ExtElement) -> None:
     if alpha.is_zero():
         raise ZeroAlpha("alpha must be nonzero")
-    if alpha.spec != F.spec:
+    if alpha.spec != spec:
         raise BadInput("alpha from a different field")
 
 
@@ -85,7 +86,7 @@ def _twist_rows(spec: ExtFieldSpec, alpha: tuple) -> np.ndarray:
 
 def alpha_shift(F: LinearizedPoly, alpha: ExtElement) -> LinearizedPoly:
     """One shift: slot i+1 (mod n) of the result is alpha^{[i]} * f_i."""
-    _check_alpha(F, alpha)
+    _check_alpha(F.spec, alpha)
     spec = F.spec
     support = F.coords.any(axis=1).nonzero()[0]
     prod = _mul_rows(
@@ -104,7 +105,7 @@ def alpha_shift_power(F: LinearizedPoly, alpha: ExtElement, t: int) -> Linearize
     S_alpha^n = N(alpha)*id, then t mod n single shifts."""
     if t < 0:
         raise BadInput("shift count must be nonnegative")
-    _check_alpha(F, alpha)
+    _check_alpha(F.spec, alpha)
     spec = F.spec
     if t >= spec.n:
         base = spec.base
@@ -123,7 +124,7 @@ def cyclic_order(F: LinearizedPoly, alpha: ExtElement) -> int:
     happens after n*t steps and never earlier at a non-multiple of n unless
     the orbit degenerates; permutations never degenerate.
     """
-    _check_alpha(F, alpha)
+    _check_alpha(F.spec, alpha)
     if not is_permutation_rank(F):
         raise NotAPermutation("cyclic order is defined for permutations")
     return F.spec.n * element_order(norm(alpha))
@@ -131,17 +132,14 @@ def cyclic_order(F: LinearizedPoly, alpha: ExtElement) -> int:
 
 def is_maximal_order_element(alpha: ExtElement) -> bool:
     """Whether orbits under alpha reach the maximal length (q-1)n."""
-    if alpha.is_zero():
-        raise ZeroAlpha("alpha must be nonzero")
+    _check_alpha(alpha.spec, alpha)
     return element_order(norm(alpha)) == alpha.spec.base.q - 1
 
 
-def shift_class(
-    F: LinearizedPoly, alpha: ExtElement, cap: int = ORBIT_CAP
-) -> ShiftClass:
+def shift_class(F: LinearizedPoly, alpha: ExtElement) -> ShiftClass:
     order = cyclic_order(F, alpha)
-    if order > cap:
-        raise BadInput(f"orbit of length {order} exceeds cap {cap}")
+    if order > ORBIT_CAP:
+        raise BadInput(f"orbit of length {order} exceeds cap {ORBIT_CAP}")
     members = [F]
     current = F
     for _ in range(order - 1):
@@ -156,10 +154,7 @@ def shift_class(
 
 def _check_prop10(spec, alpha: ExtElement) -> None:
     q = spec.base.q
-    if alpha.is_zero():
-        raise ZeroAlpha("alpha must be nonzero")
-    from math import gcd
-
+    _check_alpha(spec, alpha)
     if gcd(spec.n, q - 1) != 1:
         raise HypothesisViolated(f"gcd(n, q-1) = {gcd(spec.n, q - 1)} != 1")
     if not alpha.in_base_field():

@@ -330,6 +330,30 @@ def test_shift_output_parses_back(capsys):
     assert doc2["outputs"]["permutation"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["is-perm", "--q", "3", "--n", "5", "--poly", ""],
+        ["is-perm", "--q", "3", "--n", "5", "--poly", " "],
+        ["invert", "--q", "3", "--n", "5", "--poly", "{}"],
+        ["compose", "--q", "3", "--n", "5", "--poly", "x", "--poly", ""],
+    ],
+)
+def test_blank_poly_is_refused(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: BadInput: empty polynomial string\n"
+
+
+def test_zero_poly_is_the_zero_map(capsys):
+    code, out, _ = run(capsys, ["compose", "--q", "3", "--n", "5", "--poly", "x", "--poly", "0"])
+    assert (code, out) == (0, "0\n")
+    code, out, _ = run(capsys, ["is-perm", "--q", "3", "--n", "5", "--poly", "0"])
+    assert code == 1
+    assert out.splitlines()[-1] == "check rank: FAIL"
+
+
 def test_closed_form_names_n(capsys):
     code, out, err = run(
         capsys, ["idempotents", "--q", "3", "--n", "10", "--closed-form"]

@@ -158,6 +158,11 @@ def test_cor4():
         cor4_condition(5, 1, 10)
 
 
+def test_cor4_condition_refuses_m_zero():
+    with pytest.raises(BadInput, match="m must be positive"):
+        cor4_condition(5, 0, 3)
+
+
 @pytest.mark.parametrize("q,n", sorted(PM_SPECS))
 def test_closed_form_matches_crt(q, n):
     spec = ring(q, n)
@@ -168,6 +173,13 @@ def test_closed_form_matches_crt(q, n):
         c.idempotent for c in crt.components
     ]
     assert closed.t == m + 1
+
+
+@pytest.mark.parametrize("q, p, m", [(11, 2, 2), (8, 3, 1), (9, 2, 1), (27, 2, 2)])
+def test_closed_form_matches_crt_over_extension_bases(q, p, m):
+    # k > 1: each closed-form coefficient fills the first coordinate of its slot
+    spec = ring(q, p**m)
+    assert closed_form_pm(spec, p, m) == primitive_idempotents(spec)
 
 
 def test_closed_form_refuses_nonprimitive():

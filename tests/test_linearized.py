@@ -33,6 +33,8 @@ from linperm import (
     parse_linearized,
     pm_sufficient_conditions,
     primitive_idempotents,
+    project,
+    reconstruct,
     ring_mul,
     sign_vector_involutions,
     sqrt_unity_bruteforce,
@@ -41,6 +43,7 @@ from linperm.errors import (
     BadInput,
     CoefficientsNotInBaseField,
     NotAPermutation,
+    SpecMismatch,
     ZeroCoefficient,
     ZeroNotInA,
 )
@@ -312,6 +315,45 @@ def test_inverse_rejects_non_permutation():
         compositional_inverse(F, basis)
 
 
+@pytest.mark.parametrize("q, n", [(3, 25), (11, 9), (2, 255)])
+def test_inverse_refuses_exactly_the_non_permutations(q, n):
+    ext = extension_field(q, n)
+    basis = primitive_idempotents(RingSpec(base_field(q), n))
+    rng = random.Random(q * 1000 + n)
+    seen = set()
+    for trial in range(12):
+        f = conventional_associate(rand_base_poly(rng, ext))
+        if trial % 2:
+            # a multiple of some factor f_i, so that f*e_i = 0
+            factor = rng.choice(basis.components).factor
+            f = ring_mul(f, f.spec.from_poly(factor))
+        F = linearized_associate(f, ext)
+        perm = is_permutation(F, basis)
+        seen.add(perm)
+        if perm:
+            Finv = compositional_inverse(F, basis)
+            assert ring_mul(conventional_associate(Finv), f) == f.spec.one()
+        else:
+            with pytest.raises(NotAPermutation):
+                compositional_inverse(F, basis)
+    assert seen == {True, False}
+
+
+def test_decomposition_refuses_another_ring():
+    E25 = extension_field(3, 25)
+    basis25 = primitive_idempotents(RingSpec(base_field(3), 25))
+    with pytest.raises(SpecMismatch):
+        is_permutation(identity(E35), basis25)
+    with pytest.raises(SpecMismatch):
+        compositional_inverse(identity(E35), basis25)
+    with pytest.raises(SpecMismatch):
+        reconstruct(project(R35.one(), basis35()), basis25)
+    with pytest.raises(SpecMismatch):
+        linearized_associate(R35.one(), E25)
+    with pytest.raises(SpecMismatch):
+        sign_vector_involutions(basis35(), E25)
+
+
 def test_table2_row():
     E25 = extension_field(3, 25)
     basis = primitive_idempotents(RingSpec(base_field(3), 25))
@@ -466,6 +508,15 @@ def test_pm_conditions_are_constant_terms(field, data):
     assert a_complete_sufficient_pm(F, list(holds), p, m) == all(holds.values())
 
 
+def test_pm_conditions_refuse_bad_shift_sets():
+    E25 = extension_field(3, 25)
+    F = identity(E25)
+    with pytest.raises(BadInput, match="A inside F_q"):
+        a_complete_sufficient_pm(F, [0, E25.gen()], 5, 2)
+    with pytest.raises(ZeroNotInA):
+        a_complete_sufficient_pm(F, [1, 2], 5, 2)
+
+
 # --- A-complete --------------------------------------------------------------
 
 
@@ -525,6 +576,18 @@ def test_format_zero():
     Z = LinearizedPoly(E35, tuple([E35.zero()] * 5))
     assert format_linearized(Z) == "0"
     assert parse_linearized("0", E35) == Z
+
+
+@pytest.mark.parametrize("text", ["0", "x", "2x^[4]+x^[1]", "[0,1,0,0,0]*x^[3]+2x"])
+def test_str_is_format(text):
+    F = parse_linearized(text, E35)
+    assert str(F) == format_linearized(F)
+
+
+@pytest.mark.parametrize("text", ["", " ", "{}", "{ }"])
+def test_parse_refuses_blank_text(text):
+    with pytest.raises(BadInput, match="^empty polynomial string$"):
+        parse_linearized(text, E35)
 
 
 def _ext_coeffs(E):

@@ -178,6 +178,16 @@ def test_shift_class_closure():
     assert F in cls.members
 
 
+def test_shift_class_refuses_an_orbit_past_the_cap():
+    # F_{65521^2}: the norm of alpha is primitive, so the orbit has
+    # (q - 1) * n = 131,040 > 10^5 members; the refusal comes before any shift
+    E = extension_field(65521, 2)
+    alpha = E.from_int(65523)
+    assert is_maximal_order_element(alpha)
+    with pytest.raises(BadInput, match="orbit of length 131040 exceeds cap 100000"):
+        shift_class(identity(E), alpha)
+
+
 def test_shift_preserves_permutation():
     basis = primitive_idempotents(R35)
     F = rand_perm(random.Random(41), E35, basis)
