@@ -7,13 +7,16 @@ coordinates at j*k, the layout of ``ExtElement.coords`` and of ``_linalg``
 zero is the empty tuple; a residue mod x^n - 1 always has n slots. Every
 kernel has one path for every F_q: an F_q scalar acts on a vector of slots
 through its k x k block, as ``ExtElement.scale`` does, and every product is
-one packed convolution (see the kernels section below).
+one packed convolution (see the kernels section below); ``pmul`` is the
+cyclic product on enough slots that nothing wraps.
 
-Euclid (``pgcd``, ``pegcd``) is one loop on int64 (slots, k) arrays: the
-last two remainders, with their cofactors for ``pegcd``, are divided in
-place, one slice update per quotient coordinate through k x k blocks built
-once per step, and reduced mod p once per step; ``_euclid`` states the int64
-bound. No quotient or tuple is built per step.
+Long division is one in-place step, ``_divide_step``, on int64 (rows,
+slots, k) arrays whose row 0 is the polynomial and whose other rows go
+along: one slice update per quotient coordinate through k x k blocks built
+once per step, and one reduction mod p; the step states the int64 bound.
+``pdivmod`` is one step, with the quotient carried as a row, and Euclid
+(``pgcd``, ``pegcd``) is a loop of steps on the last two remainders, with
+their cofactors for ``pegcd``. No quotient or tuple is built per step.
 """
 
 from __future__ import annotations
@@ -90,45 +93,61 @@ def _inverse(field, c: tuple) -> tuple:
     return _power(field, c, field.q - 2)
 
 
-def _slots(k: int, a) -> np.ndarray:
-    return np.array(a, dtype=np.int64).reshape(-1, k)
-
-
-def _flat(rows: np.ndarray) -> tuple:
-    return tuple(rows.ravel().tolist())
-
-
 def pmul(field, a, b):
+    """Product of a and b: their cyclic product on deg a + deg b + 1 slots,
+    where nothing wraps."""
     if not a or not b:
         return ()
-    rows = (len(a) + len(b)) // field.k - 1
-    conv = _convolve(field, a, b)[: rows * (2 * field.k - 1)]
-    return _flat(conv.reshape(rows, -1) @ _tables(field)[1] % field.p)
+    return ptrim(field, pcyclic_mul(field, a, b, (len(a) + len(b)) // field.k - 1))
+
+
+def _divide_step(field, M0, M1, n0: int, n1: int, e1: int) -> None:
+    """One long division, in place: M0 becomes M0 - Q*M1, reduced mod p, for
+    Q the quotient of the remainder in M0 by the one in M1.
+
+    M0 and M1 are (rows, slots, k) int64 coordinates in [0, p). Row 0 holds a
+    remainder of n0 (resp. n1) slots, n0 >= n1 >= 1, M1's with a nonzero top
+    slot, and the other rows go along with it; M1 is read up to slot
+    e1 >= n1. ``act[m]`` is all of M1 times y^m / lead, lead the top slot of
+    M1's remainder, built once from k x k blocks. Then, from the top slot
+    down, the top slot c of M0's remainder, read mod p, is the next quotient
+    coefficient, and each nonzero coordinate c_m of c subtracts c_m * act[m]
+    at that slot.
+    """
+    p, k = field.p, field.k
+    act = M1[:, :e1] @ _monic_action(field, tuple(M1[0, n1 - 1].tolist()))
+    # M1 is reduced, so act < k*p^2, and an entry of M0 takes at most
+    # k*min(n0 - n1 + 1, e1) products c_m * act[m] before M0 is reduced at
+    # the end of the step: it stays below p + k^2*p^3*min(...), which int64
+    # holds for p < 2^16 while k^2*min(...) < 2^15. Past that, act is reduced
+    # first, and the bound is p + k*p^2*min(...).
+    if k * k * p**3 * min(n0 - n1 + 1, e1) >= 1 << 63:
+        act %= p
+    for at in range(n0 - n1, -1, -1):
+        for m, c in enumerate(M0[0, at + n1 - 1].tolist()):
+            c %= p
+            if c:
+                M0[:, at : at + e1] -= act[m] * c
+    M0[:, : n0 - n1 + e1] %= p
 
 
 def pdivmod(field, a, b):
-    """Quotient and remainder of a by b (b nonzero), by long division: each
-    step subtracts c times b/lead(b), c the top slot of the remainder, through
-    one (deg b + 1)k x k matrix that acts on c."""
+    """Quotient and remainder of a by b (b nonzero): one ``_divide_step`` on
+    the rows (a, 0) and (b, 1), which leaves (a - Q*b, -Q)."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
         return (), tuple(a)
-    p, k = field.p, field.k
-    lead_inv = _block(field, _inverse(field, tuple(b[-k:])))
-    monic = _slots(k, b) @ lead_inv.T % p
-    # row i*k + l, applied to c, is coordinate l of c * monic[i]; rem is
-    # reduced only at the end, each step adding k products of two residues
-    act = (monic @ _tables(field)[0] % p).reshape(-1, k)
-    width = len(b)
-    rem = np.array(a, dtype=np.int64)
-    quo = np.empty(len(a) - width + k, dtype=np.int64)
-    for at in range(len(quo) - k, -1, -k):
-        c = rem[at + width - k : at + width] % p
-        quo[at : at + k] = c
-        rem[at : at + width] -= act @ c
-    quo = (_slots(k, quo) @ lead_inv.T % p).ravel()
-    return ptrim(field, quo.tolist()), ptrim(field, (rem[: width - k] % p).tolist())
+    k = field.k
+    n0, n1 = len(a) // k, len(b) // k
+    buf = np.zeros((2, 2, len(a)), dtype=np.int64)
+    buf[0, 0] = a
+    buf[1, 0, : len(b)] = b
+    buf[1, 1, 0] = 1
+    M0, M1 = buf.reshape(2, 2, n0, k)
+    _divide_step(field, M0, M1, n0, n1, n1)
+    quo = -M0[1, : n0 - n1 + 1] % field.p
+    return ptrim(field, quo.ravel().tolist()), ptrim(field, M0[0, : n1 - 1].ravel().tolist())
 
 
 def pmod(field, a, b):
@@ -142,14 +161,9 @@ def _euclid(field, a, b, cofactors: bool) -> tuple:
 
     Row 0 of M0 and of M1 holds a remainder and rows 1 and 2 its cofactors u
     and v, each as (slots, k) int64 coordinates: M0 and M1 are the last two
-    triples of the remainder sequence. A step divides M0 by M1 in place.
-    ``act[m]`` is all of M1 times y^m / lead, lead the top slot of M1's
-    remainder, built once per step from k x k blocks. Then, from the top
-    slot down, the top slot c of M0's remainder, read mod p, is the next
-    quotient coefficient, and each nonzero coordinate c_m of c subtracts
-    c_m * act[m] at that slot. That leaves M0 - Q*M1 for the quotient Q by
-    M1's remainder made monic: the next triple. The lengths n0 and n1 of the
-    remainders are tracked by index; c0 and c1 bound those of the cofactors.
+    triples of the remainder sequence, and one ``_divide_step`` of M0 by M1
+    leaves the next triple. The lengths n0 and n1 of the remainders are
+    tracked by index; c0 and c1 bound those of the cofactors.
     """
     p, k = field.p, field.k
     rows = 3 if cofactors else 1
@@ -163,22 +177,8 @@ def _euclid(field, a, b, cofactors: bool) -> tuple:
     M0, M1 = buf.reshape(2, rows, size, k)
     c0 = c1 = 1 if cofactors else 0
     while n1:
-        e1 = max(n1, c1)
-        act = M1[:, :e1] @ _monic_action(field, tuple(M1[0, n1 - 1].tolist()))
-        # M1 is reduced, so act < k*p^2, and an entry of M0 takes at most
-        # k*min(n0 - n1 + 1, e1) products c_m * act[m] before M0 is reduced
-        # at the end of the step: it stays below p + k^2*p^3*min(...), which
-        # int64 holds for p < 2^16 while k^2*min(...) < 2^15. Past that, act
-        # is reduced first, and the bound is p + k*p^2*min(...).
-        if k * k * p**3 * min(n0 - n1 + 1, e1) >= 1 << 63:
-            act %= p
-        for at in range(n0 - n1, -1, -1):
-            for m, c in enumerate(M0[0, at + n1 - 1].tolist()):
-                c %= p
-                if c:
-                    M0[:, at : at + e1] -= act[m] * c
+        _divide_step(field, M0, M1, n0, n1, max(n1, c1))
         c0 = max(c0, n0 - n1 + c1)
-        M0[:, : max(n0, c0)] %= p
         n0 = min(n0, n1 - 1)
         while n0 and not any(M0[0, n0 - 1].tolist()):
             n0 -= 1
@@ -229,14 +229,15 @@ def _x_derivative(field, a) -> tuple:
 
 
 def pcyclic_mul(field, a, b, n: int):
-    """Product of two residues modulo x^n - 1: the packed convolution with its
-    slots folded mod n; always n slots."""
-    conv = _convolve(field, a, b)
-    width = n * (2 * field.k - 1)
-    folded = np.zeros(-(-len(conv) // width) * width, dtype=np.int64)
+    """Product of a and b (flat, nonempty) modulo x^n - 1: their packed
+    convolution with its slots folded mod n, then each slot's y-degrees
+    reduced through the rows y^t of ``_tables(field)[1]``; always n slots."""
+    k, s = field.k, 2 * field.k - 1
+    conv = np.convolve(_pack(k, a), _pack(k, b)) % field.p
+    folded = np.zeros(-(-len(conv) // (n * s)) * n * s, dtype=np.int64)
     folded[: len(conv)] = conv
-    slots = folded.reshape(-1, n, 2 * field.k - 1).sum(axis=0)
-    return _flat(slots @ _tables(field)[1] % field.p)
+    slots = folded.reshape(-1, n, s).sum(axis=0)
+    return tuple((slots @ _tables(field)[1] % field.p).ravel().tolist())
 
 
 # --- products on packed int64 vectors ----------------------------------------
@@ -262,13 +263,6 @@ def _pack(k: int, flat) -> np.ndarray:
 def _unpack(k: int, packed: np.ndarray) -> tuple:
     """Flat coordinates, as a tuple of ints, of a packed residue."""
     return tuple(packed.reshape(-1, 2 * k - 1)[:, :k].ravel().tolist())
-
-
-def _convolve(field, a, b) -> np.ndarray:
-    """Packed convolution of a and b (flat, nonempty), mod p: slot j of a*b sits
-    at j*(2k - 1), its y-degrees not yet reduced (rows of ``_tables(field)[1]``)."""
-    k = field.k
-    return np.convolve(_pack(k, a), _pack(k, b)) % field.p
 
 
 def _times_x_powers(field, f, first, count: int) -> np.ndarray:

@@ -147,14 +147,16 @@ class LinearizedPoly:
     def __hash__(self):
         return hash(self.coords.tobytes())
 
-    def __add__(self, other):
-        if self.spec != other.spec:
+    def _check(self, other):
+        if not isinstance(other, LinearizedPoly) or other.spec != self.spec:
             raise SpecMismatch("operands from different fields")
+
+    def __add__(self, other):
+        self._check(other)
         return LinearizedPoly._of(self.spec, (self.coords + other.coords) % self.spec.base.p)
 
     def __sub__(self, other):
-        if self.spec != other.spec:
-            raise SpecMismatch("operands from different fields")
+        self._check(other)
         return LinearizedPoly._of(self.spec, (self.coords - other.coords) % self.spec.base.p)
 
     def __neg__(self):

@@ -14,12 +14,13 @@ Enumeration caps are hard errors, never silent downgrades to sampling.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
 
 from .errors import NotPrimitive, TooLarge, ZeroInverse
-from .fields import ExtElement, ExtFieldSpec
+from .fields import ExtElement, ExtFieldSpec, element_order
 from .linearized import LinearizedPoly, evaluate_many
 from .polyring import RingElement, RingSpec, ring_mul
 
@@ -100,8 +101,6 @@ def fixed_points(F: LinearizedPoly) -> list[ExtElement]:
 
 def sqrt_unity_bruteforce(spec: RingSpec) -> list[RingElement]:
     """All f in F_q[x]/(x^n - 1) with f^2 = 1, by full ring enumeration."""
-    import itertools
-
     _check_cap(spec.base.q ** spec.n)
     one = spec.one()
     slots = [c.coeffs for c in spec.base.elements()]
@@ -120,8 +119,6 @@ def discrete_log(a: ExtElement, beta: ExtElement) -> int:
     _check_cap(group)
     if a.is_zero():
         raise ZeroInverse("0 is not in the multiplicative group")
-    from .fields import element_order
-
     if beta.is_zero() or element_order(beta) != group:
         raise NotPrimitive("beta is not a primitive element")
     power = spec.one()

@@ -354,6 +354,16 @@ def test_decomposition_refuses_another_ring():
         sign_vector_involutions(basis35(), E25)
 
 
+def test_sum_and_difference_refuse_a_foreign_operand():
+    # an element or an int is not broadcast over the coefficients
+    F = identity(E35)
+    for other in (E35.one(), E35.gen(), 1, identity(extension_field(3, 4))):
+        with pytest.raises(SpecMismatch):
+            F + other
+        with pytest.raises(SpecMismatch):
+            F - other
+
+
 def test_table2_row():
     E25 = extension_field(3, 25)
     basis = primitive_idempotents(RingSpec(base_field(3), 25))

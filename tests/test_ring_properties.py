@@ -5,6 +5,9 @@ over boxed F_q scalars, so it shares no code with them. F_4, F_8 and F_9 run
 the k x k block path of every kernel, F_3 and F_11 the 1 x 1 one.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +98,63 @@ def test_divmod_recomposes_naively(data):
     q, r = _polys.pdivmod(field, a, b)
     assert naive_add(field, naive_mul(field, q, b), r) == a
     assert _polys.pdeg(field, r) < _polys.pdeg(field, b)
+
+
+def _random_poly(rng, field, slots, lead):
+    """Flat polynomial of ``slots`` slots whose top slot is ``field.from_int(lead)``."""
+    values = [rng.randrange(field.q) for _ in range(slots - 1)] + [lead]
+    return _flat(field, [field.from_int(v) for v in values])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 11, 49])
+def test_divmod_finds_a_planted_quotient_and_remainder(q):
+    # a = b*quo + rem by the schoolbook reference, deg rem < deg b, and b's
+    # lead is not 1 wherever F_q has another nonzero scalar
+    field = base_field(q)
+    rng = random.Random(q)
+    for _ in range(4):
+        b = _random_poly(rng, field, rng.randint(1, 61), rng.randrange(min(2, q - 1), q))
+        quo = _random_poly(rng, field, rng.randint(1, 61), rng.randrange(1, q))
+        nb = len(b) // field.k
+        rem = _random_poly(rng, field, rng.randint(0, nb - 1), rng.randrange(q))
+        a = naive_add(field, naive_mul(field, b, quo), rem)
+        assert _polys.pdivmod(field, a, b) == (quo, rem)
+
+
+@pytest.mark.parametrize("q", [2, 4, 49])
+def test_divmod_edge_cases(q):
+    field = base_field(q)
+    rng = random.Random(q)
+    one = _polys.pone(field)
+    a = _random_poly(rng, field, 7, q - 1)
+    b = _random_poly(rng, field, 9, q - 1)
+    assert _polys.pdivmod(field, a, b) == ((), a)
+    assert _polys.pdivmod(field, b, b) == (one, ())
+    assert _polys.pdivmod(field, (), b) == ((), ())
+    c = field.from_int(q - 1).coeffs
+    quo, rem = _polys.pdivmod(field, a, c)
+    assert rem == () and naive_mul(field, quo, c) == a
+    with pytest.raises(ZeroDivisionError):
+        _polys.pdivmod(field, a, ())
+
+
+def test_divmod_of_a_long_quotient_at_p_65521_takes_the_reduced_branch():
+    # over F_{65521^8}, k^2 * p^3 * 513 >= 2^63: a quotient of 513 slots by a
+    # divisor of 513 reduces act before it divides; a is built by the cyclic
+    # product, which shares nothing with the division
+    field = base_field(65521**8)
+    assert field.k**2 * field.p**3 * 513 >= 1 << 63
+    rng = random.Random(8)
+
+    def poly(slots, lead):
+        coords = [rng.randrange(field.p) for _ in range(field.k * (slots - 1))]
+        return tuple(coords) + lead
+
+    b = poly(513, (3, 1) + (0,) * 6)
+    quo = poly(513, _polys.pone(field))
+    rem = _polys.ptrim(field, poly(512, (0,) * 8))
+    a = _polys.padd(field, _polys.pmul(field, b, quo), rem)
+    assert _polys.pdivmod(field, a, b) == (quo, rem)
 
 
 @settings(max_examples=60)
