@@ -14,10 +14,13 @@ permutation, a reproduction mismatch, an inverse cross-check failure) and
 for the one exit-1 refusal, ``invert`` on a non-permutation; 2 for every
 other refusal (usage or input errors, unmet hypotheses).
 
-Each handler ``cmd_*`` takes ``(args, ring, ext)`` and returns ``(inputs,
-outputs, checks, lines)``; ``main`` builds the field, prints and picks the
-exit code. The reproduce targets regenerate published example values from
-embedded goldens, so they double as an end-to-end smoke test.
+``SUBCOMMANDS`` maps each subcommand to its handler, help and own
+arguments; ``build_parser`` adds the field arguments to every one but
+``reproduce``. Each handler ``cmd_*`` takes ``(args, ring, ext)`` and
+returns ``(inputs, outputs, checks, lines)``; ``main`` builds the field,
+prints and picks the exit code. ``REPRODUCE_TARGETS`` maps each reproduce
+target to the function that regenerates published example values from
+embedded goldens, so the targets double as an end-to-end smoke test.
 """
 
 from __future__ import annotations
@@ -417,26 +420,57 @@ def _reproduce_f8n11() -> list[tuple[str, bool]]:
     return checks
 
 
+REPRODUCE_TARGETS = {
+    "example1": _reproduce_example1,
+    "table1": _reproduce_table1,
+    "table2": _reproduce_table2,
+    "table3": _reproduce_table3,
+    "f8n11": _reproduce_f8n11,
+}
+
+
 def cmd_reproduce(args, ring, ext):
-    handlers = {
-        "example1": _reproduce_example1,
-        "table1": _reproduce_table1,
-        "table2": _reproduce_table2,
-        "table3": _reproduce_table3,
-        "f8n11": _reproduce_f8n11,
-    }
-    checks = handlers[args.target]()
+    checks = REPRODUCE_TARGETS[args.target]()
     return {"target": args.target}, {}, checks, [f"target {args.target}"]
 
 
 # --- argument plumbing -------------------------------------------------------
 
+_JSON = ("--json", {"action": "store_true"})
+# added before the own arguments of every subcommand but reproduce
+_FIELD_ARGS = [
+    ("--q", {"type": int, "required": True, "help": "base field size"}),
+    ("--n", {"type": int, "required": True, "help": "extension degree"}),
+    ("--seed", {"type": int, "default": 0}),
+    _JSON,
+]
+_POLY = ("--poly", {"required": True})
+_ALPHA = ("--alpha", {"required": True})
 
-def _add_field_args(sub):
-    sub.add_argument("--q", type=int, required=True, help="base field size")
-    sub.add_argument("--n", type=int, required=True, help="extension degree")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--json", action="store_true")
+# name -> (handler, help, own arguments as (flag, kwargs) pairs), in help order
+SUBCOMMANDS = {
+    "idempotents": (cmd_idempotents, "primitive idempotents of F_q[x]/(x^n-1)",
+                    [("--closed-form", {"action": "store_true"})]),
+    "is-perm": (cmd_is_perm, "permutation tests for a linearized polynomial", [_POLY]),
+    "invert": (cmd_invert, "compositional inverse via components", [_POLY]),
+    "compose": (cmd_compose, "symbolic composition F(G(x))",
+                [("--poly", {"action": "append", "required": True})]),
+    "involutions": (cmd_involutions, "all sign-vector involutions", []),
+    "complete": (cmd_complete, "A-complete permutation check",
+                 [_POLY, ("--lambda-set", {"required": True,
+                                           "help": "comma-separated F_q values"})]),
+    "shift": (cmd_shift, "t-fold alpha-cyclic shift",
+              [_POLY, _ALPHA, ("--t", {"type": int, "default": 1})]),
+    "order": (cmd_order, "alpha-cyclic order", [_POLY, _ALPHA]),
+    "class": (cmd_class, "full alpha-cyclic equivalence class", [_POLY, _ALPHA]),
+    "reproduce": (cmd_reproduce, "regenerate published values and diff",
+                  [("--target", {"required": True, "choices": list(REPRODUCE_TARGETS)}),
+                   _JSON]),
+    "oracle": (cmd_oracle, "brute-force checks",
+               [("--check", {"required": True,
+                             "choices": ["bijection", "kernel", "fixed", "sqrt1"]}),
+                ("--poly", {})]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,75 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="linearized permutation polynomials over F_{q^n}",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("idempotents", help="primitive idempotents of F_q[x]/(x^n-1)")
-    _add_field_args(s)
-    s.add_argument("--closed-form", action="store_true")
-    s.set_defaults(func=cmd_idempotents)
-
-    s = subs.add_parser("is-perm", help="permutation tests for a linearized polynomial")
-    _add_field_args(s)
-    s.add_argument("--poly", required=True)
-    s.set_defaults(func=cmd_is_perm)
-
-    s = subs.add_parser("invert", help="compositional inverse via components")
-    _add_field_args(s)
-    s.add_argument("--poly", required=True)
-    s.set_defaults(func=cmd_invert)
-
-    s = subs.add_parser("compose", help="symbolic composition F(G(x))")
-    _add_field_args(s)
-    s.add_argument("--poly", action="append", required=True)
-    s.set_defaults(func=cmd_compose)
-
-    s = subs.add_parser("involutions", help="all sign-vector involutions")
-    _add_field_args(s)
-    s.set_defaults(func=cmd_involutions)
-
-    s = subs.add_parser("complete", help="A-complete permutation check")
-    _add_field_args(s)
-    s.add_argument("--poly", required=True)
-    s.add_argument("--lambda-set", required=True, help="comma-separated F_q values")
-    s.set_defaults(func=cmd_complete)
-
-    s = subs.add_parser("shift", help="t-fold alpha-cyclic shift")
-    _add_field_args(s)
-    s.add_argument("--poly", required=True)
-    s.add_argument("--alpha", required=True)
-    s.add_argument("--t", type=int, default=1)
-    s.set_defaults(func=cmd_shift)
-
-    s = subs.add_parser("order", help="alpha-cyclic order")
-    _add_field_args(s)
-    s.add_argument("--poly", required=True)
-    s.add_argument("--alpha", required=True)
-    s.set_defaults(func=cmd_order)
-
-    s = subs.add_parser("class", help="full alpha-cyclic equivalence class")
-    _add_field_args(s)
-    s.add_argument("--poly", required=True)
-    s.add_argument("--alpha", required=True)
-    s.set_defaults(func=cmd_class)
-
-    s = subs.add_parser("reproduce", help="regenerate published values and diff")
-    s.add_argument(
-        "--target",
-        required=True,
-        choices=["example1", "table1", "table2", "table3", "f8n11"],
-    )
-    s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_reproduce)
-
-    s = subs.add_parser("oracle", help="brute-force checks")
-    _add_field_args(s)
-    s.add_argument(
-        "--check",
-        required=True,
-        choices=["bijection", "kernel", "fixed", "sqrt1"],
-    )
-    s.add_argument("--poly")
-    s.set_defaults(func=cmd_oracle)
-
+    for name, (func, help_, own) in SUBCOMMANDS.items():
+        s = subs.add_parser(name, help=help_)
+        for flag, kwargs in own if name == "reproduce" else _FIELD_ARGS + own:
+            s.add_argument(flag, **kwargs)
+        s.set_defaults(func=func)
     return parser
 
 

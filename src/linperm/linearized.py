@@ -206,8 +206,7 @@ def compose(F: LinearizedPoly, G: LinearizedPoly) -> LinearizedPoly:
     For each nonzero slot i of F, the nonzero rows of G go through Frob^i and
     are multiplied by f_i in one row-wise product (``fields._mul_rows``).
     """
-    if F.spec != G.spec:
-        raise SpecMismatch("operands from different fields")
+    F._check(G)
     spec = F.spec
     p, n = spec.base.p, spec.n
     out = np.zeros_like(F.coords)
@@ -525,7 +524,7 @@ def evaluate_many(F: LinearizedPoly, A) -> np.ndarray:
 
 
 def evaluate(F: LinearizedPoly, a: ExtElement) -> ExtElement:
-    if a.spec != F.spec:
+    if not isinstance(a, ExtElement) or a.spec != F.spec:
         raise SpecMismatch("argument from a different field")
     (image,) = evaluate_many(F, [a.coords]).tolist()
     return ExtElement(F.spec, tuple(image))

@@ -67,6 +67,8 @@ class ShiftClass:
 
 
 def _check_alpha(spec: ExtFieldSpec, alpha: ExtElement) -> None:
+    if not isinstance(alpha, ExtElement):
+        raise BadInput("alpha from a different field")
     if alpha.is_zero():
         raise ZeroAlpha("alpha must be nonzero")
     if alpha.spec != spec:

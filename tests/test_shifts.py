@@ -34,6 +34,7 @@ from linperm.errors import (
     HypothesisViolated,
     NotAPermutation,
     OddOrder,
+    SpecMismatch,
     ZeroAlpha,
 )
 
@@ -98,6 +99,24 @@ def test_shift_power_checks_alpha_at_every_t(t):
     with pytest.raises(BadInput):
         alpha_shift_power(F, extension_field(3, 7).one(), t)
     assert alpha_shift_power(F, E35.one(), 0) == F
+
+
+def test_foreign_operands_are_refused_by_name():
+    # an element or an int where a polynomial or an alpha belongs is refused
+    # with the library's error, not an AttributeError from inside
+    F = identity(E35)
+    for call in (
+        lambda: compose(F, E35.one()),
+        lambda: compose(F, 1),
+        lambda: evaluate(F, 1),
+    ):
+        with pytest.raises(SpecMismatch):
+            call()
+    for call in (lambda: alpha_shift(F, 2), lambda: cyclic_order(F, 1)):
+        with pytest.raises(BadInput, match="^alpha from a different field$"):
+            call()
+    with pytest.raises(ZeroAlpha):
+        alpha_shift(F, extension_field(3, 7).zero())
 
 
 def test_shift_power_large_t_uses_norm_law():
