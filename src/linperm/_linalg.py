@@ -51,8 +51,9 @@ def lift(field, M) -> np.ndarray:
     M = np.asarray(M, dtype=np.int64)
     d, e, k = M.shape
     T = mul_tensor(field)
-    out = np.einsum("ija,lab->iljb", M, T).reshape(d * k, e * k) % field.p
-    return np.ascontiguousarray(out)
+    out = np.einsum("ija,lab->iljb", M, T).reshape(d * k, e * k)
+    out %= field.p
+    return out
 
 
 def _eliminate(m: np.ndarray, p: int) -> list[int]:

@@ -265,19 +265,21 @@ def _unpack(k: int, packed: np.ndarray) -> tuple:
     return tuple(packed.reshape(-1, 2 * k - 1)[:, :k].ravel().tolist())
 
 
-def _times_x_powers(field, f, first, count: int) -> np.ndarray:
-    """(count, d, k) int array: row t holds first * x^t mod f, ``first`` a
-    (d, k) residue and f monic of degree d (flat). Each step shifts the slots
-    and folds the top one back in through x^d = -low(x)."""
-    p, k = field.p, field.k
+def _times_x_powers(field, low, first, count: int) -> np.ndarray:
+    """(count, ..., d, k) int array: entry t holds first * x^t mod f, for f
+    monic of degree d with the coefficients ``low`` below x^d and ``first``
+    a residue, both (..., d, k) int arrays. Each step shifts the slots and
+    folds the top one back in through x^d = -low(x). The leading axes run
+    several f at once; a factor of lower degree e can share them with its
+    slots and its low(f) in the top e of the d slots and zeros below.
+    """
+    p = field.p
     T = _linalg.mul_tensor(field)
-    d = len(f) // k - 1
-    low = np.array(f[:-k], dtype=np.int64).reshape(d, k)
-    r = np.zeros((count, d, k), dtype=np.int64)
+    r = np.zeros((count,) + np.shape(first), dtype=np.int64)
     r[0] = first
     for t in range(1, count):
-        r[t, 1:] = r[t - 1, :-1]
-        r[t] = (r[t] - np.einsum("lab,a,jb->jl", T, r[t - 1, -1], low)) % p
+        r[t, ..., 1:, :] = r[t - 1, ..., :-1, :]
+        r[t] = (r[t] - np.einsum("lab,...a,...jb->...jl", T, r[t - 1, ..., -1, :], low)) % p
     return r
 
 
@@ -294,7 +296,8 @@ def _reduction_matrix(field, mod: tuple) -> np.ndarray:
     # r[e] = x^e mod f: the unit residues, then x^d = -low(x) times x^t
     r = np.zeros((2 * d, d, k), dtype=np.int64)
     r[np.arange(d), np.arange(d), 0] = 1
-    r[d:] = _times_x_powers(field, mod, -np.array(mod[:-k]).reshape(d, k) % p, d)
+    low = np.array(mod[:-k]).reshape(d, k)
+    r[d:] = _times_x_powers(field, low, -low % p, d)
     red = np.zeros((d, s, 2 * d, s), dtype=np.int64)
     red[:, :k] = np.einsum("lab,eja,tb->jlet", T, r, _tables(field)[1]) % p
     return red.reshape(d * s, 2 * d * s)
@@ -397,13 +400,14 @@ def _frobenius_q(field, f) -> np.ndarray:
     p, k, q = field.p, field.k, field.q
     d = pdeg(field, f)
     wrap = min(q, d)  # the top slots, d - wrap and up, go through the table
+    low = np.array(f[:-k]).reshape(d, k)
     if q < d:
-        first = -np.array(f[:-k]).reshape(d, k) % p
+        first = -low % p
     else:
         red = _reduction_matrix(field, tuple(f))
         x_q = _powmod(p, red, red[:, 2 * k - 1], q)  # red[:, 2k - 1] is x
         first = x_q.reshape(d, 2 * k - 1)[:, :k]
-    R = _times_x_powers(field, f, first, wrap)
+    R = _times_x_powers(field, low, first, wrap)
     T = _linalg.mul_tensor(field)
     act = np.einsum("lab,tjb->jlta", T, R).reshape(d * k, wrap * k) % p
     cols = np.zeros((d, d * k), dtype=np.int64)

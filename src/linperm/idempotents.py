@@ -7,16 +7,32 @@ e_i, computed here by the derivative formula e_i = n^{-1} x f_i' h_i mod
 (x^n - 1) with h_i = (x^n - 1)/f_i (MacWilliams-Sloane, ch. 8). A closed-form
 route exists for n = p^m when the order of q mod p^m is large enough; both
 routes are exposed and cross-check each other.
+
+The isomorphism F_q[x]/(x^n - 1) -> prod_i F_q[x]/(f_i) (the CRT) is one pair
+of F_p matrices on flat coordinates, built on first use and cached on the
+basis (``IdempotentBasis._crt``), so a basis that is only printed never
+builds them. P takes f to its remainders f mod f_i, stacked in blocks of
+k*d_i rows (d_i = deg f_i, q = p^k); its column j is x^j mod each f_i. R is
+the inverse map: column t of block i is x^t*e_i, the cyclic shift of e_i by
+t slots. Both are lifted from F_q by ``_linalg.lift``, and the build raises
+``InternalError`` unless P*R = I. ``project`` is P*f, ``reconstruct`` is R
+applied to the blocks, and ``linearized`` tests and inverts units block by
+block on them. The matrices are float32 while k*n*p^2 < 2^24 and float64
+otherwise, whose BLAS products are exact while k*n*p^2 < 2^53. The
+derivations that check this path stay independent of it: the basis
+invariants below, the gcd and rank permutation tests, and the ring-inverse
+and square-to-1 cross-checks in ``linearized``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from . import _polys
+from . import _linalg, _polys
 from .errors import (
     BadInput,
     ConditionNotMet,
@@ -78,6 +94,19 @@ class IdempotentBasis:
     def idempotents(self) -> tuple[RingElement, ...]:
         return tuple(c.idempotent for c in self.components)
 
+    @cached_property
+    def _crt(self) -> _CRT:
+        return _build_crt(self)
+
+
+class _CRT(NamedTuple):
+    """The decomposition of a basis as F_p matrices (see the module doc)."""
+
+    P: np.ndarray  # f -> (f mod f_i)_i; rows cuts[i]:cuts[i + 1] are block i
+    R: np.ndarray  # the inverse of P: column cuts[i] + j*k + l is y^l x^j e_i
+    cuts: np.ndarray  # the first row of each block, and k*n at the end
+    owner: np.ndarray  # the block of each of the k*n rows
+
 
 @dataclass(frozen=True)
 class ComponentVector:
@@ -100,14 +129,87 @@ def _check_basis_invariants(spec: RingSpec, components) -> None:
     for i, c in enumerate(components):
         e = c.idempotent
         if ring_mul(e, e) != e:
-            raise InternalError(f"component {i}: e^2 != e")
+            raise InternalError(f"idempotents: component {i}: e^2 != e")
         if not ring_mul(e, spec.from_poly(c.factor)).is_zero():
-            raise InternalError(f"component {i}: e * f != 0")
+            raise InternalError(f"idempotents: component {i}: e * f != 0")
         total = total + e
     if total != spec.one():
-        raise InternalError("idempotents do not sum to 1")
+        raise InternalError("idempotents: idempotents do not sum to 1")
     if len(components) != len(cyclotomic_cosets(spec)):
-        raise InternalError("component count != number of cyclotomic cosets")
+        raise InternalError("idempotents: component count != number of cyclotomic cosets")
+
+
+def _build_crt(basis: IdempotentBasis) -> _CRT:
+    """P and R of the basis, checked against each other.
+
+    R needs no arithmetic: its F_q matrix is one gather from the e_i. Column
+    j of P is x^j mod f_i in each block, for every j < n and i at once: one
+    ``_polys._times_x_powers`` walk over all the factors, each with its
+    slots in the top d_i of max(d_i) slots. A product by P or R sums at
+    most k*n products of two entries in [0, p), below k*n*p^2, which BLAS
+    adds exactly in float32 while that is below 2^24 and in float64 while it
+    is below 2^53, as it is for every k*n < 2^21 (p < 2^16).
+    """
+    spec, comps = basis.spec, basis.components
+    base, n = spec.base, spec.n
+    p, k = base.p, base.k
+    degrees = np.array([c.degree for c in comps])
+    m, top = len(comps), int(degrees.max())
+    starts = np.concatenate([[0], np.cumsum(degrees)])
+    owner = np.repeat(np.arange(m), degrees)  # the block of each slot
+    slot = np.arange(n) - starts[owner]  # its place in the block
+    dtype = np.float32 if k * n * (p - 1) ** 2 < 1 << 24 else np.float64
+
+    at = top - degrees[owner] + slot  # where each slot sits in the walk
+    low = np.zeros((m, top, k), dtype=np.int64)
+    low[owner, at] = np.concatenate([np.reshape(c.factor.coords[:-k], (-1, k)) for c in comps])
+    one = np.zeros((m, top, k), dtype=np.int64)
+    one[np.arange(m), top - degrees, 0] = 1
+    # X[j, r] is slot r of x^j mod its factor, r in block order
+    X = _polys._times_x_powers(base, low, one, n)[:, owner, at]
+    P = _linalg.lift(base, X.transpose(1, 0, 2)).astype(dtype)
+
+    E = np.array([c.idempotent.coords for c in comps]).reshape(m, n, k)
+    R = _linalg.lift(base, E[owner, (np.arange(n)[:, None] - slot) % n]).astype(dtype)
+
+    if not np.array_equal(P @ R % p, np.eye(k * n, dtype=dtype)):
+        raise InternalError("idempotents: P*R != I, projection and reconstruction disagree")
+    for M in (P, R):
+        M.flags.writeable = False
+    return _CRT(P, R, starts * k, np.repeat(owner, k))
+
+
+def _apply(M: np.ndarray, x, p: int) -> np.ndarray:
+    """M @ x mod p as int64, for M one of a basis's matrices and x with
+    entries in [0, p): exact in M's dtype (see ``_build_crt``)."""
+    return (M @ np.asarray(x, dtype=M.dtype) % p).astype(np.int64)
+
+
+def _blocks(basis: IdempotentBasis, coords) -> np.ndarray:
+    """P*f for f's flat coordinates: block i holds those of f mod f_i."""
+    return _apply(basis._crt.P, coords, basis.spec.base.p)
+
+
+def _nonzero_blocks(basis: IdempotentBasis, v: np.ndarray) -> np.ndarray:
+    """Whether each block of v, a vector of block coordinates, is nonzero."""
+    return np.logical_or.reduceat(v, basis._crt.cuts[:-1])
+
+
+def _combine(basis: IdempotentBasis, u) -> np.ndarray:
+    """R*u: the flat coordinates of sum_i u_i*e_i, for u_i the block i of u
+    (of degree below d_i)."""
+    return _apply(basis._crt.R, u, basis.spec.base.p)
+
+
+def _check_basis(basis) -> None:
+    if not isinstance(basis, IdempotentBasis):
+        raise SpecMismatch(f"expected an IdempotentBasis, got {type(basis).__name__}")
+
+
+def _check_ring(x, basis, what: str) -> None:
+    _check_basis(basis)
+    if not isinstance(x, RingElement) or x.spec != basis.spec:
+        raise SpecMismatch(f"{what} and basis from different rings")
 
 
 @lru_cache(maxsize=None)
@@ -195,32 +297,42 @@ def closed_form_pm(spec: RingSpec, p: int, m: int) -> IdempotentBasis:
 
 
 def project(f: RingElement, basis: IdempotentBasis) -> ComponentVector:
-    """Component entries of f: the remainder of f mod each factor f_i.
+    """Component entries of f: the remainder of f mod each factor f_i, read
+    off the blocks of P*f.
 
     Canonicalizing to remainders (degree < deg f_i) makes vector equality
     meaningful; any representative with f*e_i = entry*e_i would do.
     """
-    if f.spec != basis.spec:
-        raise SpecMismatch("element and basis from different rings")
-    poly = f.to_poly()
-    entries = tuple(
-        basis.spec.from_poly(poly % c.factor) for c in basis.components
+    _check_ring(f, basis, "element")
+    crt = basis._crt
+    entries = np.zeros((basis.t, len(f.coords)), dtype=np.int64)
+    entries[crt.owner, np.arange(len(f.coords)) - crt.cuts[crt.owner]] = _blocks(basis, f.coords)
+    return ComponentVector(
+        basis.spec, tuple(RingElement(basis.spec, tuple(row)) for row in entries.tolist())
     )
-    return ComponentVector(basis.spec, entries)
 
 
 def reconstruct(v: ComponentVector, basis: IdempotentBasis) -> RingElement:
-    """Sum of entry_i * e_i, the inverse of project."""
-    if v.spec != basis.spec:
+    """Sum of entry_i * e_i, the inverse of project: R applied to the blocks.
+
+    entry_i * e_i depends on entry_i mod f_i alone, so an entry of any degree
+    is first reduced by its own block of P: row r of P against the entry of
+    the block that holds row r.
+    """
+    _check_basis(basis)
+    if not isinstance(v, ComponentVector) or v.spec != basis.spec:
         raise SpecMismatch("vector and basis from different rings")
     if len(v.entries) != len(basis.components):
         raise LengthMismatch(
             f"{len(v.entries)} entries for {len(basis.components)} components"
         )
-    out = basis.spec.zero()
-    for entry, comp in zip(v.entries, basis.components):
-        out = out + ring_mul(entry, comp.idempotent)
-    return out
+    for entry in v.entries:
+        _check_ring(entry, basis, "entry")
+    crt, p = basis._crt, basis.spec.base.p
+    entries = np.array([entry.coords for entry in v.entries], dtype=crt.P.dtype)
+    # each of the k*n sums holds k*n products below p^2, exact as in _apply
+    reduced = np.einsum("rc,rc->r", crt.P, entries[crt.owner]) % p
+    return RingElement(basis.spec, tuple(_combine(basis, reduced).tolist()))
 
 
 def is_idempotent(f: RingElement) -> bool:
@@ -233,4 +345,5 @@ def is_primitive_idempotent(f: RingElement, basis: IdempotentBasis) -> bool:
     Every idempotent of the ring is a subset sum of the primitive ones, so
     membership in the computed basis decides primitivity.
     """
+    _check_ring(f, basis, "element")
     return any(f == c.idempotent for c in basis.components)

@@ -45,12 +45,14 @@ from .fields import (
     extension_field,
 )
 from .idempotents import (
-    ComponentVector,
     IdempotentBasis,
+    _blocks,
+    _check_basis,
+    _check_ring,
     _closed_form_rows,
+    _combine,
+    _nonzero_blocks,
     cor4_condition,
-    project,
-    reconstruct,
 )
 from .polyring import (
     RingElement,
@@ -58,7 +60,6 @@ from .polyring import (
     _parse_digits,
     _parse_field_coeff,
     _signed_terms,
-    poly_egcd,
     ring_inverse,
     ring_is_unit,
     ring_mul,
@@ -223,19 +224,32 @@ def compose(F: LinearizedPoly, G: LinearizedPoly) -> LinearizedPoly:
     return LinearizedPoly._of(spec, out % p)
 
 
-def _idempotent_products(f: RingElement, basis: IdempotentBasis):
+def _idempotent_products(f: RingElement, basis: IdempotentBasis) -> list[RingElement]:
     """The products f*e_i of an associate f with the basis, in basis order.
-    The rings are compared at once; the products are made as they are read,
-    so a reader that stops at the first zero pays for no more."""
-    if f.spec != basis.spec:
+
+    f*e_i = (f mod f_i)*e_i is R applied to block i of P*f alone: the
+    columns of R scaled by P*f, summed within each block.
+    """
+    _check_ring(f, basis, "element")
+    crt, p = basis._crt, f.spec.base.p
+    # each sum holds at most k*n products below p^2, exact as in _apply
+    scaled = crt.R * _blocks(basis, f.coords).astype(crt.R.dtype)
+    prods = np.add.reduceat(scaled, crt.cuts[:-1], axis=1) % p
+    return [RingElement(f.spec, tuple(row)) for row in prods.T.astype(np.int64).tolist()]
+
+
+def _check_field(F: LinearizedPoly, basis: IdempotentBasis) -> None:
+    _check_basis(basis)
+    if basis.spec.base != F.spec.base or basis.spec.n != F.spec.n:
         raise SpecMismatch("basis from a different ring")
-    return (ring_mul(f, c.idempotent) for c in basis.components)
 
 
 def is_permutation(F: LinearizedPoly, basis: IdempotentBasis) -> bool:
-    """Idempotent criterion: F permutes F_{q^n} iff no product f*e_i vanishes."""
-    products = _idempotent_products(conventional_associate(F), basis)
-    return not any(prod.is_zero() for prod in products)
+    """Idempotent criterion: F permutes F_{q^n} iff no product f*e_i
+    vanishes, that is iff f mod f_i, block i of P*f, is nonzero for every i."""
+    C = _base_coords(F)
+    _check_field(F, basis)
+    return bool(_nonzero_blocks(basis, _blocks(basis, C.ravel())).all())
 
 
 def is_permutation_gcd(F: LinearizedPoly) -> bool:
@@ -298,27 +312,30 @@ def compositional_inverse(
 ) -> LinearizedPoly:
     """Inverse through the component decomposition.
 
-    Project f onto the simple components, invert each entry modulo its factor
-    and reconstruct; the result is cross-checked against the direct ring
-    inverse before converting back to linearized form. A zero entry, f_i
-    dividing f, is exactly a vanishing f*e_i: F does not permute.
+    Block i of P*f is f mod f_i; each is inverted modulo its factor by an
+    egcd of degree below d_i, and R takes the inverses back to the ring. The
+    result is cross-checked against the direct ring inverse before
+    converting back to linearized form. A zero block, f_i dividing f, is
+    exactly a vanishing f*e_i: F does not permute.
     """
     f = conventional_associate(F)
-    v = project(f, basis)
-    spec = basis.spec
-    inv_entries = []
-    for entry, comp in zip(v.entries, basis.components):
-        if entry.is_zero():
-            raise NotAPermutation("polynomial is not a linear permutation")
-        # the entry is a remainder mod f_i and g is monic, so g = 1 and u,
-        # of degree below f_i, is the entry's inverse mod f_i
-        g, u, _ = poly_egcd(entry.to_poly(), comp.factor)
-        if g.degree != 0:
-            raise InternalError("component entry not invertible mod its factor")
-        inv_entries.append(spec.from_poly(u))
-    f_inv = reconstruct(ComponentVector(spec, tuple(inv_entries)), basis)
+    _check_field(F, basis)
+    base = f.spec.base
+    v = _blocks(basis, f.coords)
+    if not _nonzero_blocks(basis, v).all():
+        raise NotAPermutation("polynomial is not a linear permutation")
+    u = np.zeros_like(v)
+    cuts = basis._crt.cuts
+    for comp, lo, hi in zip(basis.components, cuts[:-1], cuts[1:]):
+        # the block is a nonzero remainder mod f_i and g is monic, so g = 1
+        # and inv, of degree below f_i, is its inverse mod f_i
+        g, inv, _ = _polys.pegcd(base, _polys.ptrim(base, v[lo:hi].tolist()), comp.factor.coords)
+        if g != _polys.pone(base):
+            raise InternalError("linearized: component entry not invertible mod its factor")
+        u[lo : lo + len(inv)] = inv
+    f_inv = RingElement(f.spec, tuple(_combine(basis, u).tolist()))
     if f_inv != ring_inverse(f):
-        raise InternalError("component inverse disagrees with ring inverse")
+        raise InternalError("linearized: component inverse disagrees with ring inverse")
     return linearized_associate(f_inv, F.spec)
 
 
@@ -342,10 +359,11 @@ def sign_vector_involutions(
     whose base is ``base_field(q)``; a ring over another model of F_q needs
     its own.
     """
+    _check_basis(basis)
     ring = basis.spec
     if spec is None:
         spec = extension_field(ring.base.q, ring.n, 0)
-    if spec.base != ring.base or spec.n != ring.n:
+    if not isinstance(spec, ExtFieldSpec) or spec.base != ring.base or spec.n != ring.n:
         raise SpecMismatch("field spec does not match the basis ring")
     if ring.base.p == 2:
         warnings.warn(
@@ -353,13 +371,16 @@ def sign_vector_involutions(
             stacklevel=2,
         )
         return [identity(spec)]
+    # column s of U holds the blocks (s_i, 0, ..., 0), the constants s_i
+    # mod f_i, of one sign vector; R takes them to sum_i s_i*e_i
+    cuts = basis._crt.cuts
+    U = np.zeros((len(basis._crt.owner), 2**basis.t), dtype=np.int64)
+    U[cuts[:-1]] = np.array(list(itertools.product((1, -1), repeat=basis.t))).T % ring.base.p
     out = []
-    for signs in itertools.product((1, -1), repeat=basis.t):
-        f = ring.zero()
-        for s, comp in zip(signs, basis.components):
-            f = f + comp.idempotent if s == 1 else f - comp.idempotent
+    for row in _combine(basis, U).T.tolist():
+        f = RingElement(ring, tuple(row))
         if ring_mul(f, f) != ring.one():
-            raise InternalError("sign vector did not square to 1")
+            raise InternalError("linearized: sign vector did not square to 1")
         out.append(linearized_associate(f, spec))
     return out
 
