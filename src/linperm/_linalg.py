@@ -1,4 +1,4 @@
-"""Linear algebra over F_p on int64 arrays.
+"""Linear algebra over F_p on integer arrays.
 
 Every F_q-linear map in the package, q = p^k, is handled as the F_p-linear
 map it also is. F_q is F_p[y]/(m(y)) (F_p itself is F_p[y]/(y), k = 1), and a
@@ -11,10 +11,12 @@ matrix of the same map. ``_eliminate`` is the one elimination loop:
 ``echelon_mod`` reduces its pivot rows, and ``solve_mod`` back-substitutes on
 that echelon form (the minimal polynomials that factor x^n - 1).
 
-Reduction mod p is delayed: p < 2^16, so an int64 holds a sum of fewer than
-2^31 products of two reduced entries (each below p^2 < 2^32) without
-overflow, and the kernels reduce only what a decision reads. ``_eliminate``
-states its bound, p + s*p^2 after s steps.
+Over F_2 a row is packed into one Python int, and a row operation is one
+XOR of those ints, the bit-packed layout of M4RI (Albrecht-Bard-Hart, ACM
+TOMS 2010). For odd p, reduction mod p is delayed: after s steps an entry is
+below p + s*p^2 in absolute value, and the elimination runs in the narrowest
+of int16, int32 and int64 that holds that bound for its matrix. Only what a
+decision reads is reduced.
 """
 
 from __future__ import annotations
@@ -56,59 +58,86 @@ def lift(field, M) -> np.ndarray:
     return out
 
 
-def _eliminate(m: np.ndarray, p: int) -> list[int]:
-    """Gaussian elimination over F_p in place on ``m``, int64 with entries in
-    [0, p); returns the pivot columns. Afterwards row i < len(pivots) is
-    congruent mod p to the reduced pivot row of ``echelon_mod``.
+def _eliminate(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Gaussian elimination over F_p of the integer matrix ``rows``, which it
+    does not modify: (W, pivots), where row i < len(pivots) of W is
+    congruent mod p to row i of the echelon form of ``echelon_mod``.
 
-    Columns are taken in order, and the pivot is the first row at or below
-    the current one whose entry in the column is nonzero mod p. Only the
-    pivot column and the pivot row are reduced mod p; the rows below that
-    have a nonzero entry in the pivot column lose a multiple of the pivot
-    row, and every other entry stays unreduced. One step moves an entry by
-    less than p^2, so after s steps |entry| < p + s*p^2: with p < 2^16 int64
-    never overflows for min(d, e) < 2^31.
+    Over F_2 each row is packed by ``np.packbits`` into one Python int, its
+    first column the leading bit, and is XOR-reduced against the pivot rows
+    found so far, keyed by their leading bit; what is left nonzero is a new
+    pivot row. W is the pivot rows, unpacked in pivot column order.
+
+    For odd p, columns are taken in order, and the pivot is the first row at
+    or below the current one whose entry in the column is nonzero mod p.
+    Only the pivot column and the pivot row are reduced mod p; every row
+    below the pivot loses a multiple of the pivot row in one dense update,
+    and every other entry stays unreduced. One step moves an entry by less
+    than p^2, so after s steps |entry| < p + s*p^2. W is a copy in the
+    narrowest of int16, int32 and int64 that holds p + min(d, e)*p^2; with
+    p < 2^16, int64 holds it for min(d, e) < 2^31.
     """
-    d, e = m.shape
+    rows = np.asarray(rows, dtype=np.int64)
+    d, e = rows.shape
+    if p == 2:
+        packed = np.packbits(rows & 1, axis=1)
+        size = packed.shape[1]
+        data = packed.tobytes()
+        lead = {}  # bit length -> the pivot row with that leading bit
+        for i in range(0, d * size, size):
+            v = int.from_bytes(data[i : i + size], "big")
+            while v:
+                bits = v.bit_length()
+                if bits not in lead:
+                    lead[bits] = v
+                    break
+                v ^= lead[bits]
+        keys = sorted(lead, reverse=True)
+        data = b"".join(lead[bits].to_bytes(size, "big") for bits in keys)
+        W = np.frombuffer(data, dtype=np.uint8).reshape(len(keys), size)
+        return np.unpackbits(W, axis=1, count=e), [8 * size - bits for bits in keys]
+    bound = p + min(d, e) * p * p
+    dtype = next((t for t in (np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64)
+    W = (rows % p).astype(dtype)
     pivots = []
     for col in range(e):
         r = len(pivots)
         if r == d:
             break
-        c = m[r:, col] % p
-        nz = np.flatnonzero(c)
+        c = W[r:, col] % p
+        nz = c.nonzero()[0]
         if nz.size == 0:
             continue
         t = int(nz[0])
-        pivot = m[r + t, col:] % p * pow(int(c[t]), -1, p) % p
+        pivot = W[r + t, col:] % p
+        a = int(c[t])
+        if a != 1:
+            pivot = pivot * pow(a, -1, p) % p
         if t:
-            # row r takes the pivot row's place; it is zero in this column
-            # and needs no update
-            m[r + t] = m[r]
-        m[r, col:] = pivot
-        rest = nz[1:]
-        m[r + rest, col:] -= c[rest, None] * pivot
+            # row r takes the pivot row's place, and its multiplier with it
+            W[r + t] = W[r]
+            c[t] = c[0]
+        W[r, col:] = pivot
+        W[r + 1 :, col:] -= c[1:, None] * pivot
         pivots.append(col)
-    return pivots
+    return W, pivots
 
 
 def echelon_mod(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Row echelon form of an integer matrix over F_p: (E, pivots).
 
-    E has one row per pivot, entries in [0, p): row i is 0 before column
-    pivots[i] and 1 there, and the rows span the row space of ``rows`` mod
-    p. ``rows`` is not modified.
+    E is int64 with one row per pivot, entries in [0, p): row i is 0 before
+    column pivots[i] and 1 there, and the rows span the row space of
+    ``rows`` mod p. ``rows`` is not modified.
     """
-    m = np.asarray(rows, dtype=np.int64) % p
-    pivots = _eliminate(m, p)
-    return m[: len(pivots)] % p, pivots
+    W, pivots = _eliminate(rows, p)
+    return W[: len(pivots)].astype(np.int64) % p, pivots
 
 
 def rank_mod(rows: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over F_p: the pivot count of ``_eliminate``,
-    without the final reduction of ``echelon_mod``. ``rows`` is not
-    modified."""
-    return len(_eliminate(np.asarray(rows, dtype=np.int64) % p, p))
+    """Rank of an integer matrix over F_p: the pivot count of ``_eliminate``.
+    ``rows`` is not modified."""
+    return len(_eliminate(rows, p)[1])
 
 
 def solve_mod(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:

@@ -317,7 +317,7 @@ class ExtElement:
 
     def base_value(self) -> FieldElement:
         if not self.in_base_field():
-            raise InternalError(f"{self} does not lie in the base field")
+            raise InternalError(f"fields: {self} does not lie in the base field")
         base = self.spec.base
         return base.element(self.coords[: base.k])
 
@@ -443,7 +443,7 @@ def norm(a: ExtElement) -> FieldElement:
         return spec.base.zero()
     b = a ** ((spec.order - 1) // (spec.q - 1))
     if not b.in_base_field():
-        raise InternalError("norm value escaped the base field")
+        raise InternalError("fields: norm value escaped the base field")
     return b.base_value()
 
 
@@ -499,7 +499,7 @@ def element_of_order(spec, n: int):
         zeta = spec.from_int(v) ** cofactor
         if zeta != one and all(zeta**e != one for e in radicals):
             return zeta
-    raise InternalError("no element of the requested order found")  # pragma: no cover
+    raise InternalError("fields: no element of the requested order found")  # pragma: no cover
 
 
 # --- irreducible polynomials and default specs -------------------------------

@@ -336,6 +336,8 @@ def reconstruct(v: ComponentVector, basis: IdempotentBasis) -> RingElement:
 
 
 def is_idempotent(f: RingElement) -> bool:
+    if not isinstance(f, RingElement):
+        raise SpecMismatch(f"expected a RingElement, got {type(f).__name__}")
     return ring_mul(f, f) == f
 
 

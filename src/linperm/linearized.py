@@ -172,7 +172,13 @@ def identity(spec: ExtFieldSpec) -> LinearizedPoly:
     return LinearizedPoly.monomial(spec, spec.one(), 0)
 
 
+def _check_poly(F) -> None:
+    if not isinstance(F, LinearizedPoly):
+        raise SpecMismatch(f"expected a LinearizedPoly, got {type(F).__name__}")
+
+
 def has_base_coeffs(F: LinearizedPoly) -> bool:
+    _check_poly(F)
     return not F.coords[:, F.spec.base.k :].any()
 
 
@@ -187,9 +193,10 @@ def _base_coords(F: LinearizedPoly) -> np.ndarray:
 
 def conventional_associate(F: LinearizedPoly) -> RingElement:
     """f(x) = sum f_i x^i in F_q[x]/(x^n - 1); same coefficient vector."""
+    C = _base_coords(F)
     base = F.spec.base
     ring = RingSpec(base, F.spec.n)
-    return ring.element([base.element(c) for c in _base_coords(F).tolist()])
+    return ring.element([base.element(c) for c in C.tolist()])
 
 
 def linearized_associate(f: RingElement, spec: ExtFieldSpec) -> LinearizedPoly:
@@ -272,6 +279,7 @@ def is_permutation_rank(F: LinearizedPoly) -> bool:
     F_q acts on every slot through the same k x k block, so its term costs no
     full matrix product.
     """
+    _check_poly(F)
     spec = F.spec
     base = spec.base
     p, k, n = base.p, base.k, spec.n

@@ -148,9 +148,9 @@ def shift_class(F: LinearizedPoly, alpha: ExtElement) -> ShiftClass:
         current = alpha_shift(current, alpha)
         members.append(current)
     if alpha_shift(current, alpha) != F:
-        raise InternalError("orbit did not close at the computed order")
+        raise InternalError("shifts: orbit did not close at the computed order")
     if len(set(members)) != order:
-        raise InternalError("orbit members not distinct")
+        raise InternalError("shifts: orbit members not distinct")
     return ShiftClass(F, alpha, order, tuple(members))
 
 
@@ -194,5 +194,5 @@ def half_order_involution(F: LinearizedPoly, alpha: ExtElement) -> LinearizedPol
         raise HypothesisViolated("F must be an involution")
     out = alpha_shift_power(F, alpha, full // 2)
     if not is_involution(out):
-        raise InternalError("half-order shift failed to produce an involution")
+        raise InternalError("shifts: half-order shift failed to produce an involution")
     return out

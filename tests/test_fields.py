@@ -21,7 +21,7 @@ from linperm import (
     integer_order_mod,
     norm,
 )
-from linperm.errors import BadInput, NotCoprime, ZeroInverse, ZeroOrder
+from linperm.errors import BadInput, InternalError, NotCoprime, ZeroInverse, ZeroOrder
 from linperm._linalg import lift
 from linperm import fields
 from linperm._polys import _frobenius_q, _prime_factors, pis_irreducible, pmod, pmul, pone
@@ -127,6 +127,19 @@ def test_norm_multiplicative():
         for v in range(1, 8):
             a, b = E.from_int(u), E.from_int(v)
             assert norm(a * b) == norm(a) * norm(b)
+
+
+def test_base_value_outside_the_base_names_the_layer():
+    with pytest.raises(InternalError, match=r"^fields: .* does not lie in the base field$"):
+        extension_field(3, 5).gen().base_value()
+
+
+def test_norm_check_names_the_layer(monkeypatch):
+    # a power that leaves F_q: the norm of a nonzero element is then refused
+    E = extension_field(3, 5)
+    monkeypatch.setattr(fields.ExtElement, "__pow__", lambda a, e: E.gen())
+    with pytest.raises(InternalError, match=r"^fields: norm value escaped the base field$"):
+        norm(E.one())
 
 
 def test_integer_orders():

@@ -263,6 +263,12 @@ def test_project_spec_mismatch():
         project(ring(3, 5).one(), primitive_idempotents(ring(3, 2)))
 
 
+def test_is_idempotent_refuses_an_int():
+    # 1 * 1 == 1 holds for the int too, so only the type check refuses it
+    with pytest.raises(SpecMismatch, match="^expected a RingElement, got int$"):
+        is_idempotent(1)
+
+
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 2)])
 def test_idempotent_count_bruteforce(q, n):
     # every idempotent is a subset sum of the basis: exactly 2^t of them

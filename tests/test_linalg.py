@@ -1,12 +1,14 @@
 """``_linalg.rank_mod``, ``echelon_mod`` and ``solve_mod`` against a naive
 Gauss-Jordan over Python ints.
 
-The kernel keeps entries unreduced between pivots; the reference reduces
-every entry at every step and shares no code with it. Matrices are built as
+For odd p the kernel keeps entries unreduced between pivots, and over F_2 it
+XORs rows packed into Python ints; the reference reduces every entry at
+every step and shares no code with it. Matrices are built as
 A @ B with a small inner dimension, so most of them are rank-deficient.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,3 +143,77 @@ def test_solve_mod_rank_deficient_known_case():
     x = _linalg.solve_mod(A, np.array([1, 2]), 3)
     assert (A @ x % 3).tolist() == [1, 2]
     assert _linalg.solve_mod(A, np.array([1, 0]), 3) is None
+
+
+# --- the packed F_2 rows and the dtype chosen by the bound -------------------
+
+
+def assert_echelon_matches(M, p):
+    """The contract of rank_mod and echelon_mod on one matrix: the rank and
+    pivots of the naive reference, rows that are 0 then 1 at their pivot,
+    the same row space, and ``M`` left unchanged."""
+    before = M.copy()
+    rref, naive_pivots = naive_gauss_jordan(M.tolist(), p)
+    assert _linalg.rank_mod(M, p) == len(naive_pivots)
+    E, pivots = _linalg.echelon_mod(M, p)
+    assert np.array_equal(M, before)
+    assert pivots == naive_pivots
+    assert E.dtype == np.int64 and E.shape == (len(pivots), M.shape[1])
+    assert ((0 <= E) & (E < p)).all()
+    for i, col in enumerate(pivots):
+        assert not E[i, :col].any() and E[i, col] == 1
+    assert naive_gauss_jordan(E.tolist(), p)[0] == rref
+
+
+@pytest.mark.parametrize("width", [1, 7, 9, 65, 255, 300])
+def test_f2_rows_of_any_width(width):
+    # one packed byte holds 8 columns: widths off a multiple of 8 leave
+    # padding bits, and rows wider than 64 columns outgrow a machine word
+    rng = np.random.default_rng(width)
+    for height in (1, 13, 70, 120):
+        inner = rng.integers(0, height + 1)
+        # entries outside [0, 2), negative ones too, check the reduction
+        assert_echelon_matches(rng.integers(-4, 4, (height, width)), 2)
+        A = rng.integers(-4, 4, (height, inner))
+        assert_echelon_matches(A @ rng.integers(0, 2, (inner, width)), 2)
+
+
+def ldu(p, size, rank, seed):
+    """L D U mod p: L unit lower and U unit upper triangular, D diagonal
+    with ``rank`` nonzero entries, so its rank over F_p is ``rank``."""
+    rng = np.random.default_rng(seed)
+    L = np.tril(rng.integers(0, p, (size, size)), -1) + np.eye(size, dtype=np.int64)
+    U = np.triu(rng.integers(0, p, (size, size)), 1) + np.eye(size, dtype=np.int64)
+    diag = np.zeros(size, dtype=np.int64)
+    diag[rng.permutation(size)[:rank]] = rng.integers(1, p, rank)
+    return (L * diag % p) @ U % p
+
+
+def test_rank_mod_f2_known_rank():
+    """255 x 255 over F_2 with rank 200 by construction, the size of the
+    rank test's matrices at (2, 255)."""
+    M = ldu(2, 255, 200, 11)
+    before = M.copy()
+    assert _linalg.rank_mod(M, 2) == 200
+    assert np.array_equal(M, before)
+
+
+@pytest.mark.parametrize(
+    "p,size,dtype",
+    [
+        # 13 + 193*13^2 < 2^15 <= 13 + 194*13^2
+        (13, 193, np.int16),
+        (13, 194, np.int32),
+        # 4093 + 128*4093^2 < 2^31 <= 4093 + 129*4093^2
+        (4093, 128, np.int32),
+        (4093, 129, np.int64),
+    ],
+)
+def test_elimination_dtype_switches_at_the_bound(p, size, dtype):
+    rank = size - 3
+    M = ldu(p, size, rank, size)
+    before = M.copy()
+    assert _linalg._eliminate(M, p)[0].dtype == dtype
+    assert _linalg.rank_mod(M, p) == rank
+    assert_echelon_matches(M, p)
+    assert np.array_equal(M, before)

@@ -354,6 +354,21 @@ def test_decomposition_refuses_another_ring():
         sign_vector_involutions(basis35(), E25)
 
 
+NOT_A_POLY = {
+    "is_permutation": lambda: is_permutation(3, basis35()),
+    "compositional_inverse": lambda: compositional_inverse(3, basis35()),
+    "is_permutation_gcd": lambda: is_permutation_gcd(3),
+    "is_permutation_rank": lambda: is_permutation_rank(3),
+    "is_involution": lambda: is_involution(3),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_A_POLY))
+def test_permutation_tests_refuse_an_int(case):
+    with pytest.raises(SpecMismatch, match="^expected a LinearizedPoly, got int$"):
+        NOT_A_POLY[case]()
+
+
 def test_sum_and_difference_refuse_a_foreign_operand():
     # an element or an int is not broadcast over the coefficients
     F = identity(E35)

@@ -339,3 +339,40 @@ def test_shift_class_catches_wrong_twist_rows(monkeypatch):
         with pytest.raises(InternalError):
             shift_class(F, alpha)
         monkeypatch.setattr(shifts, "_twist_rows", real)
+
+
+# --- each InternalError names its layer -------------------------------------
+
+
+@pytest.mark.parametrize(
+    "skew,message",
+    [
+        (lambda order: order - 1, r"^shifts: orbit did not close at the computed order$"),
+        (lambda order: 2 * order, r"^shifts: orbit members not distinct$"),
+    ],
+    ids=["short", "double"],
+)
+def test_shift_class_errors_name_the_layer(monkeypatch, skew, message):
+    from linperm import shifts
+    from linperm.errors import InternalError
+
+    # alpha = 1 has norm 1, so the true orbit length is n = 5
+    F = rand_perm(random.Random(31), E35, primitive_idempotents(R35))
+    real = shifts.cyclic_order
+    monkeypatch.setattr(shifts, "cyclic_order", lambda F, alpha: skew(real(F, alpha)))
+    with pytest.raises(InternalError, match=message):
+        shift_class(F, E35.one())
+
+
+def test_half_order_check_names_the_layer(monkeypatch):
+    from linperm import shifts
+    from linperm.errors import InternalError
+
+    # a shift that returns x^[1], whose square x^[2] is not the identity
+    frob = LinearizedPoly.monomial(E35, E35.one(), 1)
+    monkeypatch.setattr(shifts, "alpha_shift_power", lambda F, alpha, t: frob)
+    alpha = E35.embed(base_field(3).embed_int(2))
+    with pytest.raises(
+        InternalError, match=r"^shifts: half-order shift failed to produce an involution$"
+    ):
+        half_order_involution(identity(E35), alpha)
