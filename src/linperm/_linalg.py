@@ -15,8 +15,8 @@ Over F_2 a row is packed into one Python int, and a row operation is one
 XOR of those ints, the bit-packed layout of M4RI (Albrecht-Bard-Hart, ACM
 TOMS 2010). For odd p, reduction mod p is delayed: after s steps an entry is
 below p + s*p^2 in absolute value, and the elimination runs in the narrowest
-of int16, int32 and int64 that holds that bound for its matrix. Only what a
-decision reads is reduced.
+of int16, int32 and int64 that holds that bound for its matrix, and a signed
+input is never widened first. Only what a decision reads is reduced.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ def lift(field, M) -> np.ndarray:
 def _eliminate(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Gaussian elimination over F_p of the integer matrix ``rows``, which it
     does not modify: (W, pivots), where row i < len(pivots) of W is
-    congruent mod p to row i of the echelon form of ``echelon_mod``.
+    congruent mod p to row i of the echelon form of ``echelon_mod``. A
+    signed integer array is read in its own dtype, anything else as int64.
 
     Over F_2 each row is packed by ``np.packbits`` into one Python int, its
     first column the leading bit, and is XOR-reduced against the pivot rows
@@ -73,11 +74,12 @@ def _eliminate(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     Only the pivot column and the pivot row are reduced mod p; every row
     below the pivot loses a multiple of the pivot row in one dense update,
     and every other entry stays unreduced. One step moves an entry by less
-    than p^2, so after s steps |entry| < p + s*p^2. W is a copy in the
-    narrowest of int16, int32 and int64 that holds p + min(d, e)*p^2; with
-    p < 2^16, int64 holds it for min(d, e) < 2^31.
+    than p^2, so after s steps |entry| < p + s*p^2. W is ``rows`` mod p in the
+    narrowest of int16, int32 and int64 that holds p + min(d, e)*p^2 (int64
+    does for p < 2^16 and min(d, e) < 2^31), reduced in the wider dtype.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    if not (isinstance(rows, np.ndarray) and rows.dtype.kind == "i"):
+        rows = np.asarray(rows, dtype=np.int64)
     d, e = rows.shape
     if p == 2:
         packed = np.packbits(rows & 1, axis=1)
@@ -98,7 +100,7 @@ def _eliminate(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         return np.unpackbits(W, axis=1, count=e), [8 * size - bits for bits in keys]
     bound = p + min(d, e) * p * p
     dtype = next((t for t in (np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64)
-    W = (rows % p).astype(dtype)
+    W = (rows.astype(np.promote_types(rows.dtype, dtype), copy=False) % p).astype(dtype, copy=False)
     pivots = []
     for col in range(e):
         r = len(pivots)

@@ -15,10 +15,10 @@ for the one exit-1 refusal, ``invert`` on a non-permutation; 2 for every
 other refusal (usage or input errors, unmet hypotheses).
 
 ``SUBCOMMANDS`` maps each subcommand to its handler, help and own
-arguments; ``build_parser`` adds the field arguments to every one but
-``reproduce``. Each handler ``cmd_*`` takes ``(args, ring, ext)`` and
-returns ``(inputs, outputs, checks, lines)``; ``main`` builds the field,
-prints and picks the exit code. ``REPRODUCE_TARGETS`` maps each reproduce
+arguments; ``build_parser``, built once per process, adds the field arguments
+to every one but ``reproduce``. Each handler ``cmd_*`` takes ``(args, ring,
+ext)`` and returns ``(inputs, outputs, checks, lines)``; ``main`` builds the
+field, prints and picks the exit code. ``REPRODUCE_TARGETS`` maps each reproduce
 target to the function that regenerates published example values from
 embedded goldens, so the targets double as an end-to-end smoke test.
 """
@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .errors import BadInput, LinpermError, NotAPermutation
 from .fields import (
@@ -473,7 +474,9 @@ SUBCOMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use and kept: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="linperm",
         description="linearized permutation polynomials over F_{q^n}",

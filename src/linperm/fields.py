@@ -393,8 +393,8 @@ def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
     Asking for a power caches that power and Frob^1 only.
 
     Entries are below p < 2^16, so each power is stored as uint16, 2*(k*n)^2
-    bytes. A reader must multiply it by an int64 array, never by a bare
-    Python int, which leaves the product in uint16 where it wraps.
+    bytes. A reader must name the dtype of a product, by an int64 operand
+    or ``dtype=``: a bare Python int leaves it in uint16, where it wraps.
     """
     base = spec.base
     if i == 0:

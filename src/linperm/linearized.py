@@ -275,38 +275,47 @@ def is_permutation_rank(F: LinearizedPoly) -> bool:
     """Rank test for arbitrary coefficients: the induced F_q-linear map on
     F_{q^n} must have full rank, k*n as an F_p-linear map (q = p^k).
 
-    The map is sum_i Mul(c_i) Frob^i on flat coordinates. A coefficient c in
-    F_q acts on every slot through the same k x k block, so its term costs no
-    full matrix product.
+    The map is sum_i Mul(c_i) Frob^i on flat coordinates, summed in place. A
+    coefficient c in F_q acts on every slot through the same k x k block, so
+    its term costs no full matrix product; a unit adds Frob^i as it is.
     """
     _check_poly(F)
     spec = F.spec
     base = spec.base
     p, k, n = base.p, base.k, spec.n
-    support = F.coords.any(axis=1).nonzero()[0].tolist()
+    outside = F.coords[:, k:].any(axis=1)
+    inner = F.coords[:, :k]
+    support = (inner.any(axis=1) | outside).nonzero()[0].tolist()
     if not support:
         return False
+    unit = ((inner[:, 0] == 1) & ~inner[:, 1:].any(axis=1) & ~outside).tolist()
     # A term adds to each entry a sum of products of two reduced entries, k
     # of them for a coefficient in F_q and k*n otherwise. Over at most n
     # terms entries stay below n*k*p^2 when every coefficient lies in F_q,
-    # and below n*k*n*p^2 in any case, far inside int64 (p < 2^16);
-    # rank_mod reduces M once. Frob^i is stored as uint16, so each product
-    # takes an int64 operand (Mul(c) or c's block), which makes it int64.
-    M = np.zeros((k * n, k * n), dtype=np.int64)
-    rows = M.reshape(n, k, k * n)
-    outside = F.coords[:, k:].any(axis=1)
+    # and below n*k*n*p^2 in any case; M is summed in the narrowest dtype
+    # that holds that bound, and rank_mod reduces it once. Every product
+    # names that dtype, since Frob^i is uint16, where a bare int product
+    # wraps; an int16 M means p < 182, so Frob^i is then read as int16.
+    bound = n * k * p * p * (n if outside.any() else 1)
+    dtype = next((t for t in (np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64)
+    M = np.zeros((k * n, k * n), dtype=dtype)
+    term = np.empty_like(M)
     for i in support:
-        Fi = _frobenius_power(spec, i)
+        Fi = _frobenius_power(spec, i).view(np.int16 if dtype is np.int16 else np.uint16)
         c = F.coords[i]
+        if unit[i]:
+            np.add(M, Fi, out=M, dtype=dtype)
+            continue
         if outside[i]:
-            M += _mul_matrix(spec, c) @ Fi
+            np.matmul(_mul_matrix(spec, c), Fi, out=term, dtype=dtype)
+        elif k == 1:
+            np.multiply(Fi, c[0], out=term, dtype=dtype)
         else:
             # Mul(c) is block diagonal with c's k x k block: slot j of the
-            # image is the block times slot j of Frob^i, built by
-            # broadcasting one column of the block at a time over the table
-            block, Fi = _polys._block(base, tuple(c[:k].tolist())), Fi.reshape(n, k, k * n)
-            for m in range(k):
-                rows += block[:, m, None] * Fi[:, None, m, :]
+            # image is the block times slot j of Frob^i
+            block = _polys._block(base, tuple(c[:k].tolist()))
+            np.matmul(block, Fi.reshape(n, k, k * n), out=term.reshape(n, k, k * n), dtype=dtype)
+        np.add(M, term, out=M)
     return _linalg.rank_mod(M, p) == k * n
 
 
@@ -562,7 +571,7 @@ def evaluate(F: LinearizedPoly, a: ExtElement) -> ExtElement:
 # --- text format -------------------------------------------------------------
 
 _LIN_TERM_RE = re.compile(
-    r"^(?:(?P<coeff>[^*x]+)\*?)?x(?:\^\[(?P<exp>-?\d+)\])?$"
+    r"^(?:(?P<coeff>[^*x]+)\*?)?x(?:\^\[(?P<exp>-?[0-9]+)\])?$"
 )
 
 
@@ -590,7 +599,8 @@ def format_linearized(F: LinearizedPoly) -> str:
 def parse_linearized(text: str, spec: ExtFieldSpec) -> LinearizedPoly:
     """Parse "c*x^[i]" terms joined by "+" or "-" (the first may carry a minus);
     tolerates compact style "2x^[21]" and LaTeX braces. "0" is the zero map;
-    blank text is refused."""
+    blank text is refused. Each term is added straight into the array, and
+    the columns written are reduced mod p once at the end."""
     cleaned = text.replace("{", "").replace("}", "").replace(" ", "")
     if not cleaned:
         raise BadInput("empty polynomial string")
@@ -598,32 +608,27 @@ def parse_linearized(text: str, spec: ExtFieldSpec) -> LinearizedPoly:
     coords = np.zeros((spec.n, width), dtype=np.int64)
     if cleaned == "0":
         return LinearizedPoly._of(spec, coords)
-    rows = {}  # exponent -> its coordinates, summed over the terms
+    written = spec.base.k  # columns written so far: all of them once a bracket is read
     for sign, term in _signed_terms(cleaned):
         m = _LIN_TERM_RE.match(term)
         if m is None:
             raise BadInput(f"cannot parse term {term!r}")
-        exp = int(m.group("exp")) if m.group("exp") is not None else 0
+        exp = int(m.group("exp") or 0)
         if not 0 <= exp < spec.n:
             raise BadInput(f"exponent {exp} out of range for n = {spec.n}")
         raw = m.group("coeff")
-        c = (1,) if raw is None else _parse_ext_coeff(raw, spec)
-        row = rows.setdefault(exp, [0] * width)
-        for j, v in enumerate(c):
-            row[j] += sign * v
-    coords[list(rows)] = list(rows.values())
-    return LinearizedPoly._of(spec, coords % spec.base.p)
-
-
-def _parse_ext_coeff(raw: str, spec: ExtFieldSpec) -> list[int]:
-    """The leading flat coordinates of a coefficient, the rest being zero."""
-    base = spec.base
-    if raw.startswith("[") and raw.endswith("]"):
-        # all n*k coordinates of an element of F_{q^n}, as format_linearized prints it
-        parts = _parse_digits(raw, raw[1:-1], base.p)
-        width = spec.n * base.k
-        if len(parts) != width:
-            raise BadInput(f"coefficient {raw!r} needs {width} integers, got {len(parts)}")
-        return parts
-    # integers name F_q elements by base-p digits (3 over F_8 is y+1)
-    return _parse_field_coeff(raw, base)
+        if raw is None:
+            coords[exp, 0] += sign
+        elif raw.startswith("[") and raw.endswith("]"):
+            # all n*k coordinates of an element of F_{q^n}, as format_linearized prints it
+            parts = _parse_digits(raw, raw[1:-1], spec.base.p)
+            if len(parts) != width:
+                raise BadInput(f"coefficient {raw!r} needs {width} integers, got {len(parts)}")
+            coords[exp] += np.multiply(parts, sign)
+            written = width
+        else:
+            # integers name F_q elements by base-p digits (3 over F_8 is y+1)
+            for j, v in enumerate(_parse_field_coeff(raw, spec.base)):
+                coords[exp, j] += sign * v
+    np.remainder(coords[:, :written], spec.base.p, out=coords[:, :written])
+    return LinearizedPoly._of(spec, coords)

@@ -30,6 +30,7 @@ from .fields import (
     ExtFieldSpec,
     FieldElement,
     FieldSpec,
+    _digits,
     element_of_order,
     find_irreducible,
     integer_order_mod,
@@ -324,7 +325,7 @@ def factor_xn_minus_1(spec: RingSpec) -> list[tuple[CyclotomicCoset, Poly]]:
 # --- text format -------------------------------------------------------------
 
 _TERM_RE = re.compile(
-    r"^(?:(?P<coeff>[\d,]+)\*?)?(?P<x>x)(?:\^(?P<exp>\d+))?$|^(?P<const>[\d,]+)$"
+    r"^(?:(?P<coeff>[0-9,]+)\*?)?(?P<x>x)(?:\^(?P<exp>[0-9]+))?$|^(?P<const>[0-9,]+)$"
 )
 
 
@@ -348,10 +349,10 @@ def format_poly(field: FieldSpec, coords) -> str:
 
 
 def _parse_ints(raw: str, text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise BadInput(f"cannot parse coefficient {raw!r}") from None
+    """Comma-separated ASCII integers; ``int`` alone also reads "1_0" and non-ASCII digits."""
+    if re.fullmatch(r"-?[0-9]+(?:,-?[0-9]+)*", text) is None:
+        raise BadInput(f"cannot parse coefficient {raw!r}")
+    return [int(v) for v in text.split(",")]
 
 
 def _parse_digits(raw: str, text: str, p: int) -> list[int]:
@@ -377,7 +378,9 @@ def _parse_field_coeff(raw: str, field: FieldSpec) -> list[int]:
     element with those base-p digits, a comma vector lists its k coordinates."""
     if "," not in raw:
         (v,) = _parse_ints(raw, raw)
-        return list(field.from_int(v).coeffs)
+        if not 0 <= v < field.q:
+            raise BadInput(f"{v} names no element of F_{field.q}")
+        return list(_digits(v, field.p, field.k))
     parts = _parse_digits(raw, raw, field.p)
     if len(parts) != field.k:
         raise BadInput(

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from linperm import base_field, find_irreducible
+from linperm import base_field, cli, find_irreducible
 from linperm.cli import main
 
 
@@ -292,6 +292,13 @@ def test_bad_input_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("poly", ["1_0*x", "\u0661x", "x^[\u0662]+x"])
+def test_non_ascii_digits_exit_2(capsys, poly):
+    code, out, err = run(capsys, ["is-perm", "--q", "11", "--n", "3", "--poly", poly])
+    assert (code, out) == (2, "")
+    assert "BadInput" in err and "Traceback" not in err
+
+
 def test_negative_exponent_is_named(capsys):
     # a sign inside brackets belongs to its term: the exponent or the
     # coordinate is named, not a fragment of the split text
@@ -510,3 +517,45 @@ def test_cli_output_is_pinned(capsys, cmd, code, text_sha, json_sha, json_out):
     else:
         assert err.startswith("error: ") and "Traceback" not in err
 
+
+# --- one parser per process --------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cached_parser_does_not_share_append_lists(capsys):
+    field = ["--q", "3", "--n", "5"]
+    first = cli.build_parser().parse_args(["compose", *field, "--poly", "x^[1]", "--poly", "2x"])
+    second = cli.build_parser().parse_args(["compose", *field, "--poly", "x", "--poly", "x^[2]"])
+    assert first.poly == ["x^[1]", "2x"] and second.poly == ["x", "x^[2]"]
+    # through main: a shared list would hand the second call four polys
+    code, out, _ = run(capsys, ["compose", *field, "--poly", "x^[1]", "--poly", "2x"])
+    assert code == 0 and "2*x^[1]" in out
+    code, out, _ = run(capsys, ["compose", *field, "--poly", "x^[3]", "--poly", "x^[4]"])
+    assert code == 0 and "x^[2]" in out
+
+
+def test_argparse_rejection_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["is-perm", "--q", "3", "--poly", "x"])  # --n missing
+    assert exc.value.code == 2
+    assert "required" in capsys.readouterr().err
+    code, out, err = run(capsys, ["is-perm", "--q", "3", "--n", "5", "--poly", "x"])
+    assert (code, err) == (0, "")
+    assert "check rank: ok" in out
+
+
+@pytest.mark.parametrize("argv", [[], ["is-perm"], ["compose"], ["reproduce"]],
+                         ids=["top", "is-perm", "compose", "reproduce"])
+def test_cached_help_matches_a_fresh_parser(capsys, argv):
+    fresh = cli.build_parser.__wrapped__()
+    with pytest.raises(SystemExit):
+        fresh.parse_args(argv + ["--help"])
+    want = capsys.readouterr().out
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == want

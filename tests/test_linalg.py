@@ -217,3 +217,44 @@ def test_elimination_dtype_switches_at_the_bound(p, size, dtype):
     assert _linalg.rank_mod(M, p) == rank
     assert_echelon_matches(M, p)
     assert np.array_equal(M, before)
+
+
+# --- narrow inputs -----------------------------------------------------------
+
+
+def int16_copy(M, p):
+    """M mod p as int16, in residues of least absolute value: below 2^15 in
+    absolute value for every p < 2^16, negative ones included."""
+    R = M % p
+    return np.where(R > p // 2, R - p, R).astype(np.int16)
+
+
+@settings(max_examples=200)
+@given(systems())
+def test_int16_input_matches_int64(case):
+    """rank_mod, echelon_mod and solve_mod read a narrow signed matrix in its
+    own dtype (the rank test hands them int16) with the results of its int64
+    copy, p = 65521 included, where p itself does not fit int16."""
+    p, A, x0 = case
+    A16 = int16_copy(A, p)
+    before = A16.copy()
+    assert _linalg.rank_mod(A16, p) == _linalg.rank_mod(A, p)
+    (E16, pivots16), (E, pivots) = _linalg.echelon_mod(A16, p), _linalg.echelon_mod(A, p)
+    assert pivots16 == pivots and E16.dtype == np.int64 and np.array_equal(E16, E)
+    rng = np.random.default_rng(int(x0.sum()))
+    for b in (A @ x0, rng.integers(0, p, A.shape[0])):
+        x16, x = _linalg.solve_mod(A16, int16_copy(b, p), p), _linalg.solve_mod(A, b, p)
+        assert (x16 is None) == (x is None)
+        assert x is None or np.array_equal(x16, x)
+    assert np.array_equal(A16, before)
+
+
+def test_unsigned_input_keeps_its_values():
+    # uint16 entries up to p - 1 = 65520, as the Frobenius cache stores them:
+    # read as int16 in place they would turn negative and change mod p
+    p = 65521
+    M = ldu(p, 40, 37, 5)
+    U = M.astype(np.uint16)
+    assert U.max() > 2**15
+    assert _linalg.rank_mod(U, p) == 37
+    assert np.array_equal(_linalg.echelon_mod(U, p)[0], _linalg.echelon_mod(M, p)[0])

@@ -255,6 +255,79 @@ def test_rank_test_at_p_65521():
     assert True in verdicts and False in verdicts
 
 
+def _rank_matrix_dtypes(monkeypatch):
+    """The dtype of every matrix the rank test hands to rank_mod, in order."""
+    from linperm import _linalg
+
+    seen, real = [], _linalg.rank_mod
+
+    def spy(M, p):
+        seen.append(M.dtype)
+        return real(M, p)
+
+    monkeypatch.setattr(_linalg, "rank_mod", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "q, n, dtype",
+    [
+        (3, 125, np.int16),  # n*p^2 = 1,125
+        (251, 5, np.int32),  # n*p^2 = 315,005
+        (257, 2, np.int32),  # c*Frob^i entries reach 256^2, past uint16
+        (65521, 3, np.int64),  # n*p^2 is about 1.3e10
+    ],
+)
+def test_narrow_rank_matrix_agrees_with_gcd(monkeypatch, q, n, dtype):
+    """On base coefficients the rank test, summed in the narrowest dtype that
+    holds n*k*p^2, gives the verdict of the independent gcd test, for units
+    and for zero-sum coefficient vectors (x - 1 divides those)."""
+    E = extension_field(q, n)
+    p = E.base.p
+    rng = random.Random(q * n)
+    seen = _rank_matrix_dtypes(monkeypatch)
+    verdicts = []
+    for _ in range(8):
+        c = [rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(n - 1)]
+        for last in (rng.choice([1, p - 1, rng.randrange(p)]), -sum(c) % p):
+            F = LinearizedPoly(E, tuple(E.embed_int(x) for x in c + [last]))
+            if F.is_zero():
+                continue
+            verdicts.append(is_permutation_rank(F))
+            assert verdicts[-1] == is_permutation_gcd(F)
+    assert True in verdicts and False in verdicts
+    assert set(seen) == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize(
+    "q, n, dtype",
+    [
+        (3, 5, np.int16),  # n*k*n*p^2 = 225
+        (4, 3, np.int16),  # 72
+        (11, 3, np.int16),  # 1,089
+        (61, 3, np.int32),  # 33,489, while n*k*p^2 = 11,163 fits int16
+        (257, 2, np.int32),  # 264,196, and c*Frob^i would wrap in uint16
+    ],
+)
+def test_narrow_rank_matrix_agrees_with_bruteforce(monkeypatch, q, n, dtype):
+    """Coefficients outside F_q: the rank test against the brute-force
+    bijection oracle, which evaluates through its own Frobenius powers."""
+    E = extension_field(q, n)
+    rng = random.Random(q + n)
+    seen = _rank_matrix_dtypes(monkeypatch)
+    verdicts = []
+    for _ in range(6):
+        a, c1 = (E.from_int(rng.randrange(1, E.order)) for _ in range(2))
+        # c0 = -c1 a^(q-1) makes c0 x + c1 x^[1] vanish at a
+        c0 = -(c1 * a ** (E.q - 1))
+        rest = (E.zero(),) * (n - 2)
+        for F in (LinearizedPoly(E, (c0, c1) + rest), LinearizedPoly(E, (a, c1) + rest)):
+            verdicts.append(is_permutation_rank(F))
+            assert verdicts[-1] == is_bijection_bruteforce(F)
+    assert True in verdicts and False in verdicts
+    assert set(seen) == {np.dtype(dtype)}
+
+
 def test_coefficient_sum_reject_implies_not_permutation():
     rng = random.Random(13)
     basis = basis35()
@@ -655,6 +728,69 @@ def test_parse_rejects_garbage():
     for bad in ("x--x", "x+-x", "x-", "-", "+x"):
         with pytest.raises(BadInput):
             parse_linearized(bad, E35)
+
+
+PARSE_FIELDS = [(3, 125), (2, 255), (8, 11), (4, 3)]
+
+
+@st.composite
+def signed_terms(draw, q, n):
+    """(text, coords): a sum of signed terms in every written style, and the
+    coordinates it names, summed mod p here from the drawn digits alone.
+
+    Exponents come from a small pool, so they repeat, and some terms are
+    followed by their own negation, so they cancel."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    k = 1
+    while p**k < q:
+        k += 1
+    width = k * n
+    want = np.zeros((n, width), dtype=np.int64)
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    pieces = []
+    for t in range(draw(st.integers(1, 12))):
+        exp = draw(st.sampled_from(pool))
+        kind = draw(st.sampled_from(["unit", "int", "comma", "bracket"]))
+        if kind == "unit":
+            digits, coeff = [1], ""
+        elif kind == "int":
+            v = draw(st.integers(0, q - 1))
+            digits = [v // p**j % p for j in range(k)]
+            coeff = str(v)
+        elif kind == "comma":
+            digits = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+            coeff = ",".join(map(str, digits))
+        else:
+            digits = draw(st.lists(st.integers(0, p - 1), min_size=width, max_size=width))
+            coeff = "[" + ",".join(map(str, digits)) + "]"
+        if coeff:
+            coeff += draw(st.sampled_from(["*", " * ", ""]))
+        var = "x" if exp == 0 and draw(st.booleans()) else (
+            draw(st.sampled_from(["x^[{}]", "x^{{[{}]}}", "x^{{[ {} ]}}"])).format(exp)
+        )
+        term = coeff + var
+        signs = [draw(st.sampled_from([1, -1]))]
+        if draw(st.booleans()):
+            signs.append(-signs[0])  # the same term again, cancelling
+        for sign in signs:
+            if pieces or sign < 0:
+                pieces.append(draw(st.sampled_from(["+", " + ", " +"])) if sign > 0 else
+                              draw(st.sampled_from(["-", " - ", "- "])))
+            pieces.append(term)
+            want[exp, : len(digits)] += sign * np.array(digits)
+    return "".join(pieces), want % p
+
+
+@pytest.mark.parametrize("q, n", PARSE_FIELDS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_parse_sums_signed_terms(q, n, data):
+    E = extension_field(q, n)
+    text, want = data.draw(signed_terms(q, n))
+    F = parse_linearized(text, E)
+    assert F.coords.dtype == np.int64 and not F.coords.flags.writeable
+    assert np.array_equal(F.coords, want)
+    assert parse_linearized(format_linearized(F), E) == F
 
 
 @pytest.mark.parametrize("q, n", [(3, 5), (4, 3)])

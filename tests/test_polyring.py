@@ -214,6 +214,28 @@ def test_parse_integer_coefficient_is_base_p_digits(F8):
             parse_linearized(bad, E)
 
 
+# non-ASCII digits: ARABIC-INDIC ONE and TWO, which int() reads as 1 and 2
+ONE, TWO = "\u0661", "\u0662"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1_0*x", "1_0", f"{ONE}x", f"{ONE}+x", f"x^{TWO}", f"[{ONE},1]", "[1_0]", f"{ONE},0*x"],
+)
+def test_parse_poly_reads_only_ascii_digits(F11, text):
+    # int() would read every one of these: 1_0 as 10 and the others as digits
+    with pytest.raises(BadInput):
+        parse_poly(text, F11)
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0*x", "1_0x", f"{ONE}x", f"x^[{TWO}]", f"[{ONE},0,0]*x", "[1_0,0,0]*x"]
+)
+def test_parse_linearized_reads_only_ascii_digits(text):
+    with pytest.raises(BadInput):
+        parse_linearized(text, extension_field(11, 3))
+
+
 def test_parse_subtraction(F3, F8):
     assert parse_poly("x^2-x", F3) == parse_poly("x^2+2x", F3)
     assert parse_poly("-x+1", F3) == parse_poly("2x+1", F3)
