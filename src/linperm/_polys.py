@@ -355,6 +355,18 @@ def mulmod_rows(field, red: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndar
     return out.reshape(rows, d, s)[:, :, :k].reshape(rows, width)
 
 
+def unit_products(field, red: np.ndarray) -> np.ndarray:
+    """(w, w, w) array, w = k*d: entry [a, b] holds the flat coordinates of
+    u_a * u_b mod f, u the unit vectors, as ``mulmod_rows`` gives them. The
+    product of y^l z^j and y^m z^i is y^(l+m) z^(j+i), whose packed residue
+    is column (j+i)*s + l+m of ``red``."""
+    k, s = field.k, 2 * field.k - 1
+    d = red.shape[0] // s
+    at = np.arange(k * d) // k * s + np.arange(k * d) % k
+    cols = red[:, at[:, None] + at[None, :]].reshape(d, s, k * d, k * d)
+    return cols[:, :k].reshape(k * d, k * d, k * d).transpose(1, 2, 0)
+
+
 def ppowmod(field, red: np.ndarray, a, e: int) -> tuple:
     """Flat coordinates of a^e modulo f (e >= 0), as ``pmulmod``."""
     k = field.k

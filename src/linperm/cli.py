@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -92,11 +93,21 @@ def _field_info(ext: ExtFieldSpec) -> dict:
     }
 
 
+def _ascii_int(text: str) -> int:
+    """An integer in ASCII digits with an optional minus, as the polynomial
+    parsers read them; ``int`` alone also reads "1_0" and non-ASCII digits.
+    The type of every integer option."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"expects integers, got {text!r}")
+    return int(text)
+
+
 def _int_arg(option: str, text: str) -> int:
+    """``_ascii_int`` for an option read after the field is built."""
     try:
-        return int(text)
-    except ValueError:
-        raise BadInput(f"{option} expects integers, got {text!r}") from None
+        return _ascii_int(text)
+    except argparse.ArgumentTypeError as exc:
+        raise BadInput(f"{option} {exc}") from None
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -440,9 +451,9 @@ def cmd_reproduce(args, ring, ext):
 _JSON = ("--json", {"action": "store_true"})
 # added before the own arguments of every subcommand but reproduce
 _FIELD_ARGS = [
-    ("--q", {"type": int, "required": True, "help": "base field size"}),
-    ("--n", {"type": int, "required": True, "help": "extension degree"}),
-    ("--seed", {"type": int, "default": 0}),
+    ("--q", {"type": _ascii_int, "required": True, "help": "base field size"}),
+    ("--n", {"type": _ascii_int, "required": True, "help": "extension degree"}),
+    ("--seed", {"type": _ascii_int, "default": 0}),
     _JSON,
 ]
 _POLY = ("--poly", {"required": True})
@@ -461,7 +472,7 @@ SUBCOMMANDS = {
                  [_POLY, ("--lambda-set", {"required": True,
                                            "help": "comma-separated F_q values"})]),
     "shift": (cmd_shift, "t-fold alpha-cyclic shift",
-              [_POLY, _ALPHA, ("--t", {"type": int, "default": 1})]),
+              [_POLY, _ALPHA, ("--t", {"type": _ascii_int, "default": 1})]),
     "order": (cmd_order, "alpha-cyclic order", [_POLY, _ALPHA]),
     "class": (cmd_class, "full alpha-cyclic equivalence class", [_POLY, _ALPHA]),
     "reproduce": (cmd_reproduce, "regenerate published values and diff",

@@ -262,39 +262,50 @@ def _ext_reduction(spec: ExtFieldSpec) -> np.ndarray:
 
 
 # Row-wise products through the product tensor cost rows*w^3 multiply-adds in
-# three array operations; the convolution loop of ``mulmod_rows`` costs fewer
-# multiply-adds but a few array operations per nonzero column. At or below
-# this many multiply-adds the tensor is the faster of the two.
+# three array operations, rows counted in B; the convolution loop of
+# ``mulmod_rows`` costs fewer multiply-adds but a few array operations per
+# nonzero column. At or below this many multiply-adds the tensor is the faster
+# of the two.
 _TENSOR_BUDGET = 1 << 16
+# One element product through the tensor, two small matmuls, beats
+# ``pmulmod``'s packed-integer product up to about this width k*n (measured
+# timings in CHANGES.md); wider fields multiply and power by ``pmulmod``.
+_ELEMENT_TENSOR_WIDTH = 16
 
 
 @lru_cache(maxsize=None)
 def _ext_tensor(spec: ExtFieldSpec) -> np.ndarray:
     """(w, w*w) F_p array, w = k*n: entries a*w to a*w + w - 1 of row b hold
-    the flat coordinates of u_a * u_b, u the unit vectors."""
+    the flat coordinates of u_a * u_b, u the unit vectors. So (c @ T) is
+    Mul(c) flattened: row a of its (w, w) reshape holds u_a * c."""
     w = spec.base.k * spec.n
-    eye = np.eye(w, dtype=np.int64)
-    units = _polys.mulmod_rows(
-        spec.base, _ext_reduction(spec), np.tile(eye, (w, 1)), np.repeat(eye, w, axis=0)
-    )
-    return units.reshape(w, w * w)
+    return _polys.unit_products(spec.base, _ext_reduction(spec)).reshape(w, w * w)
+
+
+def _by_unit(spec: ExtFieldSpec, B: np.ndarray) -> np.ndarray:
+    """Mul(b) for each row b of B, (..., w) to (..., w, w): row a of Mul(b)
+    holds u_a * b, so a @ Mul(b) is a*b. Entries are below w*p^2."""
+    return (B @ _ext_tensor(spec)).reshape(B.shape + B.shape[-1:])
 
 
 def _mul_rows(spec: ExtFieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row r of the result is A[r]*B[r] in F_{q^n}: (N, k*n) int arrays of
-    flat coordinates in [0, p), as ``_polys.mulmod_rows`` (put the sparser
-    operand second).
+    """A*B in F_{q^n} row by row: (..., k*n) int arrays of flat coordinates
+    in [0, p), B broadcast against A by numpy's rules, for example (1, w)
+    against (N, w) or (t, 1, w) against (t, N, w); the result has A's shape.
 
-    Small batches go through ``_ext_tensor``: B @ T holds, for each row, the
-    products of B[r] with every unit vector, and A[r] combines them. Its
-    entries are below w*p^2 and the combination's below w^2*p^3, inside int64
-    for p < 2^16 since the budget keeps w^3 <= 2^16.
+    Small batches go through ``_ext_tensor`` on B's own rows: B @ T holds
+    Mul(B[r]) for each row of B, and A's rows are multiplied by the matching
+    matrix. Its entries are below w*p^2 and the products' below w^2*p^3,
+    inside int64 for p < 2^16 since the budget keeps w <= 40. Larger batches
+    go through ``_polys.mulmod_rows`` (put the sparser operand second), with
+    B broadcast to A's shape.
     """
-    rows, w = A.shape
-    if max(rows, 1) * w**3 > _TENSOR_BUDGET:
-        return _polys.mulmod_rows(spec.base, _ext_reduction(spec), A, B)
-    by_unit = (B @ _ext_tensor(spec)).reshape(rows, w, w)
-    return np.einsum("rao,ra->ro", by_unit, A) % spec.base.p
+    w = A.shape[-1]
+    if max(B.size // w, 1) * w**3 > _TENSOR_BUDGET:
+        B = np.broadcast_to(B, A.shape).reshape(-1, w)
+        out = _polys.mulmod_rows(spec.base, _ext_reduction(spec), A.reshape(-1, w), B)
+        return out.reshape(A.shape)
+    return np.matmul(A[..., None, :], _by_unit(spec, B))[..., 0, :] % spec.base.p
 
 
 @dataclass(frozen=True)
@@ -351,10 +362,12 @@ class ExtElement:
     def __mul__(self, other):
         self._check(other)
         spec = self.spec
-        return ExtElement(
-            spec,
-            _polys.pmulmod(spec.base, _ext_reduction(spec), self.coords, other.coords),
-        )
+        if len(self.coords) > _ELEMENT_TENSOR_WIDTH:
+            out = _polys.pmulmod(spec.base, _ext_reduction(spec), self.coords, other.coords)
+        else:
+            by_other = _by_unit(spec, np.array(other.coords))
+            out = tuple((np.array(self.coords) @ by_other % spec.base.p).tolist())
+        return ExtElement(spec, out)
 
     def inverse(self) -> ExtElement:
         if self.is_zero():
@@ -365,9 +378,20 @@ class ExtElement:
         if e < 0:
             return self.inverse() ** (-e)
         spec = self.spec
-        return ExtElement(
-            spec, _polys.ppowmod(spec.base, _ext_reduction(spec), self.coords, e)
-        )
+        if len(self.coords) > _ELEMENT_TENSOR_WIDTH:
+            return ExtElement(
+                spec, _polys.ppowmod(spec.base, _ext_reduction(spec), self.coords, e)
+            )
+        if e == 0:
+            return spec.one()
+        # left-to-right square-and-multiply; a multiply applies Mul(self)
+        p, a = spec.base.p, np.array(self.coords)
+        by_self, acc = _by_unit(spec, a), a
+        for bit in bin(e)[3:]:
+            acc = acc @ _by_unit(spec, acc) % p
+            if bit == "1":
+                acc = acc @ by_self % p
+        return ExtElement(spec, tuple(acc.tolist()))
 
     def __str__(self):
         return "[" + ",".join(map(str, self.coords)) + "]"
@@ -437,7 +461,7 @@ def frobenius(a: ExtElement, i: int) -> ExtElement:
 
 
 def norm(a: ExtElement) -> FieldElement:
-    """Field norm N_{F_{q^n}/F_q}(a) = a^((q^n-1)/(q-1))."""
+    """Field norm N_{F_{q^n}/F_q}(a) = a^((q^n-1)/(q-1)), by ``__pow__``."""
     spec = a.spec
     if a.is_zero():
         return spec.base.zero()

@@ -221,12 +221,7 @@ def compose(F: LinearizedPoly, G: LinearizedPoly) -> LinearizedPoly:
     g_support = G.coords.any(axis=1).nonzero()[0]
     for i in F.coords.any(axis=1).nonzero()[0].tolist():
         twisted = G.coords[g_support] @ _frobenius_power(spec, i).T % p
-        prod = _mul_rows(
-            spec,
-            twisted,
-            np.broadcast_to(F.coords[i], twisted.shape),
-        )
-        out[(g_support + i) % n] += prod
+        out[(g_support + i) % n] += _mul_rows(spec, twisted, F.coords[i : i + 1])
     # each slot gathers at most n products in [0, p)
     return LinearizedPoly._of(spec, out % p)
 
@@ -268,7 +263,7 @@ def _mul_matrix(spec: ExtFieldSpec, c: np.ndarray) -> np.ndarray:
     """F_p matrix of a -> c*a on flat coordinates, c flat: row j of the
     row-wise product of the identity by c is the image of unit vector j."""
     eye = np.eye(spec.base.k * spec.n, dtype=np.int64)
-    return _mul_rows(spec, eye, np.broadcast_to(c, eye.shape)).T
+    return _mul_rows(spec, eye, c[None]).T
 
 
 def is_permutation_rank(F: LinearizedPoly) -> bool:
@@ -496,9 +491,9 @@ def a_complete_sufficient_pm(F: LinearizedPoly, A, p: int, m: int) -> bool:
 #
 # The brute-force oracle evaluates through this section alone. It shares the
 # row-wise product (``fields._mul_rows``: ``_polys.mulmod_rows`` or the
-# product tensor built by it) with the rest of the package but builds its own
-# Frobenius powers, so a wrong table in the rank test cannot fool the oracle
-# as well.
+# product tensor read off its reduction matrix) with the rest of the package
+# but builds its own Frobenius powers, so a wrong table in the rank test
+# cannot fool the oracle as well.
 
 _powers_held: dict = {}
 
@@ -539,7 +534,7 @@ def evaluate_many(F: LinearizedPoly, A) -> np.ndarray:
 
     F(a) = sum_i c_i * a^(q^i), the powers read from ``_power_table`` and all
     the products with the coefficients done in one stacked ``_mul_rows``
-    call. F is F_p-linear, so with at least as many rows as coordinates F is
+    call, each c_i one row broadcast over its points. F is F_p-linear, so with at least as many rows as coordinates F is
     evaluated at the k*n unit vectors instead, and F(A) is A times those
     images.
     """
@@ -551,13 +546,9 @@ def evaluate_many(F: LinearizedPoly, A) -> np.ndarray:
         return np.zeros(A.shape, dtype=np.int64)
     points = A if len(A) < width else np.eye(width, dtype=np.int64)
     powers = points @ _power_table(spec, support[-1])[support] % p  # (terms, N, k*n)
-    prod = _mul_rows(
-        spec,
-        powers.reshape(-1, width),
-        np.repeat(F.coords[support], len(points), axis=0),
-    )
+    prod = _mul_rows(spec, powers, F.coords[support][:, None, :])
     # below n*p before the reduction, and below k*n*n*p^2 after the product
-    images = prod.reshape(powers.shape).sum(axis=0)
+    images = prod.sum(axis=0)
     return (images if points is A else A @ images) % p
 
 
@@ -570,9 +561,8 @@ def evaluate(F: LinearizedPoly, a: ExtElement) -> ExtElement:
 
 # --- text format -------------------------------------------------------------
 
-_LIN_TERM_RE = re.compile(
-    r"^(?:(?P<coeff>[^*x]+)\*?)?x(?:\^\[(?P<exp>-?[0-9]+)\])?$"
-)
+# matched whole by fullmatch: "$" would also match before a trailing newline
+_LIN_TERM_RE = re.compile(r"(?:(?P<coeff>[^*x]+)\*?)?x(?:\^\[(?P<exp>-?[0-9]+)\])?")
 
 
 def format_linearized(F: LinearizedPoly) -> str:
@@ -610,7 +600,7 @@ def parse_linearized(text: str, spec: ExtFieldSpec) -> LinearizedPoly:
         return LinearizedPoly._of(spec, coords)
     written = spec.base.k  # columns written so far: all of them once a bracket is read
     for sign, term in _signed_terms(cleaned):
-        m = _LIN_TERM_RE.match(term)
+        m = _LIN_TERM_RE.fullmatch(term)
         if m is None:
             raise BadInput(f"cannot parse term {term!r}")
         exp = int(m.group("exp") or 0)

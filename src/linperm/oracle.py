@@ -2,14 +2,21 @@
 
 Everything here works by plain enumeration or seeded sampling and deliberately
 shares no code with the idempotent, gcd or rank criteria it is used to verify.
-Points are evaluated in batches by ``linearized.evaluate_many``, which shares
-with the rest of the package only the row-wise product ``fields._mul_rows``
+Points are evaluated by ``linearized.evaluate_many``, which shares with the
+rest of the package only the row-wise product ``fields._mul_rows``
 (``_polys.mulmod_rows`` with the reduction matrix of
-``_polys._reduction_matrix``, or the product tensor that kernel builds). It
+``_polys._reduction_matrix``, or the product tensor read off that matrix). It
 builds its own Frobenius powers from a q-th powering and must not read
 ``fields._frobenius_power``, ``_linalg`` or ``linearized._mul_matrix``, the pieces
 of the rank test, so a wrong Frobenius matrix cannot fool both.
-Enumeration caps are hard errors, never silent downgrades to sampling.
+
+F is F_p-linear, so a check that applies F to at least k*n points builds its
+image matrix once, F at the k*n unit vectors by ``evaluate_many``, and applies
+it as ``A @ M % p``: every enumeration of the field (the bijection check,
+``kernel``, ``fixed_points``) once for all its batches, and
+``involution_check_pointwise`` when it draws at least k*n samples; with fewer
+it evaluates F at the samples themselves. Enumeration caps are hard
+errors, never silent downgrades to sampling.
 """
 
 from __future__ import annotations
@@ -65,18 +72,28 @@ def _enumerate(spec: ExtFieldSpec):
         yield _rows(spec, np.arange(start, min(start + CHUNK, spec.order)))
 
 
+def _image_matrix(F: LinearizedPoly) -> np.ndarray:
+    """(k*n, k*n) array whose row j is F(u_j), u_j the j-th unit vector: F is
+    F_p-linear, so A @ M % p holds F at every row of A."""
+    width = F.spec.base.k * F.spec.n
+    return evaluate_many(F, np.eye(width, dtype=np.int64))
+
+
 def is_bijection_bruteforce(F: LinearizedPoly) -> bool:
     """Whether the images of all elements are distinct; false at the first
-    batch whose images repeat one seen before or within it."""
+    batch whose images repeat one seen before or within it, which is the
+    first batch after which fewer images are marked seen than elements
+    were enumerated."""
     spec = F.spec
     _check_cap(spec.order)
     seen = np.zeros(spec.order, dtype=bool)
-    places = _places(spec)
+    M, p, places = _image_matrix(F), spec.base.p, _places(spec)
+    count = 0
     for rows in _enumerate(spec):
-        codes = evaluate_many(F, rows) @ places
-        if seen[codes].any() or len(np.unique(codes)) < len(codes):
+        seen[rows @ M % p @ places] = True
+        count += len(rows)
+        if np.count_nonzero(seen) < count:
             return False
-        seen[codes] = True
     return True
 
 
@@ -84,9 +101,10 @@ def _select(F: LinearizedPoly, keep) -> list[ExtElement]:
     """The elements a, in from_int order, for which keep(a, F(a)) holds row-wise."""
     spec = F.spec
     _check_cap(spec.order)
+    M, p = _image_matrix(F), spec.base.p
     out = []
     for rows in _enumerate(spec):
-        hits = rows[keep(rows, evaluate_many(F, rows))]
+        hits = rows[keep(rows, rows @ M % p)]
         out.extend(ExtElement(spec, tuple(r)) for r in hits.tolist())
     return out
 
@@ -134,13 +152,18 @@ def involution_check_pointwise(
 ) -> bool:
     """Seeded spot-check of F(F(a)) = a; false at the first batch with a
     failing sample. The samples are ``from_int`` of successive
-    ``randrange(q^n)`` draws, CHUNK at a time."""
+    ``randrange(q^n)`` draws, CHUNK at a time. With at least k*n samples F
+    is applied through ``_image_matrix``, built once; with fewer it is
+    evaluated at the samples themselves, as ``evaluate_many`` does."""
     spec = F.spec
+    M = _image_matrix(F) if samples >= spec.base.k * spec.n else None
     rng = random.Random(seed)
     order = spec.order
     for start in range(0, samples, CHUNK):
         draws = [rng.randrange(order) for _ in range(min(CHUNK, samples - start))]
-        A = _rows(spec, draws)
-        if not (evaluate_many(F, evaluate_many(F, A)) == A).all():
+        A = images = _rows(spec, draws)
+        for _ in range(2):
+            images = evaluate_many(F, images) if M is None else images @ M % spec.base.p
+        if not (images == A).all():
             return False
     return True

@@ -324,8 +324,9 @@ def factor_xn_minus_1(spec: RingSpec) -> list[tuple[CyclotomicCoset, Poly]]:
 
 # --- text format -------------------------------------------------------------
 
+# matched whole by fullmatch: "$" would also match before a trailing newline
 _TERM_RE = re.compile(
-    r"^(?:(?P<coeff>[0-9,]+)\*?)?(?P<x>x)(?:\^(?P<exp>[0-9]+))?$|^(?P<const>[0-9,]+)$"
+    r"(?:(?P<coeff>[0-9,]+)\*?)?(?P<x>x)(?:\^(?P<exp>[0-9]+))?|(?P<const>[0-9,]+)"
 )
 
 
@@ -404,7 +405,7 @@ def parse_poly(text: str, spec: FieldSpec) -> Poly:
     k = spec.k
     coords = []  # slot e at e*k, summed over the terms
     for sign, term in _signed_terms(text):
-        m = _TERM_RE.match(term)
+        m = _TERM_RE.fullmatch(term)
         if not m:
             raise BadInput(f"cannot parse polynomial term {term!r}")
         if m.group("const") is not None:

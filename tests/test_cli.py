@@ -299,6 +299,68 @@ def test_non_ascii_digits_exit_2(capsys, poly):
     assert "BadInput" in err and "Traceback" not in err
 
 
+# a full-width 3, which int() reads as 3
+WIDE_THREE = "\uff13"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["is-perm", "--q", "1_1", "--n", WIDE_THREE, "--poly", "x"],
+        ["is-perm", "--q", "1_1", "--n", "3", "--poly", "x"],
+        ["is-perm", "--q", "11", "--n", WIDE_THREE, "--poly", "x"],
+        ["is-perm", "--q", "3", "--n", "5", "--seed", "\u0661", "--poly", "x"],
+        ["is-perm", "--q", " 3", "--n", "5", "--poly", "x"],
+        ["is-perm", "--q", "3\n", "--n", "5", "--poly", "x"],
+        ["shift", "--q", "3", "--n", "5", "--poly", "x", "--alpha", "2", "--t", "1_0"],
+    ],
+    ids=["q-and-n", "q", "n", "seed", "space", "newline", "t"],
+)
+def test_integer_options_read_only_ascii_digits(capsys, argv):
+    # argparse refuses them before any field is built
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert "expects integers" in out.err and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shift", "--q", "3", "--n", "5", "--poly", "x", "--alpha", "1_0"],
+        ["order", "--q", "3", "--n", "5", "--poly", "x", "--alpha", WIDE_THREE],
+        ["class", "--q", "3", "--n", "5", "--poly", "x", "--alpha", "\u0662"],
+        ["shift", "--q", "3", "--n", "5", "--poly", "x", "--alpha", "2\n"],
+        ["complete", "--q", "3", "--n", "5", "--poly", "x", "--lambda-set", "0,1_0"],
+        ["complete", "--q", "3", "--n", "5", "--poly", "x", "--lambda-set", f"0,{WIDE_THREE}"],
+    ],
+    ids=["alpha-underscore", "alpha-wide", "alpha-arabic", "alpha-newline", "lambda-underscore",
+         "lambda-wide"],
+)
+def test_alpha_and_lambda_set_read_only_ascii_digits(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "BadInput" in err and "expects integers" in err and "Traceback" not in err
+
+
+def test_ascii_integer_options_still_read_signs_and_zeros(capsys):
+    code, doc = run_json(capsys, ["shift", "--q", "3", "--n", "5", "--seed", "00",
+                                  "--poly", "x", "--alpha", "007", "--t", "2"])
+    assert code == 0
+    assert (doc["seed"], doc["inputs"]["alpha"], doc["inputs"]["t"]) == (0, "007", 2)
+    code, out, err = run(capsys, ["shift", "--q", "3", "--n", "5", "--poly", "x",
+                                  "--alpha", "2", "--t", "-1"])
+    assert code == 2 and "shift count must be nonnegative" in err
+
+
+@pytest.mark.parametrize("poly", ["x\n", "x\n+x", "x^[1]\n", "x\t", "2\t*x"])
+def test_newline_and_tab_in_poly_exit_2(capsys, poly):
+    code, out, err = run(capsys, ["is-perm", "--q", "3", "--n", "5", "--poly", poly])
+    assert (code, out) == (2, "")
+    assert "BadInput" in err and "Traceback" not in err
+
+
 def test_negative_exponent_is_named(capsys):
     # a sign inside brackets belongs to its term: the exponent or the
     # coordinate is named, not a fragment of the split text

@@ -13,10 +13,12 @@ from linperm import cli
 
 HELP = (("-h", "--help"), "help", False, argparse.SUPPRESS, None, None,
         "show this help message and exit", "_HelpAction")
+# integer options are read by cli._ascii_int, which refuses what int() alone
+# also reads: "1_0" and non-ASCII digits
 FIELD = [
-    (("--q",), "q", True, None, "int", None, "base field size", "_StoreAction"),
-    (("--n",), "n", True, None, "int", None, "extension degree", "_StoreAction"),
-    (("--seed",), "seed", False, 0, "int", None, None, "_StoreAction"),
+    (("--q",), "q", True, None, "_ascii_int", None, "base field size", "_StoreAction"),
+    (("--n",), "n", True, None, "_ascii_int", None, "extension degree", "_StoreAction"),
+    (("--seed",), "seed", False, 0, "_ascii_int", None, None, "_StoreAction"),
     (("--json",), "json", False, False, None, None, None, "_StoreTrueAction"),
 ]
 POLY = (("--poly",), "poly", True, None, None, None, None, "_StoreAction")
@@ -38,7 +40,7 @@ PINNED = [
                      "comma-separated F_q values", "_StoreAction")]),
     ("shift", "t-fold alpha-cyclic shift", "cmd_shift",
      FIELD + [POLY, ALPHA,
-              (("--t",), "t", False, 1, "int", None, None, "_StoreAction")]),
+              (("--t",), "t", False, 1, "_ascii_int", None, None, "_StoreAction")]),
     ("order", "alpha-cyclic order", "cmd_order", FIELD + [POLY, ALPHA]),
     ("class", "full alpha-cyclic equivalence class", "cmd_class", FIELD + [POLY, ALPHA]),
     ("reproduce", "regenerate published values and diff", "cmd_reproduce",

@@ -9,6 +9,7 @@ so both ways of evaluating are covered.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,6 +120,19 @@ def test_mul_rows_takes_either_path_with_the_same_result(monkeypatch):
         assert np.array_equal(fields._mul_rows(E, A, A), _polys.mulmod_rows(E.base, _ext_reduction(E), A, A))
 
 
+@pytest.mark.parametrize("q,n", FIELDS + [(3, 25), (8, 11), (49, 3), (27, 4)])
+def test_unit_products_match_mulmod_rows_of_every_pair(q, n):
+    E = extension_field(q, n)
+    width = E.base.k * n
+    eye = np.eye(width, dtype=np.int64)
+    pairs = _polys.mulmod_rows(
+        E.base, _ext_reduction(E), np.repeat(eye, width, axis=0), np.tile(eye, (width, 1))
+    )
+    got = _polys.unit_products(E.base, _ext_reduction(E))
+    assert np.array_equal(got.reshape(width * width, width), pairs)
+    assert np.array_equal(fields._ext_tensor(E), pairs.reshape(width, width * width))
+
+
 def test_power_table_chain_matches_qth_powering(monkeypatch):
     from linperm import linearized
 
@@ -134,3 +148,120 @@ def test_power_table_chain_matches_qth_powering(monkeypatch):
         for i in range(n):
             assert np.array_equal(table[i], acc), i
             acc = np.array([_polys.ppowmod(E.base, red, row, q) for row in acc.tolist()])
+
+
+# --- broadcast operands, element products, both sides of every crossover -----
+#
+# (3,5), (4,3) and (11,9) are narrow enough for element products through the
+# product tensor; (8,11) (k*n = 33) still multiplies one row of B through the
+# tensor but elements by pmulmod, and (3,125) runs mulmod_rows and pmulmod
+# alone. F_4 and F_8 run k > 1.
+KERNEL_FIELDS = [(3, 5), (4, 3), (11, 9), (8, 11), (3, 125)]
+
+
+def test_kernel_fields_span_the_crossovers():
+    widths = [extension_field(q, n).base.k * n for q, n in KERNEL_FIELDS]
+    assert {w <= fields._ELEMENT_TENSOR_WIDTH for w in widths} == {True, False}
+    assert {w**3 <= fields._TENSOR_BUDGET for w in widths} == {True, False}
+
+
+@st.composite
+def broadcasts(draw):
+    """(E, A, B): A of shape (N, w) or (t, N, w), B of A's shape with 1 for N."""
+    E = extension_field(*draw(st.sampled_from(KERNEL_FIELDS)))
+    p, width = E.base.p, E.base.k * E.n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t, N = draw(st.integers(0, 3)), draw(st.integers(0, 5))
+    lead = (N,) if t == 0 else (t, N)
+    A = rng.integers(0, p, lead + (width,))
+    B = rng.integers(0, p, lead[:-1] + (1, width))
+    if draw(st.booleans()):  # F_q scalars: only the first slot is nonzero
+        B[..., E.base.k :] = 0
+    return E, A, B
+
+
+@settings(max_examples=60)
+@given(broadcasts())
+def test_broadcast_operand_equals_the_repeated_operand(case):
+    E, A, B = case
+    width = A.shape[-1]
+    repeated = np.repeat(B, A.shape[-2], axis=-2)
+    got = fields._mul_rows(E, A, B)
+    assert got.shape == A.shape
+    assert np.array_equal(got, fields._mul_rows(E, A, repeated))
+    red = _ext_reduction(E)
+    pairs = zip(A.reshape(-1, width).tolist(), repeated.reshape(-1, width).tolist())
+    want = [_polys.pmulmod(E.base, red, a, b) for a, b in pairs]
+    assert [tuple(r) for r in got.reshape(-1, width).tolist()] == want
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(KERNEL_FIELDS),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.integers(0, 3), st.integers(0, 10**40)),
+)
+def test_element_product_and_power_match_pmulmod_and_ppowmod(qn, seed, e):
+    E = extension_field(*qn)
+    p, width = E.base.p, E.base.k * E.n
+    rng = np.random.default_rng(seed)
+    a, b = (ExtElement(E, tuple(rng.integers(0, p, width).tolist())) for _ in range(2))
+    red = _ext_reduction(E)
+    for x in (a, E.zero(), E.one()):
+        assert (x * b).coords == _polys.pmulmod(E.base, red, x.coords, b.coords)
+        assert (b * x).coords == _polys.pmulmod(E.base, red, b.coords, x.coords)
+        assert (x**e).coords == _polys.ppowmod(E.base, red, x.coords, e)
+
+
+# the splitting fields that ring-queries powers elements in, F_{3^20} (for
+# n = 25) and F_{8^10} (for n = 11), stay on pmulmod
+@pytest.mark.parametrize(
+    "q,n,tensor",
+    [(3, 5, True), (4, 3, True), (11, 9, True), (2, 13, True), (4, 7, True), (2, 17, False),
+     (3, 20, False), (8, 11, False), (3, 125, False)],
+)
+def test_element_products_take_the_tensor_only_on_narrow_fields(monkeypatch, q, n, tensor):
+    def refuse(*args):
+        raise AssertionError("product on the wrong side of the crossover")
+
+    E = extension_field(q, n)
+    a, b = E.gen() + E.one(), E.gen()
+    red = _ext_reduction(E)
+    want = [_polys.pmulmod(E.base, red, a.coords, b.coords)] + [
+        _polys.ppowmod(E.base, red, a.coords, e) for e in (7, E.order - 2)
+    ]
+    if tensor:
+        monkeypatch.setattr(_polys, "pmulmod", refuse)
+        monkeypatch.setattr(_polys, "ppowmod", refuse)
+    else:
+        monkeypatch.setattr(fields, "_ext_tensor", refuse)
+    assert [(a * b).coords, (a**7).coords, (a ** (E.order - 2)).coords] == want
+
+
+@st.composite
+def evaluations(draw):
+    """(F, rows): F with base or full coefficients on a few slots, and fewer
+    or at least as many rows as coordinates."""
+    E = extension_field(*draw(st.sampled_from(KERNEL_FIELDS)))
+    p, k, n = E.base.p, E.base.k, E.n
+    width = k * n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # low slots only on (3,125), whose power table grows to the top slot
+    slots = rng.choice(min(n, 9), size=draw(st.integers(1, min(n, 4))), replace=False)
+    coeffs = [E.zero()] * n
+    for i in slots.tolist():
+        coords = rng.integers(0, p, width if draw(st.booleans()) else k)
+        coeffs[i] = ExtElement(E, tuple(coords.tolist()) + (0,) * (width - len(coords)))
+    N = draw(st.sampled_from([1, width - 1, width, width + 2]))
+    return LinearizedPoly(E, tuple(coeffs)), rng.integers(0, p, (N, width))
+
+
+@settings(max_examples=25)
+@given(evaluations())
+def test_evaluate_many_matches_evaluate_below_and_above_the_width(case):
+    F, rows = case
+    E = F.spec
+    got = evaluate_many(F, rows)
+    assert got.shape == rows.shape
+    want = [evaluate(F, ExtElement(E, tuple(r))).coords for r in rows.tolist()]
+    assert [tuple(r) for r in got.tolist()] == want

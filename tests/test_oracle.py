@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from linperm import (
@@ -10,7 +11,9 @@ from linperm import (
     RingSpec,
     base_field,
     discrete_log,
+    evaluate,
     extension_field,
+    find_irreducible,
     fixed_points,
     identity,
     is_bijection_bruteforce,
@@ -22,6 +25,7 @@ from linperm import (
     sqrt_unity_bruteforce,
 )
 from linperm.errors import NotPrimitive, TooLarge, ZeroInverse
+from linperm.fields import ExtFieldSpec
 from linperm.oracle import involution_check_pointwise
 
 
@@ -272,3 +276,147 @@ def test_pointwise_on_a_field_past_int64():
     assert involution_check_pointwise(identity(E), samples=5, seed=1)
     assert involution_check_pointwise(parse_linearized("2x", E), samples=5, seed=1)
     assert not involution_check_pointwise(parse_linearized("x^[1]", E), samples=5, seed=1)
+
+
+# --- the image matrix: one per check, across batches -------------------------
+
+
+def _count_batches(monkeypatch):
+    """Sizes of the batches the enumeration hands out, as they are read."""
+    from linperm import oracle
+
+    sizes, real = [], oracle._enumerate
+
+    def counting(spec):
+        for rows in real(spec):
+            sizes.append(len(rows))
+            yield rows
+
+    monkeypatch.setattr(oracle, "_enumerate", counting)
+    return sizes
+
+
+def _poly(E, coeffs):
+    """x-coefficient first; an int is from_int of it."""
+    coeffs = [E.from_int(c) if isinstance(c, int) else c for c in coeffs]
+    return LinearizedPoly(E, tuple(coeffs) + (E.zero(),) * (E.n - len(coeffs)))
+
+
+def test_bijection_over_two_batches_of_f_2_13(monkeypatch):
+    E = extension_field(2, 13)  # 8192 points, two batches
+    sizes = _count_batches(monkeypatch)
+    assert is_bijection_bruteforce(_poly(E, [0, 1]))  # x^[1]
+    assert sizes == [4096, 4096]
+    # x^[1] + x vanishes at 1 = from_int(1): the first batch repeats 0
+    sizes.clear()
+    assert not is_bijection_bruteforce(_poly(E, [1, 1]))
+    assert sizes == [4096]
+    # x^[1] + c*x vanishes at c = z^12 = from_int(4096) alone: the first batch,
+    # the span of z^0..z^11, maps one to one, and the second repeats F(0) = 0
+    sizes.clear()
+    assert not is_bijection_bruteforce(_poly(E, [4096, 1]))
+    assert sizes == [4096, 4096]
+
+
+def test_bijection_over_two_batches_of_f_3_8(monkeypatch):
+    from linperm import oracle
+
+    E = extension_field(3, 8)  # 6561 points, two batches
+    sizes = _count_batches(monkeypatch)
+    assert is_bijection_bruteforce(_poly(E, [2]))  # 2x
+    assert sizes == [4096, 2465]
+    # x^[1] - x vanishes on F_3: the first batch repeats 0
+    sizes.clear()
+    assert not is_bijection_bruteforce(_poly(E, [2, 1]))
+    assert sizes == [4096]
+    # x^[1] - c^2 x vanishes at +-c, c = z^7 = from_int(2187); with batches of
+    # 3^7 points the first is the span of z^0..z^6 and the second repeats 0
+    c = E.from_int(3**7)
+    monkeypatch.setattr(oracle, "CHUNK", 3**7)
+    sizes.clear()
+    assert not is_bijection_bruteforce(_poly(E, [-(c * c), 1]))
+    assert sizes == [3**7, 3**7]
+    rng = random.Random(38)
+    for _ in range(6):
+        F = _poly(E, [rng.randrange(E.order) for _ in range(3)])
+        assert is_bijection_bruteforce(F) == is_permutation_rank(F)
+
+
+def _evaluated_rows(monkeypatch):
+    """Row counts of every evaluate_many call the oracle makes."""
+    from linperm import oracle
+
+    counts, real = [], oracle.evaluate_many
+
+    def counting(F, A):
+        counts.append(len(np.asarray(A)))
+        return real(F, A)
+
+    monkeypatch.setattr(oracle, "evaluate_many", counting)
+    return counts
+
+
+def _replayed(F, samples, seed):
+    """Whether F(F(a)) = a at each sample the check draws, one evaluate each."""
+    E, rng = F.spec, random.Random(seed)
+    points = [E.from_int(rng.randrange(E.order)) for _ in range(samples)]
+    return [evaluate(F, evaluate(F, a)) == a for a in points]
+
+
+def _half_involution(E):
+    """x + c*Tr(x) with Tr(c) = 1 over F_{2^n}: F(F(x)) = x + c*Tr(x), so F is
+    an involution exactly on the trace-0 hyperplane, half the points."""
+    c = next(E.from_int(v) for v in range(1, E.order) if _trace(E.from_int(v)) == E.one())
+    return _poly(E, [c + E.one()] + [c] * (E.n - 1))
+
+
+def _trace(a):
+    out, power = a, a
+    for _ in range(a.spec.n - 1):
+        power = power * power
+        out = out + power
+    return out
+
+
+@pytest.mark.parametrize("q,n,samples", [(2, 13, 4), (2, 5, 6), (2, 5, 5)])
+def test_pointwise_fails_at_one_failing_sample(monkeypatch, q, n, samples):
+    # below k*n samples F is evaluated at the samples, at or above it through
+    # the image matrix; either way one failing sample in the batch is enough
+    E = extension_field(q, n)
+    F = _half_involution(E)
+    counts = _evaluated_rows(monkeypatch)
+    outcomes = {}
+    for seed in range(200):
+        passed = _replayed(F, samples, seed)
+        counts.clear()
+        assert involution_check_pointwise(F, samples, seed) == all(passed)
+        if samples < n:
+            assert counts == [samples, samples]
+        else:
+            assert counts == [n]  # the unit vectors, once
+        outcomes.setdefault(passed.count(False), seed)
+    assert 0 in outcomes and 1 in outcomes  # a passing seed, and one known failure
+
+
+@pytest.mark.parametrize("samples", [5, 9, 12, 5000])
+def test_pointwise_on_f_11_9_below_and_above_the_width(monkeypatch, samples):
+    E = extension_field(11, 9)
+    counts = _evaluated_rows(monkeypatch)
+    assert involution_check_pointwise(parse_linearized("8x^[6]+8x^[3]+7x", E), samples, 4)
+    # one slot of the involution moved: F(F(a)) = a only at a = 0
+    assert not involution_check_pointwise(parse_linearized("9x^[6]+8x^[3]+7x", E), samples, 4)
+    if samples < 9:
+        assert counts == [samples] * 4
+    else:
+        assert counts == [9, 9]  # one image matrix per check, for every batch
+
+
+def test_pointwise_on_a_wide_field_evaluates_at_the_samples(monkeypatch):
+    # 12 samples on F_{5^155}: F is applied at the samples, never through a
+    # 155 x 155 image matrix
+    B = base_field(5)
+    E = ExtFieldSpec(B, 155, find_irreducible(B, 155, 0))
+    counts = _evaluated_rows(monkeypatch)
+    assert involution_check_pointwise(parse_linearized("4x", E), samples=12, seed=1)
+    assert not involution_check_pointwise(parse_linearized("x^[1]+x", E), samples=12, seed=1)
+    assert counts == [12, 12, 12, 12]

@@ -236,6 +236,27 @@ def test_parse_linearized_reads_only_ascii_digits(text):
         parse_linearized(text, extension_field(11, 3))
 
 
+@pytest.mark.parametrize("text", ["x\n", "x\n+1", "1\n", "x+1\n", "x^2\n", "\nx", "x\t", "0\n"])
+def test_parse_poly_refuses_newlines_and_tabs(F11, text):
+    # a "$" anchor would match before the trailing newline of a term
+    with pytest.raises(BadInput):
+        parse_poly(text, F11)
+
+
+@pytest.mark.parametrize(
+    "text", ["x\n", "x\n+x", "x^[1]\n", "2*x\n", "\nx", "x\t", "2\t*x", "0\n", "[1,0,0]*x\n"]
+)
+def test_parse_linearized_refuses_newlines_and_tabs(text):
+    with pytest.raises(BadInput):
+        parse_linearized(text, extension_field(11, 3))
+
+
+def test_spaces_are_still_read(F11):
+    assert parse_poly(" 2 x ^ 2 + 1 ", F11) == parse_poly("2x^2+1", F11)
+    E = extension_field(11, 3)
+    assert parse_linearized(" 2 * x ^[1] + x ", E) == parse_linearized("2*x^[1]+x", E)
+
+
 def test_parse_subtraction(F3, F8):
     assert parse_poly("x^2-x", F3) == parse_poly("x^2+2x", F3)
     assert parse_poly("-x+1", F3) == parse_poly("2x+1", F3)
