@@ -10,17 +10,23 @@ through its k x k block, as ``ExtElement.scale`` does, and every product is
 one packed convolution (see the kernels section below); ``pmul`` is the
 cyclic product on enough slots that nothing wraps.
 
-Long division is one in-place step, ``_divide_step``, on int64 (rows,
-slots, k) arrays whose row 0 is the polynomial and whose other rows go
-along: one slice update per quotient coordinate through k x k blocks built
-once per step, and one reduction mod p; the step states the int64 bound.
-``pdivmod`` is one step, with the quotient carried as a row, and Euclid
-(``pgcd``, ``pegcd``) is a loop of steps on the last two remainders, with
-their cofactors for ``pegcd``. No quotient or tuple is built per step.
+Long division runs on Kronecker-packed Python ints: a row (a remainder or
+a cofactor) is one int whose 64-bit lane i holds flat coordinate i, k lanes
+to a slot. One step, ``_divide``, finds the quotient from the top slots of
+the remainder alone, then adds the quotient times the divisor's row to each
+row: for k = 1 one small-int product and one add per row, for k > 1 k of
+them through the blocks of the quotient's coefficients (``_times``). Lanes
+hold ints congruent to the coordinates, not reduced: ``_euclid`` tracks a
+bound on them, v0 + s*k*(p - 1)*v1 after a step of s quotient slots, and
+reduces every row mod p in one numpy round trip only when that bound would
+reach 2^62. ``pdivmod`` is one step, and Euclid (``pgcd``, ``pegcd``) is a
+loop of steps on the last two remainders, with their cofactors for
+``pegcd``.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from itertools import zip_longest
 
@@ -101,53 +107,127 @@ def pmul(field, a, b):
     return ptrim(field, pcyclic_mul(field, a, b, (len(a) + len(b)) // field.k - 1))
 
 
-def _divide_step(field, M0, M1, n0: int, n1: int, e1: int) -> None:
-    """One long division, in place: M0 becomes M0 - Q*M1, reduced mod p, for
-    Q the quotient of the remainder in M0 by the one in M1.
+# --- long division and Euclid on packed ints (see the module docstring) ------
 
-    M0 and M1 are (rows, slots, k) int64 coordinates in [0, p). Row 0 holds a
-    remainder of n0 (resp. n1) slots, n0 >= n1 >= 1, M1's with a nonzero top
-    slot, and the other rows go along with it; M1 is read up to slot
-    e1 >= n1. ``act[m]`` is all of M1 times y^m / lead, lead the top slot of
-    M1's remainder, built once from k x k blocks. Then, from the top slot
-    down, the top slot c of M0's remainder, read mod p, is the next quotient
-    coefficient, and each nonzero coordinate c_m of c subtracts c_m * act[m]
-    at that slot.
+_LANE = 64
+_MASK = (1 << _LANE) - 1
+_LIMIT = 1 << 62  # the bound kept on every lane, so that none carries
+
+
+def _to_int(flat) -> int:
+    """The packed int of flat coordinates in [0, p)."""
+    return int.from_bytes(struct.pack(f"<{len(flat)}Q", *flat), "little")
+
+
+def _reduced(field, rows) -> np.ndarray:
+    """(len(rows), w) uint64 array of the lanes of the packed ints ``rows``
+    reduced mod p, w a whole number of slots: one numpy round trip."""
+    k = field.k
+    w = -(-max(map(int.bit_length, rows)) // (_LANE * k)) * k
+    flat = np.frombuffer(b"".join([r.to_bytes(8 * w, "little") for r in rows]), dtype="<u8")
+    return (flat.reshape(len(rows), w) % np.uint64(field.p)).astype("<u8", copy=False)
+
+
+def _slot(field, v: int, at: int) -> tuple:
+    """Slot ``at`` of the packed int v, reduced mod p."""
+    k, p = field.k, field.p
+    if k == 1:
+        return ((v >> _LANE * at & _MASK) % p,)
+    lanes = (v >> _LANE * k * at & (1 << _LANE * k) - 1).to_bytes(8 * k, "little")
+    return tuple(map(p.__rmod__, _lane_struct(k).unpack(lanes)))
+
+
+@lru_cache(maxsize=None)
+def _lane_struct(k: int) -> struct.Struct:
+    return struct.Struct(f"<{k}Q")
+
+
+@lru_cache(maxsize=256)
+def _starts(k: int, slots: int) -> int:
+    """The packed int with lane 0 of each of ``slots`` slots all ones."""
+    return int.from_bytes((b"\xff" * 8 + bytes(8 * (k - 1))) * slots, "little")
+
+
+def _times(cols, y: int, starts) -> int:
+    """c*y, for c over F_q given by the packed c*y^i (i < k), reduced:
+    sum_i cols[i] * (lane i of each slot of y), ``starts`` covering y; for
+    k = 1 (``starts`` None) cols[0] * y. A lane of c*y sums at most
+    k*min(slots of c, slots of y) products of a coordinate and a lane of y."""
+    if starts is None:
+        return cols[0] * y
+    out = 0
+    for i, c in enumerate(cols):
+        out += c * (y >> _LANE * i & starts)
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _quotient_columns(field, lead: tuple, top: tuple) -> tuple:
+    """The packed c*y^i (i < k), reduced, for the F_q scalar c = -top/lead."""
+    c = -(_block(field, _inverse(field, lead)) @ np.array(top, dtype=np.int64)) % field.p
+    cols = np.ascontiguousarray(_block(field, tuple(c.tolist())).T, dtype="<u8")
+    return tuple(int.from_bytes(col.tobytes(), "little") for col in cols)
+
+
+def _divide(field, rows0: list, rows1: list, n0: int, n1: int, lead: tuple, starts) -> tuple:
+    """One long division of the remainder rows0[0] (n0 slots) by rows1[0]
+    (n1 <= n0 slots, top slot ``lead`` nonzero mod p), neither with lanes
+    above its slots: (rows, n, top, cols), with N minus the quotient,
+    reduced, ``cols`` its packed N*y^i (i < k) and each row of ``rows``
+    that of rows0 plus N times that of rows1. rows[0] is cut to the n slots
+    of the new remainder, with top slot ``top`` (for n > 0).
+
+    N depends only on the top s = n0 - n1 + 1 slots, A, of rows0[0]: from
+    the top slot down, each coefficient is -(that slot of A)/lead, and A
+    takes it times the divisor there. The products by N then leave the top
+    s slots of the remainder 0 mod p but not 0, and they are cut.
     """
     p, k = field.p, field.k
-    act = M1[:, :e1] @ _monic_action(field, tuple(M1[0, n1 - 1].tolist()))
-    # M1 is reduced, so act < k*p^2, and an entry of M0 takes at most
-    # k*min(n0 - n1 + 1, e1) products c_m * act[m] before M0 is reduced at
-    # the end of the step: it stays below p + k^2*p^3*min(...), which int64
-    # holds for p < 2^16 while k^2*min(...) < 2^15. Past that, act is reduced
-    # first, and the bound is p + k*p^2*min(...).
-    if k * k * p**3 * min(n0 - n1 + 1, e1) >= 1 << 63:
-        act %= p
-    for at in range(n0 - n1, -1, -1):
-        for m, c in enumerate(M0[0, at + n1 - 1].tolist()):
-            c %= p
+    s, width = n0 - n1 + 1, _LANE * k
+    A, r1 = rows0[0] >> width * (n1 - 1), rows1[0]
+    if s > 1:  # the divisor's top s slots, its top slot at A's
+        R = r1 >> width * (n1 - s) if s <= n1 else r1 << width * (s - n1)
+    if k == 1:
+        neg_inv = -pow(lead[0], -1, p)
+        N = 0
+        for j in range(s - 1, -1, -1):
+            c = (A >> _LANE * j & _MASK) * neg_inv % p
             if c:
-                M0[:, at : at + e1] -= act[m] * c
-    M0[:, : n0 - n1 + e1] %= p
+                N |= c << _LANE * j
+                if j:
+                    A += c * (R >> _LANE * (s - 1 - j))
+        cols = (N,)
+        rows = [x + N * y for x, y in zip(rows0, rows1)]
+    else:
+        cols = [0] * k
+        for j in range(s - 1, -1, -1):
+            t = _slot(field, A, j)
+            if any(t):
+                step = _quotient_columns(field, lead, t)
+                for i, c in enumerate(step):
+                    cols[i] |= c << width * j
+                if j:
+                    A += _times(step, R >> width * (s - 1 - j), starts)
+        rows = [x + _times(cols, y, starts) for x, y in zip(rows0, rows1)]
+    n, top = n1 - 1, None
+    while n and not any(top := _slot(field, rows[0], n - 1)):
+        n -= 1
+    rows[0] &= (1 << width * n) - 1
+    return rows, n, top, cols
 
 
 def pdivmod(field, a, b):
-    """Quotient and remainder of a by b (b nonzero): one ``_divide_step`` on
-    the rows (a, 0) and (b, 1), which leaves (a - Q*b, -Q)."""
+    """Quotient and remainder of a by b (b nonzero): one ``_divide``."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
         return (), tuple(a)
     k = field.k
     n0, n1 = len(a) // k, len(b) // k
-    buf = np.zeros((2, 2, len(a)), dtype=np.int64)
-    buf[0, 0] = a
-    buf[1, 0, : len(b)] = b
-    buf[1, 1, 0] = 1
-    M0, M1 = buf.reshape(2, 2, n0, k)
-    _divide_step(field, M0, M1, n0, n1, n1)
-    quo = -M0[1, : n0 - n1 + 1] % field.p
-    return ptrim(field, quo.ravel().tolist()), ptrim(field, M0[0, : n1 - 1].ravel().tolist())
+    starts = _starts(k, n0) if k > 1 else None
+    (r,), _, _, cols = _divide(field, [_to_int(a)], [_to_int(b)], n0, n1, tuple(b[-k:]), starts)
+    quo, rem = (ptrim(field, row) for row in _reduced(field, (cols[0], r)).tolist())
+    return pneg(field, quo), rem
 
 
 def pmod(field, a, b):
@@ -155,59 +235,53 @@ def pmod(field, a, b):
 
 
 def _euclid(field, a, b, cofactors: bool) -> tuple:
-    """Euclid's algorithm on a and b (flat, trimmed), in place: (g,) with g
-    the monic gcd, or with ``cofactors`` (g, u, v) with u*a + v*b = g. For
-    a = b = 0 it gives g = 0 with u = 1 and v = 0.
+    """Euclid's algorithm on a and b (flat, trimmed): (g,) with g the monic
+    gcd, or with ``cofactors`` (g, u, v) with u*a + v*b = g; for a = b = 0,
+    g = 0, u = 1 and v = 0. rows0 and rows1 are the last two (remainder, u,
+    v) of the remainder sequence, packed; n0, n1 and lead0, lead1 are the
+    slots and top slots of their remainders.
 
-    Row 0 of M0 and of M1 holds a remainder and rows 1 and 2 its cofactors u
-    and v, each as (slots, k) int64 coordinates: M0 and M1 are the last two
-    triples of the remainder sequence, and one ``_divide_step`` of M0 by M1
-    leaves the next triple. The lengths n0 and n1 of the remainders are
-    tracked by index; c0 and c1 bound those of the cofactors.
+    v0 and v1 bound the lanes of rows0 and rows1. A step of s quotient
+    slots adds at most s*k*(p - 1)*v1 to a lane of rows0 (``_times``; the
+    lanes of A in ``_divide`` get no more). When v0 plus that would reach
+    2^62 every row is reduced mod p first, which leaves
+    p - 1 + s*k*(p - 1)^2 < 2^62 for p < 2^16 and s*k < 2^30.
     """
     p, k = field.p, field.k
-    rows = 3 if cofactors else 1
     n0, n1 = len(a) // k, len(b) // k
-    size = 2 * (n0 + n1) + 1  # the cofactors never pass n0 + n1 + 1 slots
-    buf = np.zeros((2, rows, size * k), dtype=np.int64)
-    buf[0, 0, : len(a)] = a
-    buf[1, 0, : len(b)] = b
+    rows0, rows1 = [_to_int(a)], [_to_int(b)]
     if cofactors:
-        buf[0, 1, 0] = buf[1, 2, 0] = 1
-    M0, M1 = buf.reshape(2, rows, size, k)
-    c0 = c1 = 1 if cofactors else 0
+        rows0 += [1, 0]
+        rows1 += [0, 1]
+    lead0, lead1 = tuple(a[-k:]), tuple(b[-k:])
+    # the cofactors never pass n0 + n1 + 1 slots
+    starts = _starts(k, n0 + n1 + 1) if k > 1 else None
+    v0 = v1 = p - 1
     while n1:
-        _divide_step(field, M0, M1, n0, n1, max(n1, c1))
-        c0 = max(c0, n0 - n1 + c1)
-        n0 = min(n0, n1 - 1)
-        while n0 and not any(M0[0, n0 - 1].tolist()):
-            n0 -= 1
-        M0, M1, n0, n1, c0, c1 = M1, M0, n1, n0, c1, c0
-    if n0:
-        to_monic = _monic_action(field, tuple(M0[0, n0 - 1].tolist()))[0, 0]
-        M0 = M0[:, : max(n0, c0)] @ to_monic % p
-    g = tuple(M0[0, :n0].ravel().tolist())
-    return (g,) + tuple(ptrim(field, M0[r, :c0].ravel().tolist()) for r in range(1, rows))
-
-
-@lru_cache(maxsize=4096)
-def _monic_action(field, lead: tuple) -> np.ndarray:
-    """(k, 1, k, k) int array A for a nonzero F_q scalar ``lead``: for a slot
-    s (a row vector), s @ A[m, 0] mod p is the slot s * y^m / lead."""
-    k = field.k
-    L = _block(field, _inverse(field, lead))
-    return (_tables(field)[0].reshape(k, k, k) @ L % field.p).transpose(2, 0, 1)[:, None]
+        if n0 >= n1:
+            grow = (n0 - n1 + 1) * k * (p - 1)
+            if v0 + grow * v1 >= _LIMIT:
+                rows = [int.from_bytes(r.tobytes(), "little") for r in _reduced(field, rows0 + rows1)]
+                rows0, rows1, v0, v1 = rows[: len(rows0)], rows[len(rows0) :], p - 1, p - 1
+            v0 += grow * v1
+            rows0, n0, lead0, _ = _divide(field, rows0, rows1, n0, n1, lead1, starts)
+        rows0, rows1, n0, n1, lead0, lead1, v0, v1 = rows1, rows0, n1, n0, lead1, lead0, v1, v0
+    if n0:  # times 1/lead0 = -(-1)/lead0, which leaves lanes below k*(p - 1)*v0
+        if k * (p - 1) * v0 >= _LIMIT:
+            rows0 = [int.from_bytes(r.tobytes(), "little") for r in _reduced(field, rows0)]
+        inverse = _quotient_columns(field, lead0, (p - 1,) + (0,) * (k - 1))
+        rows0 = [_times(inverse, r, starts) for r in rows0]
+    return tuple(ptrim(field, row) for row in _reduced(field, rows0).tolist())
 
 
 def pgcd(field, a, b):
-    """Monic gcd of a and b (flat, trimmed); () when both are zero. One
-    in-place Euclid loop (``_euclid``) on int64 slot arrays."""
+    """Monic gcd of a and b (flat, trimmed); () when both are zero."""
     return _euclid(field, a, b, cofactors=False)[0]
 
 
 def pegcd(field, a, b):
-    """Extended gcd: returns (g, u, v) with u*a + v*b = g and g monic, by the
-    same in-place loop as ``pgcd``, with u and v carried as two more rows."""
+    """Extended gcd: (g, u, v) with u*a + v*b = g and g monic, by the loop
+    of ``pgcd`` with u and v as two more rows."""
     return _euclid(field, a, b, cofactors=True)
 
 

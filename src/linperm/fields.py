@@ -188,14 +188,31 @@ class ExtFieldSpec:
     ext_modulus: tuple[int, ...]
 
     def __post_init__(self):
+        self._normalize()
+        if not _polys.pis_irreducible(self.base, self.ext_modulus):
+            raise BadInput("ext_modulus is reducible over F_q")
+
+    @classmethod
+    def _searched(cls, base: FieldSpec, n: int, seed: int) -> ExtFieldSpec:
+        """The spec whose modulus is ``find_irreducible(base, n, seed)``. The
+        search has just proved it irreducible, so this runs the checks of
+        ``__post_init__`` but not its irreducibility test."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "base", base)
+        object.__setattr__(spec, "n", n)
+        object.__setattr__(spec, "ext_modulus", find_irreducible(base, n, seed))
+        spec._normalize()
+        return spec
+
+    def _normalize(self):
+        """Check the degree and that the modulus is monic; store it reduced
+        mod p, and the spec's hash."""
         base = self.base
         _check_degree(self.n)
         mod = tuple(c % base.p for c in self.ext_modulus)
         if len(mod) != base.k * (self.n + 1) or mod[-base.k :] != _polys.pone(base):
             raise BadInput(f"ext_modulus must be monic of degree {self.n}")
         object.__setattr__(self, "ext_modulus", mod)
-        if not _polys.pis_irreducible(base, mod):
-            raise BadInput("ext_modulus is reducible over F_q")
         # every cached kernel lookup hashes the spec; hash the modulus once
         object.__setattr__(self, "_hash", hash((base, self.n, mod)))
 
@@ -587,7 +604,7 @@ def _extension_field(q: int, n: int, seed: int) -> ExtFieldSpec:
         canned = CANONICAL_BASE_MODULI.get((base.p, n))
         if canned is not None:
             return ExtFieldSpec(base, n, canned)
-    return ExtFieldSpec(base, n, find_irreducible(base, n, seed))
+    return ExtFieldSpec._searched(base, n, seed)
 
 
 def extension_field(q: int, n: int, seed: int = 0) -> ExtFieldSpec:

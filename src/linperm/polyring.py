@@ -32,7 +32,6 @@ from .fields import (
     FieldSpec,
     _digits,
     element_of_order,
-    find_irreducible,
     integer_order_mod,
 )
 
@@ -276,7 +275,7 @@ def splitting_field(spec: RingSpec) -> ExtFieldSpec:
     of q mod n; an extension of degree 1 when m = 1. Unlike ``extension_field``
     it does not need gcd(m, p) = 1."""
     m = integer_order_mod(spec.base.q, spec.n)
-    return ExtFieldSpec(spec.base, m, find_irreducible(spec.base, m, seed=0))
+    return ExtFieldSpec._searched(spec.base, m, 0)
 
 
 @lru_cache(maxsize=None)

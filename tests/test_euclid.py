@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linperm import RingSpec, base_field, ring_inverse
+from linperm import RingSpec, _polys, base_field, ring_inverse
 from linperm._polys import (
     _inverse,
     padd,
@@ -145,3 +145,165 @@ def test_long_quotient_at_p_65521_takes_the_reduced_branch():
     want = reference_egcd(field, a, b)
     assert want[0] == pone(field)
     assert pegcd(field, a, b) == want
+
+
+# --- an independent reference: schoolbook division on F_q scalars ------------
+#
+# ``reference_egcd`` above is built on ``pdivmod``, which runs the packed step
+# that the loop runs too. The reference below shares nothing with it but
+# ``_inverse``: a polynomial is a list of slots, each a tuple of coordinates,
+# and every product is a schoolbook one.
+
+
+def _scalar_mul(field, a, b):
+    """a*b for F_q scalars: the product in F_p[y], then y^t reduced by the
+    base modulus from the top down."""
+    p, k = field.p, field.k
+    if k == 1:
+        return (a[0] * b[0] % p,)
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for t in range(2 * k - 2, k - 1, -1):
+        for l, m in enumerate(field.base_modulus):
+            prod[t - k + l] -= prod[t] * m
+    return tuple(v % field.p for v in prod[:k])
+
+
+def _slots(field, a):
+    return [tuple(a[i : i + field.k]) for i in range(0, len(a), field.k)]
+
+
+def _flat(slots):
+    while slots and not any(slots[-1]):
+        slots = slots[:-1]
+    return tuple(c for s in slots for c in s)
+
+
+def _sub(field, a, b):
+    zero = (0,) * field.k
+    a, b = _slots(field, a), _slots(field, b)
+    a, b = a + [zero] * (len(b) - len(a)), b + [zero] * (len(a) - len(b))
+    return _flat([tuple((x - y) % field.p for x, y in zip(s, t)) for s, t in zip(a, b)])
+
+
+def _mul(field, a, b):
+    a, b = _slots(field, a), _slots(field, b)
+    out = [(0,) * field.k] * max(len(a) + len(b) - 1, 0)
+    for i, s in enumerate(a):
+        for j, t in enumerate(b):
+            st = _scalar_mul(field, s, t)
+            out[i + j] = tuple((x + y) % field.p for x, y in zip(out[i + j], st))
+    return _flat(out)
+
+
+def schoolbook_divmod(field, a, b):
+    """(quotient, remainder) by long division, one slot at a time."""
+    rem, div = _slots(field, a), _slots(field, b)
+    inv = _inverse(field, div[-1])
+    quo = [(0,) * field.k] * max(len(rem) - len(div) + 1, 0)
+    for j in range(len(rem) - len(div), -1, -1):
+        quo[j] = c = _scalar_mul(field, rem[j + len(div) - 1], inv)
+        for i, d in enumerate(div):
+            cd = _scalar_mul(field, c, d)
+            rem[j + i] = tuple((x - y) % field.p for x, y in zip(rem[j + i], cd))
+    return _flat(quo), _flat(rem[: len(div) - 1])
+
+
+def schoolbook_egcd(field, a, b):
+    """(g, u, v) with u*a + v*b = g monic, by ``schoolbook_divmod``."""
+    one = (1,) + (0,) * (field.k - 1)
+    (r0, u0, v0), (r1, u1, v1) = (a, one, ()), (b, (), one)
+    while r1:
+        q, r = schoolbook_divmod(field, r0, r1)
+        step = (r, _sub(field, u0, _mul(field, q, u1)), _sub(field, v0, _mul(field, q, v1)))
+        (r0, u0, v0), (r1, u1, v1) = (r1, u1, v1), step
+    if not r0:
+        return (), u0, v0
+    inv = _inverse(field, tuple(r0[-field.k :]))
+    return tuple(_mul(field, h, inv) for h in (r0, u0, v0))
+
+
+def check_against_schoolbook(field, a, b):
+    want = schoolbook_egcd(field, a, b)
+    assert pegcd(field, a, b) == want
+    assert pgcd(field, a, b) == want[0]
+    if b:
+        assert pdivmod(field, a, b) == schoolbook_divmod(field, a, b)
+
+
+def test_schoolbook_reference_by_hand():
+    # over F_3: x^3 + 2 = x (x^2 + 1) + 2x + 2, and
+    # (1 + 2x)(x^3 + 2) + (2 + 2x + x^2)(x^2 + 1) = 1;
+    # (x + 1)^2 = x (x + 2) + 1, so 1 * (x + 1)^2 + 2x (x + 2) = 1
+    F3 = base_field(3)
+    assert schoolbook_divmod(F3, (2, 0, 0, 1), (1, 0, 1)) == ((0, 1), (2, 2))
+    assert schoolbook_egcd(F3, (2, 0, 0, 1), (1, 0, 1)) == ((1,), (1, 2), (2, 2, 1))
+    assert schoolbook_egcd(F3, (1, 2, 1), (2, 1)) == ((1,), (1,), (0, 2))
+    assert schoolbook_egcd(F3, (1, 2, 1), (1, 1)) == ((1, 1), (), (1,))
+    # over F_4 = F_2[y]/(y^2 + y + 1): y * y = y + 1, and y * (y + 1) = 1
+    F4 = base_field(4)
+    assert _scalar_mul(F4, (0, 1), (0, 1)) == (1, 1)
+    assert _scalar_mul(F4, (0, 1), (1, 1)) == (1, 0)
+
+
+@settings(max_examples=150)
+@given(poly_pairs())
+def test_euclid_and_division_match_schoolbook(data):
+    check_against_schoolbook(*data)
+
+
+@pytest.mark.parametrize("q, n", [(3, 25), (11, 9), (3, 125), (2, 255), (8, 11), (4, 3), (49, 10)])
+def test_gcd_with_x_n_minus_1_matches_schoolbook(q, n):
+    field = base_field(q)
+    rng = random.Random(q * 7 + n)
+    f, m = random_poly(rng, field, n - 1), x_n_minus_1(field, n)
+    check_against_schoolbook(field, f, m)
+    check_against_schoolbook(field, m, f)
+    check_against_schoolbook(field, f, f)
+    # a non-unit: f times x - 1, a factor of x^n - 1, reduced mod x^n - 1
+    x_minus_1 = _sub(field, (0,) * field.k + pone(field), pone(field))
+    check_against_schoolbook(field, schoolbook_divmod(field, _mul(field, f, x_minus_1), m)[1], m)
+
+
+def loop_reductions(monkeypatch, rows):
+    """Counts of the reductions of all ``rows`` rows that the Euclid loop
+    makes, seen through ``_polys._reduced``."""
+    calls = []
+    real = _polys._reduced
+
+    def counted(field, packed):
+        calls.append(len(packed))
+        return real(field, packed)
+
+    monkeypatch.setattr(_polys, "_reduced", counted)
+    return lambda: calls.count(rows)
+
+
+@pytest.mark.parametrize("q, degree, least", [(65521, 80, 30), (2, 300, 2), (4, 120, 2), (8, 80, 1), (49, 60, 2)])
+def test_long_chains_take_the_delayed_reduction(monkeypatch, q, degree, least):
+    # k = 1 at p = 65521 reduces every few steps, at p = 2 after about 50;
+    # k > 1 at F_4, F_8 and F_49; each chain must reduce and stay exact
+    field = base_field(q)
+    rng = random.Random(degree)
+    a = random_poly(rng, field, degree - 1) + pone(field)
+    b = random_poly(rng, field, degree - 2) + pone(field)
+    want = schoolbook_egcd(field, a, b)
+    egcd_reductions = loop_reductions(monkeypatch, 6)
+    assert pegcd(field, a, b) == want
+    assert egcd_reductions() >= least
+    gcd_reductions = loop_reductions(monkeypatch, 2)
+    assert pgcd(field, a, b) == want[0]
+    assert gcd_reductions() >= least
+
+
+def test_long_first_quotient_at_p_2():
+    # x^1023 - 1 by a degree-10 f: a first quotient of 1014 slots, found on
+    # the top slots alone, then a short chain
+    field = base_field(2)
+    rng = random.Random(1023)
+    f = (1,) + tuple(rng.randrange(2) for _ in range(9)) + (1,)
+    m = x_n_minus_1(field, 1023)
+    check_against_schoolbook(field, m, f)
+    check_against_schoolbook(field, f, m)

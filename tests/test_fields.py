@@ -492,3 +492,41 @@ def test_ext_modulus_is_flat(q, n, seed):
     for bad in (mod[:-1], mod + (0,) * k, not_monic, (0,) * k * n + mod[-k:]):
         with pytest.raises(BadInput):
             ExtFieldSpec(E.base, n, bad)
+
+
+def test_searched_modulus_is_tested_once(monkeypatch):
+    # the search proves its candidate irreducible and hands it over as such;
+    # the canned modulus of F_{2^3} is still tested when its spec is built
+    tested = []
+    real = fields._polys.pis_irreducible
+
+    def counting(base, f):
+        tested.append(tuple(f))
+        return real(base, f)
+
+    monkeypatch.setattr(fields._polys, "pis_irreducible", counting)
+    build = fields._extension_field.__wrapped__
+    for q, n, seed in ((3, 7, 5), (4, 5, 2), (2, 11, 3), (2, 3, 0), (2, 3, 1)):
+        tested.clear()
+        E = build(q, n, seed)
+        assert tested.count(E.ext_modulus) == 1, (q, n, seed)
+        public = ExtFieldSpec(E.base, n, E.ext_modulus)
+        assert E == public and hash(E) == hash(public) and repr(E) == repr(public)
+
+
+def test_caller_modulus_is_tested():
+    F3 = base_field(3)
+    for n, mod in ((2, (2, 0, 1)), (4, (1, 0, 2, 0, 1)), (3, (0, 1, 0, 1))):  # x^2 - 1, (x^2 + 1)^2, x(x^2 + 1)
+        with pytest.raises(BadInput, match="reducible"):
+            ExtFieldSpec(F3, n, mod)
+    F4 = base_field(4)
+    with pytest.raises(BadInput, match="reducible"):
+        ExtFieldSpec(F4, 2, (1, 0, 0, 0, 1, 0))  # x^2 + 1 = (x + 1)^2 over F_4
+
+
+def test_splitting_field_is_the_searched_spec():
+    from linperm.polyring import splitting_field
+
+    ring = RingSpec(base_field(3), 13)  # 3 has order 3 mod 13
+    E = splitting_field.__wrapped__(ring)
+    assert E == ExtFieldSpec(ring.base, 3, find_irreducible(ring.base, 3, 0))
