@@ -22,6 +22,9 @@ reduces every row mod p in one numpy round trip only when that bound would
 reach 2^62. ``pdivmod`` is one step, and Euclid (``pgcd``, ``pegcd``) is a
 loop of steps on the last two remainders, with their cofactors for
 ``pegcd``.
+
+Every power (``_power``, ``ppowmod``, ``ExtElement.__pow__``, Frobenius gaps)
+is the one left-to-right ``_square_and_multiply`` on the caller's product.
 """
 
 from __future__ import annotations
@@ -80,17 +83,27 @@ def _block(field, c: tuple) -> np.ndarray:
     return block.reshape(field.k, field.k)
 
 
+def _square_and_multiply(mul, x, e: int, times_x=None):
+    """x^e for e >= 1, left to right: each bit of e after the top one squares
+    the power by ``mul(a, b)``, and a set bit then multiplies it by x, by
+    ``times_x(a)`` when given and ``mul(a, x)`` otherwise. The oracle's
+    ``linearized._power_table`` keeps a loop of its own."""
+    acc = x
+    for bit in bin(e)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, x) if times_x is None else times_x(acc)
+    return acc
+
+
 def _power(field, c: tuple, e: int) -> tuple:
     """Coordinates of c^e for an F_q scalar c and e >= 0 (0^0 = 1): the first
-    column of c's block raised to e by square-and-multiply."""
+    column of c's block raised to e."""
+    if e == 0:
+        return pone(field)
     p = field.p
-    acc, sq = np.eye(field.k, dtype=np.int64), _block(field, c)
-    while e:
-        if e & 1:
-            acc = acc @ sq % p
-        sq = sq @ sq % p
-        e >>= 1
-    return tuple(acc[:, 0].tolist())
+    block = _square_and_multiply(lambda a, b: a @ b % p, _block(field, c), e)
+    return tuple(block[:, 0].tolist())
 
 
 @lru_cache(maxsize=4096)
@@ -385,17 +398,6 @@ def mulmod(p: int, red: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (red @ padded) % p
 
 
-def _powmod(p: int, red: np.ndarray, a: np.ndarray, e: int) -> np.ndarray:
-    """Packed a^e (e >= 0) by square-and-multiply; red[:, 0] is the residue 1."""
-    acc = red[:, 0]
-    while e > 0:
-        if e & 1:
-            acc = mulmod(p, red, acc, a)
-        a = mulmod(p, red, a, a)
-        e >>= 1
-    return acc
-
-
 def pmulmod(field, red: np.ndarray, a, b) -> tuple:
     """Flat coordinates of a*b mod f, a and b flat; ``red`` = _reduction_matrix(f)."""
     k = field.k
@@ -442,9 +444,11 @@ def unit_products(field, red: np.ndarray) -> np.ndarray:
 
 
 def ppowmod(field, red: np.ndarray, a, e: int) -> tuple:
-    """Flat coordinates of a^e modulo f (e >= 0), as ``pmulmod``."""
-    k = field.k
-    return _unpack(k, _powmod(field.p, red, _pack(k, a), e))
+    """Flat coordinates of a^e modulo f (e >= 0, 0^0 = 1), as ``pmulmod``."""
+    k, p = field.k, field.p
+    if e == 0:
+        return _unpack(k, red[:, 0])  # the packed residue 1
+    return _unpack(k, _square_and_multiply(lambda a, b: mulmod(p, red, a, b), _pack(k, a), e))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -480,7 +484,7 @@ def _frobenius_q(field, f) -> np.ndarray:
     j - 1: slot i moves to slot i + q while i + q < d, and the other slots
     come back through the residues x^(max(q, d) + t) mod f, t < min(q, d).
     Those start at x^d = -low(f) for q < d and at x^q mod f, by
-    square-and-multiply, for q >= d. So a column costs one product by a
+    ``ppowmod``, for q >= d. So a column costs one product by a
     (k*d x k*min(q, d)) matrix.
     """
     p, k, q = field.p, field.k, field.q
@@ -491,8 +495,8 @@ def _frobenius_q(field, f) -> np.ndarray:
         first = -low % p
     else:
         red = _reduction_matrix(field, tuple(f))
-        x_q = _powmod(p, red, red[:, 2 * k - 1], q)  # red[:, 2k - 1] is x
-        first = x_q.reshape(d, 2 * k - 1)[:, :k]
+        x = _unpack(k, red[:, 2 * k - 1])  # column 2k - 1 of red is x mod f
+        first = np.reshape(ppowmod(field, red, x, q), (d, k))
     R = _times_x_powers(field, low, first, wrap)
     T = _linalg.mul_tensor(field)
     act = np.einsum("lab,tjb->jlta", T, R).reshape(d * k, wrap * k) % p

@@ -392,6 +392,8 @@ class ExtElement:
         return self ** (self.spec.order - 2)
 
     def __pow__(self, e: int):
+        """self^e (0^0 = 1): by ``_polys.ppowmod`` on wide fields, and on narrow
+        ones by square-and-multiply through the tensor, Mul(self) built once."""
         if e < 0:
             return self.inverse() ** (-e)
         spec = self.spec
@@ -401,13 +403,11 @@ class ExtElement:
             )
         if e == 0:
             return spec.one()
-        # left-to-right square-and-multiply; a multiply applies Mul(self)
         p, a = spec.base.p, np.array(self.coords)
-        by_self, acc = _by_unit(spec, a), a
-        for bit in bin(e)[3:]:
-            acc = acc @ _by_unit(spec, acc) % p
-            if bit == "1":
-                acc = acc @ by_self % p
+        by_self = _by_unit(spec, a)
+        acc = _polys._square_and_multiply(
+            lambda u, v: u @ _by_unit(spec, v) % p, a, e, lambda u: u @ by_self % p
+        )
         return ExtElement(spec, tuple(acc.tolist()))
 
     def __str__(self):
@@ -429,9 +429,9 @@ def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
     Frob^1 is ``_polys._frobenius_q`` of the modulus. For i >= 2, Frob^i is
     Frob^j Frob^(i-j), j the highest power below i that the cache still holds
     (Frob^1 at least); the gap power Frob^(i-j) is Frob^1 raised to i - j by
-    square-and-multiply and is not cached. So an ascending walk over the
-    powers costs one product each, and a lone power one square-and-multiply.
-    Asking for a power caches that power and Frob^1 only.
+    ``_polys._square_and_multiply``, from Frob^1 on, and is not cached. So an
+    ascending walk costs one product per power, and a lone power one
+    square-and-multiply. Asking for a power caches it and Frob^1 only.
 
     Entries are below p < 2^16, so each power is stored as uint16, 2*(k*n)^2
     bytes. A reader must name the dtype of a product, by an int64 operand
@@ -443,7 +443,7 @@ def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
     elif i == 1:
         out = _polys._frobenius_q(base, spec.ext_modulus)
     else:
-        frob = _frobenius_power(spec, 1)
+        frob = _frobenius_power(spec, 1).astype(np.float64)
         j, below = 1, frob
         for h in range(i - 1, 1, -1):
             held = _frobenius_held.get((spec, h))
@@ -452,13 +452,7 @@ def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
                 break
         # float64 products by BLAS are exact: an entry sums k*n products
         # below p^2 < 2^32, so it stays below 2^53 for any k*n < 2^21
-        sq, gap, e = frob.astype(np.float64), None, i - j
-        while e:
-            if e & 1:
-                gap = sq if gap is None else np.fmod(gap @ sq, base.p)
-            e >>= 1
-            if e:
-                sq = np.fmod(sq @ sq, base.p)
+        gap = _polys._square_and_multiply(lambda a, b: np.fmod(a @ b, base.p), frob, i - j)
         out = np.fmod(below @ gap, base.p)
     out = out.astype(np.uint16)
     out.flags.writeable = False
@@ -582,14 +576,15 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def base_field(q: int) -> FieldSpec:
-    """F_q with the canonical modulus (F_8 uses y^3 + y + 1)."""
+    """F_q with the canonical modulus (F_8 uses y^3 + y + 1), or else the one
+    ``find_irreducible`` has just proved irreducible, which is not tested again."""
     p, k = _prime_power(q)
-    if k == 1:
-        return FieldSpec(p)
-    mod = CANONICAL_BASE_MODULI.get((p, k))
-    if mod is None:
-        mod = find_irreducible(FieldSpec(p), k, seed=0)
-    return FieldSpec(p, k, mod)
+    if k == 1 or (p, k) in CANONICAL_BASE_MODULI:
+        return FieldSpec(p, k, CANONICAL_BASE_MODULI.get((p, k)))
+    spec = object.__new__(FieldSpec)
+    for name, value in (("p", p), ("k", k), ("base_modulus", find_irreducible(FieldSpec(p), k))):
+        object.__setattr__(spec, name, value)
+    return spec
 
 
 @lru_cache(maxsize=None)

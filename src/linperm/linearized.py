@@ -534,9 +534,9 @@ def evaluate_many(F: LinearizedPoly, A) -> np.ndarray:
 
     F(a) = sum_i c_i * a^(q^i), the powers read from ``_power_table`` and all
     the products with the coefficients done in one stacked ``_mul_rows``
-    call, each c_i one row broadcast over its points. F is F_p-linear, so with at least as many rows as coordinates F is
-    evaluated at the k*n unit vectors instead, and F(A) is A times those
-    images.
+    call, each c_i one row broadcast over its points. F is evaluated at
+    exactly the rows of A; a caller with at least k*n points should apply
+    F's image matrix (F at the unit vectors), as the oracle does.
     """
     spec = F.spec
     p, width = spec.base.p, spec.base.k * spec.n
@@ -544,12 +544,10 @@ def evaluate_many(F: LinearizedPoly, A) -> np.ndarray:
     support = F.coords.any(axis=1).nonzero()[0]
     if not len(support):
         return np.zeros(A.shape, dtype=np.int64)
-    points = A if len(A) < width else np.eye(width, dtype=np.int64)
-    powers = points @ _power_table(spec, support[-1])[support] % p  # (terms, N, k*n)
+    powers = A @ _power_table(spec, support[-1])[support] % p  # (terms, N, k*n)
     prod = _mul_rows(spec, powers, F.coords[support][:, None, :])
-    # below n*p before the reduction, and below k*n*n*p^2 after the product
-    images = prod.sum(axis=0)
-    return (images if points is A else A @ images) % p
+    # below n*p before the reduction
+    return prod.sum(axis=0) % p
 
 
 def evaluate(F: LinearizedPoly, a: ExtElement) -> ExtElement:

@@ -154,7 +154,7 @@ def involution_check_pointwise(
     failing sample. The samples are ``from_int`` of successive
     ``randrange(q^n)`` draws, CHUNK at a time. With at least k*n samples F
     is applied through ``_image_matrix``, built once; with fewer it is
-    evaluated at the samples themselves, as ``evaluate_many`` does."""
+    evaluated at the samples themselves by ``evaluate_many``."""
     spec = F.spec
     M = _image_matrix(F) if samples >= spec.base.k * spec.n else None
     rng = random.Random(seed)

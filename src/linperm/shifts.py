@@ -11,9 +11,9 @@ A shift works on ``LinearizedPoly.coords``: the nonzero rows are multiplied
 by the matching twist rows alpha^{[i]}, cached per alpha, in one row-wise
 product (``fields._mul_rows``) and move down one slot; zero rows cost
 nothing. The orbit order comes from ``norm``, which powers alpha by
-``ExtElement.__pow__`` (square-and-multiply through the product tensor on
-small fields, ``_polys.ppowmod`` on wide ones) and never reads the twist
-rows, so ``shift_class``'s closure check compares two derivations.
+``ExtElement.__pow__`` (``_polys._square_and_multiply`` on the product
+tensor or by ``ppowmod``) and never reads the twist rows, so
+``shift_class``'s closure check compares two derivations.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@
 with ``ExtElement.__pow__`` and ``__mul__``, which share no code with its
 Frobenius table or with ``mulmod_rows``; ``mulmod_rows`` is checked against
 ``pmulmod`` one row at a time. F_4 and F_8 run the k x k block path, F_3 and
-F_11 the 1 x 1 one. Batches run from 0 rows to more rows than coordinates,
-so both ways of evaluating are covered.
+F_11 the 1 x 1 one. Batches run from 0 rows to more rows than coordinates.
+Powers, which ``**``, ``ppowmod`` and ``_polys._power`` take by one shared
+square-and-multiply, are checked against repeated products.
 """
 
 import numpy as np
@@ -211,6 +212,45 @@ def test_element_product_and_power_match_pmulmod_and_ppowmod(qn, seed, e):
         assert (x * b).coords == _polys.pmulmod(E.base, red, x.coords, b.coords)
         assert (b * x).coords == _polys.pmulmod(E.base, red, b.coords, x.coords)
         assert (x**e).coords == _polys.ppowmod(E.base, red, x.coords, e)
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from(KERNEL_FIELDS),
+    st.sampled_from([4, 8, 49]),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 10**40),
+    st.integers(0, 10**40),
+)
+def test_powers_match_repeated_products(qn, q, seed, e1, e2):
+    # ``**``, ``ppowmod`` and ``_polys._power`` share one square-and-multiply,
+    # so each is checked against products alone: ``pmulmod`` for elements of
+    # F_{q^n}, blocks for F_q scalars; e = 0 gives 1 everywhere, 0^0 included
+    E = extension_field(*qn)
+    p, width = E.base.p, E.base.k * E.n
+    red = _ext_reduction(E)
+    rng = np.random.default_rng(seed)
+
+    def mul(x, y):
+        return _polys.pmulmod(E.base, red, x, y)
+
+    for a in (tuple(rng.integers(0, p, width).tolist()), E.zero().coords):
+        for power in (
+            lambda e: (ExtElement(E, a) ** e).coords,
+            lambda e: _polys.ppowmod(E.base, red, a, e),
+        ):
+            acc = E.one().coords
+            for e in range(4):
+                assert power(e) == acc, e
+                acc = mul(acc, a)
+            assert power(E.order) == a
+            assert power(e1 + e2) == mul(power(e1), power(e2))
+    B = fields.base_field(q)
+    for c in (B.from_int(int(rng.integers(q))), B.zero()):
+        acc = _polys.pone(B)
+        for e in range(2 * q + 2):
+            assert _polys._power(B, c.coeffs, e) == (c**e).coeffs == acc, e
+            acc = tuple((_polys._block(B, c.coeffs) @ np.array(acc) % B.p).tolist())
 
 
 # the splitting fields that ring-queries powers elements in, F_{3^20} (for

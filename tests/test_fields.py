@@ -495,8 +495,9 @@ def test_ext_modulus_is_flat(q, n, seed):
 
 
 def test_searched_modulus_is_tested_once(monkeypatch):
-    # the search proves its candidate irreducible and hands it over as such;
-    # the canned modulus of F_{2^3} is still tested when its spec is built
+    # the search proves its candidate irreducible and hands it over as such,
+    # for base fields as for extensions; the canned modulus of F_{2^3} is
+    # still tested when its spec is built
     tested = []
     real = fields._polys.pis_irreducible
 
@@ -512,6 +513,13 @@ def test_searched_modulus_is_tested_once(monkeypatch):
         assert tested.count(E.ext_modulus) == 1, (q, n, seed)
         public = ExtFieldSpec(E.base, n, E.ext_modulus)
         assert E == public and hash(E) == hash(public) and repr(E) == repr(public)
+    for q in (4, 49):
+        tested.clear()
+        B = base_field.__wrapped__(q)
+        assert tested.count(B.base_modulus) == 1, q
+        public = FieldSpec(B.p, B.k, B.base_modulus)
+        assert B == public and hash(B) == hash(public) and repr(B) == repr(public)
+        assert B == base_field(q)
 
 
 def test_caller_modulus_is_tested():
@@ -522,6 +530,8 @@ def test_caller_modulus_is_tested():
     F4 = base_field(4)
     with pytest.raises(BadInput, match="reducible"):
         ExtFieldSpec(F4, 2, (1, 0, 0, 0, 1, 0))  # x^2 + 1 = (x + 1)^2 over F_4
+    with pytest.raises(BadInput, match="reducible"):
+        FieldSpec(7, 2, (6, 0, 1))  # y^2 - 1 over F_7
 
 
 def test_splitting_field_is_the_searched_spec():

@@ -196,7 +196,7 @@ def _replace_frobenius(monkeypatch, fake):
 
 
 def test_oracles_need_nothing_from_the_rank_test(monkeypatch):
-    from linperm import _linalg, evaluate, linearized
+    from linperm import _linalg, _polys, evaluate, linearized
 
     fields_ = {qn: extension_field(*qn) for qn, *_ in ORACLE_ANSWERS}
     E9 = extension_field(11, 9)
@@ -207,6 +207,7 @@ def test_oracles_need_nothing_from_the_rank_test(monkeypatch):
     _replace_frobenius(monkeypatch, fake)
     monkeypatch.setattr(_linalg, "rank_mod", fake)
     monkeypatch.setattr(linearized, "_mul_matrix", fake)
+    monkeypatch.setattr(_polys, "_square_and_multiply", fake)
     for qn, text, bijective, ker, fixed, image in ORACLE_ANSWERS:
         E = fields_[qn]
         F = parse_linearized(text, E)
