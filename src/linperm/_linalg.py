@@ -17,6 +17,9 @@ TOMS 2010). For odd p, reduction mod p is delayed: after s steps an entry is
 below p + s*p^2 in absolute value, and the elimination runs in the narrowest
 of int16, int32 and int64 that holds that bound for its matrix, and a signed
 input is never widened first. Only what a decision reads is reduced.
+
+``matmul_mod`` is the one exact product mod p of two F_p matrices, in float
+BLAS; the oracle, the narrow tensor path and ``pmulmod`` keep int64.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import InternalError
 
 
 @lru_cache(maxsize=None)
@@ -55,6 +60,34 @@ def lift(field, M) -> np.ndarray:
     T = mul_tensor(field)
     out = np.einsum("ija,lab->iljb", M, T).reshape(d * k, e * k)
     out %= field.p
+    return out
+
+
+def cast_exact(A, p: int) -> np.ndarray:
+    """A in the float dtype in which ``matmul_mod`` multiplies it, its last
+    axis the inner dimension K, so that a loop casts a fixed operand once.
+    Past the float64 bound of ``matmul_mod`` it raises ``InternalError``."""
+    K = np.shape(A)[-1]
+    bound = K * (p - 1) ** 2
+    if bound >= 1 << 53:
+        raise InternalError(f"_linalg: no exact float product over F_{p} of inner dimension {K}")
+    return np.asarray(A, dtype=np.float32 if bound < 1 << 24 else np.float64)
+
+
+def matmul_mod(A, B, p: int) -> np.ndarray:
+    """A @ B mod p as int64, for arrays A and B of entries in [0, p), by
+    float BLAS (the FFLAS-FFPACK bound, Dumas-Giorgi-Pernet, ACM TOMS 2008).
+
+    An entry sums K products, K the last axis of A, each at most (p - 1)^2,
+    so every partial sum, in any order BLAS adds them, is an integer at most
+    K*(p - 1)^2. float32 holds every integer below 2^24 and float64 every
+    one below 2^53, so the product runs in float32 while K*(p - 1)^2 < 2^24
+    and in float64 while it is below 2^53 (every K < 2^21 for p < 2^16);
+    past that ``cast_exact`` raises ``InternalError``.
+    """
+    A = cast_exact(A, p)
+    out = (A @ np.asarray(B, dtype=A.dtype)).astype(np.int64)
+    out %= p
     return out
 
 

@@ -25,6 +25,8 @@ loop of steps on the last two remainders, with their cofactors for
 
 Every power (``_power``, ``ppowmod``, ``ExtElement.__pow__``, Frobenius gaps)
 is the one left-to-right ``_square_and_multiply`` on the caller's product.
+The F_p matrix products of the irreducibility test's chain and of
+``mulmod_rows`` are ``_linalg.matmul_mod``, which owns their exactness.
 """
 
 from __future__ import annotations
@@ -411,10 +413,9 @@ def mulmod_rows(field, red: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndar
     The packed convolutions of all rows are built together by one shifted
     multiply-add for each coordinate that is nonzero in some row of B (put
     the sparser operand second), so nothing larger than (N, 2*d*(2k - 1)) is
-    allocated; then one product by ``red`` reduces them. A convolution entry
-    is a sum of at most k*d products of two reduced entries, below k*d*p^2,
-    and after one reduction mod p the product by ``red`` sums 2*d*(2k - 1)
-    products below p^2. With p < 2^16 int64 is safe for k*d < 2^29.
+    allocated; then one ``_linalg.matmul_mod`` by ``red`` reduces them. A
+    convolution entry is a sum of at most k*d products of two reduced
+    entries, below k*d*p^2, inside int64 for p < 2^16 and k*d < 2^29.
     """
     p, k = field.p, field.k
     s = 2 * k - 1
@@ -427,7 +428,7 @@ def mulmod_rows(field, red: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndar
     for c in B.any(axis=0).nonzero()[0].tolist():
         at = c // k * s + c % k
         conv[:, at : at + d * s] += B[:, c, None] * Ap
-    out = (conv % p) @ red.T % p
+    out = _linalg.matmul_mod(conv % p, red.T, p)
     return out.reshape(rows, d, s)[:, :, :k].reshape(rows, width)
 
 
@@ -543,20 +544,18 @@ def pis_irreducible(field, f) -> bool:
             return False
         i, m = i + 1, m * q
     gcd_at = {d // r for r in _prime_factors(d)} - set(range(i))
-    # float64 products by BLAS are exact: an entry of Q @ w sums k*d products
-    # below p^2 < 2^32, so it stays below 2^53 for any k*d < 2^21
-    Q = _frobenius_q(field, f).astype(np.float64)
-    x = np.zeros(k * d)
+    Q = _linalg.cast_exact(_frobenius_q(field, f), p)
+    x = np.zeros(k * d, dtype=np.int64)
     x[k] = 1
     w, kept = x, []
     for j in range(1, d + 1):
-        w = np.fmod(Q @ w, p)
+        w = _linalg.matmul_mod(Q, w, p)
         if j in gcd_at:
             kept.append(w)
     if not np.array_equal(w, x):
         return False
     for v in kept:
-        v_minus_x = ptrim(field, ((v - x) % p).astype(np.int64).tolist())
+        v_minus_x = ptrim(field, ((v - x) % p).tolist())
         if pdeg(field, pgcd(field, f, v_minus_x)) > 0:
             return False
     return True

@@ -19,7 +19,7 @@ from math import gcd
 
 import numpy as np
 
-from . import _polys
+from . import _linalg, _polys
 from .errors import (
     BadInput,
     InternalError,
@@ -443,17 +443,15 @@ def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
     elif i == 1:
         out = _polys._frobenius_q(base, spec.ext_modulus)
     else:
-        frob = _frobenius_power(spec, 1).astype(np.float64)
+        frob = _linalg.cast_exact(_frobenius_power(spec, 1), base.p)
         j, below = 1, frob
         for h in range(i - 1, 1, -1):
             held = _frobenius_held.get((spec, h))
             if held is not None:
                 j, below = h, held
                 break
-        # float64 products by BLAS are exact: an entry sums k*n products
-        # below p^2 < 2^32, so it stays below 2^53 for any k*n < 2^21
-        gap = _polys._square_and_multiply(lambda a, b: np.fmod(a @ b, base.p), frob, i - j)
-        out = np.fmod(below @ gap, base.p)
+        gap = _polys._square_and_multiply(lambda a, b: _linalg.matmul_mod(a, b, base.p), frob, i - j)
+        out = _linalg.matmul_mod(below, gap, base.p)
     out = out.astype(np.uint16)
     out.flags.writeable = False
     _frobenius_held[spec, i] = out

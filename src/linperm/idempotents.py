@@ -17,8 +17,8 @@ the inverse map: column t of block i is x^t*e_i, the cyclic shift of e_i by
 t slots. Both are lifted from F_q by ``_linalg.lift``, and the build raises
 ``InternalError`` unless P*R = I. ``project`` is P*f, ``reconstruct`` is R
 applied to the blocks, and ``linearized`` tests and inverts units block by
-block on them. The matrices are float32 while k*n*p^2 < 2^24 and float64
-otherwise, whose BLAS products are exact while k*n*p^2 < 2^53. The
+block on them. Every product by P or R is one ``_linalg.matmul_mod``, and
+both are stored in its dtype for k*n columns (``_linalg.cast_exact``). The
 derivations that check this path stay independent of it: the basis
 invariants below, the gcd and rank permutation tests, and the ring-inverse
 and square-to-1 cross-checks in ``linearized``.
@@ -145,10 +145,7 @@ def _build_crt(basis: IdempotentBasis) -> _CRT:
     R needs no arithmetic: its F_q matrix is one gather from the e_i. Column
     j of P is x^j mod f_i in each block, for every j < n and i at once: one
     ``_polys._times_x_powers`` walk over all the factors, each with its
-    slots in the top d_i of max(d_i) slots. A product by P or R sums at
-    most k*n products of two entries in [0, p), below k*n*p^2, which BLAS
-    adds exactly in float32 while that is below 2^24 and in float64 while it
-    is below 2^53, as it is for every k*n < 2^21 (p < 2^16).
+    slots in the top d_i of max(d_i) slots.
     """
     spec, comps = basis.spec, basis.components
     base, n = spec.base, spec.n
@@ -158,7 +155,6 @@ def _build_crt(basis: IdempotentBasis) -> _CRT:
     starts = np.concatenate([[0], np.cumsum(degrees)])
     owner = np.repeat(np.arange(m), degrees)  # the block of each slot
     slot = np.arange(n) - starts[owner]  # its place in the block
-    dtype = np.float32 if k * n * (p - 1) ** 2 < 1 << 24 else np.float64
 
     at = top - degrees[owner] + slot  # where each slot sits in the walk
     low = np.zeros((m, top, k), dtype=np.int64)
@@ -167,27 +163,21 @@ def _build_crt(basis: IdempotentBasis) -> _CRT:
     one[np.arange(m), top - degrees, 0] = 1
     # X[j, r] is slot r of x^j mod its factor, r in block order
     X = _polys._times_x_powers(base, low, one, n)[:, owner, at]
-    P = _linalg.lift(base, X.transpose(1, 0, 2)).astype(dtype)
+    P = _linalg.cast_exact(_linalg.lift(base, X.transpose(1, 0, 2)), p)
 
     E = np.array([c.idempotent.coords for c in comps]).reshape(m, n, k)
-    R = _linalg.lift(base, E[owner, (np.arange(n)[:, None] - slot) % n]).astype(dtype)
+    R = _linalg.cast_exact(_linalg.lift(base, E[owner, (np.arange(n)[:, None] - slot) % n]), p)
 
-    if not np.array_equal(P @ R % p, np.eye(k * n, dtype=dtype)):
+    if not np.array_equal(_linalg.matmul_mod(P, R, p), np.eye(k * n, dtype=np.int64)):
         raise InternalError("idempotents: P*R != I, projection and reconstruction disagree")
     for M in (P, R):
         M.flags.writeable = False
     return _CRT(P, R, starts * k, np.repeat(owner, k))
 
 
-def _apply(M: np.ndarray, x, p: int) -> np.ndarray:
-    """M @ x mod p as int64, for M one of a basis's matrices and x with
-    entries in [0, p): exact in M's dtype (see ``_build_crt``)."""
-    return (M @ np.asarray(x, dtype=M.dtype) % p).astype(np.int64)
-
-
 def _blocks(basis: IdempotentBasis, coords) -> np.ndarray:
     """P*f for f's flat coordinates: block i holds those of f mod f_i."""
-    return _apply(basis._crt.P, coords, basis.spec.base.p)
+    return _linalg.matmul_mod(basis._crt.P, coords, basis.spec.base.p)
 
 
 def _nonzero_blocks(basis: IdempotentBasis, v: np.ndarray) -> np.ndarray:
@@ -198,7 +188,7 @@ def _nonzero_blocks(basis: IdempotentBasis, v: np.ndarray) -> np.ndarray:
 def _combine(basis: IdempotentBasis, u) -> np.ndarray:
     """R*u: the flat coordinates of sum_i u_i*e_i, for u_i the block i of u
     (of degree below d_i)."""
-    return _apply(basis._crt.R, u, basis.spec.base.p)
+    return _linalg.matmul_mod(basis._crt.R, u, basis.spec.base.p)
 
 
 def _check_basis(basis) -> None:
@@ -328,10 +318,9 @@ def reconstruct(v: ComponentVector, basis: IdempotentBasis) -> RingElement:
         )
     for entry in v.entries:
         _check_ring(entry, basis, "entry")
-    crt, p = basis._crt, basis.spec.base.p
-    entries = np.array([entry.coords for entry in v.entries], dtype=crt.P.dtype)
-    # each of the k*n sums holds k*n products below p^2, exact as in _apply
-    reduced = np.einsum("rc,rc->r", crt.P, entries[crt.owner]) % p
+    owner = basis._crt.owner
+    entries = np.array([entry.coords for entry in v.entries], dtype=np.int64)
+    reduced = _blocks(basis, entries.T)[np.arange(len(owner)), owner]
     return RingElement(basis.spec, tuple(_combine(basis, reduced).tolist()))
 
 

@@ -219,8 +219,9 @@ def compose(F: LinearizedPoly, G: LinearizedPoly) -> LinearizedPoly:
     p, n = spec.base.p, spec.n
     out = np.zeros_like(F.coords)
     g_support = G.coords.any(axis=1).nonzero()[0]
+    rows = _linalg.cast_exact(G.coords[g_support], p)
     for i in F.coords.any(axis=1).nonzero()[0].tolist():
-        twisted = G.coords[g_support] @ _frobenius_power(spec, i).T % p
+        twisted = _linalg.matmul_mod(rows, _frobenius_power(spec, i).T, p)
         out[(g_support + i) % n] += _mul_rows(spec, twisted, F.coords[i : i + 1])
     # each slot gathers at most n products in [0, p)
     return LinearizedPoly._of(spec, out % p)
@@ -229,15 +230,14 @@ def compose(F: LinearizedPoly, G: LinearizedPoly) -> LinearizedPoly:
 def _idempotent_products(f: RingElement, basis: IdempotentBasis) -> list[RingElement]:
     """The products f*e_i of an associate f with the basis, in basis order.
 
-    f*e_i = (f mod f_i)*e_i is R applied to block i of P*f alone: the
-    columns of R scaled by P*f, summed within each block.
+    f*e_i = (f mod f_i)*e_i is R applied to block i of P*f alone, which
+    column i of S holds, zero outside block i.
     """
     _check_ring(f, basis, "element")
-    crt, p = basis._crt, f.spec.base.p
-    # each sum holds at most k*n products below p^2, exact as in _apply
-    scaled = crt.R * _blocks(basis, f.coords).astype(crt.R.dtype)
-    prods = np.add.reduceat(scaled, crt.cuts[:-1], axis=1) % p
-    return [RingElement(f.spec, tuple(row)) for row in prods.T.astype(np.int64).tolist()]
+    owner = basis._crt.owner
+    S = np.zeros((len(owner), basis.t), dtype=np.int64)
+    S[np.arange(len(owner)), owner] = _blocks(basis, f.coords)
+    return [RingElement(f.spec, tuple(row)) for row in _combine(basis, S).T.tolist()]
 
 
 def _check_field(F: LinearizedPoly, basis: IdempotentBasis) -> None:

@@ -3,7 +3,8 @@
 ``evaluate_many`` is checked against F(a) = sum_i c_i * a^(q^i) written out
 with ``ExtElement.__pow__`` and ``__mul__``, which share no code with its
 Frobenius table or with ``mulmod_rows``; ``mulmod_rows`` is checked against
-``pmulmod`` one row at a time. F_4 and F_8 run the k x k block path, F_3 and
+``pmulmod`` one row at a time, and both, with ``ExtElement.__mul__``, against
+a schoolbook product on wide fields. F_4 and F_8 run the k x k block path, F_3 and
 F_11 the 1 x 1 one. Batches run from 0 rows to more rows than coordinates.
 Powers, which ``**``, ``ppowmod`` and ``_polys._power`` take by one shared
 square-and-multiply, are checked against repeated products.
@@ -97,6 +98,39 @@ def test_mulmod_rows_matches_pmulmod(case):
     assert got.shape == A.shape
     for a, b, row in zip(A.tolist(), B.tolist(), got.tolist()):
         assert tuple(row) == _polys.pmulmod(E.base, red, a, b)
+
+
+def _schoolbook_product(E, a, b) -> tuple:
+    """a*b in F_p[z]/(g(z)), p prime, on Python ints alone: the schoolbook
+    product, then z^t -> z^t - z^(t-n) g(z) from the top down."""
+    p, n, g = E.base.p, E.n, E.ext_modulus
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for t in range(2 * n - 2, n - 1, -1):
+        c = prod[t] % p
+        for l, gl in enumerate(g):
+            prod[t - n + l] -= c * gl
+    return tuple(v % p for v in prod[:n])
+
+
+@pytest.mark.parametrize("q,n", [(3, 25), (65521, 17)])
+def test_wide_products_match_schoolbook(q, n):
+    # k*n > 16: elements multiply by pmulmod, and rows by mulmod_rows, which
+    # share the reduction matrix and the exact product mod p of _linalg
+    E = extension_field(q, n)
+    p = E.base.p
+    assert E.base.k == 1 and n > fields._ELEMENT_TENSOR_WIDTH
+    rng = np.random.default_rng(n)
+    A = rng.integers(0, p, (8, n))
+    B = rng.integers(0, p, (8, n))
+    A[0], B[1] = p - 1, p - 1  # the largest sums
+    want = [_schoolbook_product(E, a, b) for a, b in zip(A.tolist(), B.tolist())]
+    got = _polys.mulmod_rows(E.base, _ext_reduction(E), A, B)
+    assert [tuple(row) for row in got.tolist()] == want
+    for a, b, w in zip(A.tolist(), B.tolist(), want):
+        assert (ExtElement(E, tuple(a)) * ExtElement(E, tuple(b))).coords == w
 
 
 def test_mul_rows_takes_either_path_with_the_same_result(monkeypatch):

@@ -1,5 +1,5 @@
 """``_linalg.rank_mod``, ``echelon_mod`` and ``solve_mod`` against a naive
-Gauss-Jordan over Python ints.
+Gauss-Jordan over Python ints, and ``matmul_mod`` against int64 products.
 
 For odd p the kernel keeps entries unreduced between pivots, and over F_2 it
 XORs rows packed into Python ints; the reference reduces every entry at
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linperm import _linalg
+from linperm.errors import InternalError
 
 PRIMES = [2, 3, 11, 65521]
 
@@ -258,3 +259,61 @@ def test_unsigned_input_keeps_its_values():
     assert U.max() > 2**15
     assert _linalg.rank_mod(U, p) == 37
     assert np.array_equal(_linalg.echelon_mod(U, p)[0], _linalg.echelon_mod(M, p)[0])
+
+
+# --- the exact product mod p -------------------------------------------------
+
+
+@st.composite
+def float_operands(draw):
+    """(A, B, p): A of shape (m, K), B of shape (K, r) or (K,), entries in
+    [0, p), int64 or uint16, B possibly a transposed (non-contiguous) view,
+    A possibly already cast by ``cast_exact``. p = 251 switches from float32
+    to float64 between K = 268 and 269."""
+    p = draw(st.sampled_from([2, 3, 251, 65521]))
+    K = draw(st.one_of(st.integers(1, 300), st.integers(300, 3000)))
+    m, r = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from([np.int64, np.uint16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(0, p, (m, K)).astype(dtype)
+    B = rng.integers(0, p, (r, K)).astype(dtype)
+    B = draw(st.sampled_from([B.T, np.ascontiguousarray(B.T), B[0]]))
+    if draw(st.booleans()):
+        A = _linalg.cast_exact(A, p)
+    return A, B, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_operands())
+def test_matmul_mod_matches_int64(case):
+    A, B, p = case
+    got = _linalg.matmul_mod(A, B, p)
+    want = A.astype(np.int64) @ B.astype(np.int64) % p
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "p,K,dtype",
+    [(2, 3000, np.float32), (251, 268, np.float32), (251, 269, np.float64), (65521, 1, np.float64)],
+)
+def test_matmul_mod_is_exact_at_the_switch(p, K, dtype):
+    # the largest sums the bound allows: all p - 1 but one p - 2, so that past
+    # 2^24 the sum is odd and float32 would round it
+    a = np.full(K, p - 1, dtype=np.int64)
+    a[-1] = p - 2
+    assert _linalg.cast_exact(a[None], p).dtype == dtype
+    want = sum(int(v) * int(v) for v in a) % p
+    assert _linalg.matmul_mod(a[None], a[:, None], p).tolist() == [[want]]
+
+
+def test_matmul_mod_refuses_past_the_float64_bound():
+    p = 65521
+    K = -(-(1 << 53) // (p - 1) ** 2)  # the least K with K*(p - 1)^2 >= 2^53
+    # K - 1 still runs in float64: its cast is one row of 16 MB
+    below = np.broadcast_to(np.uint16(0), (1, K - 1))
+    assert _linalg.cast_exact(below, p).dtype == np.float64
+    # zero-stride operands: nothing of size K is allocated before the refusal
+    A = np.broadcast_to(np.uint16(p - 1), (1, K))
+    B = np.broadcast_to(np.uint16(p - 1), (K, 1))
+    with pytest.raises(InternalError, match="_linalg"):
+        _linalg.matmul_mod(A, B, p)

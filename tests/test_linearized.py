@@ -106,14 +106,30 @@ def test_evaluate_homogeneous(u, c):
     assert evaluate(F, a.scale(s)) == evaluate(F, a).scale(s)
 
 
-def test_evaluate_matches_composition():
+@pytest.mark.parametrize(
+    "q,n,slots,rounds",
+    [
+        (3, 5, 5, 10),
+        # the Frobenius twist of compose runs in float64 at p = 65521
+        (65521, 3, 3, 10),
+        # wide enough that the row products take mulmod_rows; F and G sit in
+        # their low slots so that evaluation needs few Frobenius powers
+        (3, 125, 3, 2),
+    ],
+)
+def test_evaluate_matches_composition(q, n, slots, rounds):
+    E = extension_field(q, n)
     rng = random.Random(11)
-    for _ in range(10):
-        F = LinearizedPoly(E35, tuple(E35.from_int(rng.randrange(243)) for _ in range(5)))
-        G = LinearizedPoly(E35, tuple(E35.from_int(rng.randrange(243)) for _ in range(5)))
+
+    def draw():
+        coeffs = [E.from_int(rng.randrange(E.order)) for _ in range(slots)]
+        return LinearizedPoly(E, tuple(coeffs) + (E.zero(),) * (n - slots))
+
+    for _ in range(rounds):
+        F, G = draw(), draw()
         H = compose(F, G)
-        for v in (1, 17, 100, 242):
-            a = E35.from_int(v)
+        for v in (1, 17, 100, E.order - 1):
+            a = E.from_int(v)
             assert evaluate(H, a) == evaluate(F, evaluate(G, a))
 
 
