@@ -305,6 +305,12 @@ def _by_unit(spec: ExtFieldSpec, B: np.ndarray) -> np.ndarray:
     return (B @ _ext_tensor(spec)).reshape(B.shape + B.shape[-1:])
 
 
+def _on_tensor(w: int, rows: int) -> bool:
+    """Whether products by ``rows`` multipliers of width w, their matrices
+    rows*w^3 multiply-adds, fit ``_TENSOR_BUDGET``; no rows count as one."""
+    return max(rows, 1) * w**3 <= _TENSOR_BUDGET
+
+
 def _mul_rows(spec: ExtFieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A*B in F_{q^n} row by row: (..., k*n) int arrays of flat coordinates
     in [0, p), B broadcast against A by numpy's rules, for example (1, w)
@@ -318,7 +324,7 @@ def _mul_rows(spec: ExtFieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B broadcast to A's shape.
     """
     w = A.shape[-1]
-    if max(B.size // w, 1) * w**3 > _TENSOR_BUDGET:
+    if not _on_tensor(w, B.size // w):
         B = np.broadcast_to(B, A.shape).reshape(-1, w)
         out = _polys.mulmod_rows(spec.base, _ext_reduction(spec), A.reshape(-1, w), B)
         return out.reshape(A.shape)

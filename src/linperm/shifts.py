@@ -7,11 +7,17 @@ multiplicative order of the norm in F_q^*, and ``alpha_shift_power`` needs
 at most n - 1 single shifts whatever t is. Closed orbits of permutations,
 shifted inverses and half-order involutions all fall out of that arithmetic.
 
-A shift works on ``LinearizedPoly.coords``: the nonzero rows are multiplied
-by the matching twist rows alpha^{[i]}, cached per alpha, in one row-wise
-product (``fields._mul_rows``) and move down one slot; zero rows cost
-nothing. The orbit order comes from ``norm``, which powers alpha by
-``ExtElement.__pow__`` (``_polys._square_and_multiply`` on the product
+A shift works on ``LinearizedPoly.coords`` with the twist rows alpha^{[i]},
+cached per alpha by ``_twist_rows``. Where the n rows' matrices fit the
+product tensor's budget (``fields._on_tensor``, n*(k*n)^3 <= 2^16, so
+F_{3^5}, F_{4^3} and F_{11^9} but not F_{3^25}), the same cache entry
+holds the stack of Mul(alpha^{[i]}), n*(k*n)^2 int64 entries per alpha
+(1,000 bytes at (3,5), 5,832 at (11,9)), and a shift is one batched
+product of all n rows by it, zero rows included, moved down one slot. On
+wider fields the nonzero rows alone are multiplied by their twist rows in
+one row-wise product (``fields._mul_rows``) and moved down one slot; zero
+rows cost nothing. The orbit order comes from ``norm``, which powers alpha
+by ``ExtElement.__pow__`` (``_polys._square_and_multiply`` on the product
 tensor or by ``ppowmod``) and never reads the twist rows, so
 ``shift_class``'s closure check compares two derivations.
 """
@@ -36,8 +42,10 @@ from .errors import (
 from .fields import (
     ExtElement,
     ExtFieldSpec,
+    _by_unit,
     _frobenius_power,
     _mul_rows,
+    _on_tensor,
     element_order,
     norm,
 )
@@ -77,26 +85,35 @@ def _check_alpha(spec: ExtFieldSpec, alpha: ExtElement) -> None:
 
 
 @lru_cache(maxsize=64)
-def _twist_rows(spec: ExtFieldSpec, alpha: tuple) -> np.ndarray:
-    """(n, k*n) array whose row i holds the flat coordinates of alpha^{[i]},
-    alpha given by its flat coordinates: each row is Frob^1 of the last."""
+def _twist_rows(spec: ExtFieldSpec, alpha: tuple) -> tuple:
+    """(rows, by_twist) for alpha given by its flat coordinates. rows is the
+    (n, k*n) array whose row i holds the flat coordinates of alpha^{[i]}:
+    each row is Frob^1 of the last. On fields where the n rows' matrices fit
+    the product tensor's budget, by_twist is the (n, k*n, k*n) stack of
+    Mul(alpha^{[i]}) reduced mod p, so f_i @ by_twist[i] is alpha^{[i]} f_i;
+    elsewhere it is None."""
     frob, p = _frobenius_power(spec, 1), spec.base.p
     rows = [np.array(alpha, dtype=np.int64)]
     for _ in range(spec.n - 1):
         rows.append(frob @ rows[-1] % p)
-    return np.array(rows)
+    rows = np.array(rows)
+    if not _on_tensor(rows.shape[1], spec.n):
+        return rows, None
+    return rows, _by_unit(spec, rows) % p
 
 
 def alpha_shift(F: LinearizedPoly, alpha: ExtElement) -> LinearizedPoly:
     """One shift: slot i+1 (mod n) of the result is alpha^{[i]} * f_i."""
     _check_alpha(F.spec, alpha)
     spec = F.spec
+    rows, by_twist = _twist_rows(spec, alpha.coords)
+    if by_twist is not None:
+        # every row, zero rows too, in one batched product; output slot j
+        # takes the product of row j - 1
+        prod = np.matmul(F.coords[:, None, :], by_twist)[np.arange(-1, spec.n - 1), 0]
+        return LinearizedPoly._of(spec, prod % spec.base.p)
     support = F.coords.any(axis=1).nonzero()[0]
-    prod = _mul_rows(
-        spec,
-        _twist_rows(spec, alpha.coords)[support],
-        F.coords[support],
-    )
+    prod = _mul_rows(spec, rows[support], F.coords[support])
     out = np.zeros_like(F.coords)
     # row i moves to row i + 1 - n, a negative index except for i = n - 1
     out[support + 1 - spec.n] = prod

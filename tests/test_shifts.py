@@ -66,13 +66,38 @@ def test_shift_slots():
     assert S.coeffs[0] == frobenius(z, 4).scale(E35.base.embed_int(2))
 
 
-def test_shift_is_composition_with_ax():
+# (3,5), (4,3) and (11,9) shift by the cached operator stack; (3,25) and
+# (3,125) multiply F's nonzero rows alone
+OPERATOR_FIELDS = [(3, 5), (4, 3), (11, 9)]
+SUPPORT_FIELDS = [(3, 25), (3, 125)]
+
+
+@pytest.mark.parametrize("q,n", OPERATOR_FIELDS + SUPPORT_FIELDS)
+def test_shift_is_composition_with_ax(q, n):
+    from linperm import shifts
+
+    E = extension_field(q, n)
     rng = random.Random(2)
-    z = E35.gen()
-    A = LinearizedPoly.monomial(E35, z, 1)
-    for _ in range(5):
-        F = LinearizedPoly(E35, tuple(E35.from_int(rng.randrange(243)) for _ in range(5)))
-        assert alpha_shift(F, z) == compose(F, A)
+    alphas = [E.gen()] + [E.from_int(rng.randrange(1, E.order)) for _ in range(2)]
+    for alpha in alphas:
+        operator = shifts._twist_rows(E, alpha.coords)[1]
+        assert (operator is not None) == ((q, n) in OPERATOR_FIELDS)
+
+    def sparse(*slots):
+        coeffs = [E.zero()] * n
+        for i in slots:
+            coeffs[i] = E.from_int(rng.randrange(1, E.order))
+        return LinearizedPoly(E, tuple(coeffs))
+
+    cases = [LinearizedPoly(E, tuple(E.from_int(rng.randrange(E.order)) for _ in range(n)))]
+    cases.append(sparse(0, n - 1))  # the term in slot n - 1 wraps to slot 0
+    cases.append(LinearizedPoly.monomial(E, E.gen(), n // 2) + identity(E))
+    cases.append(LinearizedPoly(E, (E.zero(),) * n))
+    assert not cases[2].coeffs[n // 2].in_base_field()
+    for alpha in alphas:
+        A = LinearizedPoly.monomial(E, alpha, 1)
+        for F in cases:
+            assert alpha_shift(F, alpha) == compose(F, A)
 
 
 def test_shift_power_n_scales_by_norm():
@@ -333,6 +358,23 @@ def test_shift_class_catches_wrong_twist_rows(monkeypatch):
     by_norm = {norm(a): a for a in alphas}
     real = shifts._twist_rows
     for alpha in by_norm.values():
+        assert shift_class(F, alpha).order == cyclic_order(F, alpha)
+        wrong = alpha.scale(two)
+        monkeypatch.setattr(shifts, "_twist_rows", lambda spec, a: real(spec, wrong.coords))
+        with pytest.raises(InternalError):
+            shift_class(F, alpha)
+        monkeypatch.setattr(shifts, "_twist_rows", real)
+
+    # (3,25) shifts by the support path, which reads the same twist rows
+    E = extension_field(3, 25)
+    F = rand_perm(random.Random(31), E, primitive_idempotents(RingSpec(base_field(3), 25)))
+    by_norm = {}
+    for v in range(3, E.order):  # z, z + 1, ...: alphas outside F_3
+        by_norm.setdefault(norm(E.from_int(v)), E.from_int(v))
+        if len(by_norm) == 2:
+            break
+    for alpha in by_norm.values():
+        assert real(E, alpha.coords)[1] is None
         assert shift_class(F, alpha).order == cyclic_order(F, alpha)
         wrong = alpha.scale(two)
         monkeypatch.setattr(shifts, "_twist_rows", lambda spec, a: real(spec, wrong.coords))
