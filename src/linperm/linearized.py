@@ -57,9 +57,9 @@ from .idempotents import (
 from .polyring import (
     RingElement,
     RingSpec,
-    _parse_digits,
-    _parse_field_coeff,
-    _signed_terms,
+    _coords,
+    _field_coeff,
+    _sum_terms,
     ring_inverse,
     ring_is_unit,
     ring_mul,
@@ -559,8 +559,11 @@ def evaluate(F: LinearizedPoly, a: ExtElement) -> ExtElement:
 
 # --- text format -------------------------------------------------------------
 
-# matched whole by fullmatch: "$" would also match before a trailing newline
-_LIN_TERM_RE = re.compile(r"(?:(?P<coeff>[^*x]+)\*?)?x(?:\^\[(?P<exp>-?[0-9]+)\])?")
+# A linearized term: a sign, then "c*x^[i]" (the "*", the "^[i]" and c itself
+# optional); c is an integer, a comma vector or a bracketed vector.
+_LIN_TERM = re.compile(
+    r"([+-]?)(?:(?:([0-9]+(?:,[0-9]+)*)|(\[-?[0-9]+(?:,-?[0-9]+)*\]))\*?)?x(?:\^\[(-?[0-9]+)\])?"
+)
 
 
 def format_linearized(F: LinearizedPoly) -> str:
@@ -570,13 +573,16 @@ def format_linearized(F: LinearizedPoly) -> str:
     Coefficients outside F_q render in the bracketed coordinate form.
     """
     k = F.spec.base.k
-    outside = F.coords[:, k:].any(axis=1)
+    wide = np.count_nonzero(F.coords[:, k:])  # some coefficient outside F_q: read whole rows
+    support = F.coords.any(axis=1).nonzero()[0].tolist() if wide else range(F.spec.n)
+    block = (F.coords[support] if wide else F.coords[:, :k]).tolist()  # one read of the block
     terms = []
-    for i in F.coords.any(axis=1).nonzero()[0][::-1].tolist():
-        c = F.coords[i].tolist()
+    for i, c in zip(reversed(support), reversed(block)):
+        if not any(c):
+            continue
         var = f"x^[{i}]" if i else "x"
-        if outside[i]:
-            terms.append(f"[{','.join(map(str, c))}]*{var}")
+        if any(c[k:]):  # a list's repr, spaces dropped, is the bracket form
+            terms.append(f"{str(c).replace(' ', '')}*{var}")
         elif c[0] == 1 and not any(c[1:]):
             terms.append(var)
         else:
@@ -587,36 +593,22 @@ def format_linearized(F: LinearizedPoly) -> str:
 def parse_linearized(text: str, spec: ExtFieldSpec) -> LinearizedPoly:
     """Parse "c*x^[i]" terms joined by "+" or "-" (the first may carry a minus);
     tolerates compact style "2x^[21]" and LaTeX braces. "0" is the zero map;
-    blank text is refused. Each term is added straight into the array, and
-    the columns written are reduced mod p once at the end."""
-    cleaned = text.replace("{", "").replace("}", "").replace(" ", "")
-    if not cleaned:
-        raise BadInput("empty polynomial string")
-    width = spec.base.k * spec.n
-    coords = np.zeros((spec.n, width), dtype=np.int64)
-    if cleaned == "0":
-        return LinearizedPoly._of(spec, coords)
-    written = spec.base.k  # columns written so far: all of them once a bracket is read
-    for sign, term in _signed_terms(cleaned):
-        m = _LIN_TERM_RE.fullmatch(term)
-        if m is None:
-            raise BadInput(f"cannot parse term {term!r}")
-        exp = int(m.group("exp") or 0)
-        if not 0 <= exp < spec.n:
-            raise BadInput(f"exponent {exp} out of range for n = {spec.n}")
-        raw = m.group("coeff")
-        if raw is None:
-            coords[exp, 0] += sign
-        elif raw.startswith("[") and raw.endswith("]"):
-            # all n*k coordinates of an element of F_{q^n}, as format_linearized prints it
-            parts = _parse_digits(raw, raw[1:-1], spec.base.p)
-            if len(parts) != width:
-                raise BadInput(f"coefficient {raw!r} needs {width} integers, got {len(parts)}")
-            coords[exp] += np.multiply(parts, sign)
-            written = width
-        else:
-            # integers name F_q elements by base-p digits (3 over F_8 is y+1)
-            for j, v in enumerate(_parse_field_coeff(raw, spec.base)):
-                coords[exp, j] += sign * v
-    np.remainder(coords[:, :written], spec.base.p, out=coords[:, :written])
-    return LinearizedPoly._of(spec, coords)
+    blank text is refused. Only the coordinates written are reduced mod p."""
+    base, n, width = spec.base, spec.n, spec.base.k * spec.n
+
+    def term(m):
+        _, raw, bracket, exp = m.groups()
+        e = int(exp) if exp else 0
+        if not 0 <= e < n:
+            raise BadInput(f"exponent {e} out of range for n = {n}")
+        if bracket:  # all n*k coordinates of an element of F_{q^n}, as printed
+            return e, _coords(bracket, base.p, width)
+        # integers name F_q elements by base-p digits (3 over F_8 is y+1)
+        return e, [1] if raw is None else _field_coeff(raw, base)
+
+    sums = _sum_terms(_LIN_TERM, text.replace("{", "").replace("}", ""), "term", term)
+    flat = np.zeros(n * width, dtype=np.int64)
+    for e, row in sums.items():
+        for j, v in enumerate(row, e * width):
+            flat[j] = v % base.p
+    return LinearizedPoly._of(spec, flat.reshape(n, width))

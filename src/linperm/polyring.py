@@ -5,8 +5,8 @@ coefficients, as ``_polys`` and ``ExtElement.coords`` do, and each operation
 is one ``_polys`` kernel. Includes extended Euclid, unit testing/inversion,
 q-cyclotomic cosets and the factorization of x^n - 1 into minimal
 polynomials of powers of an explicit n-th root of unity. F_q scalars are
-boxed only at the public boundary (``RingSpec.element``); the parser sums the
-ints of its terms.
+boxed only at the public boundary (``RingSpec.element``); both text parsers
+read their terms through one scanner, ``_sum_terms``, and sum Python ints.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd
 
 import numpy as np
@@ -323,10 +324,15 @@ def factor_xn_minus_1(spec: RingSpec) -> list[tuple[CyclotomicCoset, Poly]]:
 
 # --- text format -------------------------------------------------------------
 
-# matched whole by fullmatch: "$" would also match before a trailing newline
-_TERM_RE = re.compile(
-    r"(?:(?P<coeff>[0-9,]+)\*?)?(?P<x>x)(?:\^(?P<exp>[0-9]+))?|(?P<const>[0-9,]+)"
+# A ring term: a sign, then "c*x^e" (the "*", "^e" and c optional) or a constant
+# c, an integer or a comma vector; a minus before e is read so that its refusal
+# names the term. The dense "[c0,c1,...]" is one term with no sign: it stands alone.
+_RING_TERM = re.compile(
+    r"([+-]?)(?:(?:([0-9]+(?:,[0-9]+)*)\*?)?x(?:\^(-?[0-9]+))?|([0-9]+(?:,[0-9]+)*))"
 )
+_DENSE = re.compile(r"()\[(-?[0-9]+(?:,-?[0-9]+)*)?\]")
+_SPLIT_NUMBER = re.compile(r" (?<=[0-9] ) *[0-9]")  # digit, spaces, digit; led by a literal
+_SIGN = re.compile(r"[+-](?![^\[]*\])")  # a sign outside brackets
 
 
 def format_poly(field: FieldSpec, coords) -> str:
@@ -337,85 +343,86 @@ def format_poly(field: FieldSpec, coords) -> str:
     terms = []
     for e in range(len(coords) // k - 1, -1, -1):
         c = tuple(coords[e * k : e * k + k])
-        if not any(c):
-            continue
-        c_str = ",".join(map(str, c))
-        if e == 0:
-            terms.append(c_str)
-        else:
-            x_part = "x" if e == 1 else f"x^{e}"
-            terms.append(x_part if c == one else f"{c_str}*{x_part}")
+        if any(c):
+            c_str, x_part = ",".join(map(str, c)), "x" if e == 1 else f"x^{e}"
+            terms.append(c_str if e == 0 else x_part if c == one else f"{c_str}*{x_part}")
     return "+".join(terms) if terms else "0"
 
 
-def _parse_ints(raw: str, text: str) -> list[int]:
-    """Comma-separated ASCII integers; ``int`` alone also reads "1_0" and non-ASCII digits."""
-    if re.fullmatch(r"-?[0-9]+(?:,-?[0-9]+)*", text) is None:
-        raise BadInput(f"cannot parse coefficient {raw!r}")
-    return [int(v) for v in text.split(",")]
+def _sum_terms(pattern: re.Pattern, text: str, what: str, term) -> dict[int, list[int]]:
+    """Each slot's coordinates, summed in Python ints over the terms that
+    tile ``text``: one ``finditer`` of ``pattern``, whose group 1 is the sign
+    (absent or a minus on the first term only), and ``term(match)`` gives a
+    term's slot and coordinates. Spaces may stand between tokens; "0" has no
+    terms. A refusal names the text from where it goes wrong, or from the
+    term before when no sign separates them, to the next sign outside brackets."""
+    if split := _SPLIT_NUMBER.search(text):
+        raise BadInput(f"spaces inside a number: {text[split.start() - 1 : split.end()]!r}")
+    text = text.replace(" ", "")
+    if not text:
+        raise BadInput("empty polynomial string")
+    if text == "0":
+        return {}
+    sums, end = {}, 0
+    for m in pattern.finditer(text):
+        sign = m.group(1)
+        if m.start() != end or (sign == "+" if not end else not sign):
+            break
+        last, end = m, m.end()
+        e, c = term(m)
+        if sign == "-":
+            c = [-v for v in c]
+        row = sums.get(e)
+        sums[e] = c if row is None else [a + b for a, b in zip_longest(row, c, fillvalue=0)]
+    if end == len(text):  # a break leaves text unread
+        return sums
+    if end and text[end] not in "+-":
+        end = last.start()
+    stop = _SIGN.search(text, end + 1)
+    raise BadInput(f"cannot parse {what} {text[end : stop.start() if stop else None]!r}")
 
 
-def _parse_digits(raw: str, text: str, p: int) -> list[int]:
-    """Comma-separated coordinates over F_p, each in [0, p)."""
-    parts = _parse_ints(raw, text)
-    if not all(0 <= v < p for v in parts):
+def _coords(raw: str, p: int, count: int) -> list[int]:
+    """The ``count`` coordinates over F_p that the comma list ``raw`` names."""
+    parts = list(map(int, raw.strip("[]").split(",")))
+    if ("-" in raw and min(parts) < 0) or max(parts) >= p:
         raise BadInput(f"coefficient {raw!r} has a coordinate outside [0, {p})")
+    if len(parts) != count:
+        raise BadInput(f"coefficient {raw!r} lists {len(parts)} coordinates, not {count}")
     return parts
 
 
-def _signed_terms(text: str) -> list[tuple[int, str]]:
-    """(sign, term) pairs of a sum "t1+t2-t3", which may open with a minus; a
-    sign inside brackets (one that a "]" follows before any "[") stays in its
-    term, so "x^[-1]" is one term."""
-    first = -1 if text.startswith("-") else 1
-    tokens = re.split(r"([+-])(?![^\[]*\])", text[1:] if first < 0 else text)
-    signs = [first] + [1 if s == "+" else -1 for s in tokens[1::2]]
-    return list(zip(signs, tokens[::2]))
-
-
-def _parse_field_coeff(raw: str, field: FieldSpec) -> list[int]:
+def _field_coeff(raw: str, field: FieldSpec) -> list[int]:
     """The k coordinates of an F_q coefficient: a bare integer names the
     element with those base-p digits, a comma vector lists its k coordinates."""
-    if "," not in raw:
-        (v,) = _parse_ints(raw, raw)
-        if not 0 <= v < field.q:
-            raise BadInput(f"{v} names no element of F_{field.q}")
-        return list(_digits(v, field.p, field.k))
-    parts = _parse_digits(raw, raw, field.p)
-    if len(parts) != field.k:
-        raise BadInput(
-            f"coefficient {raw!r} has wrong length: a comma vector lists "
-            f"the {field.k} coordinates of an element of F_{field.q}"
-        )
-    return parts
+    if "," in raw:
+        return _coords(raw, field.p, field.k)
+    v = int(raw)
+    if v >= field.q:
+        raise BadInput(f"{v} names no element of F_{field.q}")
+    return [v] if field.k == 1 else list(_digits(v, field.p, field.k))
 
 
 def parse_poly(text: str, spec: FieldSpec) -> Poly:
     """Parse the term format, terms joined by '+' or '-' with an optional
     leading minus (also accepts the dense '[c0,c1,...]' form)."""
-    text = text.replace(" ", "")
-    if not text:
-        raise BadInput("empty polynomial string")
-    if text == "0":
-        return Poly.zero(spec)
-    if text.startswith("[") and text.endswith("]"):
-        ints = _parse_ints(text, text[1:-1]) if text != "[]" else []
-        return Poly(spec, tuple(v for c in ints for v in spec.from_int(c).coeffs))
-    k = spec.k
-    coords = []  # slot e at e*k, summed over the terms
-    for sign, term in _signed_terms(text):
-        m = _TERM_RE.fullmatch(term)
-        if not m:
-            raise BadInput(f"cannot parse polynomial term {term!r}")
-        if m.group("const") is not None:
-            e, raw = 0, m.group("const")
-        else:
-            e = int(m.group("exp")) if m.group("exp") else 1
-            raw = m.group("coeff")
-        c = _polys.pone(spec) if raw is None else _parse_field_coeff(raw, spec)
-        coords.extend([0] * (e * k + k - len(coords)))
-        for j, v in enumerate(c):
-            coords[e * k + j] += sign * v
+    dense = (bare := text.strip(" ")).startswith("[") and bare.endswith("]")
+
+    def term(m):
+        if dense:  # integers naming the coefficients of x^0, x^1, ...
+            ints = m.group(2).split(",") if m.group(2) else ()
+            return 0, [v for c in ints for v in spec.from_int(int(c)).coeffs]
+        _, raw, exp, const = m.groups()
+        if const is not None:
+            return 0, _field_coeff(const, spec)
+        if exp and exp[0] == "-":
+            raise BadInput(f"negative exponent in polynomial term {m.group().lstrip('+-')!r}")
+        return int(exp) if exp else 1, [1] if raw is None else _field_coeff(raw, spec)
+
+    sums = _sum_terms(_DENSE if dense else _RING_TERM, text, "polynomial term", term)
+    coords = [0] * (spec.k * max(sums, default=0) + spec.k)  # slot e at e*k; a dense row runs on
+    for e, row in sums.items():
+        coords[e * spec.k : e * spec.k + len(row)] = row
     return Poly(spec, tuple(v % spec.p for v in coords))
 
 

@@ -374,6 +374,14 @@ def test_negative_exponent_is_named(capsys):
     assert "coefficient '[-1,0]' has a coordinate outside [0, 3)" in err
 
 
+@pytest.mark.parametrize("poly", ["1 0*x", "x^[1 2]+x", "[1 0,0,0,0,0,0,0,0,0]*x"])
+def test_spaces_inside_a_number_exit_2(capsys, poly):
+    # read with its spaces dropped, "1 0*x" would be 10x
+    code, out, err = run(capsys, ["is-perm", "--q", "11", "--n", "9", "--poly", poly])
+    assert (code, out) == (2, "")
+    assert "BadInput: spaces inside a number" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("t", ["0", "1", "7"])
 def test_shift_refuses_zero_alpha_at_every_t(capsys, t):
     code, out, err = run(

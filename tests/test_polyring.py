@@ -1,5 +1,7 @@
 """Polynomials over F_q, the cyclic quotient ring and the x^n - 1 factorization."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -234,6 +236,33 @@ def test_parse_poly_reads_only_ascii_digits(F11, text):
 def test_parse_linearized_reads_only_ascii_digits(text):
     with pytest.raises(BadInput):
         parse_linearized(text, extension_field(11, 3))
+
+
+@pytest.mark.parametrize("text", ["x^1 2", "1 0*x", "1 0", "1,0 1*x", "[1 0,0]", "x^1  2+1"])
+def test_parse_poly_refuses_spaces_inside_a_number(F11, text):
+    # dropping every space would join the digits: x^1 2 read as x^12
+    with pytest.raises(BadInput, match="^spaces inside a number"):
+        parse_poly(text, F11)
+
+
+@pytest.mark.parametrize("text", ["1 0*x", "1 0x", "x^[1 2]", "[1 0,0,0]*x", "1,0 1*x", "2x^{[1} 1]"])
+def test_parse_linearized_refuses_spaces_inside_a_number(text):
+    for q, n in ((11, 3), (11, 9), (8, 3)):
+        with pytest.raises(BadInput, match="^spaces inside a number"):
+            parse_linearized(text, extension_field(q, n))
+
+
+@pytest.mark.parametrize(
+    "text, term", [("x^-1", "x^-1"), ("2x^-1+1", "2x^-1"), ("x+3x^-10", "3x^-10"), ("x^-0", "x^-0")]
+)
+def test_negative_ring_exponent_is_named(F11, text, term):
+    # the sign after "^" stays in its term, which is named as written rather
+    # than as the fragment "x^" that a split on the minus would leave
+    with pytest.raises(BadInput) as info:
+        parse_poly(text, F11)
+    assert str(info.value) == f"negative exponent in polynomial term {term!r}"
+    with pytest.raises(BadInput, match=re.escape(repr(term))):
+        parse_ring_element(text, RingSpec(F11, 5))
 
 
 @pytest.mark.parametrize("text", ["x\n", "x\n+1", "1\n", "x+1\n", "x^2\n", "\nx", "x\t", "0\n"])
