@@ -6,17 +6,22 @@ vector of d elements of F_q is the flat vector of their d*k coordinates:
 index j*k + l holds the coefficient of y^l in slot j. ``ExtElement.coords``
 stores an element of F_{q^n} this way (slot j is the coefficient of z^j), so
 these matrices act on it directly. ``lift`` turns an F_q matrix into the F_p
-matrix of the same map. ``_eliminate`` is the one elimination loop:
+matrix of the same map. ``_eliminate`` is the one Gaussian elimination:
 ``rank_mod`` counts its pivots (the rank test of a linearized polynomial),
 ``echelon_mod`` reduces its pivot rows, and ``solve_mod`` back-substitutes on
 that echelon form (the minimal polynomials that factor x^n - 1).
 
-Over F_2 a row is packed into one Python int, and a row operation is one
-XOR of those ints, the bit-packed layout of M4RI (Albrecht-Bard-Hart, ACM
-TOMS 2010). For odd p, reduction mod p is delayed: after s steps an entry is
-below p + s*p^2 in absolute value, and the elimination runs in the narrowest
-of int16, int32 and int64 that holds that bound for its matrix, and a signed
-input is never widened first. Only what a decision reads is reduced.
+``_eliminate`` takes one of three paths, chosen from p and the shape of the
+matrix alone. Over F_2 a row is packed into one Python int, and a row
+operation is one XOR of those ints, the bit-packed layout of M4RI
+(Albrecht-Bard-Hart, ACM TOMS 2010). For odd p, reduction mod p is delayed,
+so entries grow by a bounded amount per step. A matrix of d rows and e
+columns with d*max(d, e) <= ``_PACKED_ENTRIES`` whose bound fits 64-bit
+lanes is packed the same way, one Python int of byte-aligned lanes per row,
+and reduced by a lane-wise Barrett step (Granlund-Montgomery, PLDI 1994);
+any other runs in numpy, in the narrowest of int16, int32 and int64 that
+holds its bound, and a signed input is never widened first. Only what a
+decision reads is reduced.
 
 ``matmul_mod`` is the one exact product mod p of two F_p matrices, in float
 BLAS; the oracle, the narrow tensor path and ``pmulmod`` keep int64.
@@ -91,6 +96,45 @@ def matmul_mod(A, B, p: int) -> np.ndarray:
     return out
 
 
+# An odd-p matrix of d rows and e columns eliminates on packed rows when
+# d*max(d, e) is at most this and its lanes fit 64 bits. The packed path
+# pays a few Python int operations per row and column, the numpy loop about
+# ten numpy calls per column, so the row count limits the packed path even
+# on narrow matrices. Measured per call at p = 3, 5 and 11 (BENCH_29.json),
+# packed rows win on square matrices up to 50 x 50, are about even at
+# 56 x 56 and lose from 64 x 64 on. At the edge of the limit a tall 50 x 10
+# matrix is up to 1.25x slower packed and a wide 5 x 500 one at p = 11 1.5x;
+# the library's only non-square matrices are tall minimal-polynomial systems.
+_PACKED_ENTRIES = 2500
+
+
+def _lanes(p: int, d: int, e: int) -> tuple[int, int] | None:
+    """(L, B) of the packed odd-p elimination of a d x e matrix, or None when
+    it runs in numpy: d*max(d, e) above ``_PACKED_ENTRIES``, or no lane wide
+    enough. B is the bit length of the entry bound p - 1 + min(d, e)*(p - 1)^2
+    and L the narrowest of 16, 32 and 64 bits that is at least 2B + 2."""
+    if d * max(d, e) > _PACKED_ENTRIES:
+        return None
+    B = (p - 1 + min(d, e) * (p - 1) ** 2).bit_length()
+    return next(((L, B) for L in (16, 32, 64) if L >= 2 * B + 2), None)
+
+
+def _row_ints(packed: np.ndarray) -> list[int]:
+    """Each row of a 2-D unsigned array as one Python int, its bytes read
+    big-endian: the first column is the most significant."""
+    size = packed.shape[1] * packed.itemsize
+    data = packed.tobytes()
+    return [int.from_bytes(data[i * size : (i + 1) * size], "big") for i in range(len(packed))]
+
+
+def _int_rows(ints: list[int], dtype, width: int) -> np.ndarray:
+    """The rows ``ints`` of ``_row_ints`` back in an array of ``width``
+    columns of ``dtype``."""
+    dtype = np.dtype(dtype)
+    data = b"".join(v.to_bytes(width * dtype.itemsize, "big") for v in ints)
+    return np.frombuffer(data, dtype=dtype).reshape(len(ints), width)
+
+
 def _eliminate(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Gaussian elimination over F_p of the integer matrix ``rows``, which it
     does not modify: (W, pivots), where row i < len(pivots) of W is
@@ -103,24 +147,41 @@ def _eliminate(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     pivot row. W is the pivot rows, unpacked in pivot column order.
 
     For odd p, columns are taken in order, and the pivot is the first row at
-    or below the current one whose entry in the column is nonzero mod p.
-    Only the pivot column and the pivot row are reduced mod p; every row
-    below the pivot loses a multiple of the pivot row in one dense update,
-    and every other entry stays unreduced. One step moves an entry by less
-    than p^2, so after s steps |entry| < p + s*p^2. W is ``rows`` mod p in the
-    narrowest of int16, int32 and int64 that holds p + min(d, e)*p^2 (int64
-    does for p < 2^16 and min(d, e) < 2^31), reduced in the wider dtype.
+    or below the current one whose entry in the column is nonzero mod p. It
+    is reduced mod p and scaled to 1 there; every row below it loses a
+    multiple of it, which makes the entry a multiple of p, and every other
+    entry stays unreduced. ``_lanes`` picks the layout:
+
+    - Packed rows. Each row is one Python int of e lanes of L bits, the first
+      column the most significant. A row below the pivot row v with entry
+      c != 0 mod p there takes c' = p - c times v in one multiply-add, so an
+      entry grows by at most (p - 1)^2 a step, stays nonnegative, and after
+      at most min(d, e) steps lies below 2^B, B the bit length of
+      p - 1 + min(d, e)*(p - 1)^2. The pivot row is reduced by the Barrett
+      step v - p*((v*m >> s) & low), with t = bitlen(p - 1), s = B + t,
+      m = ceil(2^s/p), and ``low`` the low L - s bits of every lane; scaled,
+      its entries are below (p - 1)^2 < 2^B, and the step reduces it again.
+      The step is exact in every lane v < 2^B. Write m*p = 2^s + r with
+      0 <= r < p: v*m/2^s = v/p + v*r/(p*2^s), and v*r < 2^(B + t) = 2^s
+      keeps the second term below 1/p, so the floor is v // p. Lanes never
+      carry: p > 2^(t - 1), so v*m < 2^B*(2^s/p + 1) < 2^(2B + 1) + 2^B, and
+      2B + 2 bits hold it; shifted by s, v // p sits in the low L - s bits of
+      its own lane, under the low bits of the lane above, which ``low``
+      drops. W is the pivot rows in big-endian unsigned L-bit lanes.
+    - The numpy loop. Only the pivot column and the pivot row are reduced
+      mod p; every row below the pivot loses c times the pivot row in one
+      dense update, so after s steps |entry| < p + s*p^2. W is ``rows`` mod
+      p in the narrowest of int16, int32 and int64 that holds
+      p + min(d, e)*p^2 (int64 does for p < 2^16 and min(d, e) < 2^31),
+      reduced in the wider dtype.
     """
     if not (isinstance(rows, np.ndarray) and rows.dtype.kind == "i"):
         rows = np.asarray(rows, dtype=np.int64)
     d, e = rows.shape
     if p == 2:
         packed = np.packbits(rows & 1, axis=1)
-        size = packed.shape[1]
-        data = packed.tobytes()
         lead = {}  # bit length -> the pivot row with that leading bit
-        for i in range(0, d * size, size):
-            v = int.from_bytes(data[i : i + size], "big")
+        for v in _row_ints(packed):
             while v:
                 bits = v.bit_length()
                 if bits not in lead:
@@ -128,13 +189,43 @@ def _eliminate(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
                     break
                 v ^= lead[bits]
         keys = sorted(lead, reverse=True)
-        data = b"".join(lead[bits].to_bytes(size, "big") for bits in keys)
-        W = np.frombuffer(data, dtype=np.uint8).reshape(len(keys), size)
+        size = packed.shape[1]
+        W = _int_rows([lead[bits] for bits in keys], np.uint8, size)
         return np.unpackbits(W, axis=1, count=e), [8 * size - bits for bits in keys]
+    pivots = []
+    if lanes := _lanes(p, d, e):
+        L, B = lanes
+        dtype = np.dtype(f">u{L // 8}")
+        R = _row_ints((rows % p).astype(dtype))
+        s = B + (p - 1).bit_length()
+        m = -(-(1 << s) // p)
+        lane = (1 << L) - 1
+        low = ((1 << L * e) - 1) // lane * ((1 << L - s) - 1)
+        for col in range(e):
+            r = len(pivots)
+            if r == d:
+                break
+            shift = (e - 1 - col) * L
+            for t in range(r, d):
+                if a := (R[t] >> shift & lane) % p:
+                    break
+            else:
+                continue
+            v = R[t]
+            v -= p * (v * m >> s & low)
+            if a != 1:
+                v *= pow(a, -1, p)
+                v -= p * (v * m >> s & low)
+            # row r takes the pivot row's place; rows r + 1 .. t are 0 mod p
+            R[t], R[r] = R[r], v
+            for i in range(t + 1, d):
+                if c := (R[i] >> shift & lane) % p:
+                    R[i] += (p - c) * v
+            pivots.append(col)
+        return _int_rows(R[: len(pivots)], dtype, e), pivots
     bound = p + min(d, e) * p * p
     dtype = next((t for t in (np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64)
     W = (rows.astype(np.promote_types(rows.dtype, dtype), copy=False) % p).astype(dtype, copy=False)
-    pivots = []
     for col in range(e):
         r = len(pivots)
         if r == d:

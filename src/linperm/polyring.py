@@ -403,9 +403,10 @@ def _field_coeff(raw: str, field: FieldSpec) -> list[int]:
     return [v] if field.k == 1 else list(_digits(v, field.p, field.k))
 
 
-def parse_poly(text: str, spec: FieldSpec) -> Poly:
-    """Parse the term format, terms joined by '+' or '-' with an optional
-    leading minus (also accepts the dense '[c0,c1,...]' form)."""
+def _read_poly(text: str, spec: FieldSpec, n: int | None = None) -> Poly:
+    """The polynomial that ``parse_poly`` reads from ``text``; with ``n``, each
+    term's exponent is taken mod n as the terms are summed, so a term costs
+    the same whatever its exponent (a dense row still runs on past x^(n-1))."""
     dense = (bare := text.strip(" ")).startswith("[") and bare.endswith("]")
 
     def term(m):
@@ -417,7 +418,8 @@ def parse_poly(text: str, spec: FieldSpec) -> Poly:
             return 0, _field_coeff(const, spec)
         if exp and exp[0] == "-":
             raise BadInput(f"negative exponent in polynomial term {m.group().lstrip('+-')!r}")
-        return int(exp) if exp else 1, [1] if raw is None else _field_coeff(raw, spec)
+        e = int(exp) if exp else 1
+        return e if n is None else e % n, [1] if raw is None else _field_coeff(raw, spec)
 
     sums = _sum_terms(_DENSE if dense else _RING_TERM, text, "polynomial term", term)
     coords = [0] * (spec.k * max(sums, default=0) + spec.k)  # slot e at e*k; a dense row runs on
@@ -426,5 +428,11 @@ def parse_poly(text: str, spec: FieldSpec) -> Poly:
     return Poly(spec, tuple(v % spec.p for v in coords))
 
 
+def parse_poly(text: str, spec: FieldSpec) -> Poly:
+    """Parse the term format, terms joined by '+' or '-' with an optional
+    leading minus (also accepts the dense '[c0,c1,...]' form)."""
+    return _read_poly(text, spec)
+
+
 def parse_ring_element(text: str, spec: RingSpec) -> RingElement:
-    return spec.from_poly(parse_poly(text, spec.base))
+    return spec.from_poly(_read_poly(text, spec.base, spec.n))

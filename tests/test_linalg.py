@@ -1,10 +1,12 @@
 """``_linalg.rank_mod``, ``echelon_mod`` and ``solve_mod`` against a naive
 Gauss-Jordan over Python ints, and ``matmul_mod`` against int64 products.
 
-For odd p the kernel keeps entries unreduced between pivots, and over F_2 it
-XORs rows packed into Python ints; the reference reduces every entry at
-every step and shares no code with it. Matrices are built as
-A @ B with a small inner dimension, so most of them are rank-deficient.
+For odd p the kernel keeps entries unreduced between pivots, on rows packed
+into Python ints of byte-aligned lanes for small matrices and in numpy
+otherwise, and over F_2 it XORs rows packed into Python ints of bits; the
+reference reduces every entry at every step and shares no code with it.
+Matrices are built as A @ B with a small inner dimension, so most of them
+are rank-deficient, and their shapes straddle the packed path's limit.
 """
 
 import numpy as np
@@ -45,9 +47,11 @@ def naive_rank(rows, p):
 @st.composite
 def products(draw):
     p = draw(st.sampled_from(PRIMES))
-    d = draw(st.integers(1, 40))
-    e = draw(st.integers(1, 40))
-    r = draw(st.integers(0, 40))
+    # odd p takes the packed rows up to d*max(d, e) = 2500, so shapes up to
+    # 64 x 64 land on both sides of that limit, tall and wide ones included
+    d = draw(st.integers(1, 64))
+    e = draw(st.integers(1, 64))
+    r = draw(st.integers(0, 64))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     # entries of A outside [0, p) check that rank_mod reduces its input
@@ -66,8 +70,14 @@ def test_rank_mod_matches_gauss_jordan(case):
 
 
 def test_rank_mod_empty_and_zero():
-    assert _linalg.rank_mod(np.zeros((0, 4), dtype=np.int64), 3) == 0
-    assert _linalg.rank_mod(np.zeros((4, 0), dtype=np.int64), 3) == 0
+    # p = 2 packs rows of 0 bytes for no columns, 3 takes the packed lanes,
+    # 65521 the numpy loop
+    for p in (2, 3, 65521):
+        for shape in ((0, 4), (4, 0), (3, 0), (0, 0)):
+            assert _linalg.rank_mod(np.zeros(shape, dtype=np.int64), p) == 0
+            E, pivots = _linalg.echelon_mod(np.zeros(shape, dtype=np.int64), p)
+            assert pivots == [] and E.shape == (0, shape[1])
+        assert _linalg.rank_mod(np.full((3, 5), 7 * p, dtype=np.int64), p) == 0
     assert _linalg.rank_mod(np.full((3, 5), 7, dtype=np.int64), 7) == 0
 
 
@@ -218,6 +228,92 @@ def test_elimination_dtype_switches_at_the_bound(p, size, dtype):
     assert _linalg.rank_mod(M, p) == rank
     assert_echelon_matches(M, p)
     assert np.array_equal(M, before)
+
+
+# --- the packed odd-p rows ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "p,d,e,dtype",
+    [
+        # packed lanes: big-endian unsigned, 16 bits while 2B + 2 <= 16
+        (3, 5, 5, ">u2"),
+        (11, 9, 9, ">u4"),
+        (3, 25, 25, ">u2"),
+        # numpy: 125*125 entries are past the packed limit, and at p = 65521
+        # the bound needs more than 64-bit lanes
+        (3, 125, 125, np.int16),
+        (65521, 40, 40, np.int64),
+        # no columns: 0-byte F_2 rows, and empty lanes for odd p
+        (2, 3, 0, np.uint8),
+        (3, 3, 0, ">u2"),
+    ],
+)
+def test_each_shape_takes_its_path(p, d, e, dtype):
+    M = np.random.default_rng(d).integers(0, p, (d, e))
+    assert _linalg._eliminate(M, p)[0].dtype == np.dtype(dtype)
+    if d == e:
+        M = ldu(p, d, d - 2, d)
+        assert _linalg.rank_mod(M, p) == d - 2
+    if d * e <= 1600:
+        assert_echelon_matches(M, p)
+
+
+@pytest.mark.parametrize(
+    "p,d,e,dtype",
+    [
+        # 2 + 31*2^2 < 2^7 <= 2 + 32*2^2: 16-bit lanes up to 31 x 31 at p = 3
+        (3, 31, 31, ">u2"),
+        (3, 32, 32, ">u4"),
+        # d*max(d, e) <= 2500 takes the packed rows, tall matrices included
+        (3, 50, 50, ">u4"),
+        (3, 51, 51, np.int16),
+        (3, 50, 8, ">u2"),
+        (3, 51, 8, np.int16),
+        (3, 8, 312, ">u2"),
+        (3, 8, 313, np.int16),
+        # 46336 + 46336^2 < 2^31 <= 46336 + 2*46336^2: 64-bit lanes at 1 x 1
+        (46337, 1, 1, ">u8"),
+        (46337, 2, 2, np.int64),
+    ],
+)
+def test_lanes_switch_at_the_bound(p, d, e, dtype):
+    M = np.random.default_rng(d * e).integers(0, p, (d, e))
+    M[-1] = M[0]  # one dependent row, below the first pivot row
+    assert _linalg._eliminate(M, p)[0].dtype == np.dtype(dtype)
+    assert_echelon_matches(M, p)
+
+
+def growth_matrix(p, k, v0):
+    """(k + 1) x (k + 1): row i < k is 1 at column i and p - 1 at column k,
+    row k is 1 at columns 0 .. k - 1 and v0 at column k. Each of the first k
+    pivots adds (p - 1)^2 to row k's last entry, which reaches
+    v0 + k*(p - 1)^2 unreduced before it is reduced as a pivot row: the most
+    that any pivot row of a (k + 1)-column matrix can hold."""
+    M = np.eye(k + 1, dtype=np.int64)
+    M[:k, k] = p - 1
+    M[k, :k] = 1
+    M[k, k] = v0
+    return M
+
+
+@pytest.mark.parametrize(
+    "p,k,lane",
+    [
+        # the Barrett floor with s one bit short is wrong for one v0 each
+        (7, 19, 32),
+        (13, 6, 32),
+        (31, 3, 32),
+        # 2B + 2 is the lane width itself
+        (3, 30, 16),
+        (31, 35, 32),
+        (32749, 1, 64),
+    ],
+)
+def test_packed_reduction_at_the_largest_entries(p, k, lane):
+    assert _linalg._lanes(p, k + 1, k + 1)[0] == lane
+    for v0 in sorted({*range(min(p, 64)), p - 2, p - 1}):
+        assert_echelon_matches(growth_matrix(p, k, v0), p)
 
 
 # --- narrow inputs -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Polynomials over F_q, the cyclic quotient ring and the x^n - 1 factorization."""
 
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -163,6 +164,31 @@ def test_shift_mul_x_is_rotation():
     f0 = parse_ring_element("x^20+2*x^15+1", spec)
     assert format_poly(spec.base, shift_mul_x(f0, 1).coords) == "x^21+2*x^16+x"
     assert shift_mul_x(f0, 25) == f0
+
+
+def test_ring_element_folds_each_exponent_mod_n():
+    # x^(n*m + 2) is x^2 in R_{q,n}; the slot is folded before any dense list
+    # of the exponent's length is built, so the text parses in microseconds
+    spec = ring(3, 5)
+    tracemalloc.start()
+    try:
+        f = parse_ring_element("x^1000000000002+1", spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f == parse_ring_element("x^2+1", spec)
+    assert peak < 1 << 20
+    assert parse_ring_element("2x^7+x^12", spec) == spec.zero()
+
+
+@pytest.mark.parametrize(
+    "q, n, text",
+    [(3, 5, "[1,2,0,1,1,2,1,0,2,2,1]"), (4, 3, "[1,2,3,0,1,2,3]"), (11, 9, "[3]"), (3, 5, "[]")],
+)
+def test_ring_element_folds_a_long_dense_row(q, n, text):
+    # a dense row longer than n still folds as x^n - 1 reduces it
+    spec = ring(q, n)
+    assert parse_ring_element(text, spec) == spec.from_poly(parse_poly(text, spec.base))
 
 
 @given(st.lists(st.integers(0, 2), min_size=5, max_size=5))
