@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from functools import lru_cache
 
@@ -42,7 +41,6 @@ from .fields import (
 from .idempotents import closed_form_pm, primitive_idempotents
 from .linearized import (
     LinearizedPoly,
-    _idempotent_products,
     a_complete_verdicts,
     coefficient_sum_reject,
     compose,
@@ -64,7 +62,7 @@ from .oracle import (
     kernel,
     sqrt_unity_bruteforce,
 )
-from .polyring import RingSpec, format_poly, ring_is_unit
+from .polyring import RingSpec, _read_int, format_poly, ring_is_unit
 from .shifts import alpha_shift_power, cyclic_order, shift_class
 
 SCHEMA_VERSION = 1
@@ -94,19 +92,19 @@ def _field_info(ext: ExtFieldSpec) -> dict:
 
 
 def _ascii_int(text: str) -> int:
-    """An integer in ASCII digits with an optional minus, as the polynomial
-    parsers read them; ``int`` alone also reads "1_0" and non-ASCII digits.
-    The type of every integer option."""
-    if re.fullmatch(r"-?[0-9]+", text) is None:
-        raise argparse.ArgumentTypeError(f"expects integers, got {text!r}")
-    return int(text)
+    """``_read_int`` as the argparse type of every integer option."""
+    try:
+        return _read_int(text)
+    except BadInput as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int_arg(option: str, text: str) -> int:
-    """``_ascii_int`` for an option read after the field is built."""
+    """``_read_int`` for an option read after the field is built; the
+    refusal names the option."""
     try:
-        return _ascii_int(text)
-    except argparse.ArgumentTypeError as exc:
+        return _read_int(text)
+    except BadInput as exc:
         raise BadInput(f"{option} {exc}") from None
 
 
@@ -155,7 +153,7 @@ def cmd_is_perm(args, ring, ext):
             lines.append("coefficient sum is 0: not a permutation")
         checks.append(("coefficient_sum", not reject))
         f = conventional_associate(F)
-        prods = list(_idempotent_products(f, primitive_idempotents(ring)))
+        prods = [f * e for e in primitive_idempotents(ring).idempotents]
         products = [str(prod) for prod in prods]
         lines.extend(f"f*e_{i} = {txt}" for i, txt in enumerate(products))
         checks.append(("idempotent_products", not any(prod.is_zero() for prod in prods)))

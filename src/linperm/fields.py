@@ -36,6 +36,10 @@ CANONICAL_BASE_MODULI = {
     (2, 3): (1, 1, 0, 1),  # y^3 + y + 1
 }
 
+# The (field, modulus) pairs ``find_irreducible`` has proved irreducible: a
+# spec built on one of them does not test it again.
+_proved: set = set()
+
 
 def _digits(v: int, p: int, count: int) -> tuple[int, ...]:
     """The lowest ``count`` base-p digits of v, lowest first; elementwise
@@ -72,8 +76,10 @@ class FieldSpec:
         mod = self.base_modulus
         if mod is None or len(mod) != self.k + 1 or mod[-1] % self.p != 1:
             raise BadInput(f"base_modulus must be monic of degree {self.k}")
-        object.__setattr__(self, "base_modulus", tuple(c % self.p for c in mod))
-        if not _polys.pis_irreducible(FieldSpec(self.p), self.base_modulus):
+        mod = tuple(c % self.p for c in mod)
+        object.__setattr__(self, "base_modulus", mod)
+        prime = FieldSpec(self.p)
+        if (prime, mod) not in _proved and not _polys.pis_irreducible(prime, mod):
             raise BadInput("base_modulus is reducible over F_p")
 
     @property
@@ -180,7 +186,8 @@ class ExtFieldSpec:
 
     ``ext_modulus`` is g by the flat coordinates of its n + 1 coefficients,
     the k of z^j at j*k: the layout of ``FieldSpec.base_modulus`` (k = 1) and
-    of the ``_polys`` kernels.
+    of the ``_polys`` kernels. Like ``FieldSpec``, the constructor tests its
+    modulus for irreducibility unless ``find_irreducible`` has proved it.
     """
 
     base: FieldSpec
@@ -188,25 +195,6 @@ class ExtFieldSpec:
     ext_modulus: tuple[int, ...]
 
     def __post_init__(self):
-        self._normalize()
-        if not _polys.pis_irreducible(self.base, self.ext_modulus):
-            raise BadInput("ext_modulus is reducible over F_q")
-
-    @classmethod
-    def _searched(cls, base: FieldSpec, n: int, seed: int) -> ExtFieldSpec:
-        """The spec whose modulus is ``find_irreducible(base, n, seed)``. The
-        search has just proved it irreducible, so this runs the checks of
-        ``__post_init__`` but not its irreducibility test."""
-        spec = object.__new__(cls)
-        object.__setattr__(spec, "base", base)
-        object.__setattr__(spec, "n", n)
-        object.__setattr__(spec, "ext_modulus", find_irreducible(base, n, seed))
-        spec._normalize()
-        return spec
-
-    def _normalize(self):
-        """Check the degree and that the modulus is monic; store it reduced
-        mod p, and the spec's hash."""
         base = self.base
         _check_degree(self.n)
         mod = tuple(c % base.p for c in self.ext_modulus)
@@ -215,6 +203,8 @@ class ExtFieldSpec:
         object.__setattr__(self, "ext_modulus", mod)
         # every cached kernel lookup hashes the spec; hash the modulus once
         object.__setattr__(self, "_hash", hash((base, self.n, mod)))
+        if (base, mod) not in _proved and not _polys.pis_irreducible(base, mod):
+            raise BadInput("ext_modulus is reducible over F_q")
 
     def __hash__(self):
         return self._hash
@@ -560,6 +550,7 @@ def find_irreducible(base: FieldSpec, degree: int, seed: int = 0) -> tuple[int, 
         digits = np.stack(_digits(draws, base.p, base.k), axis=1)
         candidate = tuple(digits.ravel().tolist()) + _polys.pone(base)
         if _polys.pis_irreducible(base, candidate):
+            _proved.add((base, candidate))
             return candidate
 
 
@@ -578,17 +569,20 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
+def _modulus(base: FieldSpec, degree: int, seed: int) -> tuple[int, ...]:
+    """The modulus of a field of this degree over ``base``: the canonical one
+    over a prime field at seed 0, where there is one, else the search's."""
+    if base.k == 1 and seed == 0 and (base.p, degree) in CANONICAL_BASE_MODULI:
+        return CANONICAL_BASE_MODULI[base.p, degree]
+    return find_irreducible(base, degree, seed)
+
+
 @lru_cache(maxsize=None)
 def base_field(q: int) -> FieldSpec:
-    """F_q with the canonical modulus (F_8 uses y^3 + y + 1), or else the one
-    ``find_irreducible`` has just proved irreducible, which is not tested again."""
+    """F_q with the modulus ``_modulus`` picks: the canonical one where there
+    is one (F_8 uses y^3 + y + 1), else the search's."""
     p, k = _prime_power(q)
-    if k == 1 or (p, k) in CANONICAL_BASE_MODULI:
-        return FieldSpec(p, k, CANONICAL_BASE_MODULI.get((p, k)))
-    spec = object.__new__(FieldSpec)
-    for name, value in (("p", p), ("k", k), ("base_modulus", find_irreducible(FieldSpec(p), k))):
-        object.__setattr__(spec, name, value)
-    return spec
+    return FieldSpec(p, k, _modulus(FieldSpec(p), k, 0) if k > 1 else None)
 
 
 @lru_cache(maxsize=None)
@@ -599,11 +593,7 @@ def _extension_field(q: int, n: int, seed: int) -> ExtFieldSpec:
     _check_degree(n)
     if gcd(n, base.p) != 1:
         raise BadInput(f"gcd(n, p) must be 1; got n = {n}, p = {base.p}")
-    if base.k == 1 and seed == 0:
-        canned = CANONICAL_BASE_MODULI.get((base.p, n))
-        if canned is not None:
-            return ExtFieldSpec(base, n, canned)
-    return ExtFieldSpec._searched(base, n, seed)
+    return ExtFieldSpec(base, n, _modulus(base, n, seed))
 
 
 def extension_field(q: int, n: int, seed: int = 0) -> ExtFieldSpec:

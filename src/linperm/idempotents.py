@@ -16,12 +16,14 @@ k*d_i rows (d_i = deg f_i, q = p^k); its column j is x^j mod each f_i. R is
 the inverse map: column t of block i is x^t*e_i, the cyclic shift of e_i by
 t slots. Both are lifted from F_q by ``_linalg.lift``, and the build raises
 ``InternalError`` unless P*R = I. ``project`` is P*f, ``reconstruct`` is R
-applied to the blocks, and ``linearized`` tests and inverts units block by
-block on them. Every product by P or R is one ``_linalg.matmul_mod``, and
-both are stored in its dtype for k*n columns (``_linalg.cast_exact``). The
-derivations that check this path stay independent of it: the basis
-invariants below, the gcd and rank permutation tests, and the ring-inverse
-and square-to-1 cross-checks in ``linearized``.
+applied to the blocks, and ``_block_inverse`` is R applied to the blocks of a
+unit, each inverted by an egcd with its factor; ``linearized`` tests and
+inverts units through these helpers and never reads the matrices. Every
+product by P or R is one ``_linalg.matmul_mod``, and both are stored in its
+dtype for k*n columns (``_linalg.cast_exact``). The derivations that check
+this path stay independent of it: the basis invariants below, the gcd and
+rank permutation tests, and the ring-inverse and square-to-1 cross-checks
+in ``linearized``.
 """
 
 from __future__ import annotations
@@ -189,6 +191,22 @@ def _combine(basis: IdempotentBasis, u) -> np.ndarray:
     """R*u: the flat coordinates of sum_i u_i*e_i, for u_i the block i of u
     (of degree below d_i)."""
     return _linalg.matmul_mod(basis._crt.R, u, basis.spec.base.p)
+
+
+def _block_inverse(basis: IdempotentBasis, v: np.ndarray) -> np.ndarray:
+    """R*u, u the blocks of v inverted: sum_i u_i*e_i with u_i*v_i = 1 mod
+    f_i, each u_i from an egcd with f_i. Every block of v must be nonzero."""
+    base = basis.spec.base
+    u = np.zeros_like(v)
+    cuts = basis._crt.cuts
+    for comp, lo, hi in zip(basis.components, cuts[:-1], cuts[1:]):
+        # the block is a nonzero remainder mod f_i and g is monic, so g = 1
+        # and inv, of degree below f_i, is its inverse mod f_i
+        g, inv, _ = _polys.pegcd(base, _polys.ptrim(base, v[lo:hi].tolist()), comp.factor.coords)
+        if g != _polys.pone(base):
+            raise InternalError("idempotents: component entry not invertible mod its factor")
+        u[lo : lo + len(inv)] = inv
+    return _combine(basis, u)
 
 
 def _check_basis(basis) -> None:

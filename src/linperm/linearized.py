@@ -46,11 +46,10 @@ from .fields import (
 )
 from .idempotents import (
     IdempotentBasis,
+    _block_inverse,
     _blocks,
     _check_basis,
-    _check_ring,
     _closed_form_rows,
-    _combine,
     _nonzero_blocks,
     cor4_condition,
 )
@@ -59,6 +58,7 @@ from .polyring import (
     RingSpec,
     _coords,
     _field_coeff,
+    _read_int,
     _sum_terms,
     ring_inverse,
     ring_is_unit,
@@ -227,19 +227,6 @@ def compose(F: LinearizedPoly, G: LinearizedPoly) -> LinearizedPoly:
     return LinearizedPoly._of(spec, out % p)
 
 
-def _idempotent_products(f: RingElement, basis: IdempotentBasis) -> list[RingElement]:
-    """The products f*e_i of an associate f with the basis, in basis order.
-
-    f*e_i = (f mod f_i)*e_i is R applied to block i of P*f alone, which
-    column i of S holds, zero outside block i.
-    """
-    _check_ring(f, basis, "element")
-    owner = basis._crt.owner
-    S = np.zeros((len(owner), basis.t), dtype=np.int64)
-    S[np.arange(len(owner)), owner] = _blocks(basis, f.coords)
-    return [RingElement(f.spec, tuple(row)) for row in _combine(basis, S).T.tolist()]
-
-
 def _check_field(F: LinearizedPoly, basis: IdempotentBasis) -> None:
     _check_basis(basis)
     if basis.spec.base != F.spec.base or basis.spec.n != F.spec.n:
@@ -324,28 +311,18 @@ def compositional_inverse(
 ) -> LinearizedPoly:
     """Inverse through the component decomposition.
 
-    Block i of P*f is f mod f_i; each is inverted modulo its factor by an
-    egcd of degree below d_i, and R takes the inverses back to the ring. The
+    Block i of P*f is f mod f_i; ``idempotents._block_inverse`` inverts each
+    modulo its factor and takes the inverses back to the ring by R. The
     result is cross-checked against the direct ring inverse before
     converting back to linearized form. A zero block, f_i dividing f, is
     exactly a vanishing f*e_i: F does not permute.
     """
     f = conventional_associate(F)
     _check_field(F, basis)
-    base = f.spec.base
     v = _blocks(basis, f.coords)
     if not _nonzero_blocks(basis, v).all():
         raise NotAPermutation("polynomial is not a linear permutation")
-    u = np.zeros_like(v)
-    cuts = basis._crt.cuts
-    for comp, lo, hi in zip(basis.components, cuts[:-1], cuts[1:]):
-        # the block is a nonzero remainder mod f_i and g is monic, so g = 1
-        # and inv, of degree below f_i, is its inverse mod f_i
-        g, inv, _ = _polys.pegcd(base, _polys.ptrim(base, v[lo:hi].tolist()), comp.factor.coords)
-        if g != _polys.pone(base):
-            raise InternalError("linearized: component entry not invertible mod its factor")
-        u[lo : lo + len(inv)] = inv
-    f_inv = RingElement(f.spec, tuple(_combine(basis, u).tolist()))
+    f_inv = RingElement(f.spec, tuple(_block_inverse(basis, v).tolist()))
     if f_inv != ring_inverse(f):
         raise InternalError("linearized: component inverse disagrees with ring inverse")
     return linearized_associate(f_inv, F.spec)
@@ -383,13 +360,12 @@ def sign_vector_involutions(
             stacklevel=2,
         )
         return [identity(spec)]
-    # column s of U holds the blocks (s_i, 0, ..., 0), the constants s_i
-    # mod f_i, of one sign vector; R takes them to sum_i s_i*e_i
-    cuts = basis._crt.cuts
-    U = np.zeros((len(basis._crt.owner), 2**basis.t), dtype=np.int64)
-    U[cuts[:-1]] = np.array(list(itertools.product((1, -1), repeat=basis.t))).T % ring.base.p
+    # row s of signs holds one sign vector; its product with the idempotents
+    # is sum_i s_i*e_i, each entry a sum of t products below p^2
+    signs = np.array(list(itertools.product((1, -1), repeat=basis.t))) % ring.base.p
+    E = np.array([e.coords for e in basis.idempotents], dtype=np.int64)
     out = []
-    for row in _combine(basis, U).T.tolist():
+    for row in (signs @ E % ring.base.p).tolist():
         f = RingElement(ring, tuple(row))
         if ring_mul(f, f) != ring.one():
             raise InternalError("linearized: sign vector did not square to 1")
@@ -598,7 +574,7 @@ def parse_linearized(text: str, spec: ExtFieldSpec) -> LinearizedPoly:
 
     def term(m):
         _, raw, bracket, exp = m.groups()
-        e = int(exp) if exp else 0
+        e = _read_int(exp) if exp else 0
         if not 0 <= e < n:
             raise BadInput(f"exponent {e} out of range for n = {n}")
         if bracket:  # all n*k coordinates of an element of F_{q^n}, as printed

@@ -33,6 +33,7 @@ from .fields import (
     FieldSpec,
     _digits,
     element_of_order,
+    find_irreducible,
     integer_order_mod,
 )
 
@@ -276,7 +277,7 @@ def splitting_field(spec: RingSpec) -> ExtFieldSpec:
     of q mod n; an extension of degree 1 when m = 1. Unlike ``extension_field``
     it does not need gcd(m, p) = 1."""
     m = integer_order_mod(spec.base.q, spec.n)
-    return ExtFieldSpec._searched(spec.base, m, 0)
+    return ExtFieldSpec(spec.base, m, find_irreducible(spec.base, m, 0))
 
 
 @lru_cache(maxsize=None)
@@ -333,6 +334,7 @@ _RING_TERM = re.compile(
 _DENSE = re.compile(r"()\[(-?[0-9]+(?:,-?[0-9]+)*)?\]")
 _SPLIT_NUMBER = re.compile(r" (?<=[0-9] ) *[0-9]")  # digit, spaces, digit; led by a literal
 _SIGN = re.compile(r"[+-](?![^\[]*\])")  # a sign outside brackets
+_INT = re.compile(r"-?[0-9]+")
 
 
 def format_poly(field: FieldSpec, coords) -> str:
@@ -382,9 +384,21 @@ def _sum_terms(pattern: re.Pattern, text: str, what: str, term) -> dict[int, lis
     raise BadInput(f"cannot parse {what} {text[end : stop.start() if stop else None]!r}")
 
 
+def _read_int(text: str) -> int:
+    """An integer in ASCII digits with an optional minus, the one integer
+    reader of both parsers and the CLI. ``int`` alone also reads "1_0" or
+    "３", and raises ValueError past CPython's digit limit."""
+    if _INT.fullmatch(text) is None:
+        raise BadInput(f"expects integers, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        raise BadInput(f"integer of {len(text)} characters is too long") from None
+
+
 def _coords(raw: str, p: int, count: int) -> list[int]:
     """The ``count`` coordinates over F_p that the comma list ``raw`` names."""
-    parts = list(map(int, raw.strip("[]").split(",")))
+    parts = list(map(_read_int, raw.strip("[]").split(",")))
     if ("-" in raw and min(parts) < 0) or max(parts) >= p:
         raise BadInput(f"coefficient {raw!r} has a coordinate outside [0, {p})")
     if len(parts) != count:
@@ -397,7 +411,7 @@ def _field_coeff(raw: str, field: FieldSpec) -> list[int]:
     element with those base-p digits, a comma vector lists its k coordinates."""
     if "," in raw:
         return _coords(raw, field.p, field.k)
-    v = int(raw)
+    v = _read_int(raw)
     if v >= field.q:
         raise BadInput(f"{v} names no element of F_{field.q}")
     return [v] if field.k == 1 else list(_digits(v, field.p, field.k))
@@ -412,13 +426,13 @@ def _read_poly(text: str, spec: FieldSpec, n: int | None = None) -> Poly:
     def term(m):
         if dense:  # integers naming the coefficients of x^0, x^1, ...
             ints = m.group(2).split(",") if m.group(2) else ()
-            return 0, [v for c in ints for v in spec.from_int(int(c)).coeffs]
+            return 0, [v for c in ints for v in spec.from_int(_read_int(c)).coeffs]
         _, raw, exp, const = m.groups()
         if const is not None:
             return 0, _field_coeff(const, spec)
         if exp and exp[0] == "-":
             raise BadInput(f"negative exponent in polynomial term {m.group().lstrip('+-')!r}")
-        e = int(exp) if exp else 1
+        e = _read_int(exp) if exp else 1
         return e if n is None else e % n, [1] if raw is None else _field_coeff(raw, spec)
 
     sums = _sum_terms(_DENSE if dense else _RING_TERM, text, "polynomial term", term)

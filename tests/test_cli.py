@@ -344,6 +344,26 @@ def test_alpha_and_lambda_set_read_only_ascii_digits(capsys, argv):
     assert "BadInput" in err and "expects integers" in err and "Traceback" not in err
 
 
+LONG = "1" * 5000  # past CPython's 4,300-digit limit on int()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["is-perm", "--q", "3", "--n", "5", "--poly", f"x^[{LONG}]"],
+        ["is-perm", "--q", "3", "--n", "5", "--poly", f"{LONG}*x"],
+        ["is-perm", "--q", "3", "--n", "5", "--poly", f"[{LONG},0,0,0,0]*x"],
+        ["order", "--q", "3", "--n", "5", "--poly", "x", "--alpha", LONG],
+        ["complete", "--q", "3", "--n", "5", "--poly", "x", "--lambda-set", f"0,{LONG}"],
+    ],
+    ids=["exponent", "coefficient", "bracket", "alpha", "lambda-set"],
+)
+def test_over_long_integers_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: BadInput") and "too long" in err and "Traceback" not in err
+
+
 def test_ascii_integer_options_still_read_signs_and_zeros(capsys):
     code, doc = run_json(capsys, ["shift", "--q", "3", "--n", "5", "--seed", "00",
                                   "--poly", "x", "--alpha", "007", "--t", "2"])

@@ -25,9 +25,11 @@ GARBAGE = [
     "[]*x", "[,]*x", "x^[99999999999999999999]", "99999999999999999999999x",
     "5,0,0*x", "[4,0]*x^[1]", "[1,-1]*x", "x--x", "x+-x", "1e5x", "x^^2",
     "é", "x^[1]x", "2,,1*x", "--poly",
+    # integers past CPython's 4,300-digit limit on int()
+    "x^[" + "1" * 5000 + "]", "1" * 5000 + "*x", "[" + "1" * 5000 + "]*x",
 ]
-SCALARS = ["0", "1", "2", "7", "-1", "300", "abc", "", "1e3", str(10**40)]
-LAMBDA_SETS = ["0", "0,1", "1", "0,a", "", "0,,1", "0,2,4", "0,-1", "0,99"]
+SCALARS = ["0", "1", "2", "7", "-1", "300", "abc", "", "1e3", str(10**40), "1" * 5000]
+LAMBDA_SETS = ["0", "0,1", "1", "0,a", "", "0,,1", "0,2,4", "0,-1", "0,99", "0," + "1" * 5000]
 
 
 def _poly(rng, n):

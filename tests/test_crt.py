@@ -39,7 +39,6 @@ from linperm import (
 )
 from linperm import idempotents
 from linperm.errors import InternalError, NotAPermutation, SpecMismatch
-from linperm.linearized import _idempotent_products
 
 # prime bases, F_8 and F_49 (k = 3 and k = 2)
 RINGS = [(3, 5), (3, 25), (11, 9), (8, 11), (49, 3)]
@@ -121,13 +120,6 @@ def test_reconstruct_of_unreduced_entries(ring_qn, data):
 
 @settings(max_examples=40)
 @given(ring_elements())
-def test_idempotent_products_are_ring_products(data):
-    basis, f = data
-    assert _idempotent_products(f, basis) == [ring_mul(f, c.idempotent) for c in basis.components]
-
-
-@settings(max_examples=40)
-@given(ring_elements())
 def test_idempotent_test_matches_gcd_test(data):
     basis, f = data
     q, n = basis.spec.base.q, basis.spec.n
@@ -171,6 +163,9 @@ def test_a_printed_basis_builds_no_matrices(monkeypatch, capsys):
     assert cli.main(["idempotents", "--q", "3", "--n", "25", "--closed-form"]) == 0
     assert cli.main(["idempotents", "--q", "3", "--n", "25"]) == 0
     assert "e_1" in capsys.readouterr().out
+    # the involutions are read off the idempotents themselves
+    assert cli.main(["involutions", "--q", "3", "--n", "25"]) == 0
+    assert "check all_involutions: ok" in capsys.readouterr().out
 
 
 # --- foreign operands -------------------------------------------------------
@@ -262,7 +257,7 @@ def test_component_egcd_error_names_the_layer():
     # but shares the factor f_0 with its modulus
     f = good.spec.from_poly(good.components[0].factor)
     F = linearized_associate(f, extension_field(11, 9))
-    with pytest.raises(InternalError, match=r"^linearized: component entry not invertible"):
+    with pytest.raises(InternalError, match=r"^idempotents: component entry not invertible"):
         compositional_inverse(F, broken)
 
 
@@ -282,7 +277,8 @@ def test_ring_inverse_check_names_the_layer():
 
 
 def test_sign_vector_check_names_the_layer():
-    # (2s)^2 = 4 != 1 over F_11
-    broken = _doubled_R(basis_of(11, 9))
+    # e_0 doubled: the sign vectors sum 2e_0 +- ..., whose square has 4e_0,
+    # and 4 != 1 over F_11
+    broken = _unchecked(basis_of(11, 9).spec, _basis_corruptions()["square"])
     with pytest.raises(InternalError, match=r"^linearized: sign vector did not square to 1$"):
         sign_vector_involutions(broken, extension_field(11, 9))

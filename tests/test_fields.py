@@ -495,9 +495,13 @@ def test_ext_modulus_is_flat(q, n, seed):
 
 
 def test_searched_modulus_is_tested_once(monkeypatch):
-    # the search proves its candidate irreducible and hands it over as such,
-    # for base fields as for extensions; the canned modulus of F_{2^3} is
-    # still tested when its spec is built
+    # the search records each modulus it proves, and the public constructors
+    # do not test a recorded one again, for base fields, extensions and
+    # splitting fields; the canned modulus of F_{2^3} is still tested when
+    # its spec is built. The record starts empty, so no earlier search in
+    # the process can have proved the canned modulus.
+    from linperm.polyring import splitting_field
+
     tested = []
     real = fields._polys.pis_irreducible
 
@@ -506,6 +510,7 @@ def test_searched_modulus_is_tested_once(monkeypatch):
         return real(base, f)
 
     monkeypatch.setattr(fields._polys, "pis_irreducible", counting)
+    monkeypatch.setattr(fields, "_proved", set())
     build = fields._extension_field.__wrapped__
     for q, n, seed in ((3, 7, 5), (4, 5, 2), (2, 11, 3), (2, 3, 0), (2, 3, 1)):
         tested.clear()
@@ -513,6 +518,10 @@ def test_searched_modulus_is_tested_once(monkeypatch):
         assert tested.count(E.ext_modulus) == 1, (q, n, seed)
         public = ExtFieldSpec(E.base, n, E.ext_modulus)
         assert E == public and hash(E) == hash(public) and repr(E) == repr(public)
+    for q, n in ((3, 13), (4, 7), (2, 9)):  # degrees 3, 3 and 6
+        tested.clear()
+        E = splitting_field.__wrapped__(RingSpec(base_field(q), n))
+        assert tested.count(E.ext_modulus) == 1, (q, n)
     for q in (4, 49):
         tested.clear()
         B = base_field.__wrapped__(q)

@@ -309,6 +309,29 @@ def test_ring_scanner_agrees_on_edge_cases(text, F11):
     _check_poly(text, base_field(4))
 
 
+# --- integers past CPython's digit limit ---------------------------------------
+
+# int() refuses more than 4,300 digits with a ValueError; every parser reads
+# its integers through one reader that turns that into BadInput
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "text", [f"x^{LONG}", f"{LONG}*x", f"{LONG},0*x", f"x+{LONG}", f"[{LONG}]", f"[0,{LONG}]"]
+)
+def test_ring_parser_refuses_an_over_long_integer(text):
+    with pytest.raises(BadInput, match="too long"):
+        parse_poly(text, base_field(4))
+
+
+@pytest.mark.parametrize(
+    "text", [f"x^[{LONG}]", f"{LONG}*x", f"x+{LONG}*x^[1]", f"[{LONG},0,0,0,0]*x", f"[0,0,0,0,{LONG}]x"]
+)
+def test_linearized_parser_refuses_an_over_long_integer(text):
+    with pytest.raises(BadInput, match="too long"):
+        parse_linearized(text, extension_field(3, 5))
+
+
 # --- the one-pass formatter ------------------------------------------------------
 
 
