@@ -311,12 +311,6 @@ def pfold(field, a, n: int) -> tuple:
     return tuple(v % field.p for v in out)
 
 
-def _x_derivative(field, a) -> tuple:
-    """x times the formal derivative of a: slot j times the integer j."""
-    k, p = field.k, field.p
-    return ptrim(field, [v * (i // k) % p for i, v in enumerate(a)])
-
-
 def pcyclic_mul(field, a, b, n: int):
     """Product of a and b (flat, nonempty) modulo x^n - 1: their packed
     convolution with its slots folded mod n, then each slot's y-degrees

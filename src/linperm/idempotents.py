@@ -3,10 +3,10 @@
 Because gcd(n, q) = 1 the quotient ring is semisimple: x^n - 1 splits into
 distinct irreducible factors f_i and the ring decomposes as a direct product
 of fields F_q[x]/(f_i). Each factor carries a unique primitive idempotent
-e_i, computed here by the derivative formula e_i = n^{-1} x f_i' h_i mod
-(x^n - 1) with h_i = (x^n - 1)/f_i (MacWilliams-Sloane, ch. 8). A closed-form
-route exists for n = p^m when the order of q mod p^m is large enough; both
-routes are exposed and cross-check each other.
+e_i, computed here by the trace formula e_s[j] = n^{-1} sum_{u in C_s}
+zeta^{-u j} (MacWilliams-Sloane, ch. 8), read off the factors' root sums. A
+closed-form route exists for n = p^m when the order of q mod p^m is large
+enough; both routes are exposed and cross-check each other.
 
 The isomorphism F_q[x]/(x^n - 1) -> prod_i F_q[x]/(f_i) (the CRT) is one pair
 of F_p matrices on flat coordinates, built on first use and cached on the
@@ -222,23 +222,27 @@ def _check_ring(x, basis, what: str) -> None:
 
 @lru_cache(maxsize=None)
 def primitive_idempotents(spec: RingSpec) -> IdempotentBasis:
-    """Derivative formula: e_i = n^{-1} x f_i' h_i mod (x^n - 1), with h_i =
-    (x^n - 1)/f_i the cofactor.
-
-    Differentiating x^n - 1 = prod_j f_j gives n x^(n-1) = sum_j f_j' h_j.
-    Every h_j with j != i has the factor f_i, so x f_i' h_i = n x^n = n mod
-    f_i, while h_i has every other factor; so e_i is 1 mod f_i and 0 mod the
-    rest. Components come back ordered by cyclotomic coset representative, so
-    the all-ones component (coset of 0, factor x - 1) is always index 0.
+    """Trace formula: e_s[j] = n^{-1} sum_{u in C_s} zeta^{-u j}, 1 at the
+    roots zeta^u of f_s and 0 at the other n-th roots of unity. As u runs
+    over C_s, -u j runs over the coset C of -s j, hitting each member
+    |C_s|/|C| times, and sum_{w in C} zeta^w, the sum of the roots of C's
+    factor, is minus its coefficient of x^(|C| - 1): one gather gives all
+    t*n coefficients. Components come back ordered by coset representative,
+    so the all-ones component (coset of 0, factor x - 1) is index 0.
     """
-    base, modulus = spec.base, spec.modulus()
-    n_inv = pow(spec.n, -1, base.p)
-    components = []
-    for coset, factor in factor_xn_minus_1(spec):
-        x_deriv = _polys._x_derivative(base, factor.coords)
-        scaled = Poly(base, tuple(v * n_inv % base.p for v in x_deriv))
-        e = spec.from_poly(scaled * (modulus // factor))
-        components.append(Component(coset, factor, e))
+    n, k, p = spec.n, spec.base.k, spec.base.p
+    factors = factor_xn_minus_1(spec)
+    label = np.zeros(n, dtype=np.int64)  # the coset of each exponent
+    for i, (coset, _) in enumerate(factors):
+        label[list(coset.members)] = i
+    reps, sizes = np.array([(c.representative, len(c.members)) for c, _ in factors]).T
+    root_sums = -np.array([factor.coords[-2 * k : -k] for _, factor in factors])
+    C = label[-np.outer(reps, np.arange(n)) % n]  # C[s, j]: the coset of -s j
+    coeffs = (sizes[:, None] // sizes[C] * pow(n, -1, p))[..., None] * root_sums[C] % p
+    components = [
+        Component(coset, factor, RingElement(spec, tuple(row.ravel().tolist())))
+        for (coset, factor), row in zip(factors, coeffs)
+    ]
     return IdempotentBasis(spec, tuple(components))
 
 

@@ -335,6 +335,7 @@ _DENSE = re.compile(r"()\[(-?[0-9]+(?:,-?[0-9]+)*)?\]")
 _SPLIT_NUMBER = re.compile(r" (?<=[0-9] ) *[0-9]")  # digit, spaces, digit; led by a literal
 _SIGN = re.compile(r"[+-](?![^\[]*\])")  # a sign outside brackets
 _INT = re.compile(r"-?[0-9]+")
+_MAX_DEGREE = 1 << 20  # the largest exponent parse_poly reads; no degree formed here nears it
 
 
 def format_poly(field: FieldSpec, coords) -> str:
@@ -420,7 +421,8 @@ def _field_coeff(raw: str, field: FieldSpec) -> list[int]:
 def _read_poly(text: str, spec: FieldSpec, n: int | None = None) -> Poly:
     """The polynomial that ``parse_poly`` reads from ``text``; with ``n``, each
     term's exponent is taken mod n as the terms are summed, so a term costs
-    the same whatever its exponent (a dense row still runs on past x^(n-1))."""
+    the same whatever its exponent (a dense row still runs on past x^(n-1));
+    without, an exponent above ``_MAX_DEGREE`` is refused before the list."""
     dense = (bare := text.strip(" ")).startswith("[") and bare.endswith("]")
 
     def term(m):
@@ -433,6 +435,8 @@ def _read_poly(text: str, spec: FieldSpec, n: int | None = None) -> Poly:
         if exp and exp[0] == "-":
             raise BadInput(f"negative exponent in polynomial term {m.group().lstrip('+-')!r}")
         e = _read_int(exp) if exp else 1
+        if n is None and e > _MAX_DEGREE:
+            raise BadInput(f"exponent {exp} is above {_MAX_DEGREE}, the largest parse_poly reads")
         return e if n is None else e % n, [1] if raw is None else _field_coeff(raw, spec)
 
     sums = _sum_terms(_DENSE if dense else _RING_TERM, text, "polynomial term", term)

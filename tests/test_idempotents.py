@@ -62,7 +62,7 @@ def test_basis_invariants(q, n):
 
 def _cofactor_idempotents(spec):
     """e_i = (h_i^{-1} mod f_i) h_i with h_i = (x^n - 1)/f_i, one egcd per
-    factor: the CRT construction, an oracle for the derivative formula."""
+    factor: the CRT construction, an oracle for the trace formula."""
     modulus = spec.modulus()
     out = []
     for _, factor in factor_xn_minus_1(spec):
@@ -73,9 +73,13 @@ def _cofactor_idempotents(spec):
     return out
 
 
-# prime bases, F_4, F_8 and F_9
+# prime bases, F_4, F_8, F_9, F_16, F_49 and F_64, and n = 1
 @pytest.mark.parametrize(
-    "q,n", [(2, 3), (3, 5), (11, 9), (2, 255), (4, 3), (4, 15), (8, 11), (9, 4), (9, 5)]
+    "q,n",
+    [
+        (2, 3), (3, 5), (11, 9), (2, 255), (4, 3), (4, 15), (8, 11), (9, 4), (9, 5),
+        (4, 1), (2, 63), (7, 57), (49, 8), (16, 17), (64, 9), (5, 311),
+    ],
 )
 def test_derivative_formula_matches_cofactor_construction(q, n):
     spec = ring(q, n)
@@ -361,3 +365,24 @@ def test_factor_vanishes_on_its_coset(p, k, base_modulus, n):
         for c in reversed(coeffs):
             acc = acc * root + c
         assert acc.is_zero(), coset.representative
+
+
+@pytest.mark.parametrize("p,k,base_modulus,n", list(DECOMPOSITIONS))
+def test_coset_root_sum_is_minus_a_factor_coefficient(p, k, base_modulus, n):
+    """sum_{u in C} zeta^u is the sum of the roots of C's factor, so it is
+    minus the factor's coefficient of x^(|C| - 1): the identity that
+    ``primitive_idempotents`` reads every coefficient from. Summed in the
+    splitting field's ExtElement arithmetic, apart from that build."""
+    spec = RingSpec(_base(p, k, base_modulus), n)
+    work = splitting_field(spec)
+    zeta = element_of_order(work, n)
+    powers = [work.one()]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * zeta)
+    for coset, factor in factor_xn_minus_1(spec):
+        d = len(coset.members)
+        coeff = work.element((spec.base.element(factor.coords[(d - 1) * k : d * k]),))
+        total = work.zero()
+        for u in coset.members:
+            total = total + powers[u]
+        assert total == -coeff, coset.representative

@@ -181,6 +181,24 @@ def test_ring_element_folds_each_exponent_mod_n():
     assert parse_ring_element("2x^7+x^12", spec) == spec.zero()
 
 
+@pytest.mark.parametrize("text", ["x^99999999999999999999", "x^2000000", f"x^{(1 << 20) + 1}+1"])
+def test_parse_poly_refuses_an_exponent_above_the_cap(text):
+    # without a ring to fold into, an exponent past 2^20 is refused before
+    # the dense list of its length is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadInput, match="exponent"):
+            parse_poly(text, FieldSpec(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_parse_poly_reads_an_exponent_at_the_cap():
+    assert parse_poly(f"x^{1 << 20}+1", FieldSpec(3)).degree == 1 << 20
+
+
 @pytest.mark.parametrize(
     "q, n, text",
     [(3, 5, "[1,2,0,1,1,2,1,0,2,2,1]"), (4, 3, "[1,2,3,0,1,2,3]"), (11, 9, "[3]"), (3, 5, "[]")],
