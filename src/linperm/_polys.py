@@ -5,23 +5,34 @@ coefficients' coordinates: slot j (the coefficient of x^j) holds its k
 coordinates at j*k, the layout of ``ExtElement.coords`` and of ``_linalg``
 (F_p itself is F_p[y]/(y), k = 1). A polynomial has no trailing zero slot, so
 zero is the empty tuple; a residue mod x^n - 1 always has n slots. Every
-kernel has one path for every F_q: an F_q scalar acts on a vector of slots
-through its k x k block, as ``ExtElement.scale`` does, and every product is
-one packed convolution (see the kernels section below); ``pmul`` is the
-cyclic product on enough slots that nothing wraps.
+kernel has one path for every F_q (long division one per row layout, below):
+an F_q scalar acts on a vector of slots through its k x k block, as
+``ExtElement.scale`` does, and every product is one packed convolution (see
+the kernels section below); ``pmul`` is the cyclic product on enough slots
+that nothing wraps.
 
 Long division runs on Kronecker-packed Python ints: a row (a remainder or
-a cofactor) is one int whose 64-bit lane i holds flat coordinate i, k lanes
-to a slot. One step, ``_divide``, finds the quotient from the top slots of
-the remainder alone, then adds the quotient times the divisor's row to each
-row: for k = 1 one small-int product and one add per row, for k > 1 k of
-them through the blocks of the quotient's coefficients (``_times``). Lanes
-hold ints congruent to the coordinates, not reduced: ``_euclid`` tracks a
-bound on them, v0 + s*k*(p - 1)*v1 after a step of s quotient slots, and
-reduces every row mod p in one numpy round trip only when that bound would
-reach 2^62. ``pdivmod`` is one step, and Euclid (``pgcd``, ``pegcd``) is a
-loop of steps on the last two remainders, with their cofactors for
-``pegcd``.
+a cofactor) is one int whose lane i holds flat coordinate i, k lanes to a
+slot, and the lane width is sized to p; p alone picks the layout, as it
+does in ``_linalg._eliminate``.
+
+- p = 2: a bit-row, one bit per coordinate (the M4RI layout of
+  ``_linalg._eliminate``). Adding rows is XOR, so nothing is ever reduced,
+  and a remainder's degree is its bit length. An F_{2^k} scalar acts on a
+  row through k masked products (``_bit_times``). Each divisor is made
+  monic first, so a quotient coefficient is the top slot of the remainder.
+- Odd p: lanes of L bits (``_lane_width``, from p, k, the longest step and
+  the row length) that hold ints congruent to the coordinates, not reduced.
+  A step finds the quotient from the top slots of the remainder alone
+  (``_lane_quotient``), then adds it times the divisor's row to each row.
+  ``_euclid`` tracks a bound on the lanes, e0 + s*k*(p - 1)*e1 after a step
+  of s quotient slots, and when it would reach 2^((L - 2)//2) reduces every
+  row in its lanes by the Barrett step of ``_linalg._eliminate``
+  (``_reduced``).
+
+``pdivmod`` is one step, with the quotient as one more row, and Euclid
+(``pgcd``, ``pegcd``) is a loop of steps on the last two remainders, with
+their cofactors for ``pegcd``.
 
 Every power (``_power``, ``ppowmod``, ``ExtElement.__pow__``, Frobenius gaps)
 is the one left-to-right ``_square_and_multiply`` on the caller's product.
@@ -122,127 +133,230 @@ def pmul(field, a, b):
     return ptrim(field, pcyclic_mul(field, a, b, (len(a) + len(b)) // field.k - 1))
 
 
-# --- long division and Euclid on packed ints (see the module docstring) ------
+# --- long division and Euclid on packed rows (see the module docstring) ------
+#
+# Both row layouts take an F_q scalar through the rows c*y^i of its block
+# (``_columns``); a bit-row is the layout with L = 1 and XOR for addition.
 
-_LANE = 64
-_MASK = (1 << _LANE) - 1
-_LIMIT = 1 << 62  # the bound kept on every lane, so that none carries
-
-
-def _to_int(flat) -> int:
-    """The packed int of flat coordinates in [0, p)."""
-    return int.from_bytes(struct.pack(f"<{len(flat)}Q", *flat), "little")
-
-
-def _reduced(field, rows) -> np.ndarray:
-    """(len(rows), w) uint64 array of the lanes of the packed ints ``rows``
-    reduced mod p, w a whole number of slots: one numpy round trip."""
-    k = field.k
-    w = -(-max(map(int.bit_length, rows)) // (_LANE * k)) * k
-    flat = np.frombuffer(b"".join([r.to_bytes(8 * w, "little") for r in rows]), dtype="<u8")
-    return (flat.reshape(len(rows), w) % np.uint64(field.p)).astype("<u8", copy=False)
-
-
-def _slot(field, v: int, at: int) -> tuple:
-    """Slot ``at`` of the packed int v, reduced mod p."""
-    k, p = field.k, field.p
-    if k == 1:
-        return ((v >> _LANE * at & _MASK) % p,)
-    lanes = (v >> _LANE * k * at & (1 << _LANE * k) - 1).to_bytes(8 * k, "little")
-    return tuple(map(p.__rmod__, _lane_struct(k).unpack(lanes)))
-
-
-@lru_cache(maxsize=None)
-def _lane_struct(k: int) -> struct.Struct:
-    return struct.Struct(f"<{k}Q")
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_TO_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @lru_cache(maxsize=256)
-def _starts(k: int, slots: int) -> int:
-    """The packed int with lane 0 of each of ``slots`` slots all ones."""
-    return int.from_bytes((b"\xff" * 8 + bytes(8 * (k - 1))) * slots, "little")
+def _starts(k: int, slots: int, L: int) -> int:
+    """The row of ``slots`` slots of k lanes of L bits with lane 0 of each
+    slot all ones."""
+    return ((1 << L) - 1) * (((1 << L * k * slots) - 1) // ((1 << L * k) - 1))
 
 
-def _times(cols, y: int, starts) -> int:
-    """c*y, for c over F_q given by the packed c*y^i (i < k), reduced:
-    sum_i cols[i] * (lane i of each slot of y), ``starts`` covering y; for
-    k = 1 (``starts`` None) cols[0] * y. A lane of c*y sums at most
-    k*min(slots of c, slots of y) products of a coordinate and a lane of y."""
+@lru_cache(maxsize=4096)
+def _columns(field, c: int, L: int, invert: bool = False) -> tuple:
+    """The rows c*y^i (i < k) of the F_q scalar c, or of 1/c with ``invert``,
+    read off its block: coordinate l in lane l of L bits, as c is given."""
+    coords = tuple(c >> L * l & (1 << L) - 1 for l in range(field.k))
+    if invert:
+        coords = _inverse(field, coords)
+    return tuple(sum(v << L * l for l, v in enumerate(col)) for col in _block(field, coords).T.tolist())
+
+
+# p = 2: bit-rows
+
+
+def _bit_row(flat) -> int:
+    """The bit-row of flat coordinates in {0, 1}."""
+    return int(bytes(flat[::-1]).translate(_TO_DIGITS) or b"0", 2)
+
+
+def _bit_flat(k: int, v: int) -> tuple:
+    """Flat coordinates of the bit-row v, to its top slot."""
+    if not v:
+        return ()
+    bits = bin(v)[:1:-1]
+    return tuple((bits + "0" * (-len(bits) % k)).encode().translate(_TO_BITS))
+
+
+def _bit_times(cols, y: int, starts: int) -> int:
+    """c*y for c given by ``_columns(field, c, 1)``: the k products
+    cols[i] * (bit i of each slot of y), XORed. In one product each term is
+    a column of k bits at a multiple of k, so no two overlap, and the
+    integer product is the carry-less one."""
+    out = 0
+    for i, c in enumerate(cols):
+        out ^= c * (y >> i & starts)
+    return out
+
+
+def _bit_monic(field, r: int, u: int, v: int, starts) -> tuple:
+    """(r, u, v) times 1/(the top slot of r); as they are when that is 0 or 1."""
+    k = field.k
+    if k == 1 or not r or (lead := r >> (r.bit_length() - 1) // k * k) == 1:
+        return r, u, v
+    inverse = _columns(field, lead, 1, invert=True)
+    return tuple(y and _bit_times(inverse, y, starts) for y in (r, u, v))
+
+
+def _bit_divide(field, r0: int, u0: int, v0: int, r1: int, u1: int, v1: int, starts) -> tuple:
+    """(r0, u0, v0) after the long division of r0 by the monic r1: for each
+    quotient term c*x^j, from the top, each of r0, u0 and v0 takes c*x^j
+    times r1, u1 and v1 (c is the top slot of r0, and -c = c)."""
+    k = field.k
+    top = r1.bit_length()  # the top slot of r1 is 1, at bit top - 1
+    while (bits := r0.bit_length()) >= top:
+        at = (bits - 1) // k * k
+        shift = at - top + 1
+        if k == 1:
+            r0 ^= r1 << shift
+            u0 ^= u1 << shift
+            v0 ^= v1 << shift
+        else:
+            cols = _columns(field, r0 >> at, 1)
+            r0 ^= _bit_times(cols, r1, starts) << shift
+            if u1:
+                u0 ^= _bit_times(cols, u1, starts) << shift
+            if v1:
+                v0 ^= _bit_times(cols, v1, starts) << shift
+    return r0, u0, v0
+
+
+# odd p: L-bit lanes, reduced by a lane-wise Barrett step
+
+
+# Rows of fewer lanes than this keep lanes of at least 64 bits. A narrower
+# lane makes each int operation on a long row cheaper, but it is reduced
+# more often, and on a short row that costs more than it saves. Measured per
+# pegcd with x^n - 1 (BENCH_32.json), 32-bit lanes against 64-bit ones ran
+# 1.30x faster at (3,125) and 1.13x at (11,125) (252 lanes), 1.11x at (7,49)
+# (100 lanes), about even at (3,25) and 1.06-1.10x slower at (11,9) and
+# (11,25) (20 and 52 lanes).
+_NARROW_LANES = 64
+
+
+def _lane_width(p: int, k: int, s: int, lanes: int) -> int:
+    """L for rows of ``lanes`` lanes and steps of at most s quotient slots:
+    the least multiple of 16 bits that is at least 2B + 2, B the bit length
+    of p - 1 + s*k*(p - 1)^2, the lane bound of one step from reduced rows
+    (as in ``_linalg._lanes``), and at least 32, or 64 below
+    ``_NARROW_LANES`` lanes. A product by a scalar of k lanes costs in
+    proportion to L^2, so L takes no more than it needs."""
+    B = (p - 1 + s * k * (p - 1) ** 2).bit_length()
+    return max(32 if lanes >= _NARROW_LANES else 64, -(-(2 * B + 2) // 16) * 16)
+
+
+@lru_cache(maxsize=256)
+def _barrett(p: int, L: int, lanes: int) -> tuple:
+    """(m, s, low) of the Barrett step of ``_linalg._eliminate`` on rows of
+    ``lanes`` lanes of L bits, each below 2^B, B = (L - 2)//2."""
+    s = (L - 2) // 2 + (p - 1).bit_length()
+    low = ((1 << L * lanes) - 1) // ((1 << L) - 1) * ((1 << L - s) - 1)
+    return -(-(1 << s) // p), s, low
+
+
+def _reduced(p: int, L: int, lanes: int, rows: list) -> list:
+    """The rows, of at most ``lanes`` lanes below 2^((L - 2)//2), with every
+    lane reduced mod p: v - p*((v*m >> s) & low), exact in each lane."""
+    m, s, low = _barrett(p, L, lanes)
+    return [v - p * (v * m >> s & low) for v in rows]
+
+
+@lru_cache(maxsize=256)
+def _lane_struct(L: int, count: int) -> struct.Struct:
+    """``count`` lanes of L bits, each holding a value below 2^16."""
+    code = {32: "I", 64: "Q"}.get(L)
+    return struct.Struct(f"<{count}{code}" if code else "<" + f"H{L // 8 - 2}x" * count)
+
+
+def _lane_row(flat, L: int) -> int:
+    """The row of flat coordinates in [0, p), one to a lane of L bits."""
+    return int.from_bytes(_lane_struct(L, len(flat)).pack(*flat), "little")
+
+
+def _lane_flat(k: int, L: int, v: int) -> tuple:
+    """Flat coordinates of the reduced row v, to its top slot."""
+    count = -(-v.bit_length() // (L * k)) * k
+    return _lane_struct(L, count).unpack(v.to_bytes(count * L // 8, "little"))
+
+
+def _slot(field, v: int, at: int, L: int) -> int:
+    """Slot ``at`` of the row v with its lanes reduced mod p, as a scalar."""
+    p, k, mask = field.p, field.k, (1 << L) - 1
+    v >>= L * k * at
+    return sum((v >> L * l & mask) % p << L * l for l in range(k))
+
+
+def _times(cols, y: int, starts, L: int) -> int:
+    """c*y, for c over F_q given by its rows c*y^i (i < k): sum_i cols[i] *
+    (lane i of each slot of y), ``starts`` covering y; for k = 1 (``starts``
+    None) cols[0] * y. A lane of c*y sums at most k*min(slots of c, slots of
+    y) products of a coordinate and a lane of y."""
     if starts is None:
         return cols[0] * y
     out = 0
     for i, c in enumerate(cols):
-        out += c * (y >> _LANE * i & starts)
+        out += c * (y >> L * i & starts)
     return out
 
 
-@lru_cache(maxsize=4096)
-def _quotient_columns(field, lead: tuple, top: tuple) -> tuple:
-    """The packed c*y^i (i < k), reduced, for the F_q scalar c = -top/lead."""
-    c = -(_block(field, _inverse(field, lead)) @ np.array(top, dtype=np.int64)) % field.p
-    cols = np.ascontiguousarray(_block(field, tuple(c.tolist())).T, dtype="<u8")
-    return tuple(int.from_bytes(col.tobytes(), "little") for col in cols)
+def _lane_quotient(field, r0: int, r1: int, n0: int, n1: int, lead: int, L: int, starts) -> tuple:
+    """The rows N*y^i (i < k) of N, minus the quotient of r0 (n0 slots) by
+    r1 (n1 <= n0 slots, reduced top slot ``lead`` != 0), neither with lanes
+    above its slots; N is reduced.
 
-
-def _divide(field, rows0: list, rows1: list, n0: int, n1: int, lead: tuple, starts) -> tuple:
-    """One long division of the remainder rows0[0] (n0 slots) by rows1[0]
-    (n1 <= n0 slots, top slot ``lead`` nonzero mod p), neither with lanes
-    above its slots: (rows, n, top, cols), with N minus the quotient,
-    reduced, ``cols`` its packed N*y^i (i < k) and each row of ``rows``
-    that of rows0 plus N times that of rows1. rows[0] is cut to the n slots
-    of the new remainder, with top slot ``top`` (for n > 0).
-
-    N depends only on the top s = n0 - n1 + 1 slots, A, of rows0[0]: from
-    the top slot down, each coefficient is -(that slot of A)/lead, and A
-    takes it times the divisor there. The products by N then leave the top
-    s slots of the remainder 0 mod p but not 0, and they are cut.
+    N depends only on the top s = n0 - n1 + 1 slots, A, of r0: from the top
+    slot down, each coefficient is -(that slot of A)/lead, and A takes it
+    times the divisor there. r0 + N*r1 then has its top s slots 0 mod p,
+    but not 0.
     """
     p, k = field.p, field.k
-    s, width = n0 - n1 + 1, _LANE * k
-    A, r1 = rows0[0] >> width * (n1 - 1), rows1[0]
+    s, width, mask = n0 - n1 + 1, L * k, (1 << L) - 1
+    A = r0 >> width * (n1 - 1)
     if s > 1:  # the divisor's top s slots, its top slot at A's
         R = r1 >> width * (n1 - s) if s <= n1 else r1 << width * (s - n1)
     if k == 1:
-        neg_inv = -pow(lead[0], -1, p)
+        neg_inv = -pow(lead, -1, p)
+        if s == 2:  # the usual Euclid step, unrolled: c x + c0
+            c = (A >> L) * neg_inv % p
+            below = r1 >> L * (n1 - 2) & mask if n1 > 1 else 0
+            return (c << L | ((A & mask) + c * below) * neg_inv % p,)
         N = 0
         for j in range(s - 1, -1, -1):
-            c = (A >> _LANE * j & _MASK) * neg_inv % p
+            c = (A >> L * j & mask) * neg_inv % p
             if c:
-                N |= c << _LANE * j
+                N |= c << L * j
                 if j:
-                    A += c * (R >> _LANE * (s - 1 - j))
-        cols = (N,)
-        rows = [x + N * y for x, y in zip(rows0, rows1)]
-    else:
-        cols = [0] * k
-        for j in range(s - 1, -1, -1):
-            t = _slot(field, A, j)
-            if any(t):
-                step = _quotient_columns(field, lead, t)
-                for i, c in enumerate(step):
-                    cols[i] |= c << width * j
-                if j:
-                    A += _times(step, R >> width * (s - 1 - j), starts)
-        rows = [x + _times(cols, y, starts) for x, y in zip(rows0, rows1)]
-    n, top = n1 - 1, None
-    while n and not any(top := _slot(field, rows[0], n - 1)):
-        n -= 1
-    rows[0] &= (1 << width * n) - 1
-    return rows, n, top, cols
+                    A += c * (R >> L * (s - 1 - j))
+        return (N,)
+    # -t/lead = (1/lead)*(p - t), and p - t lies in [1, p] in every lane
+    inverse, ps = _columns(field, lead, L, invert=True), p * ((1 << width) - 1) // mask
+    cols = [0] * k
+    for j in range(s - 1, -1, -1):
+        if t := _slot(field, A, j, L):
+            step = _columns(field, _slot(field, _times(inverse, ps - t, mask, L), 0, L), L)
+            for i, c in enumerate(step):
+                cols[i] |= c << width * j
+            if j:
+                A += _times(step, R >> width * (s - 1 - j), starts, L)
+    return tuple(cols)
 
 
 def pdivmod(field, a, b):
-    """Quotient and remainder of a by b (b nonzero): one ``_divide``."""
+    """Quotient and remainder of a by b (b nonzero): one division step."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
         return (), tuple(a)
-    k = field.k
+    p, k = field.p, field.k
     n0, n1 = len(a) // k, len(b) // k
-    starts = _starts(k, n0) if k > 1 else None
-    (r,), _, _, cols = _divide(field, [_to_int(a)], [_to_int(b)], n0, n1, tuple(b[-k:]), starts)
-    quo, rem = (ptrim(field, row) for row in _reduced(field, (cols[0], r)).tolist())
-    return pneg(field, quo), rem
+    if p == 2:  # the quotient is what 0 becomes beside the row 1/lead
+        starts = _starts(k, n1, 1)
+        r1, inverse, _ = _bit_monic(field, _bit_row(b), 1, 0, starts)
+        r, quo, _ = _bit_divide(field, _bit_row(a), 0, 0, r1, inverse, 0, starts)
+        return _bit_flat(k, quo), _bit_flat(k, r)
+    L = _lane_width(p, k, n0 - n1 + 1, k * n0)
+    starts = _starts(k, n0, L) if k > 1 else None
+    r0, r1 = _lane_row(a, L), _lane_row(b, L)
+    cols = _lane_quotient(field, r0, r1, n0, n1, _lane_row(b[-k:], L), L, starts)
+    r, N = _reduced(p, L, k * n0, [r0 + _times(cols, r1, starts, L), cols[0]])
+    return pneg(field, _lane_flat(k, L, N)), _lane_flat(k, L, r)
 
 
 def pmod(field, a, b):
@@ -252,41 +366,77 @@ def pmod(field, a, b):
 def _euclid(field, a, b, cofactors: bool) -> tuple:
     """Euclid's algorithm on a and b (flat, trimmed): (g,) with g the monic
     gcd, or with ``cofactors`` (g, u, v) with u*a + v*b = g; for a = b = 0,
-    g = 0, u = 1 and v = 0. rows0 and rows1 are the last two (remainder, u,
-    v) of the remainder sequence, packed; n0, n1 and lead0, lead1 are the
-    slots and top slots of their remainders.
+    g = 0, u = 1 and v = 0. (r0, u0, v0) and (r1, u1, v1) are the last two
+    rows of the remainder sequence, packed, with r = u*a + v*b.
 
-    v0 and v1 bound the lanes of rows0 and rows1. A step of s quotient
-    slots adds at most s*k*(p - 1)*v1 to a lane of rows0 (``_times``; the
-    lanes of A in ``_divide`` get no more). When v0 plus that would reach
-    2^62 every row is reduced mod p first, which leaves
-    p - 1 + s*k*(p - 1)^2 < 2^62 for p < 2^16 and s*k < 2^30.
+    For p = 2 each divisor is made monic before it divides, which scales
+    the rows after it but not the monic gcd at the end, nor its u and v.
+
+    For odd p, n0, n1 and lead0, lead1 are the slots and top slots of r0
+    and r1, and e0 and e1 bound the lanes of the rows. A step of s quotient
+    slots adds at most s*k*(p - 1)*e1 to a lane (``_times``; the lanes of A
+    in ``_lane_quotient`` get no more). When e0 plus that would reach 2^B,
+    B = (L - 2)//2, every row is reduced first. No step has more than
+    max(n0, n1) quotient slots, so ``_lane_width`` picks L to keep a step
+    from reduced rows below 2^B.
     """
     p, k = field.p, field.k
     n0, n1 = len(a) // k, len(b) // k
-    rows0, rows1 = [_to_int(a)], [_to_int(b)]
-    if cofactors:
-        rows0 += [1, 0]
-        rows1 += [0, 1]
-    lead0, lead1 = tuple(a[-k:]), tuple(b[-k:])
+    u0, v0, u1, v1 = (1, 0, 0, 1) if cofactors else (0, 0, 0, 0)
+    if p == 2:
+        starts = _starts(k, n0 + n1 + 1, 1)
+        r0, r1 = _bit_row(a), _bit_row(b)
+        while r1:
+            r1, u1, v1 = _bit_monic(field, r1, u1, v1, starts)
+            (r0, u0, v0), (r1, u1, v1) = (r1, u1, v1), _bit_divide(field, r0, u0, v0, r1, u1, v1, starts)
+        rows = _bit_monic(field, r0, u0, v0, starts)
+        return tuple(_bit_flat(k, r) for r in rows[: 3 if cofactors else 1])
+    L = _lane_width(p, k, max(n0, n1), k * (n0 + n1 + 1))
+    mask, width = (1 << L) - 1, L * k
+    r0, r1 = _lane_row(a, L), _lane_row(b, L)
+    lead0, lead1 = _lane_row(a[-k:], L), _lane_row(b[-k:], L)
     # the cofactors never pass n0 + n1 + 1 slots
-    starts = _starts(k, n0 + n1 + 1) if k > 1 else None
-    v0 = v1 = p - 1
+    lanes = k * (n0 + n1 + 1)
+    starts = _starts(k, n0 + n1 + 1, L) if k > 1 else None
+    limit = 1 << (L - 2) // 2
+    e0 = e1 = p - 1
     while n1:
         if n0 >= n1:
             grow = (n0 - n1 + 1) * k * (p - 1)
-            if v0 + grow * v1 >= _LIMIT:
-                rows = [int.from_bytes(r.tobytes(), "little") for r in _reduced(field, rows0 + rows1)]
-                rows0, rows1, v0, v1 = rows[: len(rows0)], rows[len(rows0) :], p - 1, p - 1
-            v0 += grow * v1
-            rows0, n0, lead0, _ = _divide(field, rows0, rows1, n0, n1, lead1, starts)
-        rows0, rows1, n0, n1, lead0, lead1, v0, v1 = rows1, rows0, n1, n0, lead1, lead0, v1, v0
-    if n0:  # times 1/lead0 = -(-1)/lead0, which leaves lanes below k*(p - 1)*v0
-        if k * (p - 1) * v0 >= _LIMIT:
-            rows0 = [int.from_bytes(r.tobytes(), "little") for r in _reduced(field, rows0)]
-        inverse = _quotient_columns(field, lead0, (p - 1,) + (0,) * (k - 1))
-        rows0 = [_times(inverse, r, starts) for r in rows0]
-    return tuple(ptrim(field, row) for row in _reduced(field, rows0).tolist())
+            if e0 + grow * e1 >= limit:
+                if cofactors:
+                    r0, r1, u0, u1, v0, v1 = _reduced(p, L, lanes, [r0, r1, u0, u1, v0, v1])
+                else:
+                    r0, r1 = _reduced(p, L, lanes, [r0, r1])
+                e0 = e1 = p - 1
+            e0 += grow * e1
+            cols = _lane_quotient(field, r0, r1, n0, n1, lead1, L, starts)
+            n0, lead0 = n1 - 1, 0
+            if k == 1:  # inline: a call per row costs a fifth of a step here
+                N = cols[0]
+                r0 += N * r1
+                if cofactors:
+                    u0 += N * u1
+                    v0 += N * v1
+                while n0 and not (lead0 := (r0 >> L * (n0 - 1) & mask) % p):
+                    n0 -= 1
+            else:
+                r0 += _times(cols, r1, starts, L)
+                if cofactors:
+                    u0 += _times(cols, u1, starts, L)
+                    v0 += _times(cols, v1, starts, L)
+                while n0 and not (lead0 := _slot(field, r0, n0 - 1, L)):
+                    n0 -= 1
+            r0 &= (1 << width * n0) - 1
+        r0, r1, u0, u1, v0, v1 = r1, r0, u1, u0, v1, v0
+        n0, n1, lead0, lead1, e0, e1 = n1, n0, lead1, lead0, e1, e0
+    rows = [r0, u0, v0] if cofactors else [r0]
+    if n0:  # times 1/lead0, which leaves lanes below k*(p - 1)*e0
+        if k * (p - 1) * e0 >= limit:
+            rows = _reduced(p, L, lanes, rows)
+        inverse = _columns(field, lead0, L, invert=True)
+        rows = [_times(inverse, r, starts, L) for r in rows]
+    return tuple(_lane_flat(k, L, r) for r in _reduced(p, L, lanes, rows))
 
 
 def pgcd(field, a, b):

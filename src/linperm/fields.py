@@ -52,6 +52,18 @@ def _check_degree(n: int) -> None:
         raise BadInput("extension degree n must be >= 1")
 
 
+# The largest degree over F_p of a field that is built, base or extension:
+# four times that of the largest the tests build, F_{2^1023}. A larger one
+# would start a modulus search whose cost grows with its degree.
+_MAX_FIELD_DEGREE = 1 << 12
+
+
+def _check_field_degree(p: int, degree: int) -> None:
+    """Refuse a field of this degree over F_p above ``_MAX_FIELD_DEGREE``."""
+    if degree > _MAX_FIELD_DEGREE:
+        raise BadInput(f"a field of degree {degree} over F_{p} is above the cap of 2^12")
+
+
 def _is_prime(p: int) -> bool:
     return _polys._prime_factors(p) == [p]
 
@@ -534,18 +546,46 @@ def element_of_order(spec, n: int):
 # --- irreducible polynomials and default specs -------------------------------
 
 
+def _draws(rng: random.Random, q: int, count: int) -> np.ndarray:
+    """``count`` values of ``rng.randrange(q)``, in order, and ``rng`` left
+    where that many calls leave it; int64 for q < 2^63, else Python ints.
+
+    One call draws an attempt of b = bitlen(q) bits from m = ceil(b/32)
+    words, read little-endian with the top word shifted right by 32m - b,
+    until an attempt is below q. ``getrandbits(32*m*t)`` hands out the words
+    of t attempts in that same order, so each round draws exactly as many
+    attempts as values are still missing and keeps those below q.
+    """
+    bits = q.bit_length()
+    m = -(-bits // 32)
+    dtype = np.int64 if q < 2**63 else object
+    rounds = []
+    while count:
+        block = rng.getrandbits(32 * m * count).to_bytes(4 * m * count, "little")
+        words = np.frombuffer(block, dtype="<u4").reshape(count, m).astype(dtype)
+        words[:, -1] >>= 32 * m - bits
+        values = words[:, 0]
+        for i in range(1, m):
+            values = values + (words[:, i] << 32 * i)
+        values = values[values < q]
+        rounds.append(values)
+        count -= len(values)
+    return np.concatenate(rounds)
+
+
 def find_irreducible(base: FieldSpec, degree: int, seed: int = 0) -> tuple[int, ...]:
     """Deterministic seeded search for a monic irreducible of exact degree,
     returned by its flat coordinates (as ``ExtFieldSpec.ext_modulus``).
 
-    Each lower coefficient is ``base.from_int`` of one draw in [0, q).
+    Each lower coefficient is ``base.from_int`` of one draw in [0, q), as
+    ``rng.randrange(q)`` would draw it (``_draws``).
     """
     if degree < 1:
         raise BadInput("degree must be >= 1")
+    _check_field_degree(base.p, base.k * degree)
     rng = random.Random(f"{seed}:{base.p}:{base.k}:{degree}")
-    dtype = np.int64 if base.q < 2**63 else object
     while True:
-        draws = np.array([rng.randrange(base.q) for _ in range(degree)], dtype=dtype)
+        draws = _draws(rng, base.q, degree)
         # coordinate l of a coefficient is base-p digit l of its draw
         digits = np.stack(_digits(draws, base.p, base.k), axis=1)
         candidate = tuple(digits.ravel().tolist()) + _polys.pone(base)
@@ -587,10 +627,13 @@ def base_field(q: int) -> FieldSpec:
 
 @lru_cache(maxsize=None)
 def _extension_field(q: int, n: int, seed: int) -> ExtFieldSpec:
-    base = base_field(q)
-    # refuse the degree before searching for a modulus of it; the ring
-    # F_q[x]/(x^n - 1) that this field serves needs gcd(n, p) = 1
+    # refuse the degree before searching for a modulus of it, or of the base
+    # field's; the ring F_q[x]/(x^n - 1) that this field serves needs
+    # gcd(n, p) = 1
+    p, k = _prime_power(q)
     _check_degree(n)
+    _check_field_degree(p, k * n)
+    base = base_field(q)
     if gcd(n, base.p) != 1:
         raise BadInput(f"gcd(n, p) must be 1; got n = {n}, p = {base.p}")
     return ExtFieldSpec(base, n, _modulus(base, n, seed))

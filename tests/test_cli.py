@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -222,6 +224,23 @@ def test_degree_refused_before_the_modulus_search(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "gcd(n, p) must be 1" in err
+
+
+@pytest.mark.parametrize("q, n", [(3, 5000), (3, 100000), (3**2000, 5)], ids=["n5000", "n100000", "q3^2000"])
+def test_oversized_field_is_refused_before_it_is_built(capsys, q, n):
+    # each would start a modulus search of degree 2000 or more: the cap on a
+    # field's degree over F_p refuses it before any draw or allocation
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, ["is-perm", "--q", str(q), "--n", str(n), "--poly", "x"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "above the cap of 2^12" in err
+    assert peak < 1 << 20
 
 
 def test_import_and_query_leave_sympy_unloaded():

@@ -49,9 +49,9 @@ def x_n_minus_1(field, n):
 
 @st.composite
 def poly_pairs(draw, max_deg=40):
-    """(field, a, b) over F_2, F_3, F_4, F_8, F_11 or F_49, of degree up to
-    max_deg, sometimes with a common factor and sometimes equal."""
-    field = base_field(draw(st.sampled_from([2, 3, 4, 8, 11, 49])))
+    """(field, a, b) over F_2, F_3, F_4, F_8, F_9, F_11, F_16 or F_49, of
+    degree up to max_deg, sometimes with a common factor and sometimes equal."""
+    field = base_field(draw(st.sampled_from([2, 3, 4, 8, 9, 11, 16, 49])))
     coords = st.integers(0, field.p - 1)
 
     def poly(deg):
@@ -254,7 +254,9 @@ def test_euclid_and_division_match_schoolbook(data):
     check_against_schoolbook(*data)
 
 
-@pytest.mark.parametrize("q, n", [(3, 25), (11, 9), (3, 125), (2, 255), (8, 11), (4, 3), (49, 10)])
+@pytest.mark.parametrize(
+    "q, n", [(3, 25), (11, 9), (3, 125), (2, 255), (8, 11), (4, 3), (49, 10), (16, 17), (4, 63), (9, 40)]
+)
 def test_gcd_with_x_n_minus_1_matches_schoolbook(q, n):
     field = base_field(q)
     rng = random.Random(q * 7 + n)
@@ -273,18 +275,19 @@ def loop_reductions(monkeypatch, rows):
     calls = []
     real = _polys._reduced
 
-    def counted(field, packed):
+    def counted(p, L, lanes, packed):
         calls.append(len(packed))
-        return real(field, packed)
+        return real(p, L, lanes, packed)
 
     monkeypatch.setattr(_polys, "_reduced", counted)
     return lambda: calls.count(rows)
 
 
-@pytest.mark.parametrize("q, degree, least", [(65521, 80, 30), (2, 300, 2), (4, 120, 2), (8, 80, 1), (49, 60, 2)])
+@pytest.mark.parametrize("q, degree, least", [(65521, 80, 30), (2, 300, 0), (4, 120, 0), (8, 80, 0), (49, 60, 2)])
 def test_long_chains_take_the_delayed_reduction(monkeypatch, q, degree, least):
-    # k = 1 at p = 65521 reduces every few steps, at p = 2 after about 50;
-    # k > 1 at F_4, F_8 and F_49; each chain must reduce and stay exact
+    # k = 1 at p = 65521 reduces every few steps, and so does F_49; each
+    # chain must reduce and stay exact. Over F_2, F_4 and F_8 the rows are
+    # bit-rows, which are exact and never reduce
     field = base_field(q)
     rng = random.Random(degree)
     a = random_poly(rng, field, degree - 1) + pone(field)
@@ -292,10 +295,33 @@ def test_long_chains_take_the_delayed_reduction(monkeypatch, q, degree, least):
     want = schoolbook_egcd(field, a, b)
     egcd_reductions = loop_reductions(monkeypatch, 6)
     assert pegcd(field, a, b) == want
-    assert egcd_reductions() >= least
     gcd_reductions = loop_reductions(monkeypatch, 2)
     assert pgcd(field, a, b) == want[0]
-    assert gcd_reductions() >= least
+    for count in (egcd_reductions(), gcd_reductions()):
+        assert count >= least if field.p > 2 else count == 0
+
+
+@pytest.mark.parametrize("p, L", [(3, 32), (3, 64), (5, 32), (11, 64), (7, 48), (65521, 80), (65521, 96)])
+def test_lane_reduction_is_exact_up_to_its_bound(p, L):
+    # the Barrett step that reduces odd-p lanes is exact on every lane below
+    # 2^B, B = (L - 2)//2: the top 300 values below the bound and 0..299
+    B = (L - 2) // 2
+    lanes = [(1 << B) - 1 - i for i in range(300)] + list(range(300))
+    row = sum(v << L * i for i, v in enumerate(lanes))
+    (out,) = _polys._reduced(p, L, len(lanes), [row])
+    assert [out >> L * i & (1 << L) - 1 for i in range(len(lanes))] == [v % p for v in lanes]
+
+
+@pytest.mark.parametrize("p, k, s", [(3, 1, 126), (11, 1, 10), (257, 1, 2), (7, 2, 60), (65521, 1, 80), (65521, 8, 513)])
+def test_lane_width_holds_one_step_from_reduced_rows(p, k, s):
+    # a step of s quotient slots from reduced rows stays below 2^B, B =
+    # (L - 2)//2, where the Barrett step is exact; L is a multiple of 16 no
+    # wider than that or the floor for the row length needs
+    B = (p - 1 + s * k * (p - 1) ** 2).bit_length()
+    for lanes in (2 * k * s, 1000):
+        L = _polys._lane_width(p, k, s, lanes)
+        assert L % 16 == 0 and B <= (L - 2) // 2
+        assert L - 16 < 2 * B + 2 or L == (32 if lanes >= _polys._NARROW_LANES else 64)
 
 
 def test_long_first_quotient_at_p_2():

@@ -335,6 +335,46 @@ def test_degree_is_checked_before_the_modulus_search(monkeypatch):
         extension_field(3, -4)
 
 
+class _Searched(Exception):
+    pass
+
+
+def test_the_degree_cap_is_checked_before_the_modulus_search(monkeypatch):
+    # a field of degree 2^12 over F_p reaches the search; one of 2^12 + 1 is
+    # refused before it, the extension's before its base field is built
+    def search(*args):
+        raise _Searched
+
+    F4, _ = base_field(4), base_field(9)
+    monkeypatch.setattr(fields, "find_irreducible", search)
+    for q, n in ((3, 4096), (9, 2048)):
+        with pytest.raises(_Searched):
+            extension_field(q, n)
+    for q, n in ((3, 4097), (9, 2049), (3**4097, 1), (3**2000, 5)):
+        with pytest.raises(BadInput, match="above the cap of 2"):
+            extension_field(q, n)
+    monkeypatch.undo()
+    monkeypatch.setattr(fields._polys, "pis_irreducible", search)
+    for base, degree in ((FieldSpec(2), 4096), (F4, 2048)):
+        with pytest.raises(_Searched):
+            find_irreducible(base, degree)
+    for base, degree in ((FieldSpec(2), 4097), (F4, 2049)):
+        with pytest.raises(BadInput, match="above the cap of 2"):
+            find_irreducible(base, degree)
+
+
+@pytest.mark.parametrize(
+    "q", [2, 3, 4, 5, 8, 11, 49, 121, 65521, 3**20, 2**32 - 5, 2**32, 3**25, 2**40 + 1, 3**45, 65521**8]
+)
+def test_bulk_draws_replay_randrange(q):
+    # the modulus search draws its coefficients in blocks; each block must
+    # give the values of per-call randrange and leave the same state
+    for count in (1, 7, 300):
+        per_call, bulk = random.Random(f"{q}:{count}"), random.Random(f"{q}:{count}")
+        want = [per_call.randrange(q) for _ in range(count)]
+        assert fields._draws(bulk, q, count).tolist() == want
+        assert bulk.getstate() == per_call.getstate()
+
 FLAT_SPECS = ((3, 5), (4, 3), (8, 3))
 
 
