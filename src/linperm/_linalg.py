@@ -108,15 +108,41 @@ def matmul_mod(A, B, p: int) -> np.ndarray:
 _PACKED_ENTRIES = 2500
 
 
+def _lane_bound(L: int) -> int:
+    """The largest B such that ``_barrett`` is exact on lanes of L bits below
+    2^B: L must be at least 2B + 2."""
+    return (L - 2) // 2
+
+
+@lru_cache(maxsize=256)
+def _barrett(p: int, L: int, B: int, lanes: int) -> tuple[int, int, int]:
+    """(m, s, low) of the lane-wise Barrett step v - p*((v*m >> s) & low),
+    which reduces mod p every lane of a row of ``lanes`` lanes of L bits,
+    each below 2^B, B <= ``_lane_bound(L)``: t = bitlen(p - 1), s = B + t,
+    m = ceil(2^s/p), and ``low`` the low L - s bits of every lane.
+
+    The step is exact in every lane v < 2^B. Write m*p = 2^s + r with
+    0 <= r < p: v*m/2^s = v/p + v*r/(p*2^s), and v*r < 2^(B + t) = 2^s keeps
+    the second term below 1/p, so the floor is v // p. Lanes never carry:
+    p > 2^(t - 1), so v*m < 2^B*(2^s/p + 1) < 2^(2B + 1) + 2^B, and 2B + 2
+    bits hold it; shifted by s, v // p sits in the low L - s bits of its own
+    lane, under the low bits of the lane above, which ``low`` drops.
+    """
+    s = B + (p - 1).bit_length()
+    low = ((1 << L * lanes) - 1) // ((1 << L) - 1) * ((1 << L - s) - 1)
+    return -(-(1 << s) // p), s, low
+
+
 def _lanes(p: int, d: int, e: int) -> tuple[int, int] | None:
     """(L, B) of the packed odd-p elimination of a d x e matrix, or None when
     it runs in numpy: d*max(d, e) above ``_PACKED_ENTRIES``, or no lane wide
     enough. B is the bit length of the entry bound p - 1 + min(d, e)*(p - 1)^2
-    and L the narrowest of 16, 32 and 64 bits that is at least 2B + 2."""
+    and L the narrowest of 16, 32 and 64 bits whose ``_lane_bound`` is at
+    least B."""
     if d * max(d, e) > _PACKED_ENTRIES:
         return None
     B = (p - 1 + min(d, e) * (p - 1) ** 2).bit_length()
-    return next(((L, B) for L in (16, 32, 64) if L >= 2 * B + 2), None)
+    return next(((L, B) for L in (16, 32, 64) if B <= _lane_bound(L)), None)
 
 
 def _row_ints(packed: np.ndarray) -> list[int]:
@@ -158,16 +184,9 @@ def _eliminate(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
       entry grows by at most (p - 1)^2 a step, stays nonnegative, and after
       at most min(d, e) steps lies below 2^B, B the bit length of
       p - 1 + min(d, e)*(p - 1)^2. The pivot row is reduced by the Barrett
-      step v - p*((v*m >> s) & low), with t = bitlen(p - 1), s = B + t,
-      m = ceil(2^s/p), and ``low`` the low L - s bits of every lane; scaled,
-      its entries are below (p - 1)^2 < 2^B, and the step reduces it again.
-      The step is exact in every lane v < 2^B. Write m*p = 2^s + r with
-      0 <= r < p: v*m/2^s = v/p + v*r/(p*2^s), and v*r < 2^(B + t) = 2^s
-      keeps the second term below 1/p, so the floor is v // p. Lanes never
-      carry: p > 2^(t - 1), so v*m < 2^B*(2^s/p + 1) < 2^(2B + 1) + 2^B, and
-      2B + 2 bits hold it; shifted by s, v // p sits in the low L - s bits of
-      its own lane, under the low bits of the lane above, which ``low``
-      drops. W is the pivot rows in big-endian unsigned L-bit lanes.
+      step of ``_barrett``; scaled, its entries are below (p - 1)^2 < 2^B,
+      and the step reduces it again. W is the pivot rows in big-endian
+      unsigned L-bit lanes.
     - The numpy loop. Only the pivot column and the pivot row are reduced
       mod p; every row below the pivot loses c times the pivot row in one
       dense update, so after s steps |entry| < p + s*p^2. W is ``rows`` mod
@@ -197,10 +216,8 @@ def _eliminate(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         L, B = lanes
         dtype = np.dtype(f">u{L // 8}")
         R = _row_ints((rows % p).astype(dtype))
-        s = B + (p - 1).bit_length()
-        m = -(-(1 << s) // p)
+        m, s, low = _barrett(p, L, B, e)
         lane = (1 << L) - 1
-        low = ((1 << L * e) - 1) // lane * ((1 << L - s) - 1)
         for col in range(e):
             r = len(pivots)
             if r == d:

@@ -26,9 +26,9 @@ does in ``_linalg._eliminate``.
   A step finds the quotient from the top slots of the remainder alone
   (``_lane_quotient``), then adds it times the divisor's row to each row.
   ``_euclid`` tracks a bound on the lanes, e0 + s*k*(p - 1)*e1 after a step
-  of s quotient slots, and when it would reach 2^((L - 2)//2) reduces every
-  row in its lanes by the Barrett step of ``_linalg._eliminate``
-  (``_reduced``).
+  of s quotient slots, and when it would reach 2^B, B =
+  ``_linalg._lane_bound(L)``, reduces every row in its lanes by the Barrett
+  step of ``_linalg._barrett`` (``_reduced``).
 
 ``pdivmod`` is one step, with the quotient as one more row, and Euclid
 (``pgcd``, ``pegcd``) is a loop of steps on the last two remainders, with
@@ -225,36 +225,32 @@ def _bit_divide(field, r0: int, u0: int, v0: int, r1: int, u1: int, v1: int, sta
 # lane makes each int operation on a long row cheaper, but it is reduced
 # more often, and on a short row that costs more than it saves. Measured per
 # pegcd with x^n - 1 (BENCH_32.json), 32-bit lanes against 64-bit ones ran
-# 1.30x faster at (3,125) and 1.13x at (11,125) (252 lanes), 1.11x at (7,49)
-# (100 lanes), about even at (3,25) and 1.06-1.10x slower at (11,9) and
-# (11,25) (20 and 52 lanes).
+# 1.23x faster at (3,125) and 1.02x at (11,125) (252 lanes), 1.21x at (7,49)
+# (100 lanes), about even at (3,25) (52 lanes) and 1.11x and 1.26x slower at
+# (11,9) and (11,25) (20 and 52 lanes), so the threshold lies between 53 and
+# 100. The benchmark's workloads pick the same widths for any value from 57
+# to 161, so they do not check it.
 _NARROW_LANES = 64
 
 
 def _lane_width(p: int, k: int, s: int, lanes: int) -> int:
     """L for rows of ``lanes`` lanes and steps of at most s quotient slots:
-    the least multiple of 16 bits that is at least 2B + 2, B the bit length
-    of p - 1 + s*k*(p - 1)^2, the lane bound of one step from reduced rows
-    (as in ``_linalg._lanes``), and at least 32, or 64 below
-    ``_NARROW_LANES`` lanes. A product by a scalar of k lanes costs in
-    proportion to L^2, so L takes no more than it needs."""
+    the least multiple of 16 bits, and at least 32, or 64 below
+    ``_NARROW_LANES`` lanes, whose ``_linalg._lane_bound`` holds B, the bit
+    length of p - 1 + s*k*(p - 1)^2, the lane bound of one step from reduced
+    rows (as in ``_linalg._lanes``). A product by a scalar of k lanes costs
+    in proportion to L^2, so L takes no more than it needs."""
     B = (p - 1 + s * k * (p - 1) ** 2).bit_length()
-    return max(32 if lanes >= _NARROW_LANES else 64, -(-(2 * B + 2) // 16) * 16)
-
-
-@lru_cache(maxsize=256)
-def _barrett(p: int, L: int, lanes: int) -> tuple:
-    """(m, s, low) of the Barrett step of ``_linalg._eliminate`` on rows of
-    ``lanes`` lanes of L bits, each below 2^B, B = (L - 2)//2."""
-    s = (L - 2) // 2 + (p - 1).bit_length()
-    low = ((1 << L * lanes) - 1) // ((1 << L) - 1) * ((1 << L - s) - 1)
-    return -(-(1 << s) // p), s, low
+    L = 32 if lanes >= _NARROW_LANES else 64
+    while B > _linalg._lane_bound(L):
+        L += 16
+    return L
 
 
 def _reduced(p: int, L: int, lanes: int, rows: list) -> list:
-    """The rows, of at most ``lanes`` lanes below 2^((L - 2)//2), with every
-    lane reduced mod p: v - p*((v*m >> s) & low), exact in each lane."""
-    m, s, low = _barrett(p, L, lanes)
+    """The rows, of at most ``lanes`` lanes below 2^``_linalg._lane_bound(L)``,
+    with every lane reduced mod p by the Barrett step of ``_linalg._barrett``."""
+    m, s, low = _linalg._barrett(p, L, _linalg._lane_bound(L), lanes)
     return [v - p * (v * m >> s & low) for v in rows]
 
 
@@ -313,10 +309,6 @@ def _lane_quotient(field, r0: int, r1: int, n0: int, n1: int, lead: int, L: int,
         R = r1 >> width * (n1 - s) if s <= n1 else r1 << width * (s - n1)
     if k == 1:
         neg_inv = -pow(lead, -1, p)
-        if s == 2:  # the usual Euclid step, unrolled: c x + c0
-            c = (A >> L) * neg_inv % p
-            below = r1 >> L * (n1 - 2) & mask if n1 > 1 else 0
-            return (c << L | ((A & mask) + c * below) * neg_inv % p,)
         N = 0
         for j in range(s - 1, -1, -1):
             c = (A >> L * j & mask) * neg_inv % p
@@ -376,9 +368,9 @@ def _euclid(field, a, b, cofactors: bool) -> tuple:
     and r1, and e0 and e1 bound the lanes of the rows. A step of s quotient
     slots adds at most s*k*(p - 1)*e1 to a lane (``_times``; the lanes of A
     in ``_lane_quotient`` get no more). When e0 plus that would reach 2^B,
-    B = (L - 2)//2, every row is reduced first. No step has more than
-    max(n0, n1) quotient slots, so ``_lane_width`` picks L to keep a step
-    from reduced rows below 2^B.
+    B = ``_linalg._lane_bound(L)``, every row is reduced first. No step has
+    more than max(n0, n1) quotient slots, so ``_lane_width`` picks L to keep
+    a step from reduced rows below 2^B.
     """
     p, k = field.p, field.k
     n0, n1 = len(a) // k, len(b) // k
@@ -398,7 +390,7 @@ def _euclid(field, a, b, cofactors: bool) -> tuple:
     # the cofactors never pass n0 + n1 + 1 slots
     lanes = k * (n0 + n1 + 1)
     starts = _starts(k, n0 + n1 + 1, L) if k > 1 else None
-    limit = 1 << (L - 2) // 2
+    limit = 1 << _linalg._lane_bound(L)
     e0 = e1 = p - 1
     while n1:
         if n0 >= n1:
