@@ -68,9 +68,36 @@ def _is_prime(p: int) -> bool:
     return _polys._prime_factors(p) == [p]
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Description of F_q with q = p^k; elements are residues mod ``base_modulus``."""
+class _Spec:
+    """The value rule of the three specs, which every cached kernel lookup
+    hashes: equal by value, hashed once at construction, compared by identity
+    first. ``_key`` is the fields' tuple as built, so equality and the hash
+    are a dataclass's; a copy or pickle is rebuilt by the constructor, since
+    ``hash(None)``, and with it a cached hash, can differ in another process.
+    """
+
+    def _freeze(self, *key):
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return self.__class__, self._key
+
+
+@dataclass(frozen=True, eq=False)
+class FieldSpec(_Spec):
+    """Description of F_q with q = p^k; elements are residues mod ``base_modulus``.
+    Equal by value, hashed once, compared by identity first (``_Spec``)."""
 
     p: int
     k: int = 1
@@ -84,12 +111,14 @@ class FieldSpec:
         if self.k == 1:
             if self.base_modulus is not None:
                 raise BadInput("base_modulus must be absent when k = 1")
+            self._freeze(self.p, self.k, None)
             return
         mod = self.base_modulus
         if mod is None or len(mod) != self.k + 1 or mod[-1] % self.p != 1:
             raise BadInput(f"base_modulus must be monic of degree {self.k}")
         mod = tuple(c % self.p for c in mod)
         object.__setattr__(self, "base_modulus", mod)
+        self._freeze(self.p, self.k, mod)
         prime = FieldSpec(self.p)
         if (prime, mod) not in _proved and not _polys.pis_irreducible(prime, mod):
             raise BadInput("base_modulus is reducible over F_p")
@@ -139,7 +168,9 @@ class FieldElement:
     coeffs: tuple[int, ...]
 
     def _check(self, other):
-        if not isinstance(other, FieldElement) or other.spec != self.spec:
+        if not isinstance(other, FieldElement) or (
+            other.spec is not self.spec and other.spec != self.spec
+        ):
             raise SpecMismatch(f"cannot combine {self!r} with {other!r}")
 
     def is_zero(self) -> bool:
@@ -147,12 +178,11 @@ class FieldElement:
 
     def __add__(self, other):
         self._check(other)
-        p = self.spec.p
-        if self.spec.k == 1:
-            return _interned(self.spec)[(self.coeffs[0] + other.coeffs[0]) % p]
-        return FieldElement(
-            self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        spec = self.spec
+        p = spec.p
+        if spec.k == 1:
+            return _interned(spec)[(self.coeffs[0] + other.coeffs[0]) % p]
+        return FieldElement(spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
@@ -192,14 +222,15 @@ def _interned(spec: FieldSpec) -> tuple:
     return tuple(FieldElement(spec, (v,)) for v in range(spec.p))
 
 
-@dataclass(frozen=True)
-class ExtFieldSpec:
+@dataclass(frozen=True, eq=False)
+class ExtFieldSpec(_Spec):
     """Description of F_{q^n} = F_q[z]/(g(z)) over a base FieldSpec.
 
     ``ext_modulus`` is g by the flat coordinates of its n + 1 coefficients,
     the k of z^j at j*k: the layout of ``FieldSpec.base_modulus`` (k = 1) and
     of the ``_polys`` kernels. Like ``FieldSpec``, the constructor tests its
-    modulus for irreducibility unless ``find_irreducible`` has proved it.
+    modulus for irreducibility unless ``find_irreducible`` has proved it, and
+    the spec is equal by value, hashed once, compared by identity first.
     """
 
     base: FieldSpec
@@ -213,13 +244,9 @@ class ExtFieldSpec:
         if len(mod) != base.k * (self.n + 1) or mod[-base.k :] != _polys.pone(base):
             raise BadInput(f"ext_modulus must be monic of degree {self.n}")
         object.__setattr__(self, "ext_modulus", mod)
-        # every cached kernel lookup hashes the spec; hash the modulus once
-        object.__setattr__(self, "_hash", hash((base, self.n, mod)))
+        self._freeze(base, self.n, mod)
         if (base, mod) not in _proved and not _polys.pis_irreducible(base, mod):
             raise BadInput("ext_modulus is reducible over F_q")
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def q(self) -> int:

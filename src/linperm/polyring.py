@@ -32,6 +32,7 @@ from .fields import (
     FieldElement,
     FieldSpec,
     _digits,
+    _Spec,
     element_of_order,
     find_irreducible,
     integer_order_mod,
@@ -118,9 +119,10 @@ def poly_egcd(a: Poly, b: Poly):
     return Poly(a.spec, g), Poly(a.spec, u), Poly(a.spec, v)
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    """The quotient ring R_{q,n} = F_q[x]/(x^n - 1); requires gcd(n, q) = 1."""
+@dataclass(frozen=True, eq=False)
+class RingSpec(_Spec):
+    """The quotient ring R_{q,n} = F_q[x]/(x^n - 1); requires gcd(n, q) = 1.
+    Equal by value, hashed once, compared by identity first (``fields._Spec``)."""
 
     base: FieldSpec
     n: int
@@ -132,17 +134,19 @@ class RingSpec:
             raise BadInput(
                 f"gcd(n, q) must be 1; got n = {self.n}, q = {self.base.q}"
             )
+        self._freeze(self.base, self.n)
 
     def element(self, coeffs) -> RingElement:
         """Ring element from coefficients (F_q scalars, or ints c naming c*1),
         folded mod x^n - 1."""
-        slots = [self.base.zero()] * self.n
+        base, n = self.base, self.n
+        slots = [base.zero()] * n
         for i, c in enumerate(coeffs):
             if not isinstance(c, FieldElement):
-                c = self.base.embed_int(c)
-            elif c.spec != self.base:
+                c = base.embed_int(c)
+            elif c.spec is not base and c.spec != base:
                 raise SpecMismatch("coefficient from a different field")
-            slots[i % self.n] = slots[i % self.n] + c
+            slots[i % n] = slots[i % n] + c
         return RingElement(self, tuple(v for c in slots for v in c.coeffs))
 
     def from_poly(self, f: Poly) -> RingElement:
