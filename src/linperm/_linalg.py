@@ -161,6 +161,11 @@ def _int_rows(ints: list[int], dtype, width: int) -> np.ndarray:
     return np.frombuffer(data, dtype=dtype).reshape(len(ints), width)
 
 
+def _narrowest_int(bound: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds ``bound``."""
+    return next((t for t in (np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64)
+
+
 def _eliminate(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Gaussian elimination over F_p of the integer matrix ``rows``, which it
     does not modify: (W, pivots), where row i < len(pivots) of W is
@@ -240,8 +245,7 @@ def _eliminate(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
                     R[i] += (p - c) * v
             pivots.append(col)
         return _int_rows(R[: len(pivots)], dtype, e), pivots
-    bound = p + min(d, e) * p * p
-    dtype = next((t for t in (np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64)
+    dtype = _narrowest_int(p + min(d, e) * p * p)
     W = (rows.astype(np.promote_types(rows.dtype, dtype), copy=False) % p).astype(dtype, copy=False)
     for col in range(e):
         r = len(pivots)

@@ -423,9 +423,11 @@ def _euclid(field, a, b, cofactors: bool) -> tuple:
         r0, r1, u0, u1, v0, v1 = r1, r0, u1, u0, v1, v0
         n0, n1, lead0, lead1, e0, e1 = n1, n0, lead1, lead0, e1, e0
     rows = [r0, u0, v0] if cofactors else [r0]
-    if n0:  # times 1/lead0, which leaves lanes below k*(p - 1)*e0
-        if k * (p - 1) * e0 >= limit:
-            rows = _reduced(p, L, lanes, rows)
+    # times 1/lead0 leaves lanes below k*(p - 1)*e0 < 2^B, e0 the bound of
+    # the last divisor: either p - 1, when no step ran or the last one reduced
+    # its rows, and ``_lane_width`` holds a one-slot step from reduced rows;
+    # or the last step kept grow*e0 below 2^B, with grow >= k*(p - 1)
+    if n0:
         inverse = _columns(field, lead0, L, invert=True)
         rows = [_times(inverse, r, starts, L) for r in rows]
     return tuple(_lane_flat(k, L, r) for r in _reduced(p, L, lanes, rows))

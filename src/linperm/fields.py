@@ -4,6 +4,12 @@ An F_q scalar is a ``FieldElement``; an element of F_{q^n} is an
 ``ExtElement``, one flat tuple of k*n ints mod p in the layout of ``_linalg``,
 which the F_p kernels of ``_polys`` read directly.
 
+Like the specs (``_Spec``), the element classes, these two, ``Poly``,
+``RingElement`` and ``LinearizedPoly``, keep one value rule (``_Value``): an
+operand must be of the same class over the same spec, compared by identity
+first, or the operation raises ``SpecMismatch``. ``ExtElement`` and
+``RingElement`` share their sums and differences (``_Residue``).
+
 All values are immutable; operations are pure functions, so everything in
 this module is safe to share across threads.
 """
@@ -94,8 +100,35 @@ class _Spec:
         return self.__class__, self._key
 
 
+class _Field(_Spec):
+    """What ``FieldSpec`` and ``ExtFieldSpec`` share: the constants and one
+    modulus rule."""
+
+    def _set_modulus(self, name: str, over: FieldSpec, degree: int):
+        """Stores the modulus in field ``name``, the flat coordinates of its
+        coefficients over ``over``, mod p: it must be monic of ``degree``,
+        and irreducible unless ``find_irreducible`` proved it."""
+        mod = getattr(self, name)
+        mod = () if mod is None else tuple(c % over.p for c in mod)
+        if len(mod) != over.k * (degree + 1) or mod[-over.k :] != _polys.pone(over):
+            raise BadInput(f"{name} must be monic of degree {degree}")
+        if (over, mod) not in _proved and not _polys.pis_irreducible(over, mod):
+            raise BadInput(f"{name} is reducible over F_{over.q}")
+        object.__setattr__(self, name, mod)
+
+    def zero(self):
+        return self.element(())
+
+    def one(self):
+        return self.element((1,))
+
+    def embed_int(self, c: int):
+        """Image of the integer c under Z -> the field (c times the identity)."""
+        return self.element((c,))
+
+
 @dataclass(frozen=True, eq=False)
-class FieldSpec(_Spec):
+class FieldSpec(_Field):
     """Description of F_q with q = p^k; elements are residues mod ``base_modulus``.
     Equal by value, hashed once, compared by identity first (``_Spec``)."""
 
@@ -108,20 +141,11 @@ class FieldSpec(_Spec):
             raise BadInput(f"p = {self.p} must be a prime below 2^16")
         if self.k < 1:
             raise BadInput("extension degree k must be >= 1")
-        if self.k == 1:
-            if self.base_modulus is not None:
-                raise BadInput("base_modulus must be absent when k = 1")
-            self._freeze(self.p, self.k, None)
-            return
-        mod = self.base_modulus
-        if mod is None or len(mod) != self.k + 1 or mod[-1] % self.p != 1:
-            raise BadInput(f"base_modulus must be monic of degree {self.k}")
-        mod = tuple(c % self.p for c in mod)
-        object.__setattr__(self, "base_modulus", mod)
-        self._freeze(self.p, self.k, mod)
-        prime = FieldSpec(self.p)
-        if (prime, mod) not in _proved and not _polys.pis_irreducible(prime, mod):
-            raise BadInput("base_modulus is reducible over F_p")
+        if self.k == 1 and self.base_modulus is not None:
+            raise BadInput("base_modulus must be absent when k = 1")
+        if self.k > 1:
+            self._set_modulus("base_modulus", FieldSpec(self.p), self.k)
+        self._freeze(self.p, self.k, self.base_modulus)
 
     @property
     def q(self) -> int:
@@ -139,16 +163,6 @@ class FieldSpec(_Spec):
         coeffs = tuple(c % self.p for c in coeffs)
         return FieldElement(self, coeffs + (0,) * (self.k - len(coeffs)))
 
-    def zero(self) -> FieldElement:
-        return self.element(())
-
-    def one(self) -> FieldElement:
-        return self.element((1,))
-
-    def embed_int(self, c: int) -> FieldElement:
-        """Image of the integer c under Z -> F_q (c times the identity)."""
-        return self.element((c,))
-
     def from_int(self, v: int) -> FieldElement:
         """Element with base-p digits of v as coordinates (0 <= v < q)."""
         if not 0 <= v < self.q:
@@ -160,18 +174,45 @@ class FieldSpec(_Spec):
             yield self.from_int(v)
 
 
+class _Value:
+    """The value rule of the element classes: an operand of an operation must
+    be of the same class over the same spec, compared by identity first, or
+    the operation raises ``SpecMismatch``."""
+
+    def _check(self, other):
+        if other.__class__ is not self.__class__ or (
+            other.spec is not self.spec and other.spec != self.spec
+        ):
+            raise SpecMismatch(f"cannot combine {self!r} with {other!r}")
+
+
+class _Residue(_Value):
+    """Sums, differences and negation on ``coords`` mod ``spec.base.p``."""
+
+    def is_zero(self) -> bool:
+        return not any(self.coords)
+
+    def __add__(self, other):
+        self._check(other)
+        p = self.spec.base.p
+        return type(self)(self.spec, tuple((a + b) % p for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        self._check(other)
+        p = self.spec.base.p
+        return type(self)(self.spec, tuple((a - b) % p for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        p = self.spec.base.p
+        return type(self)(self.spec, tuple(-a % p for a in self.coords))
+
+
 @dataclass(frozen=True)
-class FieldElement:
+class FieldElement(_Value):
     """Element of F_q as a length-k little-endian coordinate vector mod p."""
 
     spec: FieldSpec
     coeffs: tuple[int, ...]
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or (
-            other.spec is not self.spec and other.spec != self.spec
-        ):
-            raise SpecMismatch(f"cannot combine {self!r} with {other!r}")
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -187,9 +228,7 @@ class FieldElement:
     def __sub__(self, other):
         self._check(other)
         p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return FieldElement(self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
         p = self.spec.p
@@ -223,14 +262,13 @@ def _interned(spec: FieldSpec) -> tuple:
 
 
 @dataclass(frozen=True, eq=False)
-class ExtFieldSpec(_Spec):
+class ExtFieldSpec(_Field):
     """Description of F_{q^n} = F_q[z]/(g(z)) over a base FieldSpec.
 
     ``ext_modulus`` is g by the flat coordinates of its n + 1 coefficients,
     the k of z^j at j*k: the layout of ``FieldSpec.base_modulus`` (k = 1) and
-    of the ``_polys`` kernels. Like ``FieldSpec``, the constructor tests its
-    modulus for irreducibility unless ``find_irreducible`` has proved it, and
-    the spec is equal by value, hashed once, compared by identity first.
+    of the ``_polys`` kernels. As for ``FieldSpec``, its modulus keeps the
+    rule of ``_Field`` and the spec the value rule of ``_Spec``.
     """
 
     base: FieldSpec
@@ -238,15 +276,9 @@ class ExtFieldSpec(_Spec):
     ext_modulus: tuple[int, ...]
 
     def __post_init__(self):
-        base = self.base
         _check_degree(self.n)
-        mod = tuple(c % base.p for c in self.ext_modulus)
-        if len(mod) != base.k * (self.n + 1) or mod[-base.k :] != _polys.pone(base):
-            raise BadInput(f"ext_modulus must be monic of degree {self.n}")
-        object.__setattr__(self, "ext_modulus", mod)
-        self._freeze(base, self.n, mod)
-        if (base, mod) not in _proved and not _polys.pis_irreducible(base, mod):
-            raise BadInput("ext_modulus is reducible over F_q")
+        self._set_modulus("ext_modulus", self.base, self.n)
+        self._freeze(self.base, self.n, self.ext_modulus)
 
     @property
     def q(self) -> int:
@@ -270,23 +302,12 @@ class ExtFieldSpec(_Spec):
         pad = (0,) * (self.base.k * self.n - len(coords))
         return ExtElement(self, tuple(coords) + pad)
 
-    def zero(self) -> ExtElement:
-        return self.element(())
-
-    def one(self) -> ExtElement:
-        return self.element((1,))
-
     def gen(self) -> ExtElement:
         """The class of z, the adjoined root of ext_modulus."""
         return self.element((0, 1))
 
     def embed(self, a: FieldElement) -> ExtElement:
-        if a.spec != self.base:
-            raise SpecMismatch("element from a different base field")
         return self.element((a,))
-
-    def embed_int(self, c: int) -> ExtElement:
-        return self.element((c,))
 
     def from_int(self, v: int) -> ExtElement:
         """Element whose coordinates are the base-p digits of v (0 <= v < q^n)."""
@@ -361,19 +382,12 @@ def _mul_rows(spec: ExtFieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ExtElement:
+class ExtElement(_Residue):
     """Element of F_{q^n}: ``coords[j*k + l]`` is the coefficient of y^l z^j.
     The hash leaves out ``spec``, which equality still compares."""
 
     spec: ExtFieldSpec = field(hash=False)
     coords: tuple[int, ...]
-
-    def _check(self, other):
-        if not isinstance(other, ExtElement) or other.spec != self.spec:
-            raise SpecMismatch(f"cannot combine {self!r} with {other!r}")
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
     def in_base_field(self) -> bool:
         return not any(self.coords[self.spec.base.k :])
@@ -383,24 +397,6 @@ class ExtElement:
             raise InternalError(f"fields: {self} does not lie in the base field")
         base = self.spec.base
         return base.element(self.coords[: base.k])
-
-    def __add__(self, other):
-        self._check(other)
-        p = self.spec.base.p
-        return ExtElement(
-            self.spec, tuple((a + b) % p for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        p = self.spec.base.p
-        return ExtElement(
-            self.spec, tuple((a - b) % p for a, b in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self):
-        p = self.spec.base.p
-        return ExtElement(self.spec, tuple(-a % p for a in self.coords))
 
     def scale(self, s: FieldElement) -> ExtElement:
         """s*a for s in F_q: every slot times the k x k block of s."""

@@ -42,6 +42,7 @@ from .fields import (
     FieldElement,
     _frobenius_power,
     _mul_rows,
+    _Value,
     extension_field,
 )
 from .idempotents import (
@@ -92,7 +93,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class LinearizedPoly:
+class LinearizedPoly(_Value):
     """Reduced-degree linearized polynomial F = sum_i f_i x^{[i]}, 0 <= i < n.
 
     ``coords`` is the stored form: a read-only (n, k*n) int64 array whose row
@@ -147,10 +148,6 @@ class LinearizedPoly:
 
     def __hash__(self):
         return hash(self.coords.tobytes())
-
-    def _check(self, other):
-        if not isinstance(other, LinearizedPoly) or other.spec != self.spec:
-            raise SpecMismatch("operands from different fields")
 
     def __add__(self, other):
         self._check(other)
@@ -278,8 +275,7 @@ def is_permutation_rank(F: LinearizedPoly) -> bool:
     # that holds that bound, and rank_mod reduces it once. Every product
     # names that dtype, since Frob^i is uint16, where a bare int product
     # wraps; an int16 M means p < 182, so Frob^i is then read as int16.
-    bound = n * k * p * p * (n if outside.any() else 1)
-    dtype = next((t for t in (np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64)
+    dtype = _linalg._narrowest_int(n * k * p * p * (n if outside.any() else 1))
     M = np.zeros((k * n, k * n), dtype=dtype)
     term = np.empty_like(M)
     for i in support:

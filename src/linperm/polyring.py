@@ -32,7 +32,9 @@ from .fields import (
     FieldElement,
     FieldSpec,
     _digits,
+    _Residue,
     _Spec,
+    _Value,
     element_of_order,
     find_irreducible,
     integer_order_mod,
@@ -40,7 +42,7 @@ from .fields import (
 
 
 @dataclass(frozen=True)
-class Poly:
+class Poly(_Value):
     """Dense polynomial over F_q: ``coords`` holds the F_p coordinates of its
     coefficients, those of x^j at j*k, with no trailing zero slot."""
 
@@ -68,10 +70,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coords
-
-    def _check(self, other):
-        if not isinstance(other, Poly) or other.spec != self.spec:
-            raise SpecMismatch("polynomials over different fields")
 
     def __add__(self, other):
         self._check(other)
@@ -138,14 +136,12 @@ class RingSpec(_Spec):
 
     def element(self, coeffs) -> RingElement:
         """Ring element from coefficients (F_q scalars, or ints c naming c*1),
-        folded mod x^n - 1."""
+        folded mod x^n - 1; the sum refuses a scalar over another field."""
         base, n = self.base, self.n
         slots = [base.zero()] * n
         for i, c in enumerate(coeffs):
             if not isinstance(c, FieldElement):
                 c = base.embed_int(c)
-            elif c.spec is not base and c.spec != base:
-                raise SpecMismatch("coefficient from a different field")
             slots[i % n] = slots[i % n] + c
         return RingElement(self, tuple(v for c in slots for v in c.coeffs))
 
@@ -170,39 +166,15 @@ class RingSpec(_Spec):
 
 
 @dataclass(frozen=True)
-class RingElement:
+class RingElement(_Residue):
     """Class of a polynomial of degree < n in R_{q,n}: ``coords`` holds the
     flat F_p coordinates of all n coefficients, as ``Poly.coords``."""
 
     spec: RingSpec
     coords: tuple[int, ...]
 
-    def _check(self, other):
-        if not isinstance(other, RingElement) or other.spec != self.spec:
-            raise SpecMismatch("elements of different rings")
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def to_poly(self) -> Poly:
         return Poly(self.spec.base, self.coords)
-
-    def __add__(self, other):
-        self._check(other)
-        p = self.spec.base.p
-        return RingElement(
-            self.spec, tuple((a + b) % p for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        p = self.spec.base.p
-        return RingElement(
-            self.spec, tuple((a - b) % p for a, b in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self):
-        return RingElement(self.spec, _polys.pneg(self.spec.base, self.coords))
 
     def __mul__(self, other):
         self._check(other)
