@@ -24,7 +24,9 @@ holds its bound, and a signed input is never widened first. Only what a
 decision reads is reduced.
 
 ``matmul_mod`` is the one exact product mod p of two F_p matrices, in float
-BLAS; the oracle, the narrow tensor path and ``pmulmod`` keep int64.
+BLAS, reduced mod p in float before its one cast to int64 (the proof is in
+its docstring); the oracle, the narrow tensor path and ``pmulmod`` keep
+int64.
 """
 
 from __future__ import annotations
@@ -89,11 +91,25 @@ def matmul_mod(A, B, p: int) -> np.ndarray:
     one below 2^53, so the product runs in float32 while K*(p - 1)^2 < 2^24
     and in float64 while it is below 2^53 (every K < 2^21 for p < 2^16);
     past that ``cast_exact`` raises ``InternalError``.
+
+    Each entry C of the product is reduced in float, as C - p*floor(C/p), and
+    the result is cast to int64 once. That is exact. Let t = 24 (float32) or
+    53 (float64) be the significant bits, so C < 2^t. The division is
+    correctly rounded: for 2^(e - 1) <= C/p < 2^e its error is at most half a
+    unit in the last place, 2^(e - t - 1) <= (C/p)/2^t < 1/p. Write
+    C = m*p + r with 0 <= r < p. For r = 0, C/p = m is exact. Otherwise C/p
+    lies strictly between m and m + 1, both representable, and
+    (m + 1) - C/p = (p - r)/p >= 1/p, so it rounds to a value in [m, m + 1)
+    and floor(C/p) = m. Then p*m and C - p*m are integers below 2^t, and
+    exact.
     """
     A = cast_exact(A, p)
-    out = (A @ np.asarray(B, dtype=A.dtype)).astype(np.int64)
-    out %= p
-    return out
+    out = A @ np.asarray(B, dtype=A.dtype)
+    quotient = out / p
+    np.floor(quotient, out=quotient)
+    quotient *= p
+    out -= quotient
+    return out.astype(np.int64)
 
 
 # An odd-p matrix of d rows and e columns eliminates on packed rows when

@@ -32,12 +32,15 @@ does in ``_linalg._eliminate``.
 
 ``pdivmod`` is one step, with the quotient as one more row, and Euclid
 (``pgcd``, ``pegcd``) is a loop of steps on the last two remainders, with
-their cofactors for ``pegcd``.
+their cofactors for ``pegcd``. ``_frobenius_q`` builds the matrix of
+h -> h^q on the same rows, one column from the one before: x^q times it,
+its top slots folded back through a table of residues mod f.
 
 Every power (``_power``, ``ppowmod``, ``ExtElement.__pow__``, Frobenius gaps)
 is the one left-to-right ``_square_and_multiply`` on the caller's product.
-The F_p matrix products of the irreducibility test's chain and of
-``mulmod_rows`` are ``_linalg.matmul_mod``, which owns their exactness.
+The F_p matrix products of the irreducibility test's chain, of ``ppowmod``
+and of ``mulmod_rows`` are ``_linalg.matmul_mod``, which owns their
+exactness; ``pmulmod``, one product, stays on int64.
 """
 
 from __future__ import annotations
@@ -530,12 +533,19 @@ def _reduction_matrix(field, mod: tuple) -> np.ndarray:
     return red.reshape(d * s, 2 * d * s)
 
 
-def mulmod(p: int, red: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Packed product a*b reduced by ``red``: the one convolve-and-reduce kernel."""
+def _convolved(p: int, width: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.convolve of the packed a and b mod p, padded with zeros to the
+    ``width`` columns of a reduction matrix."""
     conv = np.convolve(a, b) % p
-    padded = np.zeros(red.shape[1], dtype=np.int64)
+    padded = np.zeros(width, dtype=np.int64)
     padded[: len(conv)] = conv
-    return (red @ padded) % p
+    return padded
+
+
+def mulmod(p: int, red: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Packed product a*b reduced by ``red``, on int64: one product costs no
+    cast."""
+    return red @ _convolved(p, red.shape[1], a, b) % p
 
 
 def pmulmod(field, red: np.ndarray, a, b) -> tuple:
@@ -583,11 +593,17 @@ def unit_products(field, red: np.ndarray) -> np.ndarray:
 
 
 def ppowmod(field, red: np.ndarray, a, e: int) -> tuple:
-    """Flat coordinates of a^e modulo f (e >= 0, 0^0 = 1), as ``pmulmod``."""
+    """Flat coordinates of a^e modulo f (e >= 0, 0^0 = 1), as ``pmulmod``;
+    ``red`` is fixed through the loop, so it is cast once and every product
+    reduces through ``_linalg.matmul_mod``."""
     k, p = field.k, field.p
     if e == 0:
         return _unpack(k, red[:, 0])  # the packed residue 1
-    return _unpack(k, _square_and_multiply(lambda a, b: mulmod(p, red, a, b), _pack(k, a), e))
+    R, width = _linalg.cast_exact(red, p), red.shape[1]
+    power = _square_and_multiply(
+        lambda a, b: _linalg.matmul_mod(R, _convolved(p, width, a, b), p), _pack(k, a), e
+    )
+    return _unpack(k, power)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -616,15 +632,24 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _frobenius_q(field, f) -> np.ndarray:
-    """F_p matrix (k*d square), on flat coordinates, of h -> h^q on F_q[x]/(f),
-    f monic of degree d (flat).
+    """F_p matrix (k*d square, int64), on flat coordinates, of h -> h^q on
+    F_q[x]/(f), f monic of degree d (flat).
 
-    Its column j, in F_q terms, is x^(qj) mod f, which is x^q times column
-    j - 1: slot i moves to slot i + q while i + q < d, and the other slots
-    come back through the residues x^(max(q, d) + t) mod f, t < min(q, d).
-    Those start at x^d = -low(f) for q < d and at x^q mod f, by
-    ``ppowmod``, for q >= d. So a column costs one product by a
-    (k*d x k*min(q, d)) matrix.
+    Its column j*k + l is y^l x^(qj) mod f, which is x^q times column
+    (j - 1)*k + l: slot i moves to slot i + q while i + q < d, and the top
+    w = min(q, d) slots come back through the residues x^(max(q, d) + t)
+    mod f, t < w. Those start at x^d = -low(f) for q < d and at x^q mod f,
+    by ``ppowmod``, for q >= d (``_times_x_powers``); the table holds y^l
+    times each, one row per coordinate of the top slots.
+
+    Each column is a packed row in the layouts of long division (see the
+    module docstring), built from the one before by one shift of its low
+    slots and one multiply-add per nonzero coordinate of its top slots, by
+    that coordinate's table row. On bit-rows (p = 2) that is XOR. On lanes
+    (odd p) the table and the column are reduced, so a lane then holds below
+    p - 1 + k*w*(p - 1)^2; L is the fewest bits whose ``_linalg._lane_bound``
+    holds that, and one Barrett step (``_linalg._barrett``) reduces the new
+    column. The columns are unpacked once, at the end.
     """
     p, k, q = field.p, field.k, field.q
     d = pdeg(field, f)
@@ -637,14 +662,43 @@ def _frobenius_q(field, f) -> np.ndarray:
         x = _unpack(k, red[:, 2 * k - 1])  # column 2k - 1 of red is x mod f
         first = np.reshape(ppowmod(field, red, x, q), (d, k))
     R = _times_x_powers(field, low, first, wrap)
-    T = _linalg.mul_tensor(field)
-    act = np.einsum("lab,tjb->jlta", T, R).reshape(d * k, wrap * k) % p
-    cols = np.zeros((d, d * k), dtype=np.int64)
-    cols[0, 0] = 1
-    for j in range(1, d):
-        cols[j, q * k :] = cols[j - 1, : (d - wrap) * k]
-        cols[j] = (cols[j] + act @ cols[j - 1, (d - wrap) * k :]) % p
-    return _linalg.lift(field, cols.reshape(d, d, k).transpose(1, 0, 2))
+    # row t*k + l: the flat coordinates of y^l x^(max(q, d) + t) mod f
+    table = np.einsum("lab,tjb->tajl", _linalg.mul_tensor(field), R).reshape(wrap * k, d * k) % p
+    if p == 2:
+        L = 1
+        rows = [_bit_row(r) for r in table.tolist()]
+    else:
+        L, B = 16, (p - 1 + k * wrap * (p - 1) ** 2).bit_length()
+        while B > _linalg._lane_bound(L):
+            L += 16
+        rows = [_lane_row(r, L) for r in table.tolist()]
+        m, s, lanes = _linalg._barrett(p, L, _linalg._lane_bound(L), k * d)
+    mask, width = (1 << L) - 1, L * k
+    kept = width * (d - wrap)  # the bits of the slots that move up by q
+    below, up = (1 << kept) - 1, width * q
+    cols = [1 << L * l for l in range(k)]  # column l is y^l
+    for c in range(k, k * d):
+        col = cols[c - k]
+        top = col >> kept
+        col = (col & below) << up
+        if p == 2:
+            while top:
+                bit = top & -top
+                col ^= rows[bit.bit_length() - 1]
+                top ^= bit
+        else:
+            for i, row in enumerate(rows):
+                if a := top >> L * i & mask:
+                    col += a * row
+            col -= p * (col * m >> s & lanes)
+        cols.append(col)
+    size = -(-width * d // 8)
+    data = np.frombuffer(b"".join(c.to_bytes(size, "little") for c in cols), dtype=np.uint8)
+    if p == 2:
+        C = np.unpackbits(data.reshape(k * d, size), axis=1, count=k * d, bitorder="little")
+    else:  # a coordinate is below 2^16, in the first two bytes of its lane
+        C = data.view("<u2").reshape(k * d, k * d, L // 16)[:, :, 0]
+    return np.ascontiguousarray(C.T, dtype=np.int64)
 
 
 def pis_irreducible(field, f) -> bool:

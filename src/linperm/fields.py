@@ -6,8 +6,9 @@ which the F_p kernels of ``_polys`` read directly.
 
 Like the specs (``_Spec``), the element classes, these two, ``Poly``,
 ``RingElement`` and ``LinearizedPoly``, keep one value rule (``_Value``): an
-operand must be of the same class over the same spec, compared by identity
-first, or the operation raises ``SpecMismatch``. ``ExtElement`` and
+operand must be of the same class over the same spec, and a value that a
+conversion takes of the class and spec it expects, specs compared by
+identity first, or the call raises ``SpecMismatch``. ``ExtElement`` and
 ``RingElement`` share their sums and differences (``_Residue``).
 
 All values are immutable; operations are pure functions, so everything in
@@ -175,15 +176,18 @@ class FieldSpec(_Field):
 
 
 class _Value:
-    """The value rule of the element classes: an operand of an operation must
-    be of the same class over the same spec, compared by identity first, or
-    the operation raises ``SpecMismatch``."""
+    """The value rule of the element classes: an operand of an operation, or
+    a value a conversion takes, must be of the expected class over the
+    expected spec, compared by identity first, or the call raises
+    ``SpecMismatch``."""
+
+    @classmethod
+    def _require(cls, spec, value):
+        if value.__class__ is not cls or (value.spec is not spec and value.spec != spec):
+            raise SpecMismatch(f"expected {cls.__name__} over {spec}, got {value!r}")
 
     def _check(self, other):
-        if other.__class__ is not self.__class__ or (
-            other.spec is not self.spec and other.spec != self.spec
-        ):
-            raise SpecMismatch(f"cannot combine {self!r} with {other!r}")
+        self._require(self.spec, other)
 
 
 class _Residue(_Value):
@@ -401,8 +405,7 @@ class ExtElement(_Residue):
     def scale(self, s: FieldElement) -> ExtElement:
         """s*a for s in F_q: every slot times the k x k block of s."""
         base = self.spec.base
-        if s.spec != base:
-            raise SpecMismatch("scalar from a different base field")
+        FieldElement._require(base, s)
         block = _polys._block(base, s.coeffs)
         slots = np.reshape(self.coords, (-1, base.k))
         return ExtElement(self.spec, tuple((slots @ block.T % base.p).ravel().tolist()))

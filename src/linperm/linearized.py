@@ -108,8 +108,8 @@ class LinearizedPoly(_Value):
     def __init__(self, spec: ExtFieldSpec, coeffs):
         if len(coeffs) != spec.n:
             raise BadInput(f"expected {spec.n} coefficients, got {len(coeffs)}")
-        if any(c.spec != spec for c in coeffs):
-            raise SpecMismatch("coefficient from a different field")
+        for c in coeffs:
+            ExtElement._require(spec, c)
         self._set(spec, np.array([c.coords for c in coeffs], dtype=np.int64))
 
     @classmethod
@@ -132,8 +132,7 @@ class LinearizedPoly(_Value):
     def monomial(cls, spec: ExtFieldSpec, c: ExtElement, i: int) -> "LinearizedPoly":
         if not 0 <= i < spec.n:
             raise BadInput(f"exponent {i} out of range")
-        if c.spec != spec:
-            raise SpecMismatch("coefficient from a different field")
+        ExtElement._require(spec, c)
         coords = np.zeros((spec.n, len(c.coords)), dtype=np.int64)
         coords[i] = c.coords
         return cls._of(spec, coords)
@@ -523,8 +522,7 @@ def evaluate_many(F: LinearizedPoly, A) -> np.ndarray:
 
 
 def evaluate(F: LinearizedPoly, a: ExtElement) -> ExtElement:
-    if not isinstance(a, ExtElement) or a.spec != F.spec:
-        raise SpecMismatch("argument from a different field")
+    ExtElement._require(F.spec, a)
     (image,) = evaluate_many(F, [a.coords]).tolist()
     return ExtElement(F.spec, tuple(image))
 

@@ -25,7 +25,6 @@ from .errors import (
     BothZero,
     InternalError,
     NotAUnit,
-    SpecMismatch,
 )
 from .fields import (
     ExtFieldSpec,
@@ -146,8 +145,7 @@ class RingSpec(_Spec):
         return RingElement(self, tuple(v for c in slots for v in c.coeffs))
 
     def from_poly(self, f: Poly) -> RingElement:
-        if f.spec != self.base:
-            raise SpecMismatch("polynomial over a different field")
+        Poly._require(self.base, f)
         return RingElement(self, _polys.pfold(self.base, f.coords, self.n))
 
     def zero(self) -> RingElement:

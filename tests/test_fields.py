@@ -23,7 +23,7 @@ from linperm import (
 )
 from linperm.errors import BadInput, InternalError, NotCoprime, ZeroInverse, ZeroOrder
 from linperm._linalg import lift
-from linperm import fields
+from linperm import _linalg, _polys, fields
 from linperm._polys import _frobenius_q, _prime_factors, pis_irreducible, pmod, pmul, pone
 from linperm.fields import _frobenius_power, element_of_order
 from linperm.linearized import parse_linearized
@@ -472,18 +472,63 @@ def test_pis_irreducible_rejects_reducibles(q, extra, seeds):
     seed=st.integers(0, 10**6),
 )
 def test_frobenius_q_matches_powering(q, degree, seed):
-    # the slot-shifting build of h -> h^q, on both sides of q = d, against
-    # its columns x^(qj) mod f by long division of the monomials
+    # the packed build of h -> h^q, on both sides of q = d, against its
+    # columns x^(qj) mod f, each x^q mod f times the one before, by the
+    # product and long division of the polynomial kernels
     base = base_field(q)
     k = base.k
     rng = random.Random(seed)
     f = tuple(rng.randrange(base.p) for _ in range(k * degree)) + pone(base)
-    cols = []
-    for j in range(degree):
-        r = pmod(base, (0,) * (k * q * j) + pone(base), f)
-        cols.append(list(r) + [0] * (k * degree - len(r)))
+    x_q = pmod(base, (0,) * (k * q) + pone(base), f)
+    cols, col = [], pone(base)
+    for _ in range(degree):
+        cols.append(list(col) + [0] * (k * degree - len(col)))
+        col = pmod(base, pmul(base, col, x_q), f)
     expected = lift(base, np.array(cols).reshape(degree, degree, k).transpose(1, 0, 2))
     assert np.array_equal(_frobenius_q(base, f), expected)
+
+
+def _frobenius_by_column_walk(field, f):
+    """The former build of ``_frobenius_q``: x^(qj) mod f as int64 columns,
+    each x^q times the one before through a numpy matrix of the top slots'
+    residues x^(max(q, d) + t) mod f, then lifted to F_p."""
+    p, k, q = field.p, field.k, field.q
+    d = len(f) // k - 1
+    wrap = min(q, d)
+    low = np.array(f[:-k]).reshape(d, k)
+    if q < d:
+        first = -low % p
+    else:
+        red = _polys._reduction_matrix(field, tuple(f))
+        x = _polys._unpack(k, red[:, 2 * k - 1])
+        first = np.reshape(_polys.ppowmod(field, red, x, q), (d, k))
+    R = _polys._times_x_powers(field, low, first, wrap)
+    T = _linalg.mul_tensor(field)
+    act = np.einsum("lab,tjb->jlta", T, R).reshape(d * k, wrap * k) % p
+    cols = np.zeros((d, d * k), dtype=np.int64)
+    cols[0, 0] = 1
+    for j in range(1, d):
+        cols[j, q * k :] = cols[j - 1, : (d - wrap) * k]
+        cols[j] = (cols[j] + act @ cols[j - 1, (d - wrap) * k :]) % p
+    return lift(field, cols.reshape(d, d, k).transpose(1, 0, 2))
+
+
+@settings(max_examples=150)
+@given(
+    q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 16, 27, 49, 65521]),
+    degree=st.one_of(st.integers(2, 10), st.integers(11, 60)),
+    seed=st.integers(0, 10**6),
+)
+def test_frobenius_q_matches_the_column_walk(q, degree, seed):
+    # bit-rows (p = 2) and lanes (odd p, up to 80-bit lanes at p = 65521),
+    # k = 1 and k > 1, q < d and q >= d (q = 8, 9, 11, 16, 49 and 65521 at
+    # d <= 10): the same int64 array as the former numpy walk
+    base = base_field(q)
+    rng = random.Random(seed)
+    f = tuple(rng.randrange(base.p) for _ in range(base.k * degree)) + pone(base)
+    got, want = _frobenius_q(base, f), _frobenius_by_column_walk(base, f)
+    assert got.dtype == want.dtype == np.int64 and got.flags.c_contiguous
+    assert np.array_equal(got, want)
 
 
 def test_extension_field_seed_is_one_cache_key():

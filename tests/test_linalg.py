@@ -402,6 +402,29 @@ def test_matmul_mod_is_exact_at_the_switch(p, K, dtype):
     assert _linalg.matmul_mod(a[None], a[:, None], p).tolist() == [[want]]
 
 
+@pytest.mark.parametrize(
+    "p,bits,dtype", [(251, 24, np.float32), (4093, 24, np.float32), (65521, 53, np.float64)]
+)
+def test_matmul_mod_is_exact_just_below_each_bound(p, bits, dtype):
+    # the largest K with K*(p - 1)^2 < 2^bits, and every entry p - 1 but the
+    # last of each row of A and column of B, so that entry (i, j) is
+    # (K - 1)(p - 1)^2 + a_i*b_j: sums up to the bound itself, where the
+    # float reduction has the least room (C/p is within a unit in the last
+    # place of 1/p), checked against Python ints
+    K = ((1 << bits) - 1) // (p - 1) ** 2
+    size = max(2, min(64, (1 << 21) // K))  # rows of A and columns of B
+    last = np.random.default_rng(p).integers(0, p, (2, size))
+    last[:, 0] = p - 1
+    A = np.full((size, K), p - 1, dtype=np.uint16)
+    B = np.full((K, size), p - 1, dtype=np.uint16)
+    A[:, -1], B[-1] = last
+    assert _linalg.cast_exact(A, p).dtype == dtype
+    want = [
+        [((K - 1) * (p - 1) ** 2 + int(a) * int(b)) % p for b in last[1]] for a in last[0]
+    ]
+    assert _linalg.matmul_mod(A, B, p).tolist() == want
+
+
 def test_matmul_mod_refuses_past_the_float64_bound():
     p = 65521
     K = -(-(1 << 53) // (p - 1) ** 2)  # the least K with K*(p - 1)^2 >= 2^53

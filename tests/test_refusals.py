@@ -94,6 +94,11 @@ CASES = {
         SpecMismatch,
         lambda: LinearizedPoly.monomial(E, E7.one(), 0),
     ),
+    # a plain int where a conversion takes a value
+    "LinearizedPoly of ints": (SpecMismatch, lambda: LinearizedPoly(E, (1, 2, 3, 4, 5))),
+    "monomial of an int": (SpecMismatch, lambda: LinearizedPoly.monomial(E, 3, 0)),
+    "ExtElement.scale by an int": (SpecMismatch, lambda: E.one().scale(3)),
+    "RingSpec.from_poly of an int": (SpecMismatch, lambda: R.from_poly(3)),
     "a_complete_check foreign shift constant": (
         SpecMismatch,
         lambda: a_complete_check(identity(E), [E7.zero()]),
