@@ -6,12 +6,14 @@ vector of d elements of F_q is the flat vector of their d*k coordinates:
 index j*k + l holds the coefficient of y^l in slot j. ``ExtElement.coords``
 stores an element of F_{q^n} this way (slot j is the coefficient of z^j), so
 these matrices act on it directly. ``lift`` turns an F_q matrix into the F_p
-matrix of the same map. ``_eliminate`` is the one Gaussian elimination:
-``rank_mod`` counts its pivots (the rank test of a linearized polynomial),
-``echelon_mod`` reduces its pivot rows, and ``solve_mod`` back-substitutes on
-that echelon form (the minimal polynomials that factor x^n - 1).
+matrix of the same map. ``_reduce`` is the one Gaussian elimination:
+``rank_mod`` reads its pivot count off the reduced rows in their own layout,
+never unpacking them (the rank test of a linearized polynomial);
+``_eliminate`` unpacks them, ``echelon_mod`` reduces its pivot rows, and
+``solve_mod`` back-substitutes on that echelon form (the minimal polynomials
+that factor x^n - 1).
 
-``_eliminate`` takes one of three paths, chosen from p and the shape of the
+``_reduce`` takes one of three paths, chosen from p and the shape of the
 matrix alone. Over F_2 a row is packed into one Python int, and a row
 operation is one XOR of those ints, the bit-packed layout of M4RI
 (Albrecht-Bard-Hart, ACM TOMS 2010). For odd p, reduction mod p is delayed,
@@ -31,6 +33,7 @@ int64.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
 
 import numpy as np
@@ -179,19 +182,21 @@ def _int_rows(ints: list[int], dtype, width: int) -> np.ndarray:
 
 def _narrowest_int(bound: int) -> type:
     """The narrowest of int16, int32 and int64 that holds ``bound``."""
-    return next((t for t in (np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64)
+    return np.int16 if bound < 1 << 15 else np.int32 if bound < 1 << 31 else np.int64
 
 
-def _eliminate(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+def _reduce(rows: np.ndarray, p: int) -> tuple[int, Callable[[], tuple[np.ndarray, list[int]]]]:
     """Gaussian elimination over F_p of the integer matrix ``rows``, which it
-    does not modify: (W, pivots), where row i < len(pivots) of W is
-    congruent mod p to row i of the echelon form of ``echelon_mod``. A
-    signed integer array is read in its own dtype, anything else as int64.
+    does not modify: (rank, finish), where ``finish()`` gives the (W,
+    pivots) of ``_eliminate`` from the reduced rows, unpacking them only
+    then. A signed integer array is read in its own dtype, anything else as
+    int64.
 
     Over F_2 each row is packed by ``np.packbits`` into one Python int, its
     first column the leading bit, and is XOR-reduced against the pivot rows
-    found so far, keyed by their leading bit; what is left nonzero is a new
-    pivot row. W is the pivot rows, unpacked in pivot column order.
+    found so far, held in a list indexed by their leading bit; what is left
+    nonzero is a new pivot row. W is the pivot rows, unpacked in pivot
+    column order.
 
     For odd p, columns are taken in order, and the pivot is the first row at
     or below the current one whose entry in the column is nonzero mod p. It
@@ -219,19 +224,26 @@ def _eliminate(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         rows = np.asarray(rows, dtype=np.int64)
     d, e = rows.shape
     if p == 2:
-        packed = np.packbits(rows & 1, axis=1)
-        lead = {}  # bit length -> the pivot row with that leading bit
+        # packbits reads a bool array directly and converts any other dtype first
+        packed = np.packbits((rows & 1).astype(bool), axis=1)
+        size = packed.shape[1]
+        lead = [0] * (8 * size + 1)  # bit length -> the pivot row with that leading bit
         for v in _row_ints(packed):
             while v:
                 bits = v.bit_length()
-                if bits not in lead:
+                u = lead[bits]
+                if not u:
                     lead[bits] = v
                     break
-                v ^= lead[bits]
-        keys = sorted(lead, reverse=True)
-        size = packed.shape[1]
-        W = _int_rows([lead[bits] for bits in keys], np.uint8, size)
-        return np.unpackbits(W, axis=1, count=e), [8 * size - bits for bits in keys]
+                v ^= u
+        rank = len(lead) - lead.count(0)
+
+        def finish():
+            keys = [bits for bits in range(8 * size, 0, -1) if lead[bits]]
+            W = _int_rows([lead[bits] for bits in keys], np.uint8, size)
+            return np.unpackbits(W, axis=1, count=e), [8 * size - bits for bits in keys]
+
+        return rank, finish
     pivots = []
     if lanes := _lanes(p, d, e):
         L, B = lanes
@@ -260,7 +272,7 @@ def _eliminate(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
                 if c := (R[i] >> shift & lane) % p:
                     R[i] += (p - c) * v
             pivots.append(col)
-        return _int_rows(R[: len(pivots)], dtype, e), pivots
+        return len(pivots), lambda: (_int_rows(R[: len(pivots)], dtype, e), pivots)
     dtype = _narrowest_int(p + min(d, e) * p * p)
     W = (rows.astype(np.promote_types(rows.dtype, dtype), copy=False) % p).astype(dtype, copy=False)
     for col in range(e):
@@ -283,7 +295,14 @@ def _eliminate(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         W[r, col:] = pivot
         W[r + 1 :, col:] -= c[1:, None] * pivot
         pivots.append(col)
-    return W, pivots
+    return len(pivots), lambda: (W, pivots)
+
+
+def _eliminate(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """(W, pivots) of ``_reduce``: row i < len(pivots) of W is congruent mod
+    p to row i of the echelon form of ``echelon_mod``, in the dtype of the
+    path that reduced it."""
+    return _reduce(rows, p)[1]()
 
 
 def echelon_mod(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -298,9 +317,9 @@ def echelon_mod(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank_mod(rows: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over F_p: the pivot count of ``_eliminate``.
-    ``rows`` is not modified."""
-    return len(_eliminate(rows, p)[1])
+    """Rank of an integer matrix over F_p: the pivots that ``_reduce`` counts
+    on its own rows, which are never unpacked. ``rows`` is not modified."""
+    return _reduce(rows, p)[0]
 
 
 def solve_mod(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:

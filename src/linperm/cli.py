@@ -12,7 +12,10 @@ with --json. Output follows one contract:
 Exit codes: 0 when every check passes; 1 when a check fails (not a
 permutation, a reproduction mismatch, an inverse cross-check failure) and
 for the one exit-1 refusal, ``invert`` on a non-permutation; 2 for every
-other refusal (usage or input errors, unmet hypotheses).
+other refusal (usage or input errors, unmet hypotheses); 3 for an
+``InternalError``, a failed invariant or cross-check inside the library,
+printed as ``error: InternalError: LAYER: ...``. A warning the library
+raises prints as one ``warning: ...`` line on stderr.
 
 ``SUBCOMMANDS`` maps each subcommand to its handler, help and own
 arguments; ``build_parser``, built once per process, adds the field arguments
@@ -28,9 +31,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from functools import lru_cache
 
-from .errors import BadInput, LinpermError, NotAPermutation
+from .errors import BadInput, InternalError, LinpermError, NotAPermutation
 from .fields import (
     ExtFieldSpec,
     FieldSpec,
@@ -516,13 +520,16 @@ def main(argv=None) -> int:
         if hasattr(args, "q"):  # every subcommand but reproduce
             ext = extension_field(args.q, args.n, args.seed)
             ring = RingSpec(ext.base, args.n)
-        inputs, outputs, checks, lines = args.func(args, ring, ext)
+        with warnings.catch_warnings(record=True) as caught:
+            inputs, outputs, checks, lines = args.func(args, ring, ext)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
     except _Refusal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except LinpermError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, InternalError) else 2
     if args.json:
         doc = {
             "operation": args.command,

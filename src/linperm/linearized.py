@@ -59,7 +59,7 @@ from .polyring import (
     RingSpec,
     _coords,
     _field_coeff,
-    _read_int,
+    _matched_int,
     _sum_terms,
     ring_inverse,
     ring_is_unit,
@@ -253,44 +253,45 @@ def is_permutation_rank(F: LinearizedPoly) -> bool:
     """Rank test for arbitrary coefficients: the induced F_q-linear map on
     F_{q^n} must have full rank, k*n as an F_p-linear map (q = p^k).
 
-    The map is sum_i Mul(c_i) Frob^i on flat coordinates, summed in place. A
-    coefficient c in F_q acts on every slot through the same k x k block, so
-    its term costs no full matrix product; a unit adds Frob^i as it is.
+    The map is sum_i Mul(c_i) Frob^i on flat coordinates, summed in place. One
+    pass reads the support, whether any coefficient lies outside F_q, and the
+    support's coefficient rows. A coefficient c in F_q acts on every slot
+    through the same k x k block, so its term costs no full matrix product,
+    and c = 1 or c = -1 adds or subtracts Frob^i as it is (at p = 2, -1 = 1).
     """
     _check_poly(F)
     spec = F.spec
     base = spec.base
     p, k, n = base.p, base.k, spec.n
-    outside = F.coords[:, k:].any(axis=1)
-    inner = F.coords[:, :k]
-    support = (inner.any(axis=1) | outside).nonzero()[0].tolist()
+    wide = bool(F.coords[:, k:].any())  # some coefficient outside F_q
+    support = F.coords.any(axis=1).nonzero()[0].tolist()
     if not support:
         return False
-    unit = ((inner[:, 0] == 1) & ~inner[:, 1:].any(axis=1) & ~outside).tolist()
+    rows = (F.coords[support] if wide else F.coords[support, :k]).tolist()
     # A term adds to each entry a sum of products of two reduced entries, k
     # of them for a coefficient in F_q and k*n otherwise. Over at most n
-    # terms entries stay below n*k*p^2 when every coefficient lies in F_q,
-    # and below n*k*n*p^2 in any case; M is summed in the narrowest dtype
-    # that holds that bound, and rank_mod reduces it once. Every product
-    # names that dtype, since Frob^i is uint16, where a bare int product
-    # wraps; an int16 M means p < 182, so Frob^i is then read as int16.
-    dtype = _linalg._narrowest_int(n * k * p * p * (n if outside.any() else 1))
+    # terms entries stay below n*k*p^2 in absolute value when every
+    # coefficient lies in F_q, and below n*k*n*p^2 in any case; M is summed
+    # in the narrowest signed dtype that holds that bound, and rank_mod
+    # reduces it once. Every product names that dtype, since Frob^i is
+    # uint16, where a bare int product wraps; an int16 M means p < 182, so
+    # Frob^i is then read as int16.
+    dtype = _linalg._narrowest_int(n * k * p * p * (n if wide else 1))
     M = np.zeros((k * n, k * n), dtype=dtype)
     term = np.empty_like(M)
-    for i in support:
+    for i, c in zip(support, rows):
         Fi = _frobenius_power(spec, i).view(np.int16 if dtype is np.int16 else np.uint16)
-        c = F.coords[i]
-        if unit[i]:
-            np.add(M, Fi, out=M, dtype=dtype)
+        if wide and any(c[k:]):
+            np.matmul(_mul_matrix(spec, F.coords[i]), Fi, out=term, dtype=dtype)
+        elif c[0] in (1, p - 1) and not any(c[1:k]):
+            (np.add if c[0] == 1 else np.subtract)(M, Fi, out=M, dtype=dtype)
             continue
-        if outside[i]:
-            np.matmul(_mul_matrix(spec, c), Fi, out=term, dtype=dtype)
         elif k == 1:
             np.multiply(Fi, c[0], out=term, dtype=dtype)
         else:
             # Mul(c) is block diagonal with c's k x k block: slot j of the
             # image is the block times slot j of Frob^i
-            block = _polys._block(base, tuple(c[:k].tolist()))
+            block = _polys._block(base, tuple(c[:k]))
             np.matmul(block, Fi.reshape(n, k, k * n), out=term.reshape(n, k, k * n), dtype=dtype)
         np.add(M, term, out=M)
     return _linalg.rank_mod(M, p) == k * n
@@ -568,7 +569,7 @@ def parse_linearized(text: str, spec: ExtFieldSpec) -> LinearizedPoly:
 
     def term(m):
         _, raw, bracket, exp = m.groups()
-        e = _read_int(exp) if exp else 0
+        e = _matched_int(exp) if exp else 0
         if not 0 <= e < n:
             raise BadInput(f"exponent {e} out of range for n = {n}")
         if bracket:  # all n*k coordinates of an element of F_{q^n}, as printed

@@ -158,9 +158,14 @@ class RingSpec(_Spec):
         return self.from_poly(Poly.x(self.base))
 
     def modulus(self) -> Poly:
-        """x^n - 1 as a polynomial over F_q."""
-        one = _polys.pone(self.base)
-        return Poly(self.base, _polys.psub(self.base, (0,) * len(one) * self.n + one, one))
+        """x^n - 1 as a polynomial over F_q, built once per ring."""
+        return _xn_minus_1(self)
+
+
+@lru_cache(maxsize=None)
+def _xn_minus_1(spec: RingSpec) -> Poly:
+    one = _polys.pone(spec.base)
+    return Poly(spec.base, _polys.psub(spec.base, (0,) * len(one) * spec.n + one, one))
 
 
 @dataclass(frozen=True)
@@ -360,11 +365,18 @@ def _sum_terms(pattern: re.Pattern, text: str, what: str, term) -> dict[int, lis
 
 
 def _read_int(text: str) -> int:
-    """An integer in ASCII digits with an optional minus, the one integer
-    reader of both parsers and the CLI. ``int`` alone also reads "1_0" or
-    "３", and raises ValueError past CPython's digit limit."""
+    """An integer in ASCII digits with an optional minus, the integer reader
+    of the CLI. ``int`` alone also reads "1_0" or "３", and raises ValueError
+    past CPython's digit limit."""
     if _INT.fullmatch(text) is None:
         raise BadInput(f"expects integers, got {text!r}")
+    return _matched_int(text)
+
+
+def _matched_int(text: str) -> int:
+    """``int(text)`` for a ``text`` that a term pattern of either parser has
+    matched as ``-?[0-9]+``, ASCII alone, refused as ``_read_int`` refuses
+    it when it is too long."""
     try:
         return int(text)
     except ValueError:
@@ -373,7 +385,7 @@ def _read_int(text: str) -> int:
 
 def _coords(raw: str, p: int, count: int) -> list[int]:
     """The ``count`` coordinates over F_p that the comma list ``raw`` names."""
-    parts = list(map(_read_int, raw.strip("[]").split(",")))
+    parts = list(map(_matched_int, raw.strip("[]").split(",")))
     if ("-" in raw and min(parts) < 0) or max(parts) >= p:
         raise BadInput(f"coefficient {raw!r} has a coordinate outside [0, {p})")
     if len(parts) != count:
@@ -386,7 +398,7 @@ def _field_coeff(raw: str, field: FieldSpec) -> list[int]:
     element with those base-p digits, a comma vector lists its k coordinates."""
     if "," in raw:
         return _coords(raw, field.p, field.k)
-    v = _read_int(raw)
+    v = _matched_int(raw)
     if v >= field.q:
         raise BadInput(f"{v} names no element of F_{field.q}")
     return [v] if field.k == 1 else list(_digits(v, field.p, field.k))
@@ -402,13 +414,13 @@ def _read_poly(text: str, spec: FieldSpec, n: int | None = None) -> Poly:
     def term(m):
         if dense:  # integers naming the coefficients of x^0, x^1, ...
             ints = m.group(2).split(",") if m.group(2) else ()
-            return 0, [v for c in ints for v in spec.from_int(_read_int(c)).coeffs]
+            return 0, [v for c in ints for v in spec.from_int(_matched_int(c)).coeffs]
         _, raw, exp, const = m.groups()
         if const is not None:
             return 0, _field_coeff(const, spec)
         if exp and exp[0] == "-":
             raise BadInput(f"negative exponent in polynomial term {m.group().lstrip('+-')!r}")
-        e = _read_int(exp) if exp else 1
+        e = _matched_int(exp) if exp else 1
         if n is None and e > _MAX_DEGREE:
             raise BadInput(f"exponent {exp} is above {_MAX_DEGREE}, the largest parse_poly reads")
         return e if n is None else e % n, [1] if raw is None else _field_coeff(raw, spec)

@@ -95,6 +95,39 @@ def test_involutions(capsys):
     assert len(doc["outputs"]["involutions"]) == 8
 
 
+CHAR2_WARNING = "warning: characteristic 2: +1 = -1, sign vectors all give the identity\n"
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (4, 3), (8, 11)])
+def test_involutions_in_characteristic_2_warn_in_one_line(capsys, q, n):
+    """The library's UserWarning reaches stderr as one ``warning:`` line,
+    with no source path or line, on every call; stdout, the JSON document
+    and the exit code are those of any other run."""
+    argv = ["involutions", "--q", str(q), "--n", str(n)]
+    for _ in range(2):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (0, "x\ncheck all_involutions: ok\n", CHAR2_WARNING)
+    code, out, err = run(capsys, argv + ["--json"])
+    assert code == 0 and err == CHAR2_WARNING
+    doc = json.loads(out)
+    assert doc["outputs"] == {"involutions": ["x"]}
+    assert doc["checks"] == [{"name": "all_involutions", "passed": True}]
+
+
+def test_internal_error_exits_3_without_a_traceback(capsys, monkeypatch):
+    """An InternalError, here the ring-inverse cross-check of
+    ``compositional_inverse`` made to fail, exits with its own code and names
+    its layer; no input reaches it, so the fuzz test keeps codes 0, 1, 2."""
+    from linperm import linearized
+
+    monkeypatch.setattr(linearized, "ring_inverse", lambda f: f.spec.zero())
+    code, out, err = run(capsys, ["invert", "--q", "3", "--n", "5", "--poly", "2x^[3]+x^[1]+x"])
+    assert code == 3 and out == ""
+    assert err == "error: InternalError: linearized: component inverse disagrees with ring inverse\n"
+    code, out, err = run(capsys, ["invert", "--q", "3", "--n", "5", "--poly", "2x^[3]+x^[1]+x", "--json"])
+    assert code == 3 and out == "" and err.startswith("error: InternalError: linearized: ")
+
+
 def test_complete(capsys):
     code, doc = run_json(
         capsys,

@@ -176,6 +176,49 @@ def assert_echelon_matches(M, p):
     assert naive_gauss_jordan(E.tolist(), p)[0] == rref
 
 
+# The last size of each odd-p layout, as (p, d) with d x d the last square
+# matrix on one side of the edge and (d + 1) x (d + 1) the first on the
+# other: 16- to 32-bit lanes, 32- to 64-bit lanes, 64-bit lanes to the numpy
+# loop, and packed rows to the numpy loop at _PACKED_ENTRIES = 50^2.
+LAYOUT_EDGES = [(3, 31), (5, 7), (7, 3), (11, 1), (31, 36), (41, 20), (61, 9), (127, 2),
+                (46337, 1), (3, 50), (11, 50)]
+
+
+@st.composite
+def layout_cases(draw):
+    """A matrix on either side of a layout edge, of rank drawn up to its
+    size: F_2 rows of 1 to 300 columns, an odd-p edge of ``LAYOUT_EDGES``
+    with one more or one less column than rows, or any shape at p = 65521."""
+    kind = draw(st.sampled_from(["f2", "edge", "65521"]))
+    if kind == "f2":
+        p, d, e = 2, draw(st.integers(1, 24)), draw(st.integers(1, 300))
+    elif kind == "edge":
+        p, edge = draw(st.sampled_from(LAYOUT_EDGES))
+        d = edge + draw(st.integers(0, 1))
+        e = max(1, d + draw(st.integers(-1, 1)))
+    else:
+        p, d, e = 65521, draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    r = draw(st.integers(0, min(d, e)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(-2 * p, 2 * p, (d, r))
+    return p, (A @ rng.integers(0, p, (r, e))).astype(np.int64)
+
+
+def test_layout_edges_straddle_a_switch():
+    for p, d in LAYOUT_EDGES:
+        assert _linalg._lanes(p, d, d) != _linalg._lanes(p, d + 1, d + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layout_cases())
+def test_rank_mod_counts_the_pivots_of_echelon_mod(case):
+    """rank_mod reads the pivot count off the reduced rows without unpacking
+    them; it must be the pivot count of echelon_mod, which unpacks them, and
+    the rank of the reference, on both sides of every layout edge."""
+    p, M = case
+    assert _linalg.rank_mod(M, p) == len(_linalg.echelon_mod(M, p)[1]) == naive_rank(M.tolist(), p)
+
+
 @pytest.mark.parametrize("width", [1, 7, 9, 65, 255, 300])
 def test_f2_rows_of_any_width(width):
     # one packed byte holds 8 columns: widths off a multiple of 8 leave

@@ -344,6 +344,35 @@ def test_narrow_rank_matrix_agrees_with_bruteforce(monkeypatch, q, n, dtype):
     assert set(seen) == {np.dtype(dtype)}
 
 
+@pytest.mark.parametrize("q, n", [(2, 5), (3, 4), (5, 3), (4, 3), (8, 3), (9, 2)])
+def test_rank_test_with_unit_coefficients_agrees_with_bruteforce(q, n):
+    """Coefficients drawn from 0, 1, p - 1 and the rest of F_q, where a 1
+    adds Frob^i and a p - 1 subtracts it (at p = 2, 1 = p - 1), some with a
+    zero coefficient sum, and some with one coefficient outside F_q: the
+    rank test against the brute-force bijection oracle."""
+    E = extension_field(q, n)
+    base = E.base
+    units = (base.one(), base.embed_int(base.p - 1))
+    others = [c for c in base.elements() if not c.is_zero() and c not in units]
+    outside = [a for a in (E.from_int(v) for v in range(E.order)) if not a.in_base_field()]
+    rng = random.Random(q * n)
+    verdicts, signed, wide = [], 0, 0
+    for trial in range(40):
+        # 0, 1, p - 1 or another element; F_2 and F_3 have no other one
+        cs = [rng.choice([base.zero(), *units, rng.choice(others or units)]) for _ in range(n)]
+        if trial % 3 == 0:  # x - 1 divides f: not a permutation
+            cs[-1] = -sum(cs[:-1], base.zero())
+        signed += sum(c in units for c in cs)
+        coeffs = [E.embed(c) for c in cs]
+        if trial % 4 == 1:
+            coeffs[rng.randrange(n)] = rng.choice(outside)
+            wide += 1
+        F = LinearizedPoly(E, tuple(coeffs))
+        verdicts.append(is_permutation_rank(F))
+        assert verdicts[-1] == is_bijection_bruteforce(F), format_linearized(F)
+    assert True in verdicts and False in verdicts and signed and wide
+
+
 def test_coefficient_sum_reject_implies_not_permutation():
     rng = random.Random(13)
     basis = basis35()

@@ -1,5 +1,6 @@
 """Polynomials over F_q, the cyclic quotient ring and the x^n - 1 factorization."""
 
+import pickle
 import re
 import tracemalloc
 
@@ -149,6 +150,31 @@ def test_unit_iff_coprime():
     assert not ring_is_unit(e)
     with pytest.raises(NotAUnit):
         ring_inverse(e)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 5), (4, 3), (8, 11), (9, 2), (3, 125), (2, 255)])
+def test_modulus_is_built_once_per_ring(q, n):
+    """x^n - 1, built once per ring and kept: the same value for an equal
+    ring built apart or through a pickle round trip, and unit tests and
+    inverses read against it as against one built from its terms."""
+    spec = ring(q, n)
+    base = spec.base
+    built = parse_poly(f"x^{n}+{base.p - 1}", base)
+    assert spec.modulus() == built and spec.modulus() is spec.modulus()
+    apart = RingSpec(FieldSpec(base.p, base.k, base.base_modulus), n)
+    assert apart is not spec and apart.modulus() == built
+    assert pickle.loads(pickle.dumps(spec)).modulus() == built
+    units = 0
+    for f in (spec.x(), spec.one() + spec.x(), spec.element([1] * n), spec.element([1, 2, 1])):
+        g, u, _ = poly_egcd(f.to_poly(), built)
+        assert ring_is_unit(f) == (g.degree == 0)
+        if g.degree == 0:
+            units += 1
+            assert ring_inverse(f) == spec.from_poly(u) and ring_mul(f, ring_inverse(f)) == spec.one()
+        else:
+            with pytest.raises(NotAUnit):
+                ring_inverse(f)
+    assert units
 
 
 def test_known_ring_inverse_r3_25():
