@@ -9,9 +9,9 @@ these matrices act on it directly. ``lift`` turns an F_q matrix into the F_p
 matrix of the same map. ``_reduce`` is the one Gaussian elimination:
 ``rank_mod`` reads its pivot count off the reduced rows in their own layout,
 never unpacking them (the rank test of a linearized polynomial);
-``_eliminate`` unpacks them, ``echelon_mod`` reduces its pivot rows, and
-``solve_mod`` back-substitutes on that echelon form (the minimal polynomials
-that factor x^n - 1).
+``echelon_mod`` unpacks them and reduces its pivot rows, and ``solve_mod``
+back-substitutes on that echelon form (the minimal polynomials that factor
+x^n - 1).
 
 ``_reduce`` takes one of three paths, chosen from p and the shape of the
 matrix alone. Over F_2 a row is packed into one Python int, and a row
@@ -42,19 +42,25 @@ from .errors import InternalError
 
 
 @lru_cache(maxsize=None)
-def mul_tensor(field) -> np.ndarray:
-    """T[l, a, b] = coordinate l of y^a * y^b in F_q = F_p[y]/(m(y)), m the
-    monic ``field.base_modulus`` (y for F_p itself)."""
+def y_powers(field) -> np.ndarray:
+    """(2k - 1) x k int64: row t holds the coordinates of y^t in F_q =
+    F_p[y]/(m(y)), m the monic ``field.base_modulus`` (y for F_p itself)."""
     p, base_mod = field.p, field.base_modulus or (0, 1)
     k = len(base_mod) - 1
-    powers = [[1] + [0] * (k - 1)]  # coordinates of y^t, t < 2k - 1
+    powers = [[1] + [0] * (k - 1)]
     for _ in range(2 * k - 2):
         prev = powers[-1]
         powers.append(
             [(c - prev[-1] * m) % p for c, m in zip([0] + prev[:-1], base_mod)]
         )
-    table = np.array(powers, dtype=np.int64)
-    return table[np.add.outer(np.arange(k), np.arange(k))].transpose(2, 0, 1)
+    return np.array(powers, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def mul_tensor(field) -> np.ndarray:
+    """T[l, a, b] = coordinate l of y^a * y^b: row a + b of ``y_powers``."""
+    k = field.k
+    return y_powers(field)[np.add.outer(np.arange(k), np.arange(k))].transpose(2, 0, 1)
 
 
 def lift(field, M) -> np.ndarray:
@@ -187,10 +193,11 @@ def _narrowest_int(bound: int) -> type:
 
 def _reduce(rows: np.ndarray, p: int) -> tuple[int, Callable[[], tuple[np.ndarray, list[int]]]]:
     """Gaussian elimination over F_p of the integer matrix ``rows``, which it
-    does not modify: (rank, finish), where ``finish()`` gives the (W,
-    pivots) of ``_eliminate`` from the reduced rows, unpacking them only
-    then. A signed integer array is read in its own dtype, anything else as
-    int64.
+    does not modify: (rank, finish), where ``finish()`` unpacks the reduced
+    rows only then, as (W, pivots): row i < len(pivots) of W is congruent mod
+    p to row i of the echelon form of ``echelon_mod``, in the dtype of the
+    path that reduced it. A signed integer array is read in its own dtype,
+    anything else as int64.
 
     Over F_2 each row is packed by ``np.packbits`` into one Python int, its
     first column the leading bit, and is XOR-reduced against the pivot rows
@@ -298,13 +305,6 @@ def _reduce(rows: np.ndarray, p: int) -> tuple[int, Callable[[], tuple[np.ndarra
     return len(pivots), lambda: (W, pivots)
 
 
-def _eliminate(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """(W, pivots) of ``_reduce``: row i < len(pivots) of W is congruent mod
-    p to row i of the echelon form of ``echelon_mod``, in the dtype of the
-    path that reduced it."""
-    return _reduce(rows, p)[1]()
-
-
 def echelon_mod(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Row echelon form of an integer matrix over F_p: (E, pivots).
 
@@ -312,7 +312,7 @@ def echelon_mod(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     column pivots[i] and 1 there, and the rows span the row space of
     ``rows`` mod p. ``rows`` is not modified.
     """
-    W, pivots = _eliminate(rows, p)
+    W, pivots = _reduce(rows, p)[1]()
     return W[: len(pivots)].astype(np.int64) % p, pivots
 
 

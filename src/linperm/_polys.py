@@ -82,21 +82,11 @@ def psub(field, a, b):
     return ptrim(field, [(x - y) % field.p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-@lru_cache(maxsize=None)
-def _tables(field) -> tuple:
-    """(S, Y) for F_q: c @ S is the k x k block of the scalar c, flattened, and
-    row t of Y, (2k - 1) x k, holds the coordinates of y^t."""
-    T = _linalg.mul_tensor(field)
-    k = field.k
-    y_pows = [T[:, min(t, k - 1), t - min(t, k - 1)] for t in range(2 * k - 1)]
-    return T.transpose(2, 0, 1).reshape(k, k * k), np.array(y_pows)
-
-
 @lru_cache(maxsize=4096)
 def _block(field, c: tuple) -> np.ndarray:
-    """k x k F_p matrix of multiplication by the F_q scalar c (its coordinates)."""
-    block = np.array(c, dtype=np.int64) @ _tables(field)[0] % field.p
-    return block.reshape(field.k, field.k)
+    """k x k F_p matrix of multiplication by the F_q scalar c (its
+    coordinates): entry (l, b) is sum_a c_a T[l, a, b], T = ``mul_tensor``."""
+    return np.array(c, dtype=np.int64) @ _linalg.mul_tensor(field) % field.p
 
 
 def _square_and_multiply(mul, x, e: int, times_x=None):
@@ -354,10 +344,6 @@ def pdivmod(field, a, b):
     return pneg(field, _lane_flat(k, L, N)), _lane_flat(k, L, r)
 
 
-def pmod(field, a, b):
-    return pdivmod(field, a, b)[1]
-
-
 def _euclid(field, a, b, cofactors: bool) -> tuple:
     """Euclid's algorithm on a and b (flat, trimmed): (g,) with g the monic
     gcd, or with ``cofactors`` (g, u, v) with u*a + v*b = g; for a = b = 0,
@@ -461,13 +447,13 @@ def pfold(field, a, n: int) -> tuple:
 def pcyclic_mul(field, a, b, n: int):
     """Product of a and b (flat, nonempty) modulo x^n - 1: their packed
     convolution with its slots folded mod n, then each slot's y-degrees
-    reduced through the rows y^t of ``_tables(field)[1]``; always n slots."""
+    reduced through the rows y^t of ``_linalg.y_powers``; always n slots."""
     k, s = field.k, 2 * field.k - 1
     conv = np.convolve(_pack(k, a), _pack(k, b)) % field.p
     folded = np.zeros(-(-len(conv) // (n * s)) * n * s, dtype=np.int64)
     folded[: len(conv)] = conv
     slots = folded.reshape(-1, n, s).sum(axis=0)
-    return tuple((slots @ _tables(field)[1] % field.p).ravel().tolist())
+    return tuple((slots @ _linalg.y_powers(field) % field.p).ravel().tolist())
 
 
 # --- products on packed int64 vectors ----------------------------------------
@@ -529,7 +515,7 @@ def _reduction_matrix(field, mod: tuple) -> np.ndarray:
     low = np.array(mod[:-k]).reshape(d, k)
     r[d:] = _times_x_powers(field, low, -low % p, d)
     red = np.zeros((d, s, 2 * d, s), dtype=np.int64)
-    red[:, :k] = np.einsum("lab,eja,tb->jlet", T, r, _tables(field)[1]) % p
+    red[:, :k] = np.einsum("lab,eja,tb->jlet", T, r, _linalg.y_powers(field)) % p
     return red.reshape(d * s, 2 * d * s)
 
 
@@ -542,16 +528,10 @@ def _convolved(p: int, width: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return padded
 
 
-def mulmod(p: int, red: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Packed product a*b reduced by ``red``, on int64: one product costs no
-    cast."""
-    return red @ _convolved(p, red.shape[1], a, b) % p
-
-
 def pmulmod(field, red: np.ndarray, a, b) -> tuple:
     """Flat coordinates of a*b mod f, a and b flat; ``red`` = _reduction_matrix(f)."""
-    k = field.k
-    return _unpack(k, mulmod(field.p, red, _pack(k, a), _pack(k, b)))
+    k, p = field.k, field.p
+    return _unpack(k, red @ _convolved(p, red.shape[1], _pack(k, a), _pack(k, b)) % p)
 
 
 def mulmod_rows(field, red: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:

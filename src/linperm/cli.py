@@ -521,6 +521,7 @@ def main(argv=None) -> int:
             ext = extension_field(args.q, args.n, args.seed)
             ring = RingSpec(ext.base, args.n)
         with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # whatever the host's filters say
             inputs, outputs, checks, lines = args.func(args, ring, ext)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)

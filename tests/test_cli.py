@@ -114,6 +114,34 @@ def test_involutions_in_characteristic_2_warn_in_one_line(capsys, q, n):
     assert doc["checks"] == [{"name": "all_involutions", "passed": True}]
 
 
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_warning_line_ignores_the_hosts_filters(capsys, action):
+    """A host that turns warnings into errors, or silences them, still gets
+    the run and its one ``warning:`` line."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        code, out, err = run(capsys, ["involutions", "--q", "2", "--n", "3"])
+    assert (code, out, err) == (0, "x\ncheck all_involutions: ok\n", CHAR2_WARNING)
+
+
+def test_warning_line_under_python_w_error():
+    import linperm
+
+    src = os.path.dirname(os.path.dirname(linperm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["involutions", "--q", "2", "--n", "3"]
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "linperm.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "x\ncheck all_involutions: ok\n", CHAR2_WARNING)
+
+
 def test_internal_error_exits_3_without_a_traceback(capsys, monkeypatch):
     """An InternalError, here the ring-inverse cross-check of
     ``compositional_inverse`` made to fail, exits with its own code and names

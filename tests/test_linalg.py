@@ -1,5 +1,6 @@
 """``_linalg.rank_mod``, ``echelon_mod`` and ``solve_mod`` against a naive
-Gauss-Jordan over Python ints, and ``matmul_mod`` against int64 products.
+Gauss-Jordan over Python ints, ``matmul_mod`` against int64 products, and
+F_q's y-power table and scalar blocks against long division by m(y).
 
 For odd p the kernel keeps entries unreduced between pivots, on rows packed
 into Python ints of byte-aligned lanes for small matrices and in numpy
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linperm import _linalg
+from linperm import _linalg, _polys, base_field
 from linperm.errors import InternalError
 
 PRIMES = [2, 3, 11, 65521]
@@ -267,7 +268,7 @@ def test_elimination_dtype_switches_at_the_bound(p, size, dtype):
     rank = size - 3
     M = ldu(p, size, rank, size)
     before = M.copy()
-    assert _linalg._eliminate(M, p)[0].dtype == dtype
+    assert _linalg._reduce(M, p)[1]()[0].dtype == dtype
     assert _linalg.rank_mod(M, p) == rank
     assert_echelon_matches(M, p)
     assert np.array_equal(M, before)
@@ -294,7 +295,7 @@ def test_elimination_dtype_switches_at_the_bound(p, size, dtype):
 )
 def test_each_shape_takes_its_path(p, d, e, dtype):
     M = np.random.default_rng(d).integers(0, p, (d, e))
-    assert _linalg._eliminate(M, p)[0].dtype == np.dtype(dtype)
+    assert _linalg._reduce(M, p)[1]()[0].dtype == np.dtype(dtype)
     if d == e:
         M = ldu(p, d, d - 2, d)
         assert _linalg.rank_mod(M, p) == d - 2
@@ -323,7 +324,7 @@ def test_each_shape_takes_its_path(p, d, e, dtype):
 def test_lanes_switch_at_the_bound(p, d, e, dtype):
     M = np.random.default_rng(d * e).integers(0, p, (d, e))
     M[-1] = M[0]  # one dependent row, below the first pivot row
-    assert _linalg._eliminate(M, p)[0].dtype == np.dtype(dtype)
+    assert _linalg._reduce(M, p)[1]()[0].dtype == np.dtype(dtype)
     assert_echelon_matches(M, p)
 
 
@@ -479,3 +480,44 @@ def test_matmul_mod_refuses_past_the_float64_bound():
     B = np.broadcast_to(np.uint16(p - 1), (K, 1))
     with pytest.raises(InternalError, match="_linalg"):
         _linalg.matmul_mod(A, B, p)
+
+
+def mod_m(field, r):
+    """Coordinates of the polynomial r(y) (coefficients low to high) in
+    F_q = F_p[y]/(m(y)): schoolbook long division by the monic m, top down."""
+    p, k, m = field.p, field.k, field.base_modulus
+    r = list(r)
+    for top in range(len(r) - 1, k - 1, -1):
+        c = r[top]
+        for i, v in enumerate(m):
+            r[top - k + i] -= c * v
+    return [v % p for v in (r + [0] * k)[:k]]
+
+
+def unit(size, t):
+    return [int(i == t) for i in range(size)]
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 27, 49, 256])
+def test_y_powers_are_remainders_mod_m(q):
+    F = base_field(q)
+    k = F.k
+    if q == 8:
+        assert F.base_modulus == (1, 1, 0, 1)  # the canonical y^3 + y + 1
+    want = [mod_m(F, unit(t + 1, t)) for t in range(2 * k - 1)]
+    assert _linalg.y_powers(F).tolist() == want
+    assert _linalg.y_powers(F).dtype == np.int64
+
+
+@pytest.mark.parametrize("q", [8, 9])
+def test_block_columns_are_products_with_y_powers(q):
+    """Column b of c's block is c*y^b, by long division and by the product
+    of ``FieldElement`` in the other order, which reads y^b's block."""
+    F = base_field(q)
+    k = F.k
+    for c in F.elements():
+        block = _polys._block(F, c.coeffs)
+        for b in range(k):
+            column = block[:, b].tolist()
+            assert column == mod_m(F, [0] * b + list(c.coeffs))
+            assert tuple(column) == (F.element(tuple(unit(k, b))) * c).coeffs
