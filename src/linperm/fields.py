@@ -179,11 +179,18 @@ class _Value:
     """The value rule of the element classes: an operand of an operation, or
     a value a conversion takes, must be of the expected class over the
     expected spec, compared by identity first, or the call raises
-    ``SpecMismatch``."""
+    ``SpecMismatch``. The first argument of a public function meets the
+    class half of the rule, ``_require_class``."""
+
+    @classmethod
+    def _require_class(cls, value):
+        if value.__class__ is not cls:
+            raise SpecMismatch(f"expected {cls.__name__}, got {value!r}")
 
     @classmethod
     def _require(cls, spec, value):
         if value.__class__ is not cls or (value.spec is not spec and value.spec != spec):
+            cls._require_class(value)
             raise SpecMismatch(f"expected {cls.__name__} over {spec}, got {value!r}")
 
     def _check(self, other):
@@ -494,6 +501,7 @@ def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
 
 def frobenius(a: ExtElement, i: int) -> ExtElement:
     """a^(q^i) for 0 <= i < n."""
+    ExtElement._require_class(a)
     spec = a.spec
     if not 0 <= i < spec.n:
         raise BadInput(f"frobenius exponent {i} outside [0, {spec.n})")
@@ -505,6 +513,7 @@ def frobenius(a: ExtElement, i: int) -> ExtElement:
 
 def norm(a: ExtElement) -> FieldElement:
     """Field norm N_{F_{q^n}/F_q}(a) = a^((q^n-1)/(q-1)), by ``__pow__``."""
+    ExtElement._require_class(a)
     spec = a.spec
     if a.is_zero():
         return spec.base.zero()
@@ -536,6 +545,8 @@ def element_order(a) -> int:
     Each prime of the group order, from ``_polys._prime_factors``, is divided
     out of it while the power stays 1.
     """
+    if a.__class__ is not FieldElement:
+        ExtElement._require_class(a)
     if a.is_zero():
         raise ZeroOrder("0 has no multiplicative order")
     group = a.spec.order - 1

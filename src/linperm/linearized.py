@@ -196,6 +196,7 @@ def conventional_associate(F: LinearizedPoly) -> RingElement:
 
 
 def linearized_associate(f: RingElement, spec: ExtFieldSpec) -> LinearizedPoly:
+    RingElement._require_class(f)
     if f.spec.base != spec.base or f.spec.n != spec.n:
         raise SpecMismatch("ring and field spec disagree")
     k, n = spec.base.k, spec.n
@@ -210,6 +211,7 @@ def compose(F: LinearizedPoly, G: LinearizedPoly) -> LinearizedPoly:
     For each nonzero slot i of F, the nonzero rows of G go through Frob^i and
     are multiplied by f_i in one row-wise product (``fields._mul_rows``).
     """
+    _check_poly(F)
     F._check(G)
     spec = F.spec
     p, n = spec.base.p, spec.n
@@ -404,6 +406,7 @@ def a_complete_verdicts(F: LinearizedPoly, A, basis: IdempotentBasis | None = No
     falls back to the rank test. A must contain 0 (so F itself is included);
     that is checked before the first verdict.
     """
+    _check_poly(F)
     spec = F.spec
     A = [_as_ext(spec, lam) for lam in A]
     if not any(lam.is_zero() for lam in A):
@@ -434,6 +437,7 @@ def a_complete_sufficient_pm(F: LinearizedPoly, A, p: int, m: int) -> bool:
     condition 0 is the coefficient sum plus lambda, times the unit 1/p^m.
     True guarantees A-completeness; False is inconclusive.
     """
+    _check_poly(F)
     if F.spec.n != p**m:
         raise BadInput(f"n = {F.spec.n} is not {p}^{m}")
     C = _base_coords(F)
@@ -510,6 +514,7 @@ def evaluate_many(F: LinearizedPoly, A) -> np.ndarray:
     exactly the rows of A; a caller with at least k*n points should apply
     F's image matrix (F at the unit vectors), as the oracle does.
     """
+    _check_poly(F)
     spec = F.spec
     p, width = spec.base.p, spec.base.k * spec.n
     A = np.asarray(A, dtype=np.int64).reshape(-1, width)
@@ -523,6 +528,7 @@ def evaluate_many(F: LinearizedPoly, A) -> np.ndarray:
 
 
 def evaluate(F: LinearizedPoly, a: ExtElement) -> ExtElement:
+    _check_poly(F)
     ExtElement._require(F.spec, a)
     (image,) = evaluate_many(F, [a.coords]).tolist()
     return ExtElement(F.spec, tuple(image))
@@ -543,6 +549,7 @@ def format_linearized(F: LinearizedPoly) -> str:
     Unit coefficients are dropped ("x^[6]", "x"); the zero map prints "0".
     Coefficients outside F_q render in the bracketed coordinate form.
     """
+    _check_poly(F)
     k = F.spec.base.k
     wide = np.count_nonzero(F.coords[:, k:])  # some coefficient outside F_q: read whole rows
     support = F.coords.any(axis=1).nonzero()[0].tolist() if wide else range(F.spec.n)

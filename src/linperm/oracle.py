@@ -27,8 +27,8 @@ import random
 import numpy as np
 
 from .errors import NotPrimitive, TooLarge, ZeroInverse
-from .fields import ExtElement, ExtFieldSpec, element_order
-from .linearized import LinearizedPoly, evaluate_many
+from .fields import ExtElement, ExtFieldSpec, FieldElement, element_order
+from .linearized import LinearizedPoly, _check_poly, evaluate_many
 from .polyring import RingElement, RingSpec, ring_mul
 
 __all__ = [
@@ -84,6 +84,7 @@ def is_bijection_bruteforce(F: LinearizedPoly) -> bool:
     batch whose images repeat one seen before or within it, which is the
     first batch after which fewer images are marked seen than elements
     were enumerated."""
+    _check_poly(F)
     spec = F.spec
     _check_cap(spec.order)
     seen = np.zeros(spec.order, dtype=bool)
@@ -99,6 +100,7 @@ def is_bijection_bruteforce(F: LinearizedPoly) -> bool:
 
 def _select(F: LinearizedPoly, keep) -> list[ExtElement]:
     """The elements a, in from_int order, for which keep(a, F(a)) holds row-wise."""
+    _check_poly(F)
     spec = F.spec
     _check_cap(spec.order)
     M, p = _image_matrix(F), spec.base.p
@@ -132,6 +134,8 @@ def sqrt_unity_bruteforce(spec: RingSpec) -> list[RingElement]:
 
 def discrete_log(a: ExtElement, beta: ExtElement) -> int:
     """Least l >= 0 with beta^l = a, by stepping through the powers of beta."""
+    if a.__class__ is not FieldElement:
+        ExtElement._require_class(a)
     spec = a.spec
     group = spec.order - 1
     _check_cap(group)
@@ -155,6 +159,7 @@ def involution_check_pointwise(
     ``randrange(q^n)`` draws, CHUNK at a time. With at least k*n samples F
     is applied through ``_image_matrix``, built once; with fewer it is
     evaluated at the samples themselves by ``evaluate_many``."""
+    _check_poly(F)
     spec = F.spec
     M = _image_matrix(F) if samples >= spec.base.k * spec.n else None
     rng = random.Random(seed)

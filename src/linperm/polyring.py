@@ -101,6 +101,7 @@ class Poly(_Value):
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    Poly._require_class(a)
     if a.is_zero() and b.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
     a._check(b)
@@ -109,6 +110,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def poly_egcd(a: Poly, b: Poly):
     """Extended gcd: (g, u, v) with u*a + v*b = g, g monic."""
+    Poly._require_class(a)
     if a.is_zero() and b.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
     a._check(b)
@@ -191,11 +193,13 @@ class RingElement(_Residue):
 
 
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
+    RingElement._require_class(a)
     return a * b
 
 
 def ring_is_unit(f: RingElement) -> bool:
     """True iff gcd(f, x^n - 1) = 1 over F_q."""
+    RingElement._require_class(f)
     if f.is_zero():
         return False
     g = poly_gcd(f.to_poly(), f.spec.modulus())
@@ -204,6 +208,7 @@ def ring_is_unit(f: RingElement) -> bool:
 
 def ring_inverse(f: RingElement) -> RingElement:
     """Inverse of a unit in R_{q,n}."""
+    RingElement._require_class(f)
     if f.is_zero():
         raise NotAUnit("0 is not a unit")
     g, u, _ = poly_egcd(f.to_poly(), f.spec.modulus())
@@ -214,6 +219,7 @@ def ring_inverse(f: RingElement) -> RingElement:
 
 def shift_mul_x(f: RingElement, t: int) -> RingElement:
     """x^t * f mod x^n - 1: cyclic rotation of the coefficients by t."""
+    RingElement._require_class(f)
     if t < 0:
         raise BadInput("shift exponent must be >= 0")
     cut = (t % f.spec.n) * f.spec.base.k

@@ -14,16 +14,36 @@ from linperm import (
     Poly,
     RingSpec,
     a_complete_check,
+    alpha_shift,
+    alpha_shift_power,
     base_field,
+    compose,
+    cyclic_order,
+    discrete_log,
+    element_order,
+    evaluate,
+    evaluate_many,
     extension_field,
     find_irreducible,
+    fixed_points,
+    format_linearized,
     frobenius,
     half_order_involution,
     identity,
+    involution_check_pointwise,
+    is_bijection_bruteforce,
+    is_maximal_order_element,
+    kernel,
+    linearized_associate,
     norm,
     parse_linearized,
+    pm_sufficient_conditions,
+    poly_egcd,
     poly_gcd,
     ring_inverse,
+    ring_is_unit,
+    ring_mul,
+    shift_class,
     shift_mul_x,
     shifted_inverse,
 )
@@ -112,6 +132,37 @@ CASES = {
         HypothesisViolated,
         lambda: half_order_involution(parse_linearized("x^[1]", E), E.embed_int(2)),
     ),
+    # a plain int as the first argument of a public function
+    **{f"{name}, an int first": (SpecMismatch, call) for name, call in (
+        ("compose", lambda: compose(3, identity(E))),
+        ("evaluate_many", lambda: evaluate_many(3, [E.one().coords])),
+        ("evaluate", lambda: evaluate(3, E.one())),
+        ("format_linearized", lambda: format_linearized(3)),
+        ("linearized_associate", lambda: linearized_associate(3, E)),
+        ("a_complete_check", lambda: a_complete_check(3, [0])),
+        ("pm_sufficient_conditions", lambda: pm_sufficient_conditions(3, 5, 1)),
+        ("alpha_shift", lambda: alpha_shift(3, E.embed_int(2))),
+        ("alpha_shift_power", lambda: alpha_shift_power(3, E.embed_int(2), 1)),
+        ("cyclic_order", lambda: cyclic_order(3, E.embed_int(2))),
+        ("shift_class", lambda: shift_class(3, E.embed_int(2))),
+        ("shifted_inverse", lambda: shifted_inverse(3, E.embed_int(2), 1)),
+        ("half_order_involution", lambda: half_order_involution(3, E.embed_int(2))),
+        ("is_bijection_bruteforce", lambda: is_bijection_bruteforce(3)),
+        ("kernel", lambda: kernel(3)),
+        ("fixed_points", lambda: fixed_points(3)),
+        ("involution_check_pointwise", lambda: involution_check_pointwise(3, 4, 0)),
+        ("discrete_log", lambda: discrete_log(3, E.gen())),
+        ("frobenius", lambda: frobenius(3, 1)),
+        ("norm", lambda: norm(3)),
+        ("element_order", lambda: element_order(3)),
+        ("ring_is_unit", lambda: ring_is_unit(3)),
+        ("ring_inverse", lambda: ring_inverse(3)),
+        ("shift_mul_x", lambda: shift_mul_x(3, 1)),
+        ("ring_mul", lambda: ring_mul(3, 3)),
+        ("poly_gcd", lambda: poly_gcd(3, Poly.one(F3))),
+        ("poly_egcd", lambda: poly_egcd(3, Poly.one(F3))),
+    )},
+    "is_maximal_order_element, an int": (BadInput, lambda: is_maximal_order_element(3)),
 }
 
 
