@@ -503,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_poly_count(args) -> None:
+def _require_poly_count(args) -> None:
     """The --poly counts argparse cannot express, refused before any field is
     built so that a bad --q does not mask them."""
     if args.command == "compose" and len(args.poly) != 2:
@@ -516,7 +516,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     ring = ext = None
     try:
-        _check_poly_count(args)
+        _require_poly_count(args)
         if hasattr(args, "q"):  # every subcommand but reproduce
             ext = extension_field(args.q, args.n, args.seed)
             ring = RingSpec(ext.base, args.n)

@@ -4,12 +4,16 @@ An F_q scalar is a ``FieldElement``; an element of F_{q^n} is an
 ``ExtElement``, one flat tuple of k*n ints mod p in the layout of ``_linalg``,
 which the F_p kernels of ``_polys`` read directly.
 
-Like the specs (``_Spec``), the element classes, these two, ``Poly``,
-``RingElement`` and ``LinearizedPoly``, keep one value rule (``_Value``): an
-operand must be of the same class over the same spec, and a value that a
-conversion takes of the class and spec it expects, specs compared by
-identity first, or the call raises ``SpecMismatch``. ``ExtElement`` and
-``RingElement`` share their sums and differences (``_Residue``).
+This module owns the package's one argument rule (``_Checked``): a spec, an
+element, a polynomial or a basis must be of the class expected, over the spec
+expected where it has one (specs compared by identity first), or the call
+raises ``SpecMismatch`` (a bad alpha of ``shifts`` alone raises ``BadInput``).
+Text must be a ``str`` (``_require_text``) and an integer an int
+(``_as_int``), or the call raises ``BadInput``. Specs (``_Spec``) hash once;
+the element classes, these two, ``Poly``, ``RingElement``, ``LinearizedPoly``,
+``IdempotentBasis`` and ``ComponentVector``, check their operands
+(``_Value``); ``ExtElement`` and ``RingElement`` share their sums
+(``_Residue``).
 
 All values are immutable; operations are pure functions, so everything in
 this module is safe to share across threads.
@@ -18,6 +22,7 @@ this module is safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import weakref
 from dataclasses import dataclass, field
@@ -75,7 +80,30 @@ def _is_prime(p: int) -> bool:
     return _polys._prime_factors(p) == [p]
 
 
-class _Spec:
+def _require_text(text) -> None:
+    if text.__class__ is not str:
+        raise BadInput(f"expected a str, got {type(text).__name__}")
+
+
+def _as_int(v) -> int:
+    """v as an int, or ``BadInput`` for a value that is no integer."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise BadInput(f"expected an int, got {type(v).__name__}") from None
+
+
+class _Checked:
+    """The class half of the argument rule, shared by specs and values."""
+
+    @classmethod
+    def _require_class(cls, value):
+        if value.__class__ is not cls:
+            article = "an" if cls.__name__[0] in "AEIOU" else "a"
+            raise SpecMismatch(f"expected {article} {cls.__name__}, got {type(value).__name__}")
+
+
+class _Spec(_Checked):
     """The value rule of the three specs, which every cached kernel lookup
     hashes: equal by value, hashed once at construction, compared by identity
     first. ``_key`` is the fields' tuple as built, so equality and the hash
@@ -125,7 +153,7 @@ class _Field(_Spec):
 
     def embed_int(self, c: int):
         """Image of the integer c under Z -> the field (c times the identity)."""
-        return self.element((c,))
+        return self.element((_as_int(c),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +194,7 @@ class FieldSpec(_Field):
 
     def from_int(self, v: int) -> FieldElement:
         """Element with base-p digits of v as coordinates (0 <= v < q)."""
-        if not 0 <= v < self.q:
+        if not 0 <= (v := _as_int(v)) < self.q:
             raise BadInput(f"{v} names no element of F_{self.q}")
         return self.element(_digits(v, self.p, self.k))
 
@@ -175,17 +203,10 @@ class FieldSpec(_Field):
             yield self.from_int(v)
 
 
-class _Value:
-    """The value rule of the element classes: an operand of an operation, or
-    a value a conversion takes, must be of the expected class over the
-    expected spec, compared by identity first, or the call raises
-    ``SpecMismatch``. The first argument of a public function meets the
-    class half of the rule, ``_require_class``."""
-
-    @classmethod
-    def _require_class(cls, value):
-        if value.__class__ is not cls:
-            raise SpecMismatch(f"expected {cls.__name__}, got {value!r}")
+class _Value(_Checked):
+    """The value rule: an operand of an operation, or a value a conversion
+    takes, must be of the expected class over the expected spec, compared by
+    identity first, or the call raises ``SpecMismatch``."""
 
     @classmethod
     def _require(cls, spec, value):
@@ -287,6 +308,7 @@ class ExtFieldSpec(_Field):
     ext_modulus: tuple[int, ...]
 
     def __post_init__(self):
+        FieldSpec._require_class(self.base)
         _check_degree(self.n)
         self._set_modulus("ext_modulus", self.base, self.n)
         self._freeze(self.base, self.n, self.ext_modulus)
@@ -307,8 +329,8 @@ class ExtFieldSpec(_Field):
         for c in coeffs:
             if not isinstance(c, FieldElement):
                 c = self.base.embed_int(c)
-            elif c.spec != self.base:
-                raise SpecMismatch("coefficient from a different base field")
+            else:
+                FieldElement._require(self.base, c)
             coords.extend(c.coeffs)
         pad = (0,) * (self.base.k * self.n - len(coords))
         return ExtElement(self, tuple(coords) + pad)
@@ -322,7 +344,7 @@ class ExtFieldSpec(_Field):
 
     def from_int(self, v: int) -> ExtElement:
         """Element whose coordinates are the base-p digits of v (0 <= v < q^n)."""
-        if not 0 <= v < self.order:
+        if not 0 <= (v := _as_int(v)) < self.order:
             raise BadInput(f"{v} names no element of F_{{{self.q}^{self.n}}}")
         return ExtElement(self, _digits(v, self.base.p, self.base.k * self.n))
 
@@ -565,6 +587,10 @@ def element_of_order(spec, n: int):
     u^((order-1)/n), whose order always divides n, and the order is then
     confirmed against the prime factors of n alone.
     """
+    if spec.__class__ is not FieldSpec:
+        ExtFieldSpec._require_class(spec)
+    if n < 1:
+        raise BadInput(f"no element of order {n}: an order is >= 1")
     group = spec.order - 1
     if n == 1:
         return spec.one()
@@ -617,6 +643,7 @@ def find_irreducible(base: FieldSpec, degree: int, seed: int = 0) -> tuple[int, 
     Each lower coefficient is ``base.from_int`` of one draw in [0, q), as
     ``rng.randrange(q)`` would draw it (``_draws``).
     """
+    FieldSpec._require_class(base)
     if degree < 1:
         raise BadInput("degree must be >= 1")
     _check_field_degree(base.p, base.k * degree)

@@ -40,9 +40,8 @@ from .errors import (
     ConditionNotMet,
     InternalError,
     LengthMismatch,
-    SpecMismatch,
 )
-from .fields import _is_prime, integer_order_mod
+from .fields import _is_prime, _Value, integer_order_mod
 from .polyring import (
     CyclotomicCoset,
     Poly,
@@ -52,19 +51,6 @@ from .polyring import (
     factor_xn_minus_1,
     ring_mul,
 )
-
-__all__ = [
-    "Component",
-    "IdempotentBasis",
-    "ComponentVector",
-    "primitive_idempotents",
-    "closed_form_pm",
-    "cor4_condition",
-    "project",
-    "reconstruct",
-    "is_idempotent",
-    "is_primitive_idempotent",
-]
 
 
 @dataclass(frozen=True)
@@ -81,12 +67,13 @@ class Component:
 
 
 @dataclass(frozen=True)
-class IdempotentBasis:
+class IdempotentBasis(_Value):
     spec: RingSpec
     components: tuple[Component, ...]
 
     def __post_init__(self):
-        _check_basis_invariants(self.spec, self.components)
+        RingSpec._require_class(self.spec)
+        _verify_basis(self.spec, self.components)
 
     @property
     def t(self) -> int:
@@ -111,14 +98,14 @@ class _CRT(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ComponentVector:
+class ComponentVector(_Value):
     """Entries (f_1, ..., f_t) of an element's image in the product of fields."""
 
     spec: RingSpec
     entries: tuple[RingElement, ...]
 
 
-def _check_basis_invariants(spec: RingSpec, components) -> None:
+def _verify_basis(spec: RingSpec, components) -> None:
     """e_i^2 = e_i, e_i f_i = 0, sum e_i = 1 and one component per coset;
     raised as InternalError since a violation means the construction itself
     is broken.
@@ -209,17 +196,6 @@ def _block_inverse(basis: IdempotentBasis, v: np.ndarray) -> np.ndarray:
     return _combine(basis, u)
 
 
-def _check_basis(basis) -> None:
-    if not isinstance(basis, IdempotentBasis):
-        raise SpecMismatch(f"expected an IdempotentBasis, got {type(basis).__name__}")
-
-
-def _check_ring(x, basis, what: str) -> None:
-    _check_basis(basis)
-    if not isinstance(x, RingElement) or x.spec != basis.spec:
-        raise SpecMismatch(f"{what} and basis from different rings")
-
-
 @lru_cache(maxsize=None)
 def primitive_idempotents(spec: RingSpec) -> IdempotentBasis:
     """Trace formula: e_s[j] = n^{-1} sum_{u in C_s} zeta^{-u j}, 1 at the
@@ -230,8 +206,8 @@ def primitive_idempotents(spec: RingSpec) -> IdempotentBasis:
     t*n coefficients. Components come back ordered by coset representative,
     so the all-ones component (coset of 0, factor x - 1) is index 0.
     """
+    factors = factor_xn_minus_1(spec)  # refuses a spec that is not a RingSpec
     n, k, p = spec.n, spec.base.k, spec.base.p
-    factors = factor_xn_minus_1(spec)
     label = np.zeros(n, dtype=np.int64)  # the coset of each exponent
     for i, (coset, _) in enumerate(factors):
         label[list(coset.members)] = i
@@ -286,6 +262,7 @@ def closed_form_pm(spec: RingSpec, p: int, m: int) -> IdempotentBasis:
     Phi_{p^i}(x^{p^{i-1}})-style cyclotomic polynomial sum_{j<p} x^{j p^{i-1}},
     which matches the ordering of ``primitive_idempotents``.
     """
+    RingSpec._require_class(spec)
     if spec.n != p**m:
         raise BadInput(f"n = {spec.n} is not {p}^{m}")
     q = spec.base.q
@@ -315,7 +292,8 @@ def project(f: RingElement, basis: IdempotentBasis) -> ComponentVector:
     Canonicalizing to remainders (degree < deg f_i) makes vector equality
     meaningful; any representative with f*e_i = entry*e_i would do.
     """
-    _check_ring(f, basis, "element")
+    IdempotentBasis._require_class(basis)
+    RingElement._require(basis.spec, f)
     crt = basis._crt
     entries = np.zeros((basis.t, len(f.coords)), dtype=np.int64)
     entries[crt.owner, np.arange(len(f.coords)) - crt.cuts[crt.owner]] = _blocks(basis, f.coords)
@@ -331,15 +309,14 @@ def reconstruct(v: ComponentVector, basis: IdempotentBasis) -> RingElement:
     is first reduced by its own block of P: row r of P against the entry of
     the block that holds row r.
     """
-    _check_basis(basis)
-    if not isinstance(v, ComponentVector) or v.spec != basis.spec:
-        raise SpecMismatch("vector and basis from different rings")
+    IdempotentBasis._require_class(basis)
+    ComponentVector._require(basis.spec, v)
     if len(v.entries) != len(basis.components):
         raise LengthMismatch(
             f"{len(v.entries)} entries for {len(basis.components)} components"
         )
     for entry in v.entries:
-        _check_ring(entry, basis, "entry")
+        RingElement._require(basis.spec, entry)
     owner = basis._crt.owner
     entries = np.array([entry.coords for entry in v.entries], dtype=np.int64)
     reduced = _blocks(basis, entries.T)[np.arange(len(owner)), owner]
@@ -347,9 +324,7 @@ def reconstruct(v: ComponentVector, basis: IdempotentBasis) -> RingElement:
 
 
 def is_idempotent(f: RingElement) -> bool:
-    if not isinstance(f, RingElement):
-        raise SpecMismatch(f"expected a RingElement, got {type(f).__name__}")
-    return ring_mul(f, f) == f
+    return ring_mul(f, f) == f  # ring_mul refuses an f that is not a RingElement
 
 
 def is_primitive_idempotent(f: RingElement, basis: IdempotentBasis) -> bool:
@@ -358,5 +333,6 @@ def is_primitive_idempotent(f: RingElement, basis: IdempotentBasis) -> bool:
     Every idempotent of the ring is a subset sum of the primitive ones, so
     membership in the computed basis decides primitivity.
     """
-    _check_ring(f, basis, "element")
+    IdempotentBasis._require_class(basis)
+    RingElement._require(basis.spec, f)
     return any(f == c.idempotent for c in basis.components)

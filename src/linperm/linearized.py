@@ -42,6 +42,7 @@ from .fields import (
     FieldElement,
     _frobenius_power,
     _mul_rows,
+    _require_text,
     _Value,
     extension_field,
 )
@@ -49,7 +50,6 @@ from .idempotents import (
     IdempotentBasis,
     _block_inverse,
     _blocks,
-    _check_basis,
     _closed_form_rows,
     _nonzero_blocks,
     cor4_condition,
@@ -66,31 +66,6 @@ from .polyring import (
     ring_mul,
 )
 
-__all__ = [
-    "LinearizedPoly",
-    "identity",
-    "has_base_coeffs",
-    "conventional_associate",
-    "linearized_associate",
-    "evaluate",
-    "evaluate_many",
-    "compose",
-    "is_permutation",
-    "is_permutation_gcd",
-    "is_permutation_rank",
-    "coefficient_sum_reject",
-    "compositional_inverse",
-    "is_involution",
-    "sign_vector_involutions",
-    "binomial_is_permutation",
-    "pm_sufficient_conditions",
-    "a_complete_check",
-    "a_complete_verdicts",
-    "a_complete_sufficient_pm",
-    "format_linearized",
-    "parse_linearized",
-]
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class LinearizedPoly(_Value):
@@ -106,6 +81,7 @@ class LinearizedPoly(_Value):
     coords: np.ndarray
 
     def __init__(self, spec: ExtFieldSpec, coeffs):
+        ExtFieldSpec._require_class(spec)
         if len(coeffs) != spec.n:
             raise BadInput(f"expected {spec.n} coefficients, got {len(coeffs)}")
         for c in coeffs:
@@ -130,9 +106,9 @@ class LinearizedPoly(_Value):
 
     @classmethod
     def monomial(cls, spec: ExtFieldSpec, c: ExtElement, i: int) -> "LinearizedPoly":
+        ExtElement._require(spec, c)  # also refuses a spec that is not c's
         if not 0 <= i < spec.n:
             raise BadInput(f"exponent {i} out of range")
-        ExtElement._require(spec, c)
         coords = np.zeros((spec.n, len(c.coords)), dtype=np.int64)
         coords[i] = c.coords
         return cls._of(spec, coords)
@@ -165,16 +141,12 @@ class LinearizedPoly(_Value):
 
 def identity(spec: ExtFieldSpec) -> LinearizedPoly:
     """The identity map x, canonical coefficient vector (1, 0, ..., 0)."""
+    ExtFieldSpec._require_class(spec)
     return LinearizedPoly.monomial(spec, spec.one(), 0)
 
 
-def _check_poly(F) -> None:
-    if not isinstance(F, LinearizedPoly):
-        raise SpecMismatch(f"expected a LinearizedPoly, got {type(F).__name__}")
-
-
 def has_base_coeffs(F: LinearizedPoly) -> bool:
-    _check_poly(F)
+    LinearizedPoly._require_class(F)
     return not F.coords[:, F.spec.base.k :].any()
 
 
@@ -197,8 +169,8 @@ def conventional_associate(F: LinearizedPoly) -> RingElement:
 
 def linearized_associate(f: RingElement, spec: ExtFieldSpec) -> LinearizedPoly:
     RingElement._require_class(f)
-    if f.spec.base != spec.base or f.spec.n != spec.n:
-        raise SpecMismatch("ring and field spec disagree")
+    ExtFieldSpec._require_class(spec)
+    _check_field(f.spec, spec)
     k, n = spec.base.k, spec.n
     coords = np.zeros((n, k * n), dtype=np.int64)
     coords[:, :k] = np.reshape(f.coords, (n, k))
@@ -211,7 +183,7 @@ def compose(F: LinearizedPoly, G: LinearizedPoly) -> LinearizedPoly:
     For each nonzero slot i of F, the nonzero rows of G go through Frob^i and
     are multiplied by f_i in one row-wise product (``fields._mul_rows``).
     """
-    _check_poly(F)
+    LinearizedPoly._require_class(F)
     F._check(G)
     spec = F.spec
     p, n = spec.base.p, spec.n
@@ -225,17 +197,18 @@ def compose(F: LinearizedPoly, G: LinearizedPoly) -> LinearizedPoly:
     return LinearizedPoly._of(spec, out % p)
 
 
-def _check_field(F: LinearizedPoly, basis: IdempotentBasis) -> None:
-    _check_basis(basis)
-    if basis.spec.base != F.spec.base or basis.spec.n != F.spec.n:
-        raise SpecMismatch("basis from a different ring")
+def _check_field(ring: RingSpec, spec: ExtFieldSpec) -> None:
+    """Refuse a field that is not F_{q^n} for the ring F_q[x]/(x^n - 1)."""
+    if spec.base != ring.base or spec.n != ring.n:
+        raise SpecMismatch("ring and field spec disagree")
 
 
 def is_permutation(F: LinearizedPoly, basis: IdempotentBasis) -> bool:
     """Idempotent criterion: F permutes F_{q^n} iff no product f*e_i
     vanishes, that is iff f mod f_i, block i of P*f, is nonzero for every i."""
     C = _base_coords(F)
-    _check_field(F, basis)
+    IdempotentBasis._require_class(basis)
+    _check_field(basis.spec, F.spec)
     return bool(_nonzero_blocks(basis, _blocks(basis, C.ravel())).all())
 
 
@@ -261,7 +234,7 @@ def is_permutation_rank(F: LinearizedPoly) -> bool:
     through the same k x k block, so its term costs no full matrix product,
     and c = 1 or c = -1 adds or subtracts Frob^i as it is (at p = 2, -1 = 1).
     """
-    _check_poly(F)
+    LinearizedPoly._require_class(F)
     spec = F.spec
     base = spec.base
     p, k, n = base.p, base.k, spec.n
@@ -316,7 +289,8 @@ def compositional_inverse(
     exactly a vanishing f*e_i: F does not permute.
     """
     f = conventional_associate(F)
-    _check_field(F, basis)
+    IdempotentBasis._require_class(basis)
+    _check_field(basis.spec, F.spec)
     v = _blocks(basis, f.coords)
     if not _nonzero_blocks(basis, v).all():
         raise NotAPermutation("polynomial is not a linear permutation")
@@ -346,12 +320,12 @@ def sign_vector_involutions(
     whose base is ``base_field(q)``; a ring over another model of F_q needs
     its own.
     """
-    _check_basis(basis)
+    IdempotentBasis._require_class(basis)
     ring = basis.spec
     if spec is None:
         spec = extension_field(ring.base.q, ring.n, 0)
-    if not isinstance(spec, ExtFieldSpec) or spec.base != ring.base or spec.n != ring.n:
-        raise SpecMismatch("field spec does not match the basis ring")
+    ExtFieldSpec._require_class(spec)
+    _check_field(ring, spec)
     if ring.base.p == 2:
         warnings.warn(
             "characteristic 2: +1 = -1, sign vectors all give the identity",
@@ -375,6 +349,8 @@ def binomial_is_permutation(
     fi: FieldElement, fj: FieldElement, i: int, j: int
 ) -> bool:
     """Binomial criterion: f_i x^{[i]} + f_j x^{[j]} permutes iff f_i + f_j != 0."""
+    FieldElement._require_class(fi)
+    fi._check(fj)
     if fi.is_zero() or fj.is_zero():
         raise ZeroCoefficient("binomial coefficients must be nonzero")
     if not 0 <= i < j:
@@ -406,7 +382,10 @@ def a_complete_verdicts(F: LinearizedPoly, A, basis: IdempotentBasis | None = No
     falls back to the rank test. A must contain 0 (so F itself is included);
     that is checked before the first verdict.
     """
-    _check_poly(F)
+    LinearizedPoly._require_class(F)
+    if basis is not None:
+        IdempotentBasis._require_class(basis)
+        _check_field(basis.spec, F.spec)
     spec = F.spec
     A = [_as_ext(spec, lam) for lam in A]
     if not any(lam.is_zero() for lam in A):
@@ -421,8 +400,7 @@ def a_complete_verdicts(F: LinearizedPoly, A, basis: IdempotentBasis | None = No
 
 def _as_ext(spec: ExtFieldSpec, lam) -> ExtElement:
     if isinstance(lam, ExtElement):
-        if lam.spec != spec:
-            raise SpecMismatch("shift constant from a different field")
+        ExtElement._require(spec, lam)
         return lam
     if isinstance(lam, FieldElement):
         return spec.embed(lam)
@@ -437,7 +415,7 @@ def a_complete_sufficient_pm(F: LinearizedPoly, A, p: int, m: int) -> bool:
     condition 0 is the coefficient sum plus lambda, times the unit 1/p^m.
     True guarantees A-completeness; False is inconclusive.
     """
-    _check_poly(F)
+    LinearizedPoly._require_class(F)
     if F.spec.n != p**m:
         raise BadInput(f"n = {F.spec.n} is not {p}^{m}")
     C = _base_coords(F)
@@ -514,10 +492,13 @@ def evaluate_many(F: LinearizedPoly, A) -> np.ndarray:
     exactly the rows of A; a caller with at least k*n points should apply
     F's image matrix (F at the unit vectors), as the oracle does.
     """
-    _check_poly(F)
+    LinearizedPoly._require_class(F)
     spec = F.spec
     p, width = spec.base.p, spec.base.k * spec.n
-    A = np.asarray(A, dtype=np.int64).reshape(-1, width)
+    A = np.asarray(A, dtype=np.int64)
+    if A.size % width:  # points over another field
+        raise BadInput(f"points of {width} coordinates expected, got an array of shape {A.shape}")
+    A = A.reshape(-1, width)
     support = F.coords.any(axis=1).nonzero()[0]
     if not len(support):
         return np.zeros(A.shape, dtype=np.int64)
@@ -528,7 +509,7 @@ def evaluate_many(F: LinearizedPoly, A) -> np.ndarray:
 
 
 def evaluate(F: LinearizedPoly, a: ExtElement) -> ExtElement:
-    _check_poly(F)
+    LinearizedPoly._require_class(F)
     ExtElement._require(F.spec, a)
     (image,) = evaluate_many(F, [a.coords]).tolist()
     return ExtElement(F.spec, tuple(image))
@@ -549,7 +530,7 @@ def format_linearized(F: LinearizedPoly) -> str:
     Unit coefficients are dropped ("x^[6]", "x"); the zero map prints "0".
     Coefficients outside F_q render in the bracketed coordinate form.
     """
-    _check_poly(F)
+    LinearizedPoly._require_class(F)
     k = F.spec.base.k
     wide = np.count_nonzero(F.coords[:, k:])  # some coefficient outside F_q: read whole rows
     support = F.coords.any(axis=1).nonzero()[0].tolist() if wide else range(F.spec.n)
@@ -572,6 +553,8 @@ def parse_linearized(text: str, spec: ExtFieldSpec) -> LinearizedPoly:
     """Parse "c*x^[i]" terms joined by "+" or "-" (the first may carry a minus);
     tolerates compact style "2x^[21]" and LaTeX braces. "0" is the zero map;
     blank text is refused. Only the coordinates written are reduced mod p."""
+    ExtFieldSpec._require_class(spec)
+    _require_text(text)
     base, n, width = spec.base, spec.n, spec.base.k * spec.n
 
     def term(m):

@@ -26,20 +26,10 @@ import random
 
 import numpy as np
 
-from .errors import NotPrimitive, TooLarge, ZeroInverse
+from .errors import BadInput, NotPrimitive, TooLarge, ZeroInverse
 from .fields import ExtElement, ExtFieldSpec, FieldElement, element_order
-from .linearized import LinearizedPoly, _check_poly, evaluate_many
+from .linearized import LinearizedPoly, evaluate_many
 from .polyring import RingElement, RingSpec, ring_mul
-
-__all__ = [
-    "ENUM_CAP",
-    "is_bijection_bruteforce",
-    "kernel",
-    "fixed_points",
-    "sqrt_unity_bruteforce",
-    "discrete_log",
-    "involution_check_pointwise",
-]
 
 ENUM_CAP = 10**6
 # points evaluated per batch
@@ -84,7 +74,7 @@ def is_bijection_bruteforce(F: LinearizedPoly) -> bool:
     batch whose images repeat one seen before or within it, which is the
     first batch after which fewer images are marked seen than elements
     were enumerated."""
-    _check_poly(F)
+    LinearizedPoly._require_class(F)
     spec = F.spec
     _check_cap(spec.order)
     seen = np.zeros(spec.order, dtype=bool)
@@ -100,7 +90,7 @@ def is_bijection_bruteforce(F: LinearizedPoly) -> bool:
 
 def _select(F: LinearizedPoly, keep) -> list[ExtElement]:
     """The elements a, in from_int order, for which keep(a, F(a)) holds row-wise."""
-    _check_poly(F)
+    LinearizedPoly._require_class(F)
     spec = F.spec
     _check_cap(spec.order)
     M, p = _image_matrix(F), spec.base.p
@@ -121,6 +111,7 @@ def fixed_points(F: LinearizedPoly) -> list[ExtElement]:
 
 def sqrt_unity_bruteforce(spec: RingSpec) -> list[RingElement]:
     """All f in F_q[x]/(x^n - 1) with f^2 = 1, by full ring enumeration."""
+    RingSpec._require_class(spec)
     _check_cap(spec.base.q ** spec.n)
     one = spec.one()
     slots = [c.coeffs for c in spec.base.elements()]
@@ -136,6 +127,7 @@ def discrete_log(a: ExtElement, beta: ExtElement) -> int:
     """Least l >= 0 with beta^l = a, by stepping through the powers of beta."""
     if a.__class__ is not FieldElement:
         ExtElement._require_class(a)
+    a._check(beta)
     spec = a.spec
     group = spec.order - 1
     _check_cap(group)
@@ -159,7 +151,9 @@ def involution_check_pointwise(
     ``randrange(q^n)`` draws, CHUNK at a time. With at least k*n samples F
     is applied through ``_image_matrix``, built once; with fewer it is
     evaluated at the samples themselves by ``evaluate_many``."""
-    _check_poly(F)
+    LinearizedPoly._require_class(F)
+    if samples < 1:
+        raise BadInput(f"samples must be >= 1, got {samples}")
     spec = F.spec
     M = _image_matrix(F) if samples >= spec.base.k * spec.n else None
     rng = random.Random(seed)

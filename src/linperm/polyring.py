@@ -31,6 +31,7 @@ from .fields import (
     FieldElement,
     FieldSpec,
     _digits,
+    _require_text,
     _Residue,
     _Spec,
     _Value,
@@ -49,6 +50,7 @@ class Poly(_Value):
     coords: tuple[int, ...]
 
     def __post_init__(self):
+        FieldSpec._require_class(self.spec)
         object.__setattr__(self, "coords", _polys.ptrim(self.spec, self.coords))
 
     @classmethod
@@ -102,18 +104,18 @@ class Poly(_Value):
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     Poly._require_class(a)
+    a._check(b)
     if a.is_zero() and b.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
-    a._check(b)
     return Poly(a.spec, _polys.pgcd(a.spec, a.coords, b.coords))
 
 
 def poly_egcd(a: Poly, b: Poly):
     """Extended gcd: (g, u, v) with u*a + v*b = g, g monic."""
     Poly._require_class(a)
+    a._check(b)
     if a.is_zero() and b.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
-    a._check(b)
     g, u, v = _polys.pegcd(a.spec, a.coords, b.coords)
     return Poly(a.spec, g), Poly(a.spec, u), Poly(a.spec, v)
 
@@ -127,6 +129,7 @@ class RingSpec(_Spec):
     n: int
 
     def __post_init__(self):
+        FieldSpec._require_class(self.base)
         if self.n < 1:
             raise BadInput("n must be >= 1")
         if gcd(self.n, self.base.p) != 1:
@@ -239,6 +242,7 @@ class CyclotomicCoset:
 
 def cyclotomic_cosets(spec: RingSpec) -> list[CyclotomicCoset]:
     """Partition of {0, ..., n-1} into q-cyclotomic cosets, sorted by representative."""
+    RingSpec._require_class(spec)
     q, n = spec.base.q, spec.n
     seen = [False] * n
     cosets = []
@@ -261,6 +265,7 @@ def splitting_field(spec: RingSpec) -> ExtFieldSpec:
     """Smallest field F_{q^m} containing the n-th roots of unity, m the order
     of q mod n; an extension of degree 1 when m = 1. Unlike ``extension_field``
     it does not need gcd(m, p) = 1."""
+    RingSpec._require_class(spec)
     m = integer_order_mod(spec.base.q, spec.n)
     return ExtFieldSpec(spec.base, m, find_irreducible(spec.base, m, 0))
 
@@ -279,8 +284,8 @@ def factor_xn_minus_1(spec: RingSpec) -> list[tuple[CyclotomicCoset, Poly]]:
     A system without a solution, or factors whose product is not x^n - 1,
     raise ``InternalError``.
     """
+    work = splitting_field(spec)  # refuses a spec that is not a RingSpec
     base, n = spec.base, spec.n
-    work = splitting_field(spec)
     zeta = element_of_order(work, n)
     powers = [work.one()]
     for _ in range(n - 1):
@@ -326,6 +331,7 @@ _MAX_DEGREE = 1 << 20  # the largest exponent parse_poly reads; no degree formed
 def format_poly(field: FieldSpec, coords) -> str:
     """Canonical text form of the polynomial with flat coordinates ``coords``
     over ``field``: 'c*x^e' terms joined by '+', descending exponents."""
+    FieldSpec._require_class(field)
     k = field.k
     one = _polys.pone(field)
     terms = []
@@ -415,6 +421,7 @@ def _read_poly(text: str, spec: FieldSpec, n: int | None = None) -> Poly:
     term's exponent is taken mod n as the terms are summed, so a term costs
     the same whatever its exponent (a dense row still runs on past x^(n-1));
     without, an exponent above ``_MAX_DEGREE`` is refused before the list."""
+    _require_text(text)
     dense = (bare := text.strip(" ")).startswith("[") and bare.endswith("]")
 
     def term(m):
@@ -441,8 +448,10 @@ def _read_poly(text: str, spec: FieldSpec, n: int | None = None) -> Poly:
 def parse_poly(text: str, spec: FieldSpec) -> Poly:
     """Parse the term format, terms joined by '+' or '-' with an optional
     leading minus (also accepts the dense '[c0,c1,...]' form)."""
+    FieldSpec._require_class(spec)
     return _read_poly(text, spec)
 
 
 def parse_ring_element(text: str, spec: RingSpec) -> RingElement:
+    RingSpec._require_class(spec)
     return spec.from_poly(_read_poly(text, spec.base, spec.n))

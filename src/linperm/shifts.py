@@ -49,18 +49,7 @@ from .fields import (
     element_order,
     norm,
 )
-from .linearized import LinearizedPoly, _check_poly, is_involution, is_permutation_rank
-
-__all__ = [
-    "ShiftClass",
-    "alpha_shift",
-    "alpha_shift_power",
-    "cyclic_order",
-    "is_maximal_order_element",
-    "shift_class",
-    "shifted_inverse",
-    "half_order_involution",
-]
+from .linearized import LinearizedPoly, is_involution, is_permutation_rank
 
 ORBIT_CAP = 10**5
 
@@ -104,7 +93,7 @@ def _twist_rows(spec: ExtFieldSpec, alpha: tuple) -> tuple:
 
 def alpha_shift(F: LinearizedPoly, alpha: ExtElement) -> LinearizedPoly:
     """One shift: slot i+1 (mod n) of the result is alpha^{[i]} * f_i."""
-    _check_poly(F)
+    LinearizedPoly._require_class(F)
     _check_alpha(F.spec, alpha)
     spec = F.spec
     rows, by_twist = _twist_rows(spec, alpha.coords)
@@ -126,7 +115,7 @@ def alpha_shift_power(F: LinearizedPoly, alpha: ExtElement, t: int) -> Linearize
     S_alpha^n = N(alpha)*id, then t mod n single shifts."""
     if t < 0:
         raise BadInput("shift count must be nonnegative")
-    _check_poly(F)
+    LinearizedPoly._require_class(F)
     _check_alpha(F.spec, alpha)
     spec = F.spec
     if t >= spec.n:
@@ -146,7 +135,7 @@ def cyclic_order(F: LinearizedPoly, alpha: ExtElement) -> int:
     happens after n*t steps and never earlier at a non-multiple of n unless
     the orbit degenerates; permutations never degenerate.
     """
-    _check_poly(F)
+    LinearizedPoly._require_class(F)
     _check_alpha(F.spec, alpha)
     if not is_permutation_rank(F):
         raise NotAPermutation("cyclic order is defined for permutations")
@@ -196,7 +185,7 @@ def shifted_inverse(
     Valid when gcd(n, q-1) = 1 and alpha is a primitive element of F_q^*,
     so that alpha x^{[1]} is central and its symbolic order is (q-1)n.
     """
-    _check_poly(F_inv)
+    LinearizedPoly._require_class(F_inv)
     spec = F_inv.spec
     _check_prop10(spec, alpha)
     full = (spec.base.q - 1) * spec.n
@@ -207,7 +196,7 @@ def shifted_inverse(
 
 def half_order_involution(F: LinearizedPoly, alpha: ExtElement) -> LinearizedPoly:
     """S_alpha^{(q-1)n/2}(F) for an involution F; again an involution."""
-    _check_poly(F)
+    LinearizedPoly._require_class(F)
     spec = F.spec
     _check_prop10(spec, alpha)
     full = (spec.base.q - 1) * spec.n

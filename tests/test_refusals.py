@@ -2,11 +2,17 @@
 
 Each case asserts only the error class, so a reworded message passes. The
 operand checks are reached with another class and another spec, in both
-orders; operands over equal specs built apart must still combine.
+orders; operands over equal specs built apart must still combine. The sweep
+at the end passes every public callable a wrong spec, element, polynomial,
+basis or text, and lets no error but a ``LinpermError`` escape.
 """
+
+import itertools
+from typing import NamedTuple
 
 import pytest
 
+import linperm
 from linperm import (
     ExtFieldSpec,
     FieldSpec,
@@ -47,7 +53,14 @@ from linperm import (
     shift_mul_x,
     shifted_inverse,
 )
-from linperm.errors import BadInput, BothZero, HypothesisViolated, NotAUnit, SpecMismatch
+from linperm.errors import (
+    BadInput,
+    BothZero,
+    HypothesisViolated,
+    LinpermError,
+    NotAUnit,
+    SpecMismatch,
+)
 from linperm.fields import element_of_order
 
 F3, F5 = base_field(3), base_field(5)
@@ -95,6 +108,11 @@ CASES = {
     "frobenius exponent n": (BadInput, lambda: frobenius(E.gen(), 5)),
     "frobenius exponent -1": (BadInput, lambda: frobenius(E.gen(), -1)),
     "element_of_order non-divisor": (BadInput, lambda: element_of_order(E, 7)),
+    "element_of_order n = 0": (BadInput, lambda: element_of_order(E, 0)),
+    "element_of_order n = -2": (BadInput, lambda: element_of_order(E, -2)),
+    "FieldSpec.from_int of a float": (BadInput, lambda: F3.from_int(1.5)),
+    "ExtFieldSpec.from_int of a float": (BadInput, lambda: E.from_int(1.5)),
+    "ExtFieldSpec.embed_int of a float": (BadInput, lambda: E.embed_int(1.5)),
     "find_irreducible degree 0": (BadInput, lambda: find_irreducible(F3, 0)),
     # polyring
     "poly_gcd(0, 0)": (BothZero, lambda: poly_gcd(Poly.zero(F3), Poly.zero(F3))),
@@ -122,6 +140,23 @@ CASES = {
     "a_complete_check foreign shift constant": (
         SpecMismatch,
         lambda: a_complete_check(identity(E), [E7.zero()]),
+    ),
+    "a_complete_check shift constant of no number": (
+        BadInput,
+        lambda: a_complete_check(identity(E), [object()]),
+    ),
+    # oracle
+    "involution_check_pointwise 0 samples": (
+        BadInput,
+        lambda: involution_check_pointwise(identity(E), 0, 0),
+    ),
+    "involution_check_pointwise -1 samples": (
+        BadInput,
+        lambda: involution_check_pointwise(identity(E), -1, 0),
+    ),
+    "discrete_log base over another field": (
+        SpecMismatch,
+        lambda: discrete_log(E.one(), F3.from_int(2)),
     ),
     # shifts, alpha = 2 primitive in F_3, gcd(5, 2) = 1, (q - 1)n = 10
     "shifted_inverse t above (q - 1)n": (
@@ -192,3 +227,176 @@ def test_edges_that_do_not_refuse():
     assert a**-3 == (a**3).inverse()
     assert norm(E.zero()) == F3.zero()
     assert identity(E).__eq__(3) is NotImplemented and identity(E) != 3
+
+
+# --- the sweep ----------------------------------------------------------------
+
+
+class Arg(NamedTuple):
+    """An argument the sweep replaces: its value in the valid call, and the
+    same kind of value over another spec (for text, text written for one)."""
+
+    value: object
+    other: object
+
+
+R4 = RingSpec(F3, 4)
+BASIS, BASIS4 = linperm.primitive_idempotents(R), linperm.primitive_idempotents(R4)
+X, X7 = identity(E), identity(E7)
+ALPHA, ALPHA7 = E.embed_int(2), E7.embed_int(2)
+BETA = element_of_order(E, E.order - 1)
+
+_F = Arg(X, X7)
+_ALPHA = Arg(ALPHA, ALPHA7)
+_BASIS = Arg(BASIS, BASIS4)
+_RING = Arg(R, R4)
+_RING_ONE = Arg(R.one(), R4.one())
+
+# one valid call per public callable, by name: the exports of linperm, and
+# two functions that other modules call with a spec (EXTRA)
+SWEEP = {
+    # fields
+    "ExtElement": (Arg(E, E7), E.one().coords),
+    "ExtFieldSpec": (Arg(F3, F5), 5, E.ext_modulus),
+    "FieldElement": (Arg(F3, F5), (1,)),
+    "FieldSpec": (3,),
+    "base_field": (3,),
+    "element_order": (Arg(E.gen(), E7.gen()),),
+    "extension_field": (3, 5),
+    "find_irreducible": (Arg(F3, F5), 2),
+    "frobenius": (Arg(E.gen(), E7.gen()), 1),
+    "integer_order_mod": (3, 5),
+    "norm": (Arg(E.gen(), E7.gen()),),
+    "element_of_order": (Arg(E, E7), 2),
+    "splitting_field": (_RING,),
+    # polyring
+    "CyclotomicCoset": (0, (0,)),
+    "Poly": (Arg(F3, F5), (1, 2)),
+    "RingElement": (_RING, R.one().coords),
+    "RingSpec": (Arg(F3, F5), 4),
+    "cyclotomic_cosets": (_RING,),
+    "factor_xn_minus_1": (_RING,),
+    "format_poly": (Arg(F3, F5), (1, 2)),
+    "parse_poly": (Arg("2x+1", "4x+1"), Arg(F3, F5)),
+    "parse_ring_element": (Arg("2x+1", "4x+1"), _RING),
+    "poly_gcd": (Arg(Poly.zero(F3), Poly.zero(F5)), Arg(Poly.one(F3), Poly.one(F5))),
+    "poly_egcd": (Arg(Poly.zero(F3), Poly.zero(F5)), Arg(Poly.one(F3), Poly.one(F5))),
+    "ring_inverse": (_RING_ONE,),
+    "ring_is_unit": (_RING_ONE,),
+    "ring_mul": (Arg(R.x(), R4.x()), Arg(R.x(), R4.x())),
+    "shift_mul_x": (Arg(R.x(), R4.x()), 1),
+    # idempotents
+    "ComponentVector": (_RING, (R.one(),) * BASIS.t),
+    "IdempotentBasis": (_RING, BASIS.components),
+    "closed_form_pm": (_RING, 5, 1),
+    "cor4_condition": (5, 1, 3),
+    "is_idempotent": (_RING_ONE,),
+    "is_primitive_idempotent": (Arg(BASIS.idempotents[0], R4.one()), _BASIS),
+    "primitive_idempotents": (_RING,),
+    "project": (_RING_ONE, _BASIS),
+    "reconstruct": (
+        Arg(linperm.project(R.one(), BASIS), linperm.project(R4.one(), BASIS4)),
+        _BASIS,
+    ),
+    # linearized
+    "LinearizedPoly": (Arg(E, E7), (Arg(E.one(), E7.one()),) + (E.zero(),) * 4),
+    "a_complete_check": (_F, [Arg(E.zero(), E7.zero())], _BASIS),
+    "a_complete_sufficient_pm": (_F, [Arg(E.zero(), E7.zero())], 5, 1),
+    "binomial_is_permutation": (Arg(F3.one(), F5.one()), Arg(F3.one(), F5.one()), 0, 1),
+    "coefficient_sum_reject": (_F,),
+    "compose": (_F, _F),
+    "compositional_inverse": (_F, _BASIS),
+    "conventional_associate": (_F,),
+    "evaluate": (_F, Arg(E.gen(), E7.gen())),
+    "evaluate_many": (_F, [E.gen().coords]),
+    "format_linearized": (_F,),
+    "has_base_coeffs": (_F,),
+    "identity": (Arg(E, E7),),
+    "is_involution": (_F,),
+    "is_permutation": (_F, _BASIS),
+    "is_permutation_gcd": (_F,),
+    "is_permutation_rank": (_F,),
+    "linearized_associate": (_RING_ONE, Arg(E, E7)),
+    "parse_linearized": (Arg("2x^[1]+x", "[0,0,0,0,0,0,1]*x"), Arg(E, E7)),
+    "pm_sufficient_conditions": (_F, 5, 1),
+    "sign_vector_involutions": (_BASIS, Arg(E, E7)),
+    # shifts
+    "ShiftClass": (_F, _ALPHA, 1, (X,)),
+    "alpha_shift": (_F, _ALPHA),
+    "alpha_shift_power": (_F, _ALPHA, 3),
+    "cyclic_order": (_F, _ALPHA),
+    "half_order_involution": (_F, _ALPHA),
+    "is_maximal_order_element": (_ALPHA,),
+    "shift_class": (_F, _ALPHA),
+    "shifted_inverse": (_F, _ALPHA, 1),
+    # oracle
+    "discrete_log": (Arg(BETA**7, E7.one()), Arg(BETA, E7.gen())),
+    "fixed_points": (_F,),
+    "involution_check_pointwise": (_F, 5, 0),
+    "is_bijection_bruteforce": (_F,),
+    "kernel": (_F,),
+    "sqrt_unity_bruteforce": (_RING,),
+    # errors
+    "LinpermError": ("a message",),
+}
+
+
+EXTRA = {"element_of_order": element_of_order, "splitting_field": linperm.polyring.splitting_field}
+
+
+def _function(name):
+    return EXTRA[name] if name in EXTRA else getattr(linperm, name)
+
+
+def _fill(args, pick, counter):
+    """args with each Arg, counted in order through nested lists and tuples,
+    replaced by pick(index, arg)."""
+    if isinstance(args, Arg):
+        return pick(next(counter), args)
+    if isinstance(args, (list, tuple)):
+        return type(args)(_fill(a, pick, counter) for a in args)
+    return args
+
+
+def _count(args) -> int:
+    counter = itertools.count()
+    _fill(args, lambda i, a: a, counter)
+    return next(counter)
+
+
+SWEPT = [
+    (name, index, bad)
+    for name, args in SWEEP.items()
+    for index in range(_count(args))
+    for bad in ("int", "other")
+]
+
+
+def test_every_export_has_a_row():
+    exports = {
+        name
+        for name in dir(linperm)
+        if not name.startswith("_") and callable(getattr(linperm, name))
+    }
+    assert exports | set(EXTRA) == set(SWEEP)
+
+
+@pytest.mark.parametrize("name", list(SWEEP))
+def test_the_valid_call_succeeds(name):
+    _function(name)(*_fill(SWEEP[name], lambda i, a: a.value, itertools.count()))
+
+
+@pytest.mark.parametrize(
+    "name,index,bad", SWEPT, ids=[f"{name}[{index}]={bad}" for name, index, bad in SWEPT]
+)
+def test_a_wrong_argument_raises_only_a_linperm_error(name, index, bad):
+    def pick(i, arg):
+        if i != index:
+            return arg.value
+        return 3 if bad == "int" else arg.other
+
+    args = _fill(SWEEP[name], pick, itertools.count())
+    try:
+        _function(name)(*args)
+    except LinpermError:
+        pass
