@@ -6,24 +6,12 @@ vector of d elements of F_q is the flat vector of their d*k coordinates:
 index j*k + l holds the coefficient of y^l in slot j. ``ExtElement.coords``
 stores an element of F_{q^n} this way (slot j is the coefficient of z^j), so
 these matrices act on it directly. ``lift`` turns an F_q matrix into the F_p
-matrix of the same map. ``_reduce`` is the one Gaussian elimination:
-``rank_mod`` reads its pivot count off the reduced rows in their own layout,
-never unpacking them (the rank test of a linearized polynomial);
-``echelon_mod`` unpacks them and reduces its pivot rows, and ``solve_mod``
-back-substitutes on that echelon form (the minimal polynomials that factor
-x^n - 1).
-
-``_reduce`` takes one of three paths, chosen from p and the shape of the
-matrix alone. Over F_2 a row is packed into one Python int, and a row
-operation is one XOR of those ints, the bit-packed layout of M4RI
-(Albrecht-Bard-Hart, ACM TOMS 2010). For odd p, reduction mod p is delayed,
-so entries grow by a bounded amount per step. A matrix of d rows and e
-columns with d*max(d, e) <= ``_PACKED_ENTRIES`` whose bound fits 64-bit
-lanes is packed the same way, one Python int of byte-aligned lanes per row,
-and reduced by a lane-wise Barrett step (Granlund-Montgomery, PLDI 1994);
-any other runs in numpy, in the narrowest of int16, int32 and int64 that
-holds its bound, and a signed input is never widened first. Only what a
-decision reads is reduced.
+matrix of the same map. ``rank_mod`` is the one Gaussian elimination (the
+rank test of a linearized polynomial). It only counts pivots, on rows in one
+of three layouts picked from p and the shape alone: bits over F_2 (the
+layout of M4RI, Albrecht-Bard-Hart, ACM TOMS 2010), and for odd p, with
+reduction mod p delayed, byte-aligned lanes reduced by a lane-wise Barrett
+step (Granlund-Montgomery, PLDI 1994) or numpy's narrowest signed dtype.
 
 ``matmul_mod`` is the one exact product mod p of two F_p matrices, in float
 BLAS, reduced mod p in float before its one cast to int64 (the proof is in
@@ -33,7 +21,6 @@ int64.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from functools import lru_cache
 
 import numpy as np
@@ -129,7 +116,7 @@ def matmul_mod(A, B, p: int) -> np.ndarray:
 # packed rows win on square matrices up to 50 x 50, are about even at
 # 56 x 56 and lose from 64 x 64 on. At the edge of the limit a tall 50 x 10
 # matrix is up to 1.25x slower packed and a wide 5 x 500 one at p = 11 1.5x;
-# the library's only non-square matrices are tall minimal-polynomial systems.
+# the library's rank matrices are square.
 _PACKED_ENTRIES = 2500
 
 
@@ -178,38 +165,28 @@ def _row_ints(packed: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i * size : (i + 1) * size], "big") for i in range(len(packed))]
 
 
-def _int_rows(ints: list[int], dtype, width: int) -> np.ndarray:
-    """The rows ``ints`` of ``_row_ints`` back in an array of ``width``
-    columns of ``dtype``."""
-    dtype = np.dtype(dtype)
-    data = b"".join(v.to_bytes(width * dtype.itemsize, "big") for v in ints)
-    return np.frombuffer(data, dtype=dtype).reshape(len(ints), width)
-
-
 def _narrowest_int(bound: int) -> type:
     """The narrowest of int16, int32 and int64 that holds ``bound``."""
     return np.int16 if bound < 1 << 15 else np.int32 if bound < 1 << 31 else np.int64
 
 
-def _reduce(rows: np.ndarray, p: int) -> tuple[int, Callable[[], tuple[np.ndarray, list[int]]]]:
-    """Gaussian elimination over F_p of the integer matrix ``rows``, which it
-    does not modify: (rank, finish), where ``finish()`` unpacks the reduced
-    rows only then, as (W, pivots): row i < len(pivots) of W is congruent mod
-    p to row i of the echelon form of ``echelon_mod``, in the dtype of the
-    path that reduced it. A signed integer array is read in its own dtype,
-    anything else as int64.
+def rank_mod(rows: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix over F_p: the pivots that Gaussian
+    elimination finds, counted on its own rows, which are never unpacked.
+    ``rows`` is not modified; a signed integer array is read in its own
+    dtype, anything else as int64.
 
     Over F_2 each row is packed by ``np.packbits`` into one Python int, its
     first column the leading bit, and is XOR-reduced against the pivot rows
     found so far, held in a list indexed by their leading bit; what is left
-    nonzero is a new pivot row. W is the pivot rows, unpacked in pivot
-    column order.
+    nonzero is a new pivot row.
 
     For odd p, columns are taken in order, and the pivot is the first row at
     or below the current one whose entry in the column is nonzero mod p. It
     is reduced mod p and scaled to 1 there; every row below it loses a
     multiple of it, which makes the entry a multiple of p, and every other
-    entry stays unreduced. ``_lanes`` picks the layout:
+    entry stays unreduced. The row it passes moves to its place, and is 0
+    mod p in the column already. ``_lanes`` picks the layout:
 
     - Packed rows. Each row is one Python int of e lanes of L bits, the first
       column the most significant. A row below the pivot row v with entry
@@ -218,12 +195,11 @@ def _reduce(rows: np.ndarray, p: int) -> tuple[int, Callable[[], tuple[np.ndarra
       at most min(d, e) steps lies below 2^B, B the bit length of
       p - 1 + min(d, e)*(p - 1)^2. The pivot row is reduced by the Barrett
       step of ``_barrett``; scaled, its entries are below (p - 1)^2 < 2^B,
-      and the step reduces it again. W is the pivot rows in big-endian
-      unsigned L-bit lanes.
+      and the step reduces it again.
     - The numpy loop. Only the pivot column and the pivot row are reduced
       mod p; every row below the pivot loses c times the pivot row in one
-      dense update, so after s steps |entry| < p + s*p^2. W is ``rows`` mod
-      p in the narrowest of int16, int32 and int64 that holds
+      dense update, so after s steps |entry| < p + s*p^2. The rows are
+      ``rows`` mod p in the narrowest of int16, int32 and int64 that holds
       p + min(d, e)*p^2 (int64 does for p < 2^16 and min(d, e) < 2^31),
       reduced in the wider dtype.
     """
@@ -233,8 +209,7 @@ def _reduce(rows: np.ndarray, p: int) -> tuple[int, Callable[[], tuple[np.ndarra
     if p == 2:
         # packbits reads a bool array directly and converts any other dtype first
         packed = np.packbits((rows & 1).astype(bool), axis=1)
-        size = packed.shape[1]
-        lead = [0] * (8 * size + 1)  # bit length -> the pivot row with that leading bit
+        lead = [0] * (8 * packed.shape[1] + 1)  # bit length -> the pivot row with that leading bit
         for v in _row_ints(packed):
             while v:
                 bits = v.bit_length()
@@ -243,27 +218,18 @@ def _reduce(rows: np.ndarray, p: int) -> tuple[int, Callable[[], tuple[np.ndarra
                     lead[bits] = v
                     break
                 v ^= u
-        rank = len(lead) - lead.count(0)
-
-        def finish():
-            keys = [bits for bits in range(8 * size, 0, -1) if lead[bits]]
-            W = _int_rows([lead[bits] for bits in keys], np.uint8, size)
-            return np.unpackbits(W, axis=1, count=e), [8 * size - bits for bits in keys]
-
-        return rank, finish
-    pivots = []
+        return len(lead) - lead.count(0)
+    rank = 0
     if lanes := _lanes(p, d, e):
         L, B = lanes
-        dtype = np.dtype(f">u{L // 8}")
-        R = _row_ints((rows % p).astype(dtype))
+        R = _row_ints((rows % p).astype(f">u{L // 8}"))
         m, s, low = _barrett(p, L, B, e)
         lane = (1 << L) - 1
         for col in range(e):
-            r = len(pivots)
-            if r == d:
+            if rank == d:
                 break
             shift = (e - 1 - col) * L
-            for t in range(r, d):
+            for t in range(rank, d):
                 if a := (R[t] >> shift & lane) % p:
                     break
             else:
@@ -273,68 +239,29 @@ def _reduce(rows: np.ndarray, p: int) -> tuple[int, Callable[[], tuple[np.ndarra
             if a != 1:
                 v *= pow(a, -1, p)
                 v -= p * (v * m >> s & low)
-            # row r takes the pivot row's place; rows r + 1 .. t are 0 mod p
-            R[t], R[r] = R[r], v
+            R[t] = R[rank]
             for i in range(t + 1, d):
                 if c := (R[i] >> shift & lane) % p:
                     R[i] += (p - c) * v
-            pivots.append(col)
-        return len(pivots), lambda: (_int_rows(R[: len(pivots)], dtype, e), pivots)
+            rank += 1
+        return rank
     dtype = _narrowest_int(p + min(d, e) * p * p)
     W = (rows.astype(np.promote_types(rows.dtype, dtype), copy=False) % p).astype(dtype, copy=False)
     for col in range(e):
-        r = len(pivots)
-        if r == d:
+        if rank == d:
             break
-        c = W[r:, col] % p
+        c = W[rank:, col] % p
         nz = c.nonzero()[0]
         if nz.size == 0:
             continue
         t = int(nz[0])
-        pivot = W[r + t, col:] % p
+        pivot = W[rank + t, col:] % p
         a = int(c[t])
         if a != 1:
             pivot = pivot * pow(a, -1, p) % p
         if t:
-            # row r takes the pivot row's place, and its multiplier with it
-            W[r + t] = W[r]
+            W[rank + t] = W[rank]
             c[t] = c[0]
-        W[r, col:] = pivot
-        W[r + 1 :, col:] -= c[1:, None] * pivot
-        pivots.append(col)
-    return len(pivots), lambda: (W, pivots)
-
-
-def echelon_mod(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form of an integer matrix over F_p: (E, pivots).
-
-    E is int64 with one row per pivot, entries in [0, p): row i is 0 before
-    column pivots[i] and 1 there, and the rows span the row space of
-    ``rows`` mod p. ``rows`` is not modified.
-    """
-    W, pivots = _reduce(rows, p)[1]()
-    return W[: len(pivots)].astype(np.int64) % p, pivots
-
-
-def rank_mod(rows: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over F_p: the pivots that ``_reduce`` counts
-    on its own rows, which are never unpacked. ``rows`` is not modified."""
-    return _reduce(rows, p)[0]
-
-
-def solve_mod(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """A solution x of A x = b over F_p, or None when there is none.
-
-    Back-substitution on the echelon form of [A | b]: the system is
-    inconsistent exactly when b's column holds a pivot. Free unknowns are 0.
-    """
-    A = np.asarray(A, dtype=np.int64)
-    E, pivots = echelon_mod(np.column_stack([A, b]), p)
-    e = A.shape[1]
-    if pivots and pivots[-1] == e:
-        return None
-    x = np.zeros(e, dtype=np.int64)
-    # row i is 1 at its pivot, where x is still 0, and 0 before it
-    for i in range(len(pivots) - 1, -1, -1):
-        x[pivots[i]] = (E[i, e] - E[i, :e] @ x) % p
-    return x
+        W[rank + 1 :, col:] -= c[1:, None] * pivot
+        rank += 1
+    return rank

@@ -14,10 +14,10 @@ that nothing wraps.
 Long division runs on Kronecker-packed Python ints: a row (a remainder or
 a cofactor) is one int whose lane i holds flat coordinate i, k lanes to a
 slot, and the lane width is sized to p; p alone picks the layout, as it
-does in ``_linalg._reduce``.
+does for bit-rows or lanes in ``_linalg.rank_mod``.
 
 - p = 2: a bit-row, one bit per coordinate (the M4RI layout of
-  ``_linalg._reduce``). Adding rows is XOR, so nothing is ever reduced,
+  ``_linalg.rank_mod``). Adding rows is XOR, so nothing is ever reduced,
   and a remainder's degree is its bit length. An F_{2^k} scalar acts on a
   row through k masked products (``_bit_times``). Each divisor is made
   monic first, so a quotient coefficient is the top slot of the remainder.

@@ -166,6 +166,8 @@ class FieldSpec(_Field):
     base_modulus: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _as_int(self.p))
+        object.__setattr__(self, "k", _as_int(self.k))
         if self.p >= _MAX_PRIME or not _is_prime(self.p):
             raise BadInput(f"p = {self.p} must be a prime below 2^16")
         if self.k < 1:
@@ -175,6 +177,9 @@ class FieldSpec(_Field):
         if self.k > 1:
             self._set_modulus("base_modulus", FieldSpec(self.p), self.k)
         self._freeze(self.p, self.k, self.base_modulus)
+
+    def __str__(self):
+        return f"F_{self.q}"
 
     @property
     def q(self) -> int:
@@ -212,7 +217,9 @@ class _Value(_Checked):
     def _require(cls, spec, value):
         if value.__class__ is not cls or (value.spec is not spec and value.spec != spec):
             cls._require_class(value)
-            raise SpecMismatch(f"expected {cls.__name__} over {spec}, got {value!r}")
+            name, got = cls.__name__, str(value.spec)
+            other = "another " if got == str(spec) else ""
+            raise SpecMismatch(f"expected {name} over {spec}, got {name} over {other}{got}")
 
     def _check(self, other):
         self._require(self.spec, other)
@@ -309,9 +316,13 @@ class ExtFieldSpec(_Field):
 
     def __post_init__(self):
         FieldSpec._require_class(self.base)
+        object.__setattr__(self, "n", _as_int(self.n))
         _check_degree(self.n)
         self._set_modulus("ext_modulus", self.base, self.n)
         self._freeze(self.base, self.n, self.ext_modulus)
+
+    def __str__(self):
+        return f"F_{{{self.q}^{self.n}}}"
 
     @property
     def q(self) -> int:
@@ -524,7 +535,7 @@ def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
 def frobenius(a: ExtElement, i: int) -> ExtElement:
     """a^(q^i) for 0 <= i < n."""
     ExtElement._require_class(a)
-    spec = a.spec
+    spec, i = a.spec, _as_int(i)
     if not 0 <= i < spec.n:
         raise BadInput(f"frobenius exponent {i} outside [0, {spec.n})")
     if i == 0:
@@ -681,10 +692,15 @@ def _modulus(base: FieldSpec, degree: int, seed: int) -> tuple[int, ...]:
     return find_irreducible(base, degree, seed)
 
 
-@lru_cache(maxsize=None)
 def base_field(q: int) -> FieldSpec:
     """F_q with the modulus ``_modulus`` picks: the canonical one where there
-    is one (F_8 uses y^3 + y + 1), else the search's."""
+    is one (F_8 uses y^3 + y + 1), else the search's. q is read before the
+    cache, so every spelling of an integer is one entry of ``_base_field``."""
+    return _base_field(_as_int(q))
+
+
+@lru_cache(maxsize=None)
+def _base_field(q: int) -> FieldSpec:
     p, k = _prime_power(q)
     return FieldSpec(p, k, _modulus(FieldSpec(p), k, 0) if k > 1 else None)
 
@@ -706,11 +722,13 @@ def _extension_field(q: int, n: int, seed: int) -> ExtFieldSpec:
 def extension_field(q: int, n: int, seed: int = 0) -> ExtFieldSpec:
     """F_{q^n} over base_field(q) with a seeded deterministic modulus.
 
-    The seed is passed on by position, so every spelling of the same
-    (q, n, seed) is one entry of ``_extension_field``'s cache.
+    q, n and the seed are read as ints and passed on by position, so every
+    spelling of the same (q, n, seed) is one entry of ``_extension_field``'s
+    cache.
     """
-    return _extension_field(q, n, seed)
+    return _extension_field(_as_int(q), _as_int(n), _as_int(seed))
 
 
-# the cache's counters stay reachable through the public name
+# the caches' counters stay reachable through the public names
+base_field.__wrapped__ = _base_field
 extension_field.__wrapped__ = _extension_field

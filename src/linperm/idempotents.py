@@ -3,7 +3,7 @@
 Because gcd(n, q) = 1 the quotient ring is semisimple: x^n - 1 splits into
 distinct irreducible factors f_i and the ring decomposes as a direct product
 of fields F_q[x]/(f_i). Each factor carries a unique primitive idempotent
-e_i, computed here by the trace formula e_s[j] = n^{-1} sum_{u in C_s}
+e_i, computed by the trace formula e_s[j] = n^{-1} sum_{u in C_s}
 zeta^{-u j} (MacWilliams-Sloane, ch. 8), read off the factors' root sums. A
 closed-form route exists for n = p^m when the order of q mod p^m is large
 enough; both routes are exposed and cross-check each other.
@@ -47,6 +47,7 @@ from .polyring import (
     Poly,
     RingElement,
     RingSpec,
+    _trace_idempotents,
     cyclotomic_cosets,
     factor_xn_minus_1,
     ring_mul,
@@ -198,26 +199,18 @@ def _block_inverse(basis: IdempotentBasis, v: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def primitive_idempotents(spec: RingSpec) -> IdempotentBasis:
-    """Trace formula: e_s[j] = n^{-1} sum_{u in C_s} zeta^{-u j}, 1 at the
-    roots zeta^u of f_s and 0 at the other n-th roots of unity. As u runs
-    over C_s, -u j runs over the coset C of -s j, hitting each member
-    |C_s|/|C| times, and sum_{w in C} zeta^w, the sum of the roots of C's
-    factor, is minus its coefficient of x^(|C| - 1): one gather gives all
-    t*n coefficients. Components come back ordered by coset representative,
-    so the all-ones component (coset of 0, factor x - 1) is index 0.
+    """The trace formula of ``polyring._trace_idempotents`` on the factors'
+    root sums: the sum of the roots of f_s is minus its coefficient of
+    x^(|C_s| - 1). Components come back ordered by coset representative, so
+    the all-ones component (coset of 0, factor x - 1) is index 0.
     """
     factors = factor_xn_minus_1(spec)  # refuses a spec that is not a RingSpec
-    n, k, p = spec.n, spec.base.k, spec.base.p
-    label = np.zeros(n, dtype=np.int64)  # the coset of each exponent
-    for i, (coset, _) in enumerate(factors):
-        label[list(coset.members)] = i
-    reps, sizes = np.array([(c.representative, len(c.members)) for c, _ in factors]).T
+    k = spec.base.k
     root_sums = -np.array([factor.coords[-2 * k : -k] for _, factor in factors])
-    C = label[-np.outer(reps, np.arange(n)) % n]  # C[s, j]: the coset of -s j
-    coeffs = (sizes[:, None] // sizes[C] * pow(n, -1, p))[..., None] * root_sums[C] % p
+    rows = _trace_idempotents(spec, [coset for coset, _ in factors], root_sums)
     components = [
-        Component(coset, factor, RingElement(spec, tuple(row.ravel().tolist())))
-        for (coset, factor), row in zip(factors, coeffs)
+        Component(coset, factor, RingElement(spec, tuple(row.tolist())))
+        for (coset, factor), row in zip(factors, rows)
     ]
     return IdempotentBasis(spec, tuple(components))
 

@@ -3,8 +3,9 @@
 ``Poly`` and ``RingElement`` hold the flat F_p coordinates of their
 coefficients, as ``_polys`` and ``ExtElement.coords`` do, and each operation
 is one ``_polys`` kernel. Includes extended Euclid, unit testing/inversion,
-q-cyclotomic cosets and the factorization of x^n - 1 into minimal
-polynomials of powers of an explicit n-th root of unity. F_q scalars are
+q-cyclotomic cosets, the trace-formula idempotents and the factorization
+of x^n - 1 into minimal polynomials of powers of an explicit n-th root of
+unity, each the gcd of x^n - 1 with 1 minus its idempotent. F_q scalars are
 boxed only at the public boundary (``RingSpec.element``); both text parsers
 read their terms through one scanner, ``_sum_terms``, and sum Python ints.
 """
@@ -19,7 +20,7 @@ from math import gcd
 
 import numpy as np
 
-from . import _linalg, _polys
+from . import _polys
 from .errors import (
     BadInput,
     BothZero,
@@ -35,6 +36,7 @@ from .fields import (
     _Residue,
     _Spec,
     _Value,
+    _as_int,
     element_of_order,
     find_irreducible,
     integer_order_mod,
@@ -130,6 +132,7 @@ class RingSpec(_Spec):
 
     def __post_init__(self):
         FieldSpec._require_class(self.base)
+        object.__setattr__(self, "n", _as_int(self.n))
         if self.n < 1:
             raise BadInput("n must be >= 1")
         if gcd(self.n, self.base.p) != 1:
@@ -137,6 +140,9 @@ class RingSpec(_Spec):
                 f"gcd(n, q) must be 1; got n = {self.n}, q = {self.base.q}"
             )
         self._freeze(self.base, self.n)
+
+    def __str__(self):
+        return f"F_{self.base.q}[x]/(x^{self.n} - 1)"
 
     def element(self, coeffs) -> RingElement:
         """Ring element from coefficients (F_q scalars, or ints c naming c*1),
@@ -223,7 +229,7 @@ def ring_inverse(f: RingElement) -> RingElement:
 def shift_mul_x(f: RingElement, t: int) -> RingElement:
     """x^t * f mod x^n - 1: cyclic rotation of the coefficients by t."""
     RingElement._require_class(f)
-    if t < 0:
+    if (t := _as_int(t)) < 0:
         raise BadInput("shift exponent must be >= 0")
     cut = (t % f.spec.n) * f.spec.base.k
     return RingElement(f.spec, f.coords[-cut:] + f.coords[:-cut] if cut else f.coords)
@@ -270,18 +276,36 @@ def splitting_field(spec: RingSpec) -> ExtFieldSpec:
     return ExtFieldSpec(spec.base, m, find_irreducible(spec.base, m, 0))
 
 
+def _trace_idempotents(spec: RingSpec, cosets, root_sums) -> np.ndarray:
+    """The primitive idempotents by the trace formula e_s[j] = n^{-1}
+    sum_{u in C_s} zeta^{-u j} (MacWilliams-Sloane, ch. 8), one row of flat
+    coordinates per coset of ``cosets`` (in ``cyclotomic_cosets`` order),
+    from ``root_sums[i]``, the F_q coordinates of sum_{u in C_i} zeta^u. As u
+    runs over C_s, -u j runs over the coset C of -s j, hitting each member
+    |C_s|/|C| times: one gather gives all t*n coefficients. e_s is 1 at the
+    roots zeta^u, u in C_s, and 0 at the other n-th roots of unity."""
+    n, p = spec.n, spec.base.p
+    label = np.zeros(n, dtype=np.int64)  # the coset of each exponent
+    for i, coset in enumerate(cosets):
+        label[list(coset.members)] = i
+    reps, sizes = np.array([(c.representative, len(c.members)) for c in cosets]).T
+    C = label[-np.outer(reps, np.arange(n)) % n]  # C[s, j]: the coset of -s j
+    coeffs = (sizes[:, None] // sizes[C] * pow(n, -1, p))[..., None] * np.asarray(root_sums)[C] % p
+    return coeffs.reshape(len(cosets), -1)
+
+
 @lru_cache(maxsize=None)
 def factor_xn_minus_1(spec: RingSpec) -> list[tuple[CyclotomicCoset, Poly]]:
     """Irreducible factors of x^n - 1 over F_q, one per cyclotomic coset.
 
-    The factor attached to coset C_s is the minimal polynomial over F_q of
-    beta = zeta^s, zeta a fixed n-th root of unity in the splitting field
-    F_{q^m} (Lidl-Niederreiter, Thm 2.47), so its roots are the zeta^j for j
-    in C_s; zeta fixes which factor each coset labels. With d = |C_s| and
-    beta^j = zeta^(s*j mod n), the coefficients a_0, ..., a_{d-1} of
-    x^d + ... + a_0 solve sum_j a_j beta^j = -beta^d: one F_p system, the
-    F_q matrix of columns beta^0, ..., beta^(d-1) lifted by ``_linalg.lift``.
-    A system without a solution, or factors whose product is not x^n - 1,
+    The factor f_s attached to coset C_s is the minimal polynomial over F_q
+    of zeta^s, zeta a fixed n-th root of unity in the splitting field
+    F_{q^m} (Lidl-Niederreiter, Thm 2.47), so its roots are the zeta^u for u
+    in C_s; zeta fixes which factor each coset labels. The idempotent e_s of
+    ``_trace_idempotents``, from the sums of the powers of zeta over each
+    coset, is 1 at those roots and 0 at the other n-th roots of unity, so
+    f_s = gcd(x^n - 1, 1 - e_s). A root sum outside F_q, a factor whose
+    degree is not its coset's size, or factors whose product is not x^n - 1
     raise ``InternalError``.
     """
     work = splitting_field(spec)  # refuses a spec that is not a RingSpec
@@ -292,18 +316,17 @@ def factor_xn_minus_1(spec: RingSpec) -> list[tuple[CyclotomicCoset, Poly]]:
         powers.append(powers[-1] * zeta)
     # zeta_pows[j, i] holds the F_q coordinates of slot i of zeta^j
     zeta_pows = np.array([r.coords for r in powers], dtype=np.int64).reshape(n, -1, base.k)
+    cosets = cyclotomic_cosets(spec)
+    sums = np.array([zeta_pows[list(c.members)].sum(axis=0) for c in cosets]) % base.p
+    if sums[:, 1:].any():
+        raise InternalError("polyring: a sum of the roots of a coset lies outside F_q")
 
-    out = []
-    for coset in cyclotomic_cosets(spec):
-        s, d = coset.representative, len(coset.members)
-        beta = zeta_pows[[s * j % n for j in range(d + 1)]]  # beta^0, ..., beta^d
-        A = _linalg.lift(base, beta[:d].transpose(1, 0, 2))
-        low = _linalg.solve_mod(A, -beta[d].ravel(), base.p)
-        if low is None:
-            raise InternalError(
-                f"polyring: zeta^{s} has no minimal polynomial of degree {d} over F_q"
-            )
-        out.append((coset, Poly(base, tuple(low.tolist()) + _polys.pone(base))))
+    modulus, one, out = spec.modulus().coords, _polys.pone(base), []
+    for coset, e in zip(cosets, _trace_idempotents(spec, cosets, sums[:, 0])):
+        f = _polys.pgcd(base, modulus, _polys.psub(base, one, e.tolist()))
+        if (d := _polys.pdeg(base, f)) != len(coset.members):
+            raise InternalError(f"polyring: the factor of C_{coset.representative} has degree {d}")
+        out.append((coset, Poly(base, f)))
 
     product = Poly.one(base)
     for _, f in out:

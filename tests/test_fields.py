@@ -609,7 +609,7 @@ def test_searched_modulus_is_tested_once(monkeypatch):
         assert tested.count(E.ext_modulus) == 1, (q, n)
     for q in (4, 49):
         tested.clear()
-        B = base_field.__wrapped__(q)
+        B = fields._base_field.__wrapped__(q)
         assert tested.count(B.base_modulus) == 1, q
         public = FieldSpec(B.p, B.k, B.base_modulus)
         assert B == public and hash(B) == hash(public) and repr(B) == repr(public)

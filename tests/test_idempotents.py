@@ -348,7 +348,7 @@ def test_factor_vanishes_on_its_coset(p, k, base_modulus, n):
     degree |C_s| and divides it; and a polynomial over F_q zero at zeta^s is
     zero at every zeta^(s*q^i), as f(zeta^(s*q^i)) = f(zeta^s)^(q^i), so one
     root per coset covers all of C_s. Evaluated by Horner in the splitting
-    field's ExtElement arithmetic, so this oracle shares no linear algebra
+    field's ExtElement arithmetic, so this oracle shares no gcd
     with the construction of the factors."""
     spec = RingSpec(_base(p, k, base_modulus), n)
     work = splitting_field(spec)

@@ -1,13 +1,15 @@
-"""``_linalg.rank_mod``, ``echelon_mod`` and ``solve_mod`` against a naive
-Gauss-Jordan over Python ints, ``matmul_mod`` against int64 products, and
-F_q's y-power table and scalar blocks against long division by m(y).
+"""``_linalg.rank_mod`` against a naive Gauss-Jordan over Python ints,
+``matmul_mod`` against int64 products, and F_q's y-power table and scalar
+blocks against long division by m(y).
 
 For odd p the kernel keeps entries unreduced between pivots, on rows packed
 into Python ints of byte-aligned lanes for small matrices and in numpy
 otherwise, and over F_2 it XORs rows packed into Python ints of bits; the
 reference reduces every entry at every step and shares no code with it.
 Matrices are built as A @ B with a small inner dimension, so most of them
-are rank-deficient, and their shapes straddle the packed path's limit.
+are rank-deficient, and their shapes straddle the packed path's limit. The
+path a shape takes is read off ``_linalg._lanes``, which ``rank_mod``
+dispatches on.
 """
 
 import numpy as np
@@ -21,10 +23,11 @@ from linperm.errors import InternalError
 PRIMES = [2, 3, 11, 65521]
 
 
-def naive_gauss_jordan(rows, p):
-    """(reduced row echelon form without its zero rows, pivot columns)."""
+def naive_rank(rows, p):
+    """The number of pivots of Gauss-Jordan elimination, every entry reduced
+    at every step."""
     m = [[v % p for v in row] for row in rows]
-    rank, pivots = 0, []
+    rank = 0
     for col in range(len(m[0]) if m else 0):
         piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if piv is None:
@@ -37,12 +40,7 @@ def naive_gauss_jordan(rows, p):
                 f = m[i][col]
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
         rank += 1
-        pivots.append(col)
-    return m[:rank], pivots
-
-
-def naive_rank(rows, p):
-    return len(naive_gauss_jordan(rows, p)[1])
+    return rank
 
 
 @st.composite
@@ -76,8 +74,6 @@ def test_rank_mod_empty_and_zero():
     for p in (2, 3, 65521):
         for shape in ((0, 4), (4, 0), (3, 0), (0, 0)):
             assert _linalg.rank_mod(np.zeros(shape, dtype=np.int64), p) == 0
-            E, pivots = _linalg.echelon_mod(np.zeros(shape, dtype=np.int64), p)
-            assert pivots == [] and E.shape == (0, shape[1])
         assert _linalg.rank_mod(np.full((3, 5), 7 * p, dtype=np.int64), p) == 0
     assert _linalg.rank_mod(np.full((3, 5), 7, dtype=np.int64), 7) == 0
 
@@ -100,81 +96,32 @@ def test_rank_mod_large_prime_known_rank():
     assert np.array_equal(M, before)
 
 
-@settings(max_examples=200)
-@given(products())
-def test_echelon_mod_matches_gauss_jordan(case):
-    p, M = case
-    before = M.copy()
-    E, pivots = _linalg.echelon_mod(M, p)
-    assert np.array_equal(M, before)
-    rref, naive_pivots = naive_gauss_jordan(M.tolist(), p)
-    assert pivots == naive_pivots
-    assert E.shape == (len(pivots), M.shape[1])
-    assert ((0 <= E) & (E < p)).all()
-    for i, col in enumerate(pivots):
-        assert not E[i, :col].any() and E[i, col] == 1
-    # the reduced form is unique, so equal forms mean equal row spaces
-    assert naive_gauss_jordan(E.tolist(), p)[0] == rref
-
-
-@st.composite
-def systems(draw):
-    p, A = draw(products())
-    seed = draw(st.integers(0, 2**32 - 1))
-    x0 = np.random.default_rng(seed).integers(0, p, A.shape[1])
-    return p, A, x0
-
-
-@settings(max_examples=200)
-@given(systems())
-def test_solve_mod_solves_consistent_systems(case):
-    p, A, x0 = case
-    b = A @ x0
-    x = _linalg.solve_mod(A, b, p)
-    assert x is not None
-    assert ((0 <= x) & (x < p)).all()
-    assert np.array_equal((A @ x - b) % p, np.zeros_like(b))
-
-
-@settings(max_examples=200)
-@given(systems())
-def test_solve_mod_is_none_outside_the_column_space(case):
-    p, A, x0 = case
-    b = np.random.default_rng(int(x0.sum())).integers(0, p, A.shape[0])
-    consistent = naive_rank(np.column_stack([A, b]).tolist(), p) == naive_rank(A.tolist(), p)
-    x = _linalg.solve_mod(A, b, p)
-    if consistent:
-        assert np.array_equal((A @ x - b) % p, np.zeros_like(b))
-    else:
-        assert x is None
-
-
-def test_solve_mod_rank_deficient_known_case():
-    # x + y = 1, 2x + 2y = 2 over F_3 is consistent; 2x + 2y = 0 is not
-    A = np.array([[1, 1], [2, 2]])
-    x = _linalg.solve_mod(A, np.array([1, 2]), 3)
-    assert (A @ x % 3).tolist() == [1, 2]
-    assert _linalg.solve_mod(A, np.array([1, 0]), 3) is None
-
-
 # --- the packed F_2 rows and the dtype chosen by the bound -------------------
 
 
-def assert_echelon_matches(M, p):
-    """The contract of rank_mod and echelon_mod on one matrix: the rank and
-    pivots of the naive reference, rows that are 0 then 1 at their pivot,
-    the same row space, and ``M`` left unchanged."""
+def assert_rank_matches(M, p):
+    """The contract of rank_mod on one matrix: the rank of the naive
+    reference, on M and on its transpose, and ``M`` left unchanged."""
     before = M.copy()
-    rref, naive_pivots = naive_gauss_jordan(M.tolist(), p)
-    assert _linalg.rank_mod(M, p) == len(naive_pivots)
-    E, pivots = _linalg.echelon_mod(M, p)
+    rank = naive_rank(M.tolist(), p)
+    assert _linalg.rank_mod(M, p) == rank
+    assert _linalg.rank_mod(M.T, p) == rank
     assert np.array_equal(M, before)
-    assert pivots == naive_pivots
-    assert E.dtype == np.int64 and E.shape == (len(pivots), M.shape[1])
-    assert ((0 <= E) & (E < p)).all()
-    for i, col in enumerate(pivots):
-        assert not E[i, :col].any() and E[i, col] == 1
-    assert naive_gauss_jordan(E.tolist(), p)[0] == rref
+
+
+def path(p, d, e):
+    """The layout ``rank_mod`` reduces a d x e matrix over F_p in: "bits"
+    over F_2, the lane width of packed odd-p rows, or "numpy"."""
+    if p == 2:
+        return "bits"
+    lanes = _linalg._lanes(p, d, e)
+    return lanes[0] if lanes else "numpy"
+
+
+# the cases name a layout by the dtype of its rows: F_2 rows are bytes, packed
+# lanes big-endian unsigned and the numpy loop signed
+LAYOUTS = {np.dtype(np.uint8): "bits", np.dtype(">u2"): 16, np.dtype(">u4"): 32,
+           np.dtype(">u8"): 64, np.dtype(np.int16): "numpy", np.dtype(np.int64): "numpy"}
 
 
 # The last size of each odd-p layout, as (p, d) with d x d the last square
@@ -212,12 +159,12 @@ def test_layout_edges_straddle_a_switch():
 
 @settings(max_examples=150, deadline=None)
 @given(layout_cases())
-def test_rank_mod_counts_the_pivots_of_echelon_mod(case):
-    """rank_mod reads the pivot count off the reduced rows without unpacking
-    them; it must be the pivot count of echelon_mod, which unpacks them, and
-    the rank of the reference, on both sides of every layout edge."""
+def test_rank_mod_at_the_layout_edges(case):
+    """rank_mod counts pivots on the reduced rows without unpacking them; the
+    count must be the rank of the reference, on both sides of every layout
+    edge, for the matrix and its transpose."""
     p, M = case
-    assert _linalg.rank_mod(M, p) == len(_linalg.echelon_mod(M, p)[1]) == naive_rank(M.tolist(), p)
+    assert _linalg.rank_mod(M, p) == _linalg.rank_mod(M.T, p) == naive_rank(M.tolist(), p)
 
 
 @pytest.mark.parametrize("width", [1, 7, 9, 65, 255, 300])
@@ -228,9 +175,9 @@ def test_f2_rows_of_any_width(width):
     for height in (1, 13, 70, 120):
         inner = rng.integers(0, height + 1)
         # entries outside [0, 2), negative ones too, check the reduction
-        assert_echelon_matches(rng.integers(-4, 4, (height, width)), 2)
+        assert_rank_matches(rng.integers(-4, 4, (height, width)), 2)
         A = rng.integers(-4, 4, (height, inner))
-        assert_echelon_matches(A @ rng.integers(0, 2, (inner, width)), 2)
+        assert_rank_matches(A @ rng.integers(0, 2, (inner, width)), 2)
 
 
 def ldu(p, size, rank, seed):
@@ -265,13 +212,12 @@ def test_rank_mod_f2_known_rank():
     ],
 )
 def test_elimination_dtype_switches_at_the_bound(p, size, dtype):
-    rank = size - 3
-    M = ldu(p, size, rank, size)
-    before = M.copy()
-    assert _linalg._reduce(M, p)[1]()[0].dtype == dtype
-    assert _linalg.rank_mod(M, p) == rank
-    assert_echelon_matches(M, p)
-    assert np.array_equal(M, before)
+    # the numpy loop, in the narrowest dtype that holds p + size*p^2
+    assert path(p, size, size) == "numpy"
+    assert _linalg._narrowest_int(p + size * p * p) == dtype
+    M = ldu(p, size, size - 3, size)
+    assert _linalg.rank_mod(M, p) == size - 3
+    assert_rank_matches(M, p)
 
 
 # --- the packed odd-p rows ----------------------------------------------------
@@ -295,12 +241,12 @@ def test_elimination_dtype_switches_at_the_bound(p, size, dtype):
 )
 def test_each_shape_takes_its_path(p, d, e, dtype):
     M = np.random.default_rng(d).integers(0, p, (d, e))
-    assert _linalg._reduce(M, p)[1]()[0].dtype == np.dtype(dtype)
+    assert path(p, d, e) == LAYOUTS[np.dtype(dtype)]
     if d == e:
         M = ldu(p, d, d - 2, d)
         assert _linalg.rank_mod(M, p) == d - 2
     if d * e <= 1600:
-        assert_echelon_matches(M, p)
+        assert_rank_matches(M, p)
 
 
 @pytest.mark.parametrize(
@@ -324,8 +270,8 @@ def test_each_shape_takes_its_path(p, d, e, dtype):
 def test_lanes_switch_at_the_bound(p, d, e, dtype):
     M = np.random.default_rng(d * e).integers(0, p, (d, e))
     M[-1] = M[0]  # one dependent row, below the first pivot row
-    assert _linalg._reduce(M, p)[1]()[0].dtype == np.dtype(dtype)
-    assert_echelon_matches(M, p)
+    assert path(p, d, e) == LAYOUTS[np.dtype(dtype)]
+    assert_rank_matches(M, p)
 
 
 def growth_matrix(p, k, v0):
@@ -357,7 +303,7 @@ def growth_matrix(p, k, v0):
 def test_packed_reduction_at_the_largest_entries(p, k, lane):
     assert _linalg._lanes(p, k + 1, k + 1)[0] == lane
     for v0 in sorted({*range(min(p, 64)), p - 2, p - 1}):
-        assert_echelon_matches(growth_matrix(p, k, v0), p)
+        assert_rank_matches(growth_matrix(p, k, v0), p)
 
 
 # --- narrow inputs -----------------------------------------------------------
@@ -370,23 +316,30 @@ def int16_copy(M, p):
     return np.where(R > p // 2, R - p, R).astype(np.int16)
 
 
+@st.composite
+def systems(draw):
+    p, A = draw(products())
+    seed = draw(st.integers(0, 2**32 - 1))
+    x0 = np.random.default_rng(seed).integers(0, p, A.shape[1])
+    return p, A, x0
+
+
 @settings(max_examples=200)
 @given(systems())
 def test_int16_input_matches_int64(case):
-    """rank_mod, echelon_mod and solve_mod read a narrow signed matrix in its
-    own dtype (the rank test hands them int16) with the results of its int64
-    copy, p = 65521 included, where p itself does not fit int16."""
+    """rank_mod reads a narrow signed matrix in its own dtype (the rank test
+    hands it int16) with the rank of its int64 copy, p = 65521 included,
+    where p itself does not fit int16; so does [A | b] for a b in A's
+    column space and for a random b."""
     p, A, x0 = case
     A16 = int16_copy(A, p)
     before = A16.copy()
-    assert _linalg.rank_mod(A16, p) == _linalg.rank_mod(A, p)
-    (E16, pivots16), (E, pivots) = _linalg.echelon_mod(A16, p), _linalg.echelon_mod(A, p)
-    assert pivots16 == pivots and E16.dtype == np.int64 and np.array_equal(E16, E)
+    assert _linalg.rank_mod(A16, p) == _linalg.rank_mod(A, p) == naive_rank(A.tolist(), p)
     rng = np.random.default_rng(int(x0.sum()))
     for b in (A @ x0, rng.integers(0, p, A.shape[0])):
-        x16, x = _linalg.solve_mod(A16, int16_copy(b, p), p), _linalg.solve_mod(A, b, p)
-        assert (x16 is None) == (x is None)
-        assert x is None or np.array_equal(x16, x)
+        Ab = np.column_stack([A, b])
+        Ab16 = np.column_stack([A16, int16_copy(b, p)])
+        assert _linalg.rank_mod(Ab16, p) == _linalg.rank_mod(Ab, p) == naive_rank(Ab.tolist(), p)
     assert np.array_equal(A16, before)
 
 
@@ -398,7 +351,7 @@ def test_unsigned_input_keeps_its_values():
     U = M.astype(np.uint16)
     assert U.max() > 2**15
     assert _linalg.rank_mod(U, p) == 37
-    assert np.array_equal(_linalg.echelon_mod(U, p)[0], _linalg.echelon_mod(M, p)[0])
+    assert_rank_matches(U, p)
 
 
 # --- the exact product mod p -------------------------------------------------

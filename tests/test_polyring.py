@@ -119,21 +119,36 @@ def test_known_factor_degrees():
     assert [str(f) for _, f in factor_xn_minus_1(ring(2, 3))] == ["x+1", "x^2+x+1"]
 
 
-@pytest.mark.parametrize("corrupt", ["no solution", "wrong solution"])
-def test_broken_minimal_polynomial_is_an_internal_error(monkeypatch, corrupt):
-    """A system without a solution, or a solution that is not the minimal
-    polynomial, stops the build with an error naming its layer."""
-    from linperm import _linalg
+@pytest.mark.parametrize(
+    "corrupt,q,n,message",
+    [
+        # z, the generator of F_{11^6}, is no 9th root of unity
+        pytest.param("root sums", 11, 9, "outside F_q", id="root sums outside F_q"),
+        # the idempotents of the cosets of sizes 6 and 2 swapped
+        pytest.param("wrong degree", 11, 9, "has degree", id="wrong degree"),
+        # at (2, 7) cosets {1, 2, 4} and {3, 5, 6} both of size 3: one
+        # idempotent twice gives one factor twice
+        pytest.param("wrong product", 2, 7, "product", id="wrong product"),
+    ],
+)
+def test_broken_minimal_polynomial_is_an_internal_error(monkeypatch, corrupt, q, n, message):
+    """A zeta whose root sums leave F_q, a factor whose degree is not its
+    coset's size, or factors whose product is not x^n - 1 stop the build with
+    an error naming its layer."""
+    from linperm import polyring
 
-    solve = _linalg.solve_mod
+    if corrupt == "root sums":
+        monkeypatch.setattr(polyring, "element_of_order", lambda work, n: work.gen())
+    else:
+        trace = polyring._trace_idempotents
 
-    def broken(A, b, p):
-        x = solve(A, b, p)
-        return None if corrupt == "no solution" else (x + 1) % p
+        def broken(spec, cosets, root_sums):
+            rows = trace(spec, cosets, root_sums)
+            return rows[[0, 2, 1]] if corrupt == "wrong degree" else rows[[0, 1, 1]]
 
-    monkeypatch.setattr(_linalg, "solve_mod", broken)
-    with pytest.raises(InternalError, match="^polyring: "):
-        factor_xn_minus_1.__wrapped__(ring(11, 9))
+        monkeypatch.setattr(polyring, "_trace_idempotents", broken)
+    with pytest.raises(InternalError, match=f"^polyring: .*{message}"):
+        factor_xn_minus_1.__wrapped__(ring(q, n))
 
 
 def test_splitting_field_degree():

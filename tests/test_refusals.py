@@ -198,6 +198,19 @@ CASES = {
         ("poly_egcd", lambda: poly_egcd(3, Poly.one(F3))),
     )},
     "is_maximal_order_element, an int": (BadInput, lambda: is_maximal_order_element(3)),
+    # integer arguments are read as ints before a spec is built or a cache hashes them
+    **{f"{name}, no int": (BadInput, call) for name, call in (
+        ("FieldSpec p", lambda: FieldSpec(3.0)),
+        ("FieldSpec k", lambda: FieldSpec(3, 1.0)),
+        ("ExtFieldSpec n", lambda: ExtFieldSpec(F3, 5.0, E.ext_modulus)),
+        ("RingSpec n", lambda: RingSpec(F3, "5")),
+        ("extension_field q", lambda: extension_field("3", 5)),
+        ("extension_field n", lambda: extension_field(3, 5.0)),
+        ("extension_field seed", lambda: extension_field(3, 5, 0.5)),
+        ("base_field q", lambda: base_field([4])),
+        ("frobenius exponent", lambda: frobenius(E.gen(), 1.5)),
+        ("shift_mul_x exponent", lambda: shift_mul_x(R.one(), 1.5)),
+    )},
 }
 
 
@@ -220,6 +233,23 @@ def test_equal_specs_built_apart_combine():
     for a, b in pairs:
         assert a.spec is not b.spec and a.spec == b.spec
         assert a + b == b + a and a - b == b - a
+
+
+def test_spec_mismatch_names_both_sides_in_short():
+    """The message names the class and each spec by its short name, so its
+    length does not grow with the fields: over F_{2^255} and F_{2^127} the
+    full reprs ran to 1,595 characters. Two specs of one name differ in
+    their moduli, and the second is "another"."""
+    with pytest.raises(SpecMismatch) as info:
+        compose(identity(extension_field(2, 255)), identity(extension_field(2, 127)))
+    message = str(info.value)
+    assert message == "expected LinearizedPoly over F_{2^255}, got LinearizedPoly over F_{2^127}"
+    assert len(message) < 100
+    E_other = ExtFieldSpec(F3, 5, find_irreducible(F3, 5, 1))
+    with pytest.raises(SpecMismatch, match=r"over F_\{3\^5\}, got ExtElement over another F_\{3\^5\}$"):
+        E.one() + E_other.one()
+    with pytest.raises(SpecMismatch, match=r"^expected RingElement over F_3\[x\]/\(x\^5 - 1\), "):
+        R.one() + RingSpec(F3, 4).one()
 
 
 def test_edges_that_do_not_refuse():
