@@ -68,7 +68,8 @@ def euclid_inputs(q, n):
 def cold_ring(q, n):
     ring, field = RingSpec(base_field(q), n), f"({q},{n})"
     cold("L3", "factor_xn_minus_1", field, factor_xn_minus_1, ring)
-    basis = cold("L3", "primitive_idempotents from the factors", field, primitive_idempotents, ring)
+    basis = cold("L3", "primitive_idempotents after the factors: the basis check", field,
+                 primitive_idempotents, ring)
     cold("L3", "P/R build (first project)", field, project, ring.one(), basis)
 
 def cold_extension_field(q, n):

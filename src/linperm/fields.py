@@ -561,6 +561,7 @@ def norm(a: ExtElement) -> FieldElement:
 
 def integer_order_mod(q: int, n: int) -> int:
     """Least m >= 1 with q^m = 1 (mod n)."""
+    q, n = _as_int(q), _as_int(n)
     if n < 1 or gcd(q, n) != 1:
         raise NotCoprime(f"gcd({q}, {n}) != 1")
     if n == 1:
@@ -600,7 +601,7 @@ def element_of_order(spec, n: int):
     """
     if spec.__class__ is not FieldSpec:
         ExtFieldSpec._require_class(spec)
-    if n < 1:
+    if (n := _as_int(n)) < 1:
         raise BadInput(f"no element of order {n}: an order is >= 1")
     group = spec.order - 1
     if n == 1:
@@ -655,10 +656,10 @@ def find_irreducible(base: FieldSpec, degree: int, seed: int = 0) -> tuple[int, 
     ``rng.randrange(q)`` would draw it (``_draws``).
     """
     FieldSpec._require_class(base)
-    if degree < 1:
+    if (degree := _as_int(degree)) < 1:
         raise BadInput("degree must be >= 1")
     _check_field_degree(base.p, base.k * degree)
-    rng = random.Random(f"{seed}:{base.p}:{base.k}:{degree}")
+    rng = random.Random(f"{_as_int(seed)}:{base.p}:{base.k}:{degree}")
     while True:
         draws = _draws(rng, base.q, degree)
         # coordinate l of a coefficient is base-p digit l of its draw

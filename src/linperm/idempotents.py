@@ -4,7 +4,7 @@ Because gcd(n, q) = 1 the quotient ring is semisimple: x^n - 1 splits into
 distinct irreducible factors f_i and the ring decomposes as a direct product
 of fields F_q[x]/(f_i). Each factor carries a unique primitive idempotent
 e_i, computed by the trace formula e_s[j] = n^{-1} sum_{u in C_s}
-zeta^{-u j} (MacWilliams-Sloane, ch. 8), read off the factors' root sums. A
+zeta^{-u j} (MacWilliams-Sloane, ch. 8), as the factors are found. A
 closed-form route exists for n = p^m when the order of q mod p^m is large
 enough; both routes are exposed and cross-check each other.
 
@@ -41,13 +41,13 @@ from .errors import (
     InternalError,
     LengthMismatch,
 )
-from .fields import _is_prime, _Value, integer_order_mod
+from .fields import _as_int, _is_prime, _Value, integer_order_mod
 from .polyring import (
     CyclotomicCoset,
     Poly,
     RingElement,
     RingSpec,
-    _trace_idempotents,
+    _decomposition,
     cyclotomic_cosets,
     factor_xn_minus_1,
     ring_mul,
@@ -69,6 +69,9 @@ class Component:
 
 @dataclass(frozen=True)
 class IdempotentBasis(_Value):
+    """Each coset's factor and primitive idempotent, as the one build of the
+    ring gives them or a caller lists them, checked by ``_verify_basis``."""
+
     spec: RingSpec
     components: tuple[Component, ...]
 
@@ -107,26 +110,33 @@ class ComponentVector(_Value):
 
 
 def _verify_basis(spec: RingSpec, components) -> None:
-    """e_i^2 = e_i, e_i f_i = 0, sum e_i = 1 and one component per coset;
-    raised as InternalError since a violation means the construction itself
-    is broken.
+    """One component per cyclotomic coset, in order; for each, deg f = |C|,
+    e*f = 0 in the ring (one product) and e = 1 mod f (one division); and
+    sum e = 1. A violation means the build is broken: InternalError.
 
-    These imply e_i e_j = 0 for i != j: e_i f_i = 0 means h_i = (x^n - 1)/f_i
-    divides e_i, and lcm(h_i, h_j) = x^n - 1, since x^n - 1 is squarefree
-    and ``factor_xn_minus_1`` checks that the product of the f_i is x^n - 1.
+    These make any components the primitive ones, however f was found.
+    x^n - 1 is squarefree and divides e*f, and e = 1 mod f, so with
+    A = gcd(f, x^n - 1) e is 1 mod A's irreducible factors and 0 mod the
+    others (CRT), and A != 1 since deg e < n. The sum puts each irreducible
+    factor under some A, so sum deg A >= n = sum |C| = sum deg f >= sum deg A:
+    the A are coprime, each is f up to a scalar, and the t of them are the t
+    irreducible factors. So e^2 = e and e_i e_j = 0 for i != j.
     """
-    total = spec.zero()
+    if [c.coset for c in components] != cyclotomic_cosets(spec):
+        raise InternalError("idempotents: components do not match the cyclotomic cosets")
+    base, one = spec.base, Poly.one(spec.base)
     for i, c in enumerate(components):
-        e = c.idempotent
-        if ring_mul(e, e) != e:
-            raise InternalError(f"idempotents: component {i}: e^2 != e")
-        if not ring_mul(e, spec.from_poly(c.factor)).is_zero():
+        RingElement._require(spec, e := c.idempotent)
+        Poly._require(base, f := c.factor)
+        if (d := f.degree) != (size := len(c.coset.members)):
+            raise InternalError(f"idempotents: component {i}: deg f = {d} != |C| = {size}")
+        if any(_polys.pcyclic_mul(base, e.coords, f.coords, spec.n)):
             raise InternalError(f"idempotents: component {i}: e * f != 0")
-        total = total + e
-    if total != spec.one():
+        if e.to_poly() % f != one:
+            raise InternalError(f"idempotents: component {i}: e != 1 mod f")
+    total = np.sum([c.idempotent.coords for c in components], axis=0) % base.p
+    if not np.array_equal(total, spec.one().coords):
         raise InternalError("idempotents: idempotents do not sum to 1")
-    if len(components) != len(cyclotomic_cosets(spec)):
-        raise InternalError("idempotents: component count != number of cyclotomic cosets")
 
 
 def _build_crt(basis: IdempotentBasis) -> _CRT:
@@ -197,22 +207,21 @@ def _block_inverse(basis: IdempotentBasis, v: np.ndarray) -> np.ndarray:
     return _combine(basis, u)
 
 
-@lru_cache(maxsize=None)
 def primitive_idempotents(spec: RingSpec) -> IdempotentBasis:
-    """The trace formula of ``polyring._trace_idempotents`` on the factors'
-    root sums: the sum of the roots of f_s is minus its coefficient of
-    x^(|C_s| - 1). Components come back ordered by coset representative, so
-    the all-ones component (coset of 0, factor x - 1) is index 0.
-    """
-    factors = factor_xn_minus_1(spec)  # refuses a spec that is not a RingSpec
-    k = spec.base.k
-    root_sums = -np.array([factor.coords[-2 * k : -k] for _, factor in factors])
-    rows = _trace_idempotents(spec, [coset for coset, _ in factors], root_sums)
-    components = [
-        Component(coset, factor, RingElement(spec, tuple(row.tolist())))
-        for (coset, factor), row in zip(factors, rows)
-    ]
-    return IdempotentBasis(spec, tuple(components))
+    """The components of ``polyring._decomposition``, the ring's one build,
+    which ``factor_xn_minus_1`` reads too: the all-ones component (coset of
+    0, factor x - 1) is index 0. The spec is checked before the cache."""
+    RingSpec._require_class(spec)
+    return _primitive_idempotents(spec)
+
+
+@lru_cache(maxsize=None)
+def _primitive_idempotents(spec: RingSpec) -> IdempotentBasis:
+    return IdempotentBasis(spec, tuple(Component(*triple) for triple in _decomposition(spec)))
+
+
+# the cache's counters stay reachable through the public name
+primitive_idempotents.__wrapped__ = _primitive_idempotents
 
 
 def cor4_condition(p: int, m: int, q: int) -> bool:
@@ -221,6 +230,7 @@ def cor4_condition(p: int, m: int, q: int) -> bool:
     Holds when p = 2 with m = 1 (q odd) or m = 2 (q = 3 mod 4), or when p is
     odd and q generates the full unit group mod p^m.
     """
+    p, m, q = _as_int(p), _as_int(m), _as_int(q)
     if not _is_prime(p):
         raise BadInput(f"p = {p} is not prime")
     if m < 1:
@@ -253,28 +263,20 @@ def closed_form_pm(spec: RingSpec, p: int, m: int) -> IdempotentBasis:
 
     Component i >= 1 is attached to the coset of p^{m-i} and the factor
     Phi_{p^i}(x^{p^{i-1}})-style cyclotomic polynomial sum_{j<p} x^{j p^{i-1}},
-    which matches the ordering of ``primitive_idempotents``.
+    so by coset representative the components are rows 0, m, m - 1, ..., 1.
     """
     RingSpec._require_class(spec)
-    if spec.n != p**m:
+    if spec.n != (p := _as_int(p)) ** (m := _as_int(m)):
         raise BadInput(f"n = {spec.n} is not {p}^{m}")
     q = spec.base.q
     if not cor4_condition(p, m, q):
-        raise ConditionNotMet(
-            f"closed form is not primitive for p={p}, m={m}, q={q}"
-        )
-    by_factor = {c.representative: (c, f) for c, f in factor_xn_minus_1(spec)}
+        raise ConditionNotMet(f"closed form is not primitive for p={p}, m={m}, q={q}")
     # each coefficient lies in the prime field: the first coordinate of its slot
     coords = np.zeros((m + 1, spec.n, spec.base.k), dtype=np.int64)
     coords[:, :, 0] = _closed_form_rows(p, m, spec.base.p)
-    components = [
-        Component(
-            *by_factor[p ** (m - i) if i else 0],
-            idempotent=RingElement(spec, tuple(row.ravel().tolist())),
-        )
-        for i, row in enumerate(coords)
-    ]
-    components.sort(key=lambda c: c.coset.representative)
+    rows = coords[[0, *range(m, 0, -1)]].reshape(m + 1, -1).tolist()
+    pairs = zip(factor_xn_minus_1(spec), rows)
+    components = (Component(c, f, RingElement(spec, tuple(e))) for (c, f), e in pairs)
     return IdempotentBasis(spec, tuple(components))
 
 

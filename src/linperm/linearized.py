@@ -44,6 +44,7 @@ from .fields import (
     _mul_rows,
     _require_text,
     _Value,
+    _as_int,
     extension_field,
 )
 from .idempotents import (
@@ -107,7 +108,7 @@ class LinearizedPoly(_Value):
     @classmethod
     def monomial(cls, spec: ExtFieldSpec, c: ExtElement, i: int) -> "LinearizedPoly":
         ExtElement._require(spec, c)  # also refuses a spec that is not c's
-        if not 0 <= i < spec.n:
+        if not 0 <= (i := _as_int(i)) < spec.n:
             raise BadInput(f"exponent {i} out of range")
         coords = np.zeros((spec.n, len(c.coords)), dtype=np.int64)
         coords[i] = c.coords
@@ -353,7 +354,7 @@ def binomial_is_permutation(
     fi._check(fj)
     if fi.is_zero() or fj.is_zero():
         raise ZeroCoefficient("binomial coefficients must be nonzero")
-    if not 0 <= i < j:
+    if not 0 <= _as_int(i) < _as_int(j):
         raise BadInput("exponents must satisfy 0 <= i < j")
     return not (fi + fj).is_zero()
 
@@ -416,7 +417,7 @@ def a_complete_sufficient_pm(F: LinearizedPoly, A, p: int, m: int) -> bool:
     True guarantees A-completeness; False is inconclusive.
     """
     LinearizedPoly._require_class(F)
-    if F.spec.n != p**m:
+    if F.spec.n != _as_int(p) ** _as_int(m):
         raise BadInput(f"n = {F.spec.n} is not {p}^{m}")
     C = _base_coords(F)
     base = F.spec.base

@@ -27,7 +27,7 @@ import random
 import numpy as np
 
 from .errors import BadInput, NotPrimitive, TooLarge, ZeroInverse
-from .fields import ExtElement, ExtFieldSpec, FieldElement, element_order
+from .fields import ExtElement, ExtFieldSpec, FieldElement, _as_int, element_order
 from .linearized import LinearizedPoly, evaluate_many
 from .polyring import RingElement, RingSpec, ring_mul
 
@@ -152,11 +152,11 @@ def involution_check_pointwise(
     is applied through ``_image_matrix``, built once; with fewer it is
     evaluated at the samples themselves by ``evaluate_many``."""
     LinearizedPoly._require_class(F)
-    if samples < 1:
+    if (samples := _as_int(samples)) < 1:
         raise BadInput(f"samples must be >= 1, got {samples}")
     spec = F.spec
     M = _image_matrix(F) if samples >= spec.base.k * spec.n else None
-    rng = random.Random(seed)
+    rng = random.Random(_as_int(seed))
     order = spec.order
     for start in range(0, samples, CHUNK):
         draws = [rng.randrange(order) for _ in range(min(CHUNK, samples - start))]

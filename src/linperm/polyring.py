@@ -15,8 +15,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
-from math import gcd
+from itertools import accumulate, zip_longest
+from math import gcd, prod
+from operator import mul
 
 import numpy as np
 
@@ -266,12 +267,16 @@ def cyclotomic_cosets(spec: RingSpec) -> list[CyclotomicCoset]:
     return cosets
 
 
-@lru_cache(maxsize=None)
 def splitting_field(spec: RingSpec) -> ExtFieldSpec:
     """Smallest field F_{q^m} containing the n-th roots of unity, m the order
     of q mod n; an extension of degree 1 when m = 1. Unlike ``extension_field``
-    it does not need gcd(m, p) = 1."""
+    it does not need gcd(m, p) = 1. The spec is checked before the cache."""
     RingSpec._require_class(spec)
+    return _splitting_field(spec)
+
+
+@lru_cache(maxsize=None)
+def _splitting_field(spec: RingSpec) -> ExtFieldSpec:
     m = integer_order_mod(spec.base.q, spec.n)
     return ExtFieldSpec(spec.base, m, find_irreducible(spec.base, m, 0))
 
@@ -294,26 +299,32 @@ def _trace_idempotents(spec: RingSpec, cosets, root_sums) -> np.ndarray:
     return coeffs.reshape(len(cosets), -1)
 
 
-@lru_cache(maxsize=None)
 def factor_xn_minus_1(spec: RingSpec) -> list[tuple[CyclotomicCoset, Poly]]:
-    """Irreducible factors of x^n - 1 over F_q, one per cyclotomic coset.
+    """Irreducible factors of x^n - 1 over F_q, one per cyclotomic coset, in
+    a new list: the pairs of the ring's one build, ``_decomposition``, which
+    ``primitive_idempotents`` reads too. The spec is checked before the cache."""
+    RingSpec._require_class(spec)
+    return [(coset, f) for coset, f, _ in _decomposition(spec)]
 
-    The factor f_s attached to coset C_s is the minimal polynomial over F_q
-    of zeta^s, zeta a fixed n-th root of unity in the splitting field
-    F_{q^m} (Lidl-Niederreiter, Thm 2.47), so its roots are the zeta^u for u
-    in C_s; zeta fixes which factor each coset labels. The idempotent e_s of
-    ``_trace_idempotents``, from the sums of the powers of zeta over each
-    coset, is 1 at those roots and 0 at the other n-th roots of unity, so
-    f_s = gcd(x^n - 1, 1 - e_s). A root sum outside F_q, a factor whose
-    degree is not its coset's size, or factors whose product is not x^n - 1
-    raise ``InternalError``.
+
+@lru_cache(maxsize=None)
+def _decomposition(spec: RingSpec) -> tuple[tuple[CyclotomicCoset, Poly, RingElement], ...]:
+    """Each q-cyclotomic coset C_s with its factor f_s of x^n - 1 and its
+    primitive idempotent e_s, by coset representative.
+
+    f_s is the minimal polynomial over F_q of zeta^s, zeta a fixed n-th root
+    of unity in the splitting field F_{q^m} (Lidl-Niederreiter, Thm 2.47), so
+    its roots are the zeta^u for u in C_s; zeta fixes which factor each coset
+    labels. One ``_trace_idempotents`` gather, from the sums of the powers of
+    zeta over each coset, gives every e_s. e_s is 1 at the roots of f_s and 0
+    at the other n-th roots of unity, so f_s = gcd(x^n - 1, 1 - e_s). A root
+    sum outside F_q, a factor whose degree is not its coset's size, or
+    factors whose product is not x^n - 1 raise ``InternalError``.
     """
-    work = splitting_field(spec)  # refuses a spec that is not a RingSpec
+    work = _splitting_field(spec)
     base, n = spec.base, spec.n
     zeta = element_of_order(work, n)
-    powers = [work.one()]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * zeta)
+    powers = list(accumulate([zeta] * (n - 1), mul, initial=work.one()))
     # zeta_pows[j, i] holds the F_q coordinates of slot i of zeta^j
     zeta_pows = np.array([r.coords for r in powers], dtype=np.int64).reshape(n, -1, base.k)
     cosets = cyclotomic_cosets(spec)
@@ -322,18 +333,20 @@ def factor_xn_minus_1(spec: RingSpec) -> list[tuple[CyclotomicCoset, Poly]]:
         raise InternalError("polyring: a sum of the roots of a coset lies outside F_q")
 
     modulus, one, out = spec.modulus().coords, _polys.pone(base), []
-    for coset, e in zip(cosets, _trace_idempotents(spec, cosets, sums[:, 0])):
-        f = _polys.pgcd(base, modulus, _polys.psub(base, one, e.tolist()))
+    for coset, e in zip(cosets, _trace_idempotents(spec, cosets, sums[:, 0]).tolist()):
+        f = _polys.pgcd(base, modulus, _polys.psub(base, one, e))
         if (d := _polys.pdeg(base, f)) != len(coset.members):
             raise InternalError(f"polyring: the factor of C_{coset.representative} has degree {d}")
-        out.append((coset, Poly(base, f)))
+        out.append((coset, Poly(base, f), RingElement(spec, tuple(e))))
 
-    product = Poly.one(base)
-    for _, f in out:
-        product = product * f
-    if product != spec.modulus():
+    if prod((f for _, f, _ in out), start=Poly.one(base)) != spec.modulus():
         raise InternalError("polyring: product of coset factors is not x^n - 1")
-    return out
+    return tuple(out)
+
+
+# the caches' counters stay reachable through the public names
+splitting_field.__wrapped__ = _splitting_field
+factor_xn_minus_1.__wrapped__ = _decomposition
 
 
 # --- text format -------------------------------------------------------------

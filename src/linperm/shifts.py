@@ -42,6 +42,7 @@ from .errors import (
 from .fields import (
     ExtElement,
     ExtFieldSpec,
+    _as_int,
     _by_unit,
     _frobenius_power,
     _mul_rows,
@@ -113,7 +114,7 @@ def alpha_shift(F: LinearizedPoly, alpha: ExtElement) -> LinearizedPoly:
 def alpha_shift_power(F: LinearizedPoly, alpha: ExtElement, t: int) -> LinearizedPoly:
     """S_alpha^t(F): every coefficient times N(alpha)^(t // n), since
     S_alpha^n = N(alpha)*id, then t mod n single shifts."""
-    if t < 0:
+    if (t := _as_int(t)) < 0:
         raise BadInput("shift count must be nonnegative")
     LinearizedPoly._require_class(F)
     _check_alpha(F.spec, alpha)
@@ -189,7 +190,7 @@ def shifted_inverse(
     spec = F_inv.spec
     _check_prop10(spec, alpha)
     full = (spec.base.q - 1) * spec.n
-    if not 0 <= t <= full:
+    if not 0 <= (t := _as_int(t)) <= full:
         raise BadInput(f"t must lie in [0, {full}]")
     return alpha_shift_power(F_inv, alpha, full - t)
 

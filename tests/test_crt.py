@@ -216,27 +216,32 @@ def _basis_corruptions():
     comps = list(basis_of(11, 9).components)
     a, b = comps[0], comps[1]
     two = spec.element([2])
+    # at (2, 7) the cosets {1, 2, 4} and {3, 5, 6} have one size, so one
+    # component can stand twice and pass every check but the sum
+    c0, c1, c3 = basis_of(2, 7).components
     return {
         "square": [replace(a, idempotent=ring_mul(two, a.idempotent))] + comps[1:],
         "annihilator": [replace(a, idempotent=b.idempotent)] + comps[1:],
         "sum": [replace(a, idempotent=spec.zero())] + comps[1:],
         "count": _merged(basis_of(11, 9)),
+        "twice": [c0, c1, replace(c1, coset=c3.coset)],
     }
 
 
 @pytest.mark.parametrize(
     "corrupt,message",
     [
-        ("square", r"^idempotents: component 0: e\^2 != e$"),
+        ("square", r"^idempotents: component 0: e != 1 mod f$"),
         ("annihilator", r"^idempotents: component 0: e \* f != 0$"),
-        ("sum", r"^idempotents: idempotents do not sum to 1$"),
-        ("count", r"^idempotents: component count != number of cyclotomic cosets$"),
+        ("sum", r"^idempotents: component 0: e != 1 mod f$"),
+        ("count", r"^idempotents: components do not match the cyclotomic cosets$"),
+        ("twice", r"^idempotents: idempotents do not sum to 1$"),
     ],
 )
 def test_basis_invariant_errors_name_the_layer(corrupt, message):
-    spec = basis_of(11, 9).spec
+    comps = _basis_corruptions()[corrupt]
     with pytest.raises(InternalError, match=message):
-        IdempotentBasis(spec, tuple(_basis_corruptions()[corrupt]))
+        IdempotentBasis(comps[0].idempotent.spec, tuple(comps))
 
 
 def test_projection_check_names_the_layer():

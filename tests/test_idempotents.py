@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from linperm import (
     ComponentVector,
     FieldSpec,
     IdempotentBasis,
+    Poly,
     RingSpec,
     base_field,
     closed_form_pm,
@@ -102,12 +104,77 @@ def test_wrong_basis_is_an_internal_error(corrupt):
         IdempotentBasis(spec, tuple(comps))
 
 
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        # x e_1 still vanishes against f_1, but it is x, not 1, mod f_1
+        ("e f = 0, e != 1 mod f", r"component 1: e != 1 mod f$"),
+        # e_0 + e_1 over f_0 f_1 and 0 over the factor 1: degrees 7, 0 and 2
+        # for cosets of sizes 1, 6 and 2, with e^2 = e, e f = 0 and sum 1
+        ("degrees 7, 0, 2", r"component 0: deg f = 7 != \|C\| = 1$"),
+    ],
+)
+def test_hand_built_basis_is_refused(case, message):
+    spec = ring(11, 9)
+    a, b, c = primitive_idempotents(spec).components
+    if case == "degrees 7, 0, 2":
+        a = replace(a, factor=a.factor * b.factor, idempotent=a.idempotent + b.idempotent)
+        b = replace(b, factor=Poly.one(spec.base), idempotent=spec.zero())
+    else:
+        b = replace(b, idempotent=ring_mul(spec.x(), b.idempotent))
+    with pytest.raises(InternalError, match=f"^idempotents: {message}"):
+        IdempotentBasis(spec, (a, b, c))
+
+
+@pytest.mark.parametrize("q,n", [(11, 9), (8, 11), (2, 255), (3, 125)])
+def test_basis_check_costs_a_product_and_a_division_per_component(monkeypatch, q, n):
+    """The check of an IdempotentBasis makes t ring products and t
+    divisions; the sum of the e_i takes additions alone."""
+    from linperm import _polys
+
+    basis = primitive_idempotents(ring(q, n))
+    counts = dict.fromkeys(("pcyclic_mul", "pdivmod"), 0)
+    for name, real in [(name, getattr(_polys, name)) for name in counts]:
+
+        def counting(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(_polys, name, counting)
+    IdempotentBasis(basis.spec, basis.components)
+    assert counts == {"pcyclic_mul": basis.t, "pdivmod": basis.t}
+
+
+@pytest.mark.parametrize("q,n", [(3, 125), (2, 255), (8, 11), (4, 15)])
+def test_one_gather_builds_both_views(monkeypatch, q, n):
+    """For a fresh ring (the caches swapped for empty ones) the factors and
+    the idempotents come from one trace-formula gather, spied where the
+    build looks it up."""
+    from linperm import idempotents, polyring
+
+    gathers, real = [], polyring._trace_idempotents
+
+    def spy(*args):
+        gathers.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyring, "_trace_idempotents", spy)
+    fresh = lru_cache(maxsize=None)(polyring._decomposition.__wrapped__)
+    monkeypatch.setattr(polyring, "_decomposition", fresh)
+    monkeypatch.setattr(idempotents, "_decomposition", fresh)
+    basis = lru_cache(maxsize=None)(idempotents._primitive_idempotents.__wrapped__)
+    monkeypatch.setattr(idempotents, "_primitive_idempotents", basis)
+    spec = ring(q, n)
+    factors = factor_xn_minus_1(spec)
+    components = primitive_idempotents(spec).components
+    assert len(gathers) == 1 and fresh.cache_info().misses == 1
+    assert [(c.coset, c.factor) for c in components] == factors
+
+
 @pytest.mark.parametrize("q,n", ALL_SPECS)
 def test_component_dimension(q, n):
     # the span of {e_i, x e_i, ..., x^{n-1} e_i} has dimension deg f_i
     spec = ring(q, n)
-    if n > 25:
-        pytest.skip("covered by smaller specs; keeps the suite quick")
     basis = primitive_idempotents(spec)
     k = spec.base.k
     for comp in basis.components:
@@ -370,9 +437,9 @@ def test_factor_vanishes_on_its_coset(p, k, base_modulus, n):
 @pytest.mark.parametrize("p,k,base_modulus,n", list(DECOMPOSITIONS))
 def test_coset_root_sum_is_minus_a_factor_coefficient(p, k, base_modulus, n):
     """sum_{u in C} zeta^u is the sum of the roots of C's factor, so it is
-    minus the factor's coefficient of x^(|C| - 1): the identity that
-    ``primitive_idempotents`` reads every coefficient from. Summed in the
-    splitting field's ExtElement arithmetic, apart from that build."""
+    minus the factor's coefficient of x^(|C| - 1), and the trace formula
+    could read each idempotent off its factor. Summed in the splitting
+    field's ExtElement arithmetic, apart from the build of the factors."""
     spec = RingSpec(_base(p, k, base_modulus), n)
     work = splitting_field(spec)
     zeta = element_of_order(work, n)

@@ -148,7 +148,7 @@ def test_broken_minimal_polynomial_is_an_internal_error(monkeypatch, corrupt, q,
 
         monkeypatch.setattr(polyring, "_trace_idempotents", broken)
     with pytest.raises(InternalError, match=f"^polyring: .*{message}"):
-        factor_xn_minus_1.__wrapped__(ring(q, n))
+        polyring._decomposition.__wrapped__(ring(q, n))
 
 
 def test_splitting_field_degree():

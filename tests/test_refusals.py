@@ -23,7 +23,9 @@ from linperm import (
     alpha_shift,
     alpha_shift_power,
     base_field,
+    closed_form_pm,
     compose,
+    cor4_condition,
     cyclic_order,
     discrete_log,
     element_order,
@@ -36,6 +38,7 @@ from linperm import (
     frobenius,
     half_order_involution,
     identity,
+    integer_order_mod,
     involution_check_pointwise,
     is_bijection_bruteforce,
     is_maximal_order_element,
@@ -210,6 +213,20 @@ CASES = {
         ("base_field q", lambda: base_field([4])),
         ("frobenius exponent", lambda: frobenius(E.gen(), 1.5)),
         ("shift_mul_x exponent", lambda: shift_mul_x(R.one(), 1.5)),
+        ("alpha_shift_power exponent", lambda: alpha_shift_power(identity(E), E.embed_int(2), 1.5)),
+        ("shifted_inverse t", lambda: shifted_inverse(identity(E), E.embed_int(2), 1.5)),
+        ("involution_check_pointwise samples", lambda: involution_check_pointwise(identity(E), 2.5, 0)),
+        ("involution_check_pointwise seed", lambda: involution_check_pointwise(identity(E), 2, "0")),
+        ("find_irreducible degree", lambda: find_irreducible(F3, 2.5)),
+        ("find_irreducible seed", lambda: find_irreducible(F3, 2, 0.5)),
+        ("element_of_order n", lambda: element_of_order(E, 2.0)),
+        ("closed_form_pm p", lambda: closed_form_pm(RingSpec(F3, 4), 2.0, 2)),
+        ("closed_form_pm m", lambda: closed_form_pm(RingSpec(F3, 4), 2, "2")),
+        ("cor4_condition p", lambda: cor4_condition(3.0, 1, 2)),
+        ("cor4_condition q", lambda: cor4_condition(3, 1, "2")),
+        ("pm_sufficient_conditions p", lambda: pm_sufficient_conditions(identity(E), 5.0, 1)),
+        ("monomial exponent", lambda: LinearizedPoly.monomial(E, E.one(), 1.5)),
+        ("integer_order_mod n", lambda: integer_order_mod(3, "5")),
     )},
 }
 
@@ -264,10 +281,24 @@ def test_edges_that_do_not_refuse():
 
 class Arg(NamedTuple):
     """An argument the sweep replaces: its value in the valid call, and the
-    same kind of value over another spec (for text, text written for one)."""
+    same kind of value over another spec (for text, text written for one).
+    The sweep also puts an int and a list in its place."""
 
     value: object
     other: object
+
+
+class Int(NamedTuple):
+    """An integer argument, which the sweep replaces by 1.5 and by "3"."""
+
+    value: int
+
+
+# what the sweep puts in place of each kind of argument
+KINDS = {
+    Arg: {"int": lambda arg: 3, "list": lambda arg: [3], "other": lambda arg: arg.other},
+    Int: {"float": lambda arg: 1.5, "text": lambda arg: "3"},
+}
 
 
 R4 = RingSpec(F3, 4)
@@ -287,23 +318,23 @@ _RING_ONE = Arg(R.one(), R4.one())
 SWEEP = {
     # fields
     "ExtElement": (Arg(E, E7), E.one().coords),
-    "ExtFieldSpec": (Arg(F3, F5), 5, E.ext_modulus),
+    "ExtFieldSpec": (Arg(F3, F5), Int(5), E.ext_modulus),
     "FieldElement": (Arg(F3, F5), (1,)),
-    "FieldSpec": (3,),
-    "base_field": (3,),
+    "FieldSpec": (Int(3),),
+    "base_field": (Int(3),),
     "element_order": (Arg(E.gen(), E7.gen()),),
-    "extension_field": (3, 5),
-    "find_irreducible": (Arg(F3, F5), 2),
-    "frobenius": (Arg(E.gen(), E7.gen()), 1),
-    "integer_order_mod": (3, 5),
+    "extension_field": (Int(3), Int(5)),
+    "find_irreducible": (Arg(F3, F5), Int(2)),
+    "frobenius": (Arg(E.gen(), E7.gen()), Int(1)),
+    "integer_order_mod": (Int(3), Int(5)),
     "norm": (Arg(E.gen(), E7.gen()),),
-    "element_of_order": (Arg(E, E7), 2),
+    "element_of_order": (Arg(E, E7), Int(2)),
     "splitting_field": (_RING,),
     # polyring
     "CyclotomicCoset": (0, (0,)),
     "Poly": (Arg(F3, F5), (1, 2)),
     "RingElement": (_RING, R.one().coords),
-    "RingSpec": (Arg(F3, F5), 4),
+    "RingSpec": (Arg(F3, F5), Int(4)),
     "cyclotomic_cosets": (_RING,),
     "factor_xn_minus_1": (_RING,),
     "format_poly": (Arg(F3, F5), (1, 2)),
@@ -314,12 +345,12 @@ SWEEP = {
     "ring_inverse": (_RING_ONE,),
     "ring_is_unit": (_RING_ONE,),
     "ring_mul": (Arg(R.x(), R4.x()), Arg(R.x(), R4.x())),
-    "shift_mul_x": (Arg(R.x(), R4.x()), 1),
+    "shift_mul_x": (Arg(R.x(), R4.x()), Int(1)),
     # idempotents
     "ComponentVector": (_RING, (R.one(),) * BASIS.t),
     "IdempotentBasis": (_RING, BASIS.components),
-    "closed_form_pm": (_RING, 5, 1),
-    "cor4_condition": (5, 1, 3),
+    "closed_form_pm": (_RING, Int(5), Int(1)),
+    "cor4_condition": (Int(5), Int(1), Int(3)),
     "is_idempotent": (_RING_ONE,),
     "is_primitive_idempotent": (Arg(BASIS.idempotents[0], R4.one()), _BASIS),
     "primitive_idempotents": (_RING,),
@@ -331,8 +362,8 @@ SWEEP = {
     # linearized
     "LinearizedPoly": (Arg(E, E7), (Arg(E.one(), E7.one()),) + (E.zero(),) * 4),
     "a_complete_check": (_F, [Arg(E.zero(), E7.zero())], _BASIS),
-    "a_complete_sufficient_pm": (_F, [Arg(E.zero(), E7.zero())], 5, 1),
-    "binomial_is_permutation": (Arg(F3.one(), F5.one()), Arg(F3.one(), F5.one()), 0, 1),
+    "a_complete_sufficient_pm": (_F, [Arg(E.zero(), E7.zero())], Int(5), Int(1)),
+    "binomial_is_permutation": (Arg(F3.one(), F5.one()), Arg(F3.one(), F5.one()), Int(0), Int(1)),
     "coefficient_sum_reject": (_F,),
     "compose": (_F, _F),
     "compositional_inverse": (_F, _BASIS),
@@ -348,21 +379,21 @@ SWEEP = {
     "is_permutation_rank": (_F,),
     "linearized_associate": (_RING_ONE, Arg(E, E7)),
     "parse_linearized": (Arg("2x^[1]+x", "[0,0,0,0,0,0,1]*x"), Arg(E, E7)),
-    "pm_sufficient_conditions": (_F, 5, 1),
+    "pm_sufficient_conditions": (_F, Int(5), Int(1)),
     "sign_vector_involutions": (_BASIS, Arg(E, E7)),
     # shifts
-    "ShiftClass": (_F, _ALPHA, 1, (X,)),
+    "ShiftClass": (_F, _ALPHA, Int(1), (X,)),
     "alpha_shift": (_F, _ALPHA),
-    "alpha_shift_power": (_F, _ALPHA, 3),
+    "alpha_shift_power": (_F, _ALPHA, Int(3)),
     "cyclic_order": (_F, _ALPHA),
     "half_order_involution": (_F, _ALPHA),
     "is_maximal_order_element": (_ALPHA,),
     "shift_class": (_F, _ALPHA),
-    "shifted_inverse": (_F, _ALPHA, 1),
+    "shifted_inverse": (_F, _ALPHA, Int(1)),
     # oracle
     "discrete_log": (Arg(BETA**7, E7.one()), Arg(BETA, E7.gen())),
     "fixed_points": (_F,),
-    "involution_check_pointwise": (_F, 5, 0),
+    "involution_check_pointwise": (_F, Int(5), Int(0)),
     "is_bijection_bruteforce": (_F,),
     "kernel": (_F,),
     "sqrt_unity_bruteforce": (_RING,),
@@ -379,26 +410,26 @@ def _function(name):
 
 
 def _fill(args, pick, counter):
-    """args with each Arg, counted in order through nested lists and tuples,
-    replaced by pick(index, arg)."""
-    if isinstance(args, Arg):
+    """args with each Arg and Int, counted in order through nested lists and
+    tuples, replaced by pick(index, arg)."""
+    if isinstance(args, (Arg, Int)):
         return pick(next(counter), args)
     if isinstance(args, (list, tuple)):
         return type(args)(_fill(a, pick, counter) for a in args)
     return args
 
 
-def _count(args) -> int:
-    counter = itertools.count()
-    _fill(args, lambda i, a: a, counter)
-    return next(counter)
+def _leaves(args) -> list:
+    leaves = []
+    _fill(args, lambda i, a: leaves.append(a), itertools.count())
+    return leaves
 
 
 SWEPT = [
     (name, index, bad)
     for name, args in SWEEP.items()
-    for index in range(_count(args))
-    for bad in ("int", "other")
+    for index, arg in enumerate(_leaves(args))
+    for bad in KINDS[type(arg)]
 ]
 
 
@@ -421,9 +452,7 @@ def test_the_valid_call_succeeds(name):
 )
 def test_a_wrong_argument_raises_only_a_linperm_error(name, index, bad):
     def pick(i, arg):
-        if i != index:
-            return arg.value
-        return 3 if bad == "int" else arg.other
+        return KINDS[type(arg)][bad](arg) if i == index else arg.value
 
     args = _fill(SWEEP[name], pick, itertools.count())
     try:

@@ -88,7 +88,7 @@ def test_separately_built_specs_hit_one_cache_entry():
         (_linalg.mul_tensor, base_field(8), FieldSpec(2, 3, F8_MODULUS)),
         (fields._ext_reduction, extension_field(3, 5), ExtFieldSpec(
             FieldSpec(3), 5, extension_field(3, 5).ext_modulus)),
-        (factor_xn_minus_1, RingSpec(base_field(8), 11), RingSpec(
+        (factor_xn_minus_1.__wrapped__, RingSpec(base_field(8), 11), RingSpec(
             FieldSpec(2, 3, F8_MODULUS), 11)),
     ):
         value = cached(first)
