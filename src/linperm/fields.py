@@ -498,7 +498,7 @@ _frobenius_held = weakref.WeakValueDictionary()
 @lru_cache(maxsize=None)
 def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
     """F_p matrix of a -> a^(q^i) on the flat coordinates of F_{q^n}, as a
-    read-only uint16 array shared by every caller.
+    read-only array shared by every caller.
 
     Frob^1 is ``_polys._frobenius_q`` of the modulus. For i >= 2, Frob^i is
     Frob^j Frob^(i-j), j the highest power below i that the cache still holds
@@ -507,9 +507,11 @@ def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
     ascending walk costs one product per power, and a lone power one
     square-and-multiply. Asking for a power caches it and Frob^1 only.
 
-    Entries are below p < 2^16, so each power is stored as uint16, 2*(k*n)^2
-    bytes. A reader must name the dtype of a product, by an int64 operand
-    or ``dtype=``: a bare Python int leaves it in uint16, where it wraps.
+    Entries are below p, so each power is stored in the narrowest unsigned
+    dtype that holds p - 1: uint8, (k*n)^2 bytes, for p < 256 and uint16
+    above. A reader must name the dtype of a product, by an int64 or float
+    operand or ``dtype=``: a bare Python int leaves it in the table's dtype,
+    where it wraps, in uint8 from the first product past 255.
     """
     base = spec.base
     if i == 0:
@@ -526,7 +528,7 @@ def _frobenius_power(spec: ExtFieldSpec, i: int) -> np.ndarray:
                 break
         gap = _polys._square_and_multiply(lambda a, b: _linalg.matmul_mod(a, b, base.p), frob, i - j)
         out = _linalg.matmul_mod(below, gap, base.p)
-    out = out.astype(np.uint16)
+    out = out.astype(np.min_scalar_type(base.p - 1))
     out.flags.writeable = False
     _frobenius_held[spec, i] = out
     return out

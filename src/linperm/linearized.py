@@ -249,14 +249,13 @@ def is_permutation_rank(F: LinearizedPoly) -> bool:
     # terms entries stay below n*k*p^2 in absolute value when every
     # coefficient lies in F_q, and below n*k*n*p^2 in any case; M is summed
     # in the narrowest signed dtype that holds that bound, and rank_mod
-    # reduces it once. Every product names that dtype, since Frob^i is
-    # uint16, where a bare int product wraps; an int16 M means p < 182, so
-    # Frob^i is then read as int16.
+    # reduces it once. Every product and sum names that dtype, since Frob^i
+    # is uint8 below p = 256 (uint16 above), where a bare int product wraps.
     dtype = _linalg._narrowest_int(n * k * p * p * (n if wide else 1))
     M = np.zeros((k * n, k * n), dtype=dtype)
     term = np.empty_like(M)
     for i, c in zip(support, rows):
-        Fi = _frobenius_power(spec, i).view(np.int16 if dtype is np.int16 else np.uint16)
+        Fi = _frobenius_power(spec, i)
         if wide and any(c[k:]):
             np.matmul(_mul_matrix(spec, F.coords[i]), Fi, out=term, dtype=dtype)
         elif c[0] in (1, p - 1) and not any(c[1:k]):
@@ -269,7 +268,7 @@ def is_permutation_rank(F: LinearizedPoly) -> bool:
             # image is the block times slot j of Frob^i
             block = _polys._block(base, tuple(c[:k]))
             np.matmul(block, Fi.reshape(n, k, k * n), out=term.reshape(n, k, k * n), dtype=dtype)
-        np.add(M, term, out=M)
+        np.add(M, term, out=M, dtype=dtype)
     return _linalg.rank_mod(M, p) == k * n
 
 

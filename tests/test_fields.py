@@ -96,8 +96,9 @@ def test_f3_5_inverse_roundtrip(v):
 
 @given(st.integers(0, 10**6), st.integers(0, 4))
 def test_frobenius_is_qth_power(v, i):
-    # F_8: its multiplication matrices are not symmetric, unlike F_4's
-    for q, n in ((3, 5), (4, 3), (8, 3)):
+    # F_8: its multiplication matrices are not symmetric, unlike F_4's;
+    # F_251: products of one-byte table entries pass 255
+    for q, n in ((3, 5), (4, 3), (8, 3), (251, 3)):
         E = extension_field(q, n)
         a = E.from_int(v % E.order)
         assert frobenius(a, i % n) == a ** (q ** (i % n))
@@ -244,23 +245,25 @@ def _frobenius_by_products(E):
     return powers
 
 
-@pytest.mark.parametrize("q, n", [(3, 25), (4, 15), (8, 11), (49, 3)])
+@pytest.mark.parametrize("q, n", [(3, 25), (4, 15), (8, 11), (49, 3), (257, 5)])
 def test_frobenius_walks_match_repeated_products(q, n):
     # one product per power from the highest held power, on both sides of
     # q = d; the cache keeps the powers asked for and Frob^1, nothing else,
-    # each a read-only uint16 array of 2*(k*n)^2 bytes
+    # each a read-only array of (k*n)^2 entries, one byte each for p < 256
+    # and two above
     E = extension_field(q, n)
+    dtype, width = (np.uint8, 1) if E.base.p < 256 else (np.uint16, 2)
     expected = _frobenius_by_products(E)
     _frobenius_power.cache_clear()
     for i in range(1, n):
         assert np.array_equal(_frobenius_power(E, i), expected[i])
     assert _frobenius_power.cache_info().currsize == n - 1
     held = [t for (spec, _), t in fields._frobenius_held.items() if spec == E]
-    assert sum(t.nbytes for t in held) == (n - 1) * (E.base.k * n) ** 2 * 2
+    assert sum(t.nbytes for t in held) == (n - 1) * (E.base.k * n) ** 2 * width
     assert np.array_equal(_frobenius_power(E, 0), expected[0])
     for i in range(n):
         table = _frobenius_power(E, i)
-        assert table.dtype == np.uint16
+        assert table.dtype == dtype
         with pytest.raises(ValueError):
             table[0, 0] = 1
     _frobenius_power.cache_clear()

@@ -1,8 +1,9 @@
 """The flat LinearizedPoly: its (n, k*n) coordinate array against boxed references.
 
-Each property runs over F_{3^5}, F_{4^3} and F_{8^3}, so the k x k block path
-(k > 1) is covered next to the prime one. Coefficients are zero, in F_q or
-anywhere in F_{q^n}.
+Each property runs over F_{3^5}, F_{4^3}, F_{8^3} and F_{251^3}, so the k x k
+block path (k > 1) is covered next to the prime one, and a prime whose
+one-byte Frobenius entries multiply past 255. Coefficients are zero, in F_q
+or anywhere in F_{q^n}.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from linperm import (
 )
 from linperm.fields import frobenius
 
-FIELDS = [(3, 5), (4, 3), (8, 3)]
+FIELDS = [(3, 5), (4, 3), (8, 3), (251, 3)]
 
 
 def _coeff(E):

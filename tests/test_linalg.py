@@ -360,13 +360,14 @@ def test_unsigned_input_keeps_its_values():
 @st.composite
 def float_operands(draw):
     """(A, B, p): A of shape (m, K), B of shape (K, r) or (K,), entries in
-    [0, p), int64 or uint16, B possibly a transposed (non-contiguous) view,
+    [0, p), int64, uint16 or (p < 256) uint8 as the Frobenius cache stores
+    them, B possibly a transposed (non-contiguous) view,
     A possibly already cast by ``cast_exact``. p = 251 switches from float32
     to float64 between K = 268 and 269."""
     p = draw(st.sampled_from([2, 3, 251, 65521]))
     K = draw(st.one_of(st.integers(1, 300), st.integers(300, 3000)))
     m, r = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    dtype = draw(st.sampled_from([np.int64, np.uint16]))
+    dtype = draw(st.sampled_from([np.int64, np.uint16] + [np.uint8] * (p < 256)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = rng.integers(0, p, (m, K)).astype(dtype)
     B = rng.integers(0, p, (r, K)).astype(dtype)

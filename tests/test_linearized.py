@@ -22,6 +22,7 @@ from linperm import (
     evaluate,
     evaluate_many,
     extension_field,
+    factor_xn_minus_1,
     format_linearized,
     identity,
     is_bijection_bruteforce,
@@ -231,8 +232,9 @@ def test_frobenius_plus_identity_not_permutation():
 
 
 def test_rank_test_at_p_65521():
-    # the Frobenius tables are uint16, so at p = 65521 any product of a table
-    # entry left in uint16 would wrap; both paths of the rank matrix run here
+    # the Frobenius tables are uint16 for p > 256, so at p = 65521 any product
+    # of a table entry left in uint16 would wrap; both paths of the rank
+    # matrix run here
     E = extension_field(65521, 3)
     p, width = E.base.p, E.base.k * E.n
     rng = random.Random(65521)
@@ -313,6 +315,27 @@ def test_narrow_rank_matrix_agrees_with_gcd(monkeypatch, q, n, dtype):
             assert verdicts[-1] == is_permutation_gcd(F)
     assert True in verdicts and False in verdicts
     assert set(seen) == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("q, n", [(61, 3), (251, 5), (257, 2)])
+def test_rank_test_finds_every_factor_of_xn_minus_1(q, n):
+    """f = g*f_s has L_f singular for every factor f_s of x^n - 1. Over these
+    fields x^n - 1 splits into linear factors, so for f_s != x - 1 the kernel
+    lies off F_q, and the rank matrix is singular only if every product
+    c*Frob^i is exact: one that wraps in the table's one-byte dtype (p < 256)
+    leaves it of full rank. g itself gets the verdict of the gcd test."""
+    E, spec = extension_field(q, n), RingSpec(base_field(q), n)
+    rng = random.Random(q * n)
+    for _, factor in factor_xn_minus_1(spec):
+        assert factor.degree == 1
+        for _ in range(3):
+            g = spec.element([rng.randrange(q) for _ in range(n)])
+            F = linearized_associate(ring_mul(g, spec.from_poly(factor)), E)
+            if not F.is_zero():
+                assert not is_permutation_rank(F)
+            G = linearized_associate(g, E)
+            if not G.is_zero():
+                assert is_permutation_rank(G) == is_permutation_gcd(G)
 
 
 @pytest.mark.parametrize(
