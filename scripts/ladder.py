@@ -140,7 +140,8 @@ def warm_ladder():
         agree(rank_mod(M, p), rank_mod(M.T, p), "rank_mod of M and of its transpose")
         warm("L2", f"rank_mod {size}x{size}", f"F_{p}", lambda: rank_mod(M, p))
     for p, size in ((3, 125), (2, 255)):
-        A, B = np.random.default_rng(size).integers(0, p, (2, size, size)).astype(np.uint16)
+        draw = np.random.default_rng(size).integers(0, p, (2, size, size))
+        A, B = draw.astype(np.min_scalar_type(p - 1))  # the dtype of these fields' Frobenius powers
         warm("L2", f"matmul_mod {size}x{size}", f"F_{p}", lambda: matmul_mod(A, B, p))
     for q, n in ((3, 25), (3, 125), (2, 255), (8, 11), (4, 3)):
         K, f, m, _ = euclid_inputs(q, n)

@@ -34,7 +34,9 @@ does for bit-rows or lanes in ``_linalg.rank_mod``.
 (``pgcd``, ``pegcd``) is a loop of steps on the last two remainders, with
 their cofactors for ``pegcd``. ``_frobenius_q`` builds the matrix of
 h -> h^q on the same rows, one column from the one before: x^q times it,
-its top slots folded back through a table of residues mod f.
+its top slots folded back through a table of residues mod f, which starts
+at x^q mod f by ``pmul`` and ``pdivmod`` when q >= d. So the irreducibility
+test builds no ``_reduction_matrix``, which holds one per field modulus.
 
 Every power (``_power``, ``ppowmod``, ``ExtElement.__pow__``, Frobenius gaps)
 is the one left-to-right ``_square_and_multiply`` on the caller's product.
@@ -499,7 +501,7 @@ def _times_x_powers(field, low, first, count: int) -> np.ndarray:
     return r
 
 
-@lru_cache(maxsize=16)  # keys are field moduli, and candidates of degree <= q
+@lru_cache(maxsize=None)  # one matrix per field modulus; no search candidate builds one
 def _reduction_matrix(field, mod: tuple) -> np.ndarray:
     """Matrix taking np.convolve of two packed residues to the packed residue
     of their product, modulo the monic ``mod`` (flat, a tuple) over ``field``.
@@ -619,8 +621,8 @@ def _frobenius_q(field, f) -> np.ndarray:
     (j - 1)*k + l: slot i moves to slot i + q while i + q < d, and the top
     w = min(q, d) slots come back through the residues x^(max(q, d) + t)
     mod f, t < w. Those start at x^d = -low(f) for q < d and at x^q mod f,
-    by ``ppowmod``, for q >= d (``_times_x_powers``); the table holds y^l
-    times each, one row per coordinate of the top slots.
+    by ``pmul`` and ``pdivmod``, for q >= d (``_times_x_powers``); the table
+    holds y^l times each, one row per coordinate of the top slots.
 
     Each column is a packed row in the layouts of long division (see the
     module docstring), built from the one before by one shift of its low
@@ -637,10 +639,10 @@ def _frobenius_q(field, f) -> np.ndarray:
     low = np.array(f[:-k]).reshape(d, k)
     if q < d:
         first = -low % p
-    else:
-        red = _reduction_matrix(field, tuple(f))
-        x = _unpack(k, red[:, 2 * k - 1])  # column 2k - 1 of red is x mod f
-        first = np.reshape(ppowmod(field, red, x, q), (d, k))
+    else:  # x^q mod f by the division kernels, each product reduced, padded to d slots
+        x = (0,) * k + pone(field)
+        x_q = _square_and_multiply(lambda a, b: pdivmod(field, pmul(field, a, b), f)[1], x, q)
+        first = np.reshape(x_q + (0,) * (k * d - len(x_q)), (d, k))
     R = _times_x_powers(field, low, first, wrap)
     # row t*k + l: the flat coordinates of y^l x^(max(q, d) + t) mod f
     table = np.einsum("lab,tjb->tajl", _linalg.mul_tensor(field), R).reshape(wrap * k, d * k) % p

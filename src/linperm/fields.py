@@ -366,12 +366,6 @@ class ExtFieldSpec(_Field):
             yield ExtElement(self, digits[::-1])
 
 
-@lru_cache(maxsize=None)
-def _ext_reduction(spec: ExtFieldSpec) -> np.ndarray:
-    """Reduction matrix of the product kernels of ``_polys`` for F_{q^n}."""
-    return _polys._reduction_matrix(spec.base, spec.ext_modulus)
-
-
 # Row-wise products through the product tensor cost rows*w^3 multiply-adds in
 # three array operations, rows counted in B; the convolution loop of
 # ``mulmod_rows`` costs fewer multiply-adds but a few array operations per
@@ -381,6 +375,7 @@ _TENSOR_BUDGET = 1 << 16
 # One element product through the tensor, two small matmuls, beats
 # ``pmulmod``'s packed-integer product up to about this width k*n (measured
 # timings in CHANGES.md); wider fields multiply and power by ``pmulmod``.
+# Both read the field's one ``_polys._reduction_matrix``, cached per modulus.
 _ELEMENT_TENSOR_WIDTH = 16
 
 
@@ -389,8 +384,8 @@ def _ext_tensor(spec: ExtFieldSpec) -> np.ndarray:
     """(w, w*w) F_p array, w = k*n: entries a*w to a*w + w - 1 of row b hold
     the flat coordinates of u_a * u_b, u the unit vectors. So (c @ T) is
     Mul(c) flattened: row a of its (w, w) reshape holds u_a * c."""
-    w = spec.base.k * spec.n
-    return _polys.unit_products(spec.base, _ext_reduction(spec)).reshape(w, w * w)
+    red = _polys._reduction_matrix(spec.base, spec.ext_modulus)
+    return _polys.unit_products(spec.base, red).reshape(spec.base.k * spec.n, -1)
 
 
 def _by_unit(spec: ExtFieldSpec, B: np.ndarray) -> np.ndarray:
@@ -420,7 +415,8 @@ def _mul_rows(spec: ExtFieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     w = A.shape[-1]
     if not _on_tensor(w, B.size // w):
         B = np.broadcast_to(B, A.shape).reshape(-1, w)
-        out = _polys.mulmod_rows(spec.base, _ext_reduction(spec), A.reshape(-1, w), B)
+        red = _polys._reduction_matrix(spec.base, spec.ext_modulus)
+        out = _polys.mulmod_rows(spec.base, red, A.reshape(-1, w), B)
         return out.reshape(A.shape)
     return np.matmul(A[..., None, :], _by_unit(spec, B))[..., 0, :] % spec.base.p
 
@@ -454,7 +450,8 @@ class ExtElement(_Residue):
         self._check(other)
         spec = self.spec
         if len(self.coords) > _ELEMENT_TENSOR_WIDTH:
-            out = _polys.pmulmod(spec.base, _ext_reduction(spec), self.coords, other.coords)
+            red = _polys._reduction_matrix(spec.base, spec.ext_modulus)
+            out = _polys.pmulmod(spec.base, red, self.coords, other.coords)
         else:
             by_other = _by_unit(spec, np.array(other.coords))
             out = tuple((np.array(self.coords) @ by_other % spec.base.p).tolist())
@@ -472,9 +469,8 @@ class ExtElement(_Residue):
             return self.inverse() ** (-e)
         spec = self.spec
         if len(self.coords) > _ELEMENT_TENSOR_WIDTH:
-            return ExtElement(
-                spec, _polys.ppowmod(spec.base, _ext_reduction(spec), self.coords, e)
-            )
+            red = _polys._reduction_matrix(spec.base, spec.ext_modulus)
+            return ExtElement(spec, _polys.ppowmod(spec.base, red, self.coords, e))
         if e == 0:
             return spec.one()
         p, a = spec.base.p, np.array(self.coords)

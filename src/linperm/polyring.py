@@ -241,10 +241,16 @@ def shift_mul_x(f: RingElement, t: int) -> RingElement:
 
 @dataclass(frozen=True)
 class CyclotomicCoset:
-    """Orbit of an exponent under multiplication by q mod n."""
+    """Orbit of an exponent under multiplication by q mod n; members as a tuple or list."""
 
     representative: int
     members: tuple[int, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.members, (tuple, list)):
+            raise BadInput(f"members must be a tuple of ints, got {type(self.members).__name__}")
+        object.__setattr__(self, "representative", _as_int(self.representative))
+        object.__setattr__(self, "members", tuple(map(_as_int, self.members)))
 
 
 def cyclotomic_cosets(spec: RingSpec) -> list[CyclotomicCoset]:

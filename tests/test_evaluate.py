@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from linperm import LinearizedPoly, evaluate, evaluate_many, extension_field
 from linperm import _polys, fields
-from linperm.fields import ExtElement, _ext_reduction
+from linperm.fields import ExtElement
 
 FIELDS = [(3, 5), (4, 3), (8, 3), (11, 9)]
 
@@ -93,7 +93,7 @@ def products(draw):
 @given(products())
 def test_mulmod_rows_matches_pmulmod(case):
     E, A, B = case
-    red = _ext_reduction(E)
+    red = _polys._reduction_matrix(E.base, E.ext_modulus)
     got = _polys.mulmod_rows(E.base, red, A, B)
     assert got.shape == A.shape
     for a, b, row in zip(A.tolist(), B.tolist(), got.tolist()):
@@ -127,7 +127,8 @@ def test_wide_products_match_schoolbook(q, n):
     B = rng.integers(0, p, (8, n))
     A[0], B[1] = p - 1, p - 1  # the largest sums
     want = [_schoolbook_product(E, a, b) for a, b in zip(A.tolist(), B.tolist())]
-    got = _polys.mulmod_rows(E.base, _ext_reduction(E), A, B)
+    red = _polys._reduction_matrix(E.base, E.ext_modulus)
+    got = _polys.mulmod_rows(E.base, red, A, B)
     assert [tuple(row) for row in got.tolist()] == want
     for a, b, w in zip(A.tolist(), B.tolist(), want):
         assert (ExtElement(E, tuple(a)) * ExtElement(E, tuple(b))).coords == w
@@ -137,22 +138,23 @@ def test_mul_rows_takes_either_path_with_the_same_result(monkeypatch):
     # below the budget the product tensor is used, above it mulmod_rows
     for q, n in FIELDS + [(3, 25), (8, 11)]:
         E = extension_field(q, n)
-        p, width = E.base.p, E.base.k * E.n
+        p, width, red = E.base.p, E.base.k * E.n, _polys._reduction_matrix(E.base, E.ext_modulus)
         edge = fields._TENSOR_BUDGET // width**3
         rng = np.random.default_rng(q * n)
         for N in sorted({0, 1, edge, edge + 1}):
             A = rng.integers(0, p, (N, width))
             B = rng.integers(0, p, (N, width))
             for B in (B, B * (np.arange(width) < E.base.k)):
-                want = _polys.mulmod_rows(E.base, _ext_reduction(E), A, B)
+                want = _polys.mulmod_rows(E.base, red, A, B)
                 assert np.array_equal(fields._mul_rows(E, A, B), want)
 
     # a field too wide for the tensor never builds one, even for no rows
     E = extension_field(3, 125)
     monkeypatch.setattr(fields, "_ext_tensor", None)
+    red = _polys._reduction_matrix(E.base, E.ext_modulus)
     for N in (0, 1):
         A = np.ones((N, 125), dtype=np.int64)
-        assert np.array_equal(fields._mul_rows(E, A, A), _polys.mulmod_rows(E.base, _ext_reduction(E), A, A))
+        assert np.array_equal(fields._mul_rows(E, A, A), _polys.mulmod_rows(E.base, red, A, A))
 
 
 @pytest.mark.parametrize("q,n", FIELDS + [(3, 25), (8, 11), (49, 3), (27, 4)])
@@ -160,10 +162,11 @@ def test_unit_products_match_mulmod_rows_of_every_pair(q, n):
     E = extension_field(q, n)
     width = E.base.k * n
     eye = np.eye(width, dtype=np.int64)
+    red = _polys._reduction_matrix(E.base, E.ext_modulus)
     pairs = _polys.mulmod_rows(
-        E.base, _ext_reduction(E), np.repeat(eye, width, axis=0), np.tile(eye, (width, 1))
+        E.base, red, np.repeat(eye, width, axis=0), np.tile(eye, (width, 1))
     )
-    got = _polys.unit_products(E.base, _ext_reduction(E))
+    got = _polys.unit_products(E.base, red)
     assert np.array_equal(got.reshape(width * width, width), pairs)
     assert np.array_equal(fields._ext_tensor(E), pairs.reshape(width, width * width))
 
@@ -174,7 +177,7 @@ def test_power_table_chain_matches_qth_powering(monkeypatch):
     monkeypatch.setattr(linearized, "_powers_held", {})
     for q, n in [(3, 25), (8, 11)]:
         E = extension_field(q, n)
-        red = _ext_reduction(E)
+        red = _polys._reduction_matrix(E.base, E.ext_modulus)
         for top in (0, 3, n - 1):  # grown in steps, as evaluations ask
             table = linearized._power_table(E, top)
         assert table.shape == (n, E.base.k * n, E.base.k * n)
@@ -224,7 +227,7 @@ def test_broadcast_operand_equals_the_repeated_operand(case):
     got = fields._mul_rows(E, A, B)
     assert got.shape == A.shape
     assert np.array_equal(got, fields._mul_rows(E, A, repeated))
-    red = _ext_reduction(E)
+    red = _polys._reduction_matrix(E.base, E.ext_modulus)
     pairs = zip(A.reshape(-1, width).tolist(), repeated.reshape(-1, width).tolist())
     want = [_polys.pmulmod(E.base, red, a, b) for a, b in pairs]
     assert [tuple(r) for r in got.reshape(-1, width).tolist()] == want
@@ -241,7 +244,7 @@ def test_element_product_and_power_match_pmulmod_and_ppowmod(qn, seed, e):
     p, width = E.base.p, E.base.k * E.n
     rng = np.random.default_rng(seed)
     a, b = (ExtElement(E, tuple(rng.integers(0, p, width).tolist())) for _ in range(2))
-    red = _ext_reduction(E)
+    red = _polys._reduction_matrix(E.base, E.ext_modulus)
     for x in (a, E.zero(), E.one()):
         assert (x * b).coords == _polys.pmulmod(E.base, red, x.coords, b.coords)
         assert (b * x).coords == _polys.pmulmod(E.base, red, b.coords, x.coords)
@@ -262,7 +265,7 @@ def test_powers_match_repeated_products(qn, q, seed, e1, e2):
     # F_{q^n}, blocks for F_q scalars; e = 0 gives 1 everywhere, 0^0 included
     E = extension_field(*qn)
     p, width = E.base.p, E.base.k * E.n
-    red = _ext_reduction(E)
+    red = _polys._reduction_matrix(E.base, E.ext_modulus)
     rng = np.random.default_rng(seed)
 
     def mul(x, y):
@@ -300,7 +303,7 @@ def test_element_products_take_the_tensor_only_on_narrow_fields(monkeypatch, q, 
 
     E = extension_field(q, n)
     a, b = E.gen() + E.one(), E.gen()
-    red = _ext_reduction(E)
+    red = _polys._reduction_matrix(E.base, E.ext_modulus)
     want = [_polys.pmulmod(E.base, red, a.coords, b.coords)] + [
         _polys.ppowmod(E.base, red, a.coords, e) for e in (7, E.order - 2)
     ]

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linperm import (
@@ -518,20 +518,46 @@ def _frobenius_by_column_walk(field, f):
 
 @settings(max_examples=150)
 @given(
-    q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 16, 27, 49, 65521]),
+    q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 16, 27, 49, 64, 65521]),
     degree=st.one_of(st.integers(2, 10), st.integers(11, 60)),
     seed=st.integers(0, 10**6),
 )
+@example(q=64, degree=64, seed=0)
+@example(q=64, degree=65, seed=0)
 def test_frobenius_q_matches_the_column_walk(q, degree, seed):
-    # bit-rows (p = 2) and lanes (odd p, up to 80-bit lanes at p = 65521),
-    # k = 1 and k > 1, q < d and q >= d (q = 8, 9, 11, 16, 49 and 65521 at
-    # d <= 10): the same int64 array as the former numpy walk
+    # bit-rows (p = 2, k = 6 at q = 64 on both sides of d = q) and lanes (odd
+    # p, up to 80-bit lanes at p = 65521), k = 1 and k > 1, q < d and q >= d
+    # (q = 8, 9, 11, 16, 49, 64 and 65521 at d <= 10): the same int64 array as
+    # the former numpy walk
     base = base_field(q)
     rng = random.Random(seed)
     f = tuple(rng.randrange(base.p) for _ in range(base.k * degree)) + pone(base)
     got, want = _frobenius_q(base, f), _frobenius_by_column_walk(base, f)
     assert got.dtype == want.dtype == np.int64 and got.flags.c_contiguous
     assert np.array_equal(got, want)
+
+
+def test_reduction_matrices_are_built_for_field_moduli_only():
+    # the modulus search takes x^q mod f from the division kernels, so a
+    # candidate with q >= d builds no matrix; a product in a wide field
+    # (k*n > 16) builds its field's one matrix once
+    cached = _polys._reduction_matrix
+    cached.cache_clear()
+    for seed in range(3):
+        find_irreducible(base_field(11), 9, seed)
+    rng = random.Random(44)
+    for q in (11, 16, 49, 64):
+        base = base_field(q)
+        for degree in (2, 5, 9):
+            f = tuple(rng.randrange(base.p) for _ in range(base.k * degree)) + pone(base)
+            _frobenius_q(base, f)
+    assert cached.cache_info().misses == 0
+    E = extension_field(3, 20, 7)
+    a = E.gen() + E.one()
+    a * a
+    assert cached.cache_info().misses == 1
+    a * E.gen()
+    assert cached.cache_info().misses == 1
 
 
 def test_extension_field_seed_is_one_cache_key():

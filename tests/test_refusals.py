@@ -14,6 +14,7 @@ import pytest
 
 import linperm
 from linperm import (
+    CyclotomicCoset,
     ExtFieldSpec,
     FieldSpec,
     LinearizedPoly,
@@ -269,6 +270,14 @@ def test_spec_mismatch_names_both_sides_in_short():
         R.one() + RingSpec(F3, 4).one()
 
 
+def test_cyclotomic_coset_reads_its_integers():
+    # refused at the argument, before a hand-built basis could carry it
+    for representative, members in (("0", (0,)), (0, 0)):
+        with pytest.raises(BadInput):
+            CyclotomicCoset(representative, members)
+    assert CyclotomicCoset(1, [1, 3]) == CyclotomicCoset(1, (1, 3))
+
+
 def test_edges_that_do_not_refuse():
     a = E.from_int(100)
     assert a**-3 == (a**3).inverse()
@@ -331,7 +340,7 @@ SWEEP = {
     "element_of_order": (Arg(E, E7), Int(2)),
     "splitting_field": (_RING,),
     # polyring
-    "CyclotomicCoset": (0, (0,)),
+    "CyclotomicCoset": (Int(0), (Int(0),)),
     "Poly": (Arg(F3, F5), (1, 2)),
     "RingElement": (_RING, R.one().coords),
     "RingSpec": (Arg(F3, F5), Int(4)),
